@@ -3,6 +3,7 @@ Orlicz (Luxemburg) norms, with the matching bound and constant checks."""
 
 from .bounds import (
     BoundReport,
+    NormSpec,
     construction_constants_check,
     empirical_inverse_discrepancy,
     hnww_empirical_check,
@@ -39,7 +40,7 @@ from .pointset import (
     pointset_to_json,
     save_pointset,
 )
-from .star import star_discrepancy_exact, star_discrepancy_lower_mc, star_feasible
+from .star import star_discrepancy_exact, star_discrepancy_lower_mc
 
 __version__ = "0.1.0"
 
@@ -48,6 +49,7 @@ __all__ = [
     "CellGrid",
     "LpCache",
     "NormResult",
+    "NormSpec",
     "NumericalError",
     "OrliczSpec",
     "PointSet",
@@ -81,7 +83,6 @@ __all__ = [
     "save_pointset",
     "star_discrepancy_exact",
     "star_discrepancy_lower_mc",
-    "star_feasible",
     "stirling_check",
     "theorem2_constant",
     "theorem2_n_bound",

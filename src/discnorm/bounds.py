@@ -12,10 +12,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
-from .lp import LpCache, initial_lp, lp_discrepancy
-from .orlicz import OrliczSpec, WeightFn, alpha_norm, luxemburg_norm, phi_norm
+from .integrate import NumericalError
+from .lp import LpCache, NormResult, lp_discrepancy
+from .orlicz import (
+    OrliczSpec,
+    WeightFn,
+    _json_number,
+    alpha_norm,
+    luxemburg_norm,
+    phi_norm,
+)
 from .pointset import PointSet, empty_pointset, generate_halton, generate_uniform
 from .star import star_discrepancy_exact
 
@@ -28,6 +35,70 @@ NBOUND_SATURATION = 10 ** 308
 
 # e^(11/12) / sqrt(2*pi), the base of the lower sandwich constant.
 SANDWICH_LOWER_BASE = math.exp(11.0 / 12.0) / math.sqrt(2.0 * math.pi)
+
+
+# The parameter each norm kind needs, by kind; star needs none.
+_NORM_NEEDS = {"lp": "p", "star": None, "psi-alpha": "alpha", "phi": "weight",
+               "alpha-norm": "alpha"}
+
+
+@dataclass(frozen=True)
+class NormSpec:
+    """One discrepancy norm: its kind and the parameters that kind needs.
+
+    Kinds: ``lp`` (p), ``star``, ``psi-alpha`` (alpha, optional weight),
+    ``phi`` (weight) and ``alpha-norm`` (alpha).  The JSON form is
+    ``{"norm": kind, "p": ..., "alpha": ..., "weight": {...}}``.
+    """
+
+    kind: str
+    p: float | None = None
+    alpha: float | None = None
+    weight: WeightFn | None = None
+
+    def __post_init__(self):
+        if self.kind not in _NORM_NEEDS:
+            raise ValueError(f"unknown norm {self.kind!r}")
+        need = _NORM_NEEDS[self.kind]
+        if need is not None and getattr(self, need) is None:
+            flag = "phi" if need == "weight" else need
+            raise ValueError(f"--{flag} is required for --norm {self.kind}")
+        for name in ("p", "alpha"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v >= 1.0):
+                raise ValueError(f"{name} must be a finite number >= 1, got {v!r}")
+
+    @classmethod
+    def from_json(cls, data: dict) -> "NormSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"a norm spec must be a JSON object, got {data!r}")
+        return cls(
+            kind=data.get("norm"),
+            p=_json_number(data, "p") if "p" in data else None,
+            alpha=_json_number(data, "alpha") if "alpha" in data else None,
+            weight=WeightFn.from_json(data["weight"]) if "weight" in data else None,
+        )
+
+    def compute(self, points: PointSet, rel_tol: float | None = None) -> NormResult:
+        """This norm of the local discrepancy of ``points``.
+
+        ``rel_tol=None`` keeps each engine's own default tolerance; the
+        exact star engine takes none.
+        """
+        tol = {} if rel_tol is None else {"rel_tol": rel_tol}
+        if self.kind == "star":
+            return NormResult(star_discrepancy_exact(points), 0.0, {"engine": "star-exact"})
+        if self.kind == "lp":
+            return lp_discrepancy(points, self.p, **tol)
+        if self.kind == "psi-alpha":
+            return luxemburg_norm(points, OrliczSpec(self.alpha, self.weight), **tol)
+        if self.kind == "phi":
+            return phi_norm(points, self.weight, **tol)
+        return alpha_norm(points, self.alpha, **tol)
+
+    def initial(self, d: int) -> float:
+        """This norm for the empty point set in dimension ``d``."""
+        return self.compute(empty_pointset(d)).value
 
 
 @dataclass(frozen=True)
@@ -60,7 +131,7 @@ def stirling_check(p: int) -> BoundReport:
         raise ValueError("p must be an integer in [1, 170]")
     log_lo = 0.5 * math.log(2.0 * math.pi * p) + p * (math.log(p) - 1.0)
     log_hi = log_lo + 1.0 / (12.0 * p)
-    log_fact = float(gammaln(p + 1.0))
+    log_fact = math.lgamma(p + 1.0)
     holds = (log_lo - LOG_SLACK <= log_fact) and (log_fact <= log_hi + LOG_SLACK)
     margin = min(log_fact - log_lo, log_hi - log_fact)
     return BoundReport(
@@ -271,29 +342,9 @@ def hnww_empirical_check(d: int, n: int, k_trials: int, seed: int) -> BoundRepor
     )
 
 
-def _norm_of(points: PointSet, norm: dict) -> float:
-    kind = norm.get("norm")
-    if kind == "star":
-        return star_discrepancy_exact(points)
-    if kind == "lp":
-        return lp_discrepancy(points, float(norm["p"])).value
-    if kind == "psi-alpha":
-        weight = WeightFn.from_json(norm["weight"]) if "weight" in norm else None
-        return luxemburg_norm(points, OrliczSpec(float(norm["alpha"]), weight)).value
-    if kind == "phi":
-        return phi_norm(points, WeightFn.from_json(norm["weight"])).value
-    if kind == "alpha-norm":
-        return alpha_norm(points, float(norm["alpha"])).value
-    raise ValueError(f"unknown norm spec {norm!r}")
-
-
 def initial_of(norm: dict, d: int) -> float:
     """Discrepancy of the empty point set under the given norm spec."""
-    if norm.get("norm") == "star":
-        return 1.0
-    if norm.get("norm") == "lp":
-        return initial_lp(float(norm["p"]), d)
-    return _norm_of(empty_pointset(d), norm)
+    return NormSpec.from_json(norm).initial(d)
 
 
 def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
@@ -309,7 +360,8 @@ def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    threshold = eps * initial_of(norm, d)
+    spec = NormSpec.from_json(norm)
+    threshold = eps * spec.initial(d)
     cache: dict[int, float] = {}
 
     def best_disc(n: int) -> float:
@@ -317,14 +369,14 @@ def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
             cands = [generate_halton(n, d)] if d <= 16 else []
             cands += [generate_uniform(n, d, seed + 7919 * n + i)
                       for i in range(k_trials)]
-            cache[n] = min(_norm_of(p, norm) for p in cands)
+            cache[n] = min(spec.compute(p).value for p in cands)
         return cache[n]
 
     n = 1
     while best_disc(n) > threshold:
         n *= 2
         if n > n_cap:
-            raise RuntimeError(
+            raise NumericalError(
                 f"inverse-discrepancy search exceeded the cap n = {n_cap}"
             )
     if n == 1:

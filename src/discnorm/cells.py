@@ -115,8 +115,8 @@ def build_cell_grid(ps: PointSet, max_cells: int = MAX_CELLS_DEFAULT) -> CellGri
     n_cells = int(np.prod([float(s) for s in shape]))
     if n_cells > max_cells:
         raise ValueError(
-            f"cell grid would have {n_cells} cells (limit {max_cells}); "
-            "exact engines are desk-scale (d <= 5 at moderate N)"
+            f"exact engines infeasible at n={ps.n_points}, d={d}: the cell grid "
+            f"would have {n_cells} cells (limit {max_cells})"
         )
     occ = np.zeros(shape, dtype=np.int64)
     if ps.n_points:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .cells import build_cell_grid
 from .integrate import NumericalError, integrate_of_delta
@@ -27,6 +26,29 @@ _WEIGHT_KINDS = ("factorial", "power", "subexp", "tabulated")
 # Series caps; hitting one raises instead of returning a quietly wrong value.
 _ELL_CAP = 2048
 _YOUNG_TERM_CAP = 4096
+# Halvings to bracket a Luxemburg root, and bisection steps to close it.
+_ROOT_STEP_CAP = 200
+
+_lgamma_array = np.vectorize(math.lgamma, otypes=[float])
+
+
+def _lgamma(x):
+    """log Gamma elementwise, by math.lgamma; scalars skip np.vectorize."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return np.float64(math.lgamma(x))
+    return _lgamma_array(x)
+
+
+def _json_number(data: dict, key: str) -> float:
+    """data[key] as a finite float; anything else is a ValueError."""
+    try:
+        value = float(data[key])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {data[key]!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,8 +88,10 @@ class WeightFn:
                 raise ValueError("tabulated weight needs at least one knot")
             ps = [k[0] for k in self.knots]
             vs = [k[1] for k in self.knots]
-            if any(v <= 0 for v in vs):
-                raise ValueError("tabulated weight values must be positive")
+            if not all(0.0 < v < math.inf for v in vs):
+                raise ValueError("tabulated weight values must be positive and finite")
+            if not all(math.isfinite(p) for p in ps):
+                raise ValueError("tabulated knots must have finite p")
             if any(b <= a for a, b in zip(ps, ps[1:])):
                 raise ValueError("tabulated knots must have strictly increasing p")
 
@@ -92,7 +116,7 @@ class WeightFn:
         if np.any(p <= 0):
             raise ValueError("weight evaluated at p <= 0")
         if self.kind == "factorial":
-            out = gammaln(p / self.alpha + 1.0) / p
+            out = _lgamma(p / self.alpha + 1.0) / p
         elif self.kind == "power":
             out = math.log(self.C) + self.r * np.log(p)
         elif self.kind == "subexp":
@@ -137,10 +161,15 @@ class WeightFn:
 
     @classmethod
     def from_json(cls, data: dict) -> "WeightFn":
+        if not isinstance(data, dict):
+            raise ValueError(f"a weight descriptor must be a JSON object, got {data!r}")
         kind = data.get("kind")
         if kind == "tabulated":
-            return cls.tabulated(data["knots"])
-        kwargs = {k: data[k] for k in ("alpha", "C", "r", "tau") if k in data}
+            try:
+                return cls.tabulated(data["knots"])
+            except TypeError:
+                raise ValueError("knots must be a list of [p, value] pairs") from None
+        kwargs = {k: _json_number(data, k) for k in ("alpha", "C", "r", "tau") if k in data}
         return cls(kind=kind, **kwargs)
 
 
@@ -168,7 +197,7 @@ class OrliczSpec:
         """log of phi(alpha*ell)^(alpha*ell), i.e. log(l!) for the exact kind."""
         ell = np.asarray(ell, dtype=float)
         if self.weight is None:
-            out = gammaln(ell + 1.0)
+            out = _lgamma(ell + 1.0)
         else:
             p = self.alpha * ell
             out = p * self.weight.log_phi(p)
@@ -267,6 +296,35 @@ def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float,
     raise NumericalError("modular series needs more than the term cap allows")
 
 
+def _luxemburg_root(modular, hi: float, rel_tol: float):
+    """Bracket and bisect the K where modular(K) crosses 1.
+
+    ``modular(K)`` returns (value, tail bound) and must be at most 1 at
+    ``hi``.  K is halved until the value is above 1, then bisected until
+    hi - lo <= rel_tol * hi; K counts as below the root while value +
+    tail is above 1.  Returns (lo, hi, bisection steps).
+    """
+    lo = hi
+    for _ in range(_ROOT_STEP_CAP):
+        lo = lo / 2.0
+        if modular(lo)[0] > 1.0:
+            break
+    else:
+        raise NumericalError("could not bracket the Luxemburg norm from below")
+    iters = 0
+    while (hi - lo) > rel_tol * hi:
+        if iters == _ROOT_STEP_CAP:
+            raise NumericalError("Luxemburg bisection failed to converge")
+        mid = 0.5 * (lo + hi)
+        val, tail = modular(mid)
+        if val + tail > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        iters += 1
+    return lo, hi, iters
+
+
 def luxemburg_norm(points: PointSet, spec: OrliczSpec, rel_tol: float = 1e-8,
                    cache: LpCache | None = None) -> NormResult:
     """Luxemburg norm of the local discrepancy of ``points`` under psi.
@@ -284,27 +342,8 @@ def luxemburg_norm(points: PointSet, spec: OrliczSpec, rel_tol: float = 1e-8,
     def lp_at(p):
         return cache.norm(p).value
 
-    marker = _psi_inv_one(spec)
-    hi = sup / marker
-    lo = hi
-    for _ in range(200):
-        lo = lo / 2.0
-        val, tail = _modular_series(lp_at, sup, spec, lo)
-        if val > 1.0:
-            break
-    else:
-        raise NumericalError("could not bracket the Luxemburg norm from below")
-    iters = 0
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        val, tail = _modular_series(lp_at, sup, spec, mid)
-        if val > 1.0 or val + tail > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-        if iters > 200:
-            raise NumericalError("Luxemburg bisection failed to converge")
+    lo, hi, iters = _luxemburg_root(
+        lambda k: _modular_series(lp_at, sup, spec, k), sup / _psi_inv_one(spec), rel_tol)
     value = 0.5 * (lo + hi)
     err = 0.5 * (hi - lo) + value * 10.0 * cache.rel_tol
     return NormResult(
@@ -336,26 +375,9 @@ def luxemburg_norm_piecewise(volumes, values, spec: OrliczSpec,
 
     def modular(k):
         with np.errstate(over="ignore"):
-            return float(np.sum(volumes * young_eval(spec, values / k)))
+            return float(np.sum(volumes * young_eval(spec, values / k))), 0.0
 
-    hi = vmax / _psi_inv_one(spec)
-    lo = hi
-    for _ in range(200):
-        lo = lo / 2.0
-        if modular(lo) > 1.0:
-            break
-    else:
-        raise NumericalError("could not bracket the piecewise Luxemburg norm")
-    iters = 0
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if modular(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-        if iters > 300:
-            break
+    lo, hi, iters = _luxemburg_root(modular, vmax / _psi_inv_one(spec), rel_tol)
     value = 0.5 * (lo + hi)
     return NormResult(value, 0.5 * (hi - lo), {"engine": "piecewise", "iterations": iters})
 

@@ -1,77 +1,23 @@
 """Star (L_infinity) discrepancy, exact and Monte Carlo lower bound.
 
-The exact value only needs the local discrepancy at a finite grid: on
-each axis the candidate coordinates are the distinct point coordinates
-and 1, with the supremum over open boxes realized as a limit from
-below at those same corners.  Cost grows like (N+1)^d, so a hard
-feasibility cap keeps requests at desk scale.
+The exact value is the sup of |local discrepancy| over the cell grid of
+``cells``; its cell-count cap keeps requests at desk scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .cells import build_cell_grid
 from .pointset import PointSet
-
-# Upper limit on (N+1)^d * N * d work units for the exact algorithm.
-STAR_EXACT_MAX_WORK = 1_000_000_000
-
-
-def star_feasible(n_points: int, dim: int, budget: int = STAR_EXACT_MAX_WORK) -> bool:
-    """Whether the exact algorithm is allowed at this size."""
-    work = (n_points + 1) ** dim * max(n_points, 1) * dim
-    return work <= budget
 
 
 def star_discrepancy_exact(points: PointSet) -> float:
     """Exact L_infinity norm of the local discrepancy.
 
-    For each axis the grid holds the distinct coordinates plus 1.  At a
-    grid corner t, the closed count (<=) bounds the discrepancy from
-    above via closed/N - vol(t), and the open count (<) at t bounds it
-    from below via vol(t) - open/N; both candidate lists together
-    contain the supremum.
+    Raises ``ValueError`` when the cell grid exceeds its cell-count cap.
     """
-    d = points.dim
-    n = points.n_points
-    if n == 0:
-        return 1.0
-    if not star_feasible(n, d):
-        raise ValueError(
-            f"exact star discrepancy infeasible for n={n}, d={d}; "
-            f"work cap is {STAR_EXACT_MAX_WORK}"
-        )
-    axes = []
-    for k in range(d):
-        g = np.unique(points.coords[:, k])
-        if g.size == 0 or g[-1] != 1.0:
-            g = np.append(g, 1.0)
-        axes.append(g)
-    shape = tuple(g.size for g in axes)
-    occupancy = np.zeros(shape, dtype=np.int64)
-    idx = np.stack(
-        [np.searchsorted(axes[k], points.coords[:, k]) for k in range(d)], axis=1
-    )
-    np.add.at(occupancy, tuple(idx[:, k] for k in range(d)), 1)
-    closed = occupancy
-    for k in range(d):
-        closed = np.cumsum(closed, axis=k)
-    # open count at grid corner = closed count at the previous corner
-    open_cnt = closed
-    for k in range(d):
-        shifted = np.zeros_like(open_cnt)
-        sl_to = [slice(None)] * d
-        sl_from = [slice(None)] * d
-        sl_to[k] = slice(1, None)
-        sl_from[k] = slice(0, -1)
-        shifted[tuple(sl_to)] = open_cnt[tuple(sl_from)]
-        open_cnt = shifted
-    vol = axes[0].copy()
-    for k in range(1, d):
-        vol = np.multiply.outer(vol, axes[k])
-    over = closed / n - vol
-    under = vol - open_cnt / n
-    return float(max(over.max(), under.max(), 0.0))
+    return build_cell_grid(points).sup_abs_discrepancy()
 
 
 def star_discrepancy_lower_mc(points: PointSet, samples: int = 100_000,

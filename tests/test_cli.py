@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from discnorm import cli
+from discnorm import bounds, cli
 from discnorm.integrate import NumericalError
 from discnorm.lp import lp_discrepancy
 from discnorm.pointset import generate_uniform, load_pointset
@@ -106,10 +106,21 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ["disc", "--in", str(f), "--norm", "phi"],                     # missing --phi
         ["disc", "--in", str(f), "--norm", "phi", "--phi", "{bad json"],
         ["sweep", "--norm", "lp", "--p", "2", "--d-range", "bogus", "--n-range", "2:4"],
+        ["disc", "--in", str(f), "--norm", "lp", "--p", "inf"],
+        ["disc", "--in", str(f), "--norm", "lp", "--p", "nan"],
+        ["disc", "--in", str(f), "--norm", "phi", "--phi", "[1,2]"],
+        ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"power","C":"x","r":1}'],
+        ["sweep", "--norm", "star", "--d-range", "1:2", "--n-range", "4:8", "--trials", "0"],
+        ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "0:2"],
+        ["disc", "--in", str(f), "--norm", "phi", "--phi",
+         '{"kind":"tabulated","knots":[[1,"nan"]]}'],
     ]
     for argv in cases:
-        assert cli.main(argv) == 1, argv
-        capsys.readouterr()
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1, argv
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err, argv
 
 
 def test_argparse_errors_exit_one():
@@ -125,7 +136,7 @@ def test_numerical_failure_exits_two(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("synthetic blow-up")
 
-    monkeypatch.setattr(cli, "lp_discrepancy", boom)
+    monkeypatch.setattr(bounds, "lp_discrepancy", boom)
     import tempfile, os
     with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False) as fh:
         fh.write("0.25,0.5\n")
@@ -190,3 +201,13 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0.5", "0.25"]
+
+
+def test_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, discnorm; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

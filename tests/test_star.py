@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from discnorm.pointset import PointSet, empty_pointset, generate_uniform
-from discnorm.star import (
-    STAR_EXACT_MAX_WORK,
-    star_discrepancy_exact,
-    star_discrepancy_lower_mc,
-    star_feasible,
-)
+from discnorm.star import star_discrepancy_exact, star_discrepancy_lower_mc
 
 
 def _star_1d_oracle(xs):
@@ -46,7 +41,8 @@ def test_empty_set_is_one():
 
 
 def test_exact_dominates_monte_carlo():
-    for n, d, seed in [(8, 1, 10), (16, 2, 11), (8, 3, 12), (32, 2, 13)]:
+    # (48, 4) is a size the exact engine handles below the cell-count cap
+    for n, d, seed in [(8, 1, 10), (16, 2, 11), (8, 3, 12), (32, 2, 13), (48, 4, 14)]:
         pts = generate_uniform(n, d, seed=seed)
         exact = star_discrepancy_exact(pts)
         mc = star_discrepancy_lower_mc(pts, samples=50_000, seed=seed)
@@ -63,11 +59,8 @@ def test_monte_carlo_deterministic():
 
 
 def test_feasibility_guard():
-    assert star_feasible(32, 3)
-    assert not star_feasible(10_000, 4)
     big = generate_uniform(64, 5, seed=1)
-    assert (64 + 1) ** 5 * 64 * 5 > STAR_EXACT_MAX_WORK
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="infeasible"):
         star_discrepancy_exact(big)
 
 
