@@ -36,6 +36,7 @@ _GL_CACHE: dict = {}
 MAX_EVAL_ELEMENTS = 400_000_000
 # Batch memory cap (array elements per evaluation chunk).
 _CHUNK_ELEMENTS = 24_000_000
+_DBL_MAX = np.finfo(float).max
 
 
 class NumericalError(RuntimeError):
@@ -91,32 +92,52 @@ def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
     ae = a_cnt[:, None, :]
     tlen = t_hi - t_lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        delta = qe * tlen / scale
-        vhi = (ae - qe * t_lo) / scale
-        vlo = vhi - delta
-        vhi = np.broadcast_to(vhi, vlo.shape)
-        straddle = (vlo < 0.0) & (vhi > 0.0)
-        big = np.where(vlo >= 0.0, vhi, delta - vhi)
-        thin = (delta <= 1e-12 * np.maximum(big, 1e-300)) & ~straddle
-        out = np.empty(vlo.shape)
-        inv = np.broadcast_to(scale / (qe * q1), vlo.shape)
-        # the common case: the cell sits entirely on one side of the zero
-        # crossing, so the power antiderivative nearly cancels between the
-        # endpoints and goes through log1p/expm1 for accuracy.  Each branch
-        # is only evaluated on its own subset; the transcendental calls
-        # dominate the cost and the one-sided subset is nearly everything.
-        one = ~(straddle | thin)
-        big_o = big[one]
-        ratio = np.clip(delta[one] / np.maximum(big_o, 1e-300), 0.0, 1.0)
-        out[one] = inv[one] * np.power(big_o, q1) * (-np.expm1(q1 * np.log1p(-ratio)))
-        if straddle.any():
-            out[straddle] = inv[straddle] * (
+        # capped so that inf * 0 cannot make a NaN: when q * q1 underflows,
+        # a cell that is not thin has |v| below 1e-296, whose powers are 0
+        inv = np.minimum(scale / (qe * q1), _DBL_MAX)
+        delta = np.multiply(qe, tlen)
+        delta /= scale
+        vhi = np.multiply(qe, t_lo)
+        np.subtract(ae, vhi, out=vhi)
+        vhi /= scale
+        vlo = np.subtract(vhi, delta)
+        pos = vlo >= 0.0
+        straddle = vhi > 0.0
+        straddle &= ~pos
+        # the endpoint value of larger magnitude off the straddle cells;
+        # -vlo is exactly delta - vhi under IEEE rounding
+        out = np.negative(vlo)
+        np.copyto(out, vhi, where=pos)
+        cross = straddle.any()
+        if cross:
+            s_val = np.broadcast_to(inv, out.shape)[straddle] * (
                 np.power(np.maximum(vhi[straddle], 0.0), q1)
                 + np.power(np.maximum(-vlo[straddle], 0.0), q1)
             )
+        den = np.maximum(out, 1e-300, out=vlo)
+        thin = np.less_equal(delta, np.multiply(den, 1e-12, out=vhi))
+        thin &= ~straddle
+        # the common case: the cell sits entirely on one side of the zero
+        # crossing, so the power antiderivative nearly cancels between the
+        # endpoints and goes through log1p/expm1 for accuracy.  It runs on
+        # the whole block in place; the few straddle and thin cells are
+        # overwritten afterwards.
+        ratio = np.divide(delta, den, out=delta)
+        np.clip(ratio, 0.0, 1.0, out=ratio)
+        np.negative(ratio, out=ratio)
+        np.log1p(ratio, out=ratio)
+        ratio *= q1
+        np.expm1(ratio, out=ratio)
+        np.negative(ratio, out=ratio)
+        np.power(out, q1, out=out)
+        out *= inv
+        out *= ratio
+        if cross:
+            out[straddle] = s_val
         if thin.any():
-            mid = np.broadcast_to(np.abs(ae - qe * (t_lo + t_hi) * 0.5) / scale, vlo.shape)
-            out[thin] = np.broadcast_to(tlen, vlo.shape)[thin] * np.power(mid[thin], p)
+            b, s, k = np.nonzero(thin)
+            mid = np.abs(a_cnt[b, k] - q[b, s] * (t_lo + t_hi)[k] * 0.5) / scale
+            out[b, s, k] = tlen[k] * np.power(mid, p)
     return out.sum(axis=2) if reduce else out
 
 
@@ -143,34 +164,34 @@ _GL_LOW = 3
 _GL_HIGH = 6
 
 
-def _bound_hint(cols, lo, hi, a_cols, t_lo, t_hi, p, scale):
-    """Rigorous per-box upper bounds plus a cheap total-integral hint.
+def _endpoint_cells(cols, lo, hi, a_cols, t_lo, t_hi, p, scale):
+    """Per-cell inner integrals at each box's smallest and largest q.
 
     The inner per-cell integral is convex in the outer product q
     (abs-affine composed with a convex power), so its max over
     [qmin, qmax] sits at an endpoint; vol times the summed max is a true
-    bound on the box integral.  The summed endpoint min plays the same
-    role as a non-rigorous size hint for choosing skip thresholds.
+    bound on the box integral.  Returns the (B, 2, m) endpoint values
+    and the (B,) box volumes.
     """
-    a = a_cols[cols]
     qq = np.stack([lo.prod(axis=1), hi.prod(axis=1)], axis=1)
-    per_cell = _inner_stack(qq, a, t_lo, t_hi, p, scale, reduce=False)
-    vol = (hi - lo).prod(axis=1)
-    bounds = per_cell.max(axis=1).sum(axis=1) * vol
-    hint = float((per_cell.min(axis=1).sum(axis=1) * vol).sum())
-    return bounds, hint
+    per_cell = _inner_stack(qq, a_cols[cols], t_lo, t_hi, p, scale, reduce=False)
+    return per_cell, (hi - lo).prod(axis=1)
 
 
-def _eval_lp_boxes(cols, lo, hi, a_cols, t_lo, t_hi, p, scale, skip_below=0.0):
+def _eval_lp_boxes(cols, lo, hi, a_cols, t_lo, t_hi, p, scale, skip_below=0.0,
+                   ends=None):
     """Quadrature value, order-difference error, sup bound per outer box.
 
     Boxes whose bound falls below ``skip_below`` are not quadratured:
     their value is bound / 2, which is within bound / 2 of the truth,
     and they come back flagged unevaluated so the refinement loop can
-    activate them later if the error budget ever demands it.
+    activate them later if the error budget ever demands it.  ``ends``
+    is the ``_endpoint_cells`` result when the caller already has it.
     """
     m = a_cols.shape[1]
-    bounds, _ = _bound_hint(cols, lo, hi, a_cols, t_lo, t_hi, p, scale)
+    per_cell, vol = ends if ends is not None else _endpoint_cells(
+        cols, lo, hi, a_cols, t_lo, t_hi, p, scale)
+    bounds = per_cell.max(axis=1).sum(axis=1) * vol
     vals = 0.5 * bounds
     errs = 0.5 * bounds
     if skip_below > 0.0:
@@ -178,17 +199,19 @@ def _eval_lp_boxes(cols, lo, hi, a_cols, t_lo, t_hi, p, scale, skip_below=0.0):
     else:
         evaluated = np.ones(cols.shape[0], dtype=bool)
     idx = np.nonzero(evaluated)[0]
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, (_GL_HIGH ** lo.shape[1]) * m))
+    n_low = _GL_LOW ** lo.shape[1]
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, (n_low + _GL_HIGH ** lo.shape[1]) * m))
     for s in range(0, idx.size, chunk):
         sel = idx[s:s + chunk]
-        a = a_cols[cols[sel]]
-        res = []
-        for order in (_GL_LOW, _GL_HIGH):
-            q, wt = _outer_tensor(lo[sel], hi[sel], order)
-            f = _inner_stack(q, a, t_lo, t_hi, p, scale)
-            res.append((wt * f).sum(axis=1))
-        vals[sel] = res[1]
-        errs[sel] = np.abs(res[1] - res[0])
+        # both orders' nodes go through one kernel call
+        q_low, w_low = _outer_tensor(lo[sel], hi[sel], _GL_LOW)
+        q_high, w_high = _outer_tensor(lo[sel], hi[sel], _GL_HIGH)
+        f = _inner_stack(np.concatenate([q_low, q_high], axis=1), a_cols[cols[sel]],
+                         t_lo, t_hi, p, scale)
+        low = (w_low * f[:, :n_low]).sum(axis=1)
+        high = (w_high * f[:, n_low:]).sum(axis=1)
+        vals[sel] = high
+        errs[sel] = np.abs(high - low)
     return vals, errs, bounds, evaluated
 
 
@@ -229,13 +252,15 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
         )
 
     cols0 = np.arange(n_cols)
-    _, hint = _bound_hint(cols0, col_lo, col_hi, a_cols, t_lo, t_hi, p, scale)
-    # columns with a negligible share of the (hinted) total are carried by
-    # their bound alone; the combined placeholder error stays a few
-    # percent of the target and the loop can always activate them later
+    ends = _endpoint_cells(cols0, col_lo, col_hi, a_cols, t_lo, t_hi, p, scale)
+    # the summed endpoint min is a cheap, non-rigorous size hint: columns
+    # with a negligible share of it are carried by their bound alone; the
+    # combined placeholder error stays a few percent of the target and
+    # the loop can always activate them later
+    hint = float((ends[0].min(axis=1).sum(axis=1) * ends[1]).sum())
     skip0 = 0.04 * rel_tol * hint / n_cols
     vals0, errs0, bnds0, ev0 = _eval_lp_boxes(
-        cols0, col_lo, col_hi, a_cols, t_lo, t_hi, p, scale, skip_below=skip0)
+        cols0, col_lo, col_hi, a_cols, t_lo, t_hi, p, scale, skip_below=skip0, ends=ends)
 
     # box store, worst-first refinement
     store_col = list(cols0)

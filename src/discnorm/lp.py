@@ -37,6 +37,17 @@ class NormResult:
         return self.value
 
 
+def check_rel_tol(rel_tol: float) -> float:
+    """``rel_tol`` itself if it is a finite number > 0, else a ValueError.
+
+    A zero, negative or NaN tolerance would keep the adaptive refinement
+    running until its budget, or end it at once with a meaningless error.
+    """
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be a finite number > 0, got {rel_tol!r}")
+    return rel_tol
+
+
 def initial_lp(p: float, dim: int) -> float:
     """L_p norm of the discrepancy of the empty point set: (p+1)^(-d/p)."""
     if p < 1:
@@ -74,7 +85,7 @@ class LpCache:
 
     def __init__(self, points: PointSet, rel_tol: float = 1e-9):
         self.points = points
-        self.rel_tol = rel_tol
+        self.rel_tol = check_rel_tol(rel_tol)
         self._grid: CellGrid | None = None
         self._values: dict[float, NormResult] = {}
         self._sup: float | None = None
@@ -93,7 +104,7 @@ class LpCache:
         return self._sup
 
     def norm(self, p: float, rel_tol: float | None = None) -> NormResult:
-        tol = self.rel_tol if rel_tol is None else rel_tol
+        tol = self.rel_tol if rel_tol is None else check_rel_tol(rel_tol)
         key = float(p)
         hit = self._values.get(key)
         if hit is not None and hit.diagnostics.get("rel_tol", 1.0) <= tol:
@@ -148,5 +159,6 @@ def lp_discrepancy(points: PointSet, p: float, rel_tol: float = 1e-9) -> NormRes
     """L_p norm of the local discrepancy of ``points`` on the unit cube."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    check_rel_tol(rel_tol)
     grid = build_cell_grid(points)
     return _compute_lp(points, grid, p, rel_tol)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cells import build_cell_grid
 from .integrate import NumericalError, integrate_of_delta
-from .lp import LpCache, NormResult
+from .lp import LpCache, NormResult, check_rel_tol
 from .pointset import PointSet
 
 _WEIGHT_KINDS = ("factorial", "power", "subexp", "tabulated")
@@ -325,22 +325,42 @@ def _luxemburg_root(modular, hi: float, rel_tol: float):
     return lo, hi, iters
 
 
+def _lp_reader(cache: LpCache):
+    """A p -> L_p value function on ``cache``, and the results it has read."""
+    read: dict[float, NormResult] = {}
+
+    def lp_at(p):
+        res = read[float(p)] = cache.norm(p)
+        return res.value
+
+    return lp_at, read
+
+
+def _lp_summary(read: dict) -> dict:
+    """Diagnostics of the L_p results a norm read: budget flag and p count."""
+    return {"budget_exceeded": any(r.diagnostics.get("budget_exceeded", False)
+                                   for r in read.values()),
+            "p_values": len(read)}
+
+
 def luxemburg_norm(points: PointSet, spec: OrliczSpec, rel_tol: float = 1e-8,
                    cache: LpCache | None = None) -> NormResult:
     """Luxemburg norm of the local discrepancy of ``points`` under psi.
 
     Root search on K for modular(K) = 1.  The starting upper bracket
     K = sup|f| / psi^{-1}(1) always has modular <= 1 pointwise, and the
-    modular blows up as K -> 0, so plain bisection is safe.
+    modular blows up as K -> 0, so plain bisection is safe.  Without a
+    ``cache`` the L_p values are computed at ``rel_tol / 10``, so their
+    share of the error, 10 times the cache tolerance, stays ``rel_tol``.
     """
+    check_rel_tol(rel_tol)
     if cache is None:
-        cache = LpCache(points)
+        cache = LpCache(points, rel_tol / 10.0)
+    lp_at, read = _lp_reader(cache)
     sup = cache.sup_abs
     if sup == 0.0:
-        return NormResult(0.0, 0.0, {"engine": "orlicz-series", "terms": 0})
-
-    def lp_at(p):
-        return cache.norm(p).value
+        return NormResult(0.0, 0.0, {"engine": "orlicz-series", "terms": 0,
+                                     **_lp_summary(read)})
 
     lo, hi, iters = _luxemburg_root(
         lambda k: _modular_series(lp_at, sup, spec, k), sup / _psi_inv_one(spec), rel_tol)
@@ -350,7 +370,7 @@ def luxemburg_norm(points: PointSet, spec: OrliczSpec, rel_tol: float = 1e-8,
         value=value,
         abs_error_estimate=err,
         diagnostics={"engine": "orlicz-series", "iterations": iters,
-                     "bracket": (lo, hi)},
+                     "bracket": (lo, hi), **_lp_summary(read)},
     )
 
 
@@ -406,16 +426,20 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
     all remaining q cannot beat the best value seen, then refines around
     the best grid point by golden section in log p.  If phi grows too
     slowly to close the tail by p_cap, the gap is reported in the error
-    estimate rather than hidden.
+    estimate rather than hidden.  Without a ``cache`` the L_p values are
+    computed at ``rel_tol``; the reported error is never below 1e-3 of
+    the value.
     """
+    check_rel_tol(rel_tol)
     if cache is None:
-        cache = LpCache(points)
+        cache = LpCache(points, rel_tol)
+    lp_at, read = _lp_reader(cache)
     sup = cache.sup_abs
     if sup == 0.0:
-        return NormResult(0.0, 0.0, {"engine": "phi-sup"})
+        return NormResult(0.0, 0.0, {"engine": "phi-sup", **_lp_summary(read)})
 
     def g(p):
-        return cache.norm(p).value / float(weight.phi(p))
+        return lp_at(p) / float(weight.phi(p))
 
     ps = [1.0]
     while ps[-1] < p_cap:
@@ -472,7 +496,7 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
         abs_error_estimate=err,
         diagnostics={"engine": "phi-sup", "p_star": p_star,
                      "grid_points": scanned, "tail_closed": tail_closed,
-                     "tail_margin": tail_margin},
+                     "tail_margin": tail_margin, **_lp_summary(read)},
     )
 
 

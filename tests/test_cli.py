@@ -1,15 +1,23 @@
 """Command-line interface: determinism, formats, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import discnorm
 from discnorm import bounds, cli
 from discnorm.integrate import NumericalError
 from discnorm.lp import lp_discrepancy
 from discnorm.pointset import generate_uniform, load_pointset
+
+
+# A child interpreter imports the same discnorm as this one, installed or not.
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(discnorm.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(argv, capsys):
@@ -69,6 +77,8 @@ def test_disc_json_output(capsys, tmp_path):
     assert payload["value"] > 0.0
     assert "abs_error_estimate" in payload
     assert payload["diagnostics"]["engine"] == "orlicz-series"
+    assert payload["diagnostics"]["budget_exceeded"] is False
+    assert payload["diagnostics"]["p_values"] > 0
 
 
 def test_disc_phi_weight_descriptor(capsys, tmp_path):
@@ -197,7 +207,7 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "discnorm", "gen", "--kind", "halton",
          "--n", "2", "--d", "1"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=_CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0.5", "0.25"]
@@ -207,7 +217,7 @@ def test_import_leaves_scipy_out():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, discnorm; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=_CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from discnorm.lp import (
     lp_discrepancy,
     warnock_l2,
 )
+from discnorm.orlicz import OrliczSpec, WeightFn, luxemburg_norm, phi_norm
 from discnorm.pointset import PointSet, empty_pointset, generate_uniform
 
 # Frozen references computed at rel_tol 1e-11 and cross-validated against
@@ -51,6 +52,22 @@ def test_initial_lp_validation():
         initial_lp(2.0, 0)
     with pytest.raises(ValueError):
         lp_discrepancy(generate_uniform(4, 2, seed=0), 0.9)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["lp_discrepancy", "cache", "cache_norm",
+                                   "luxemburg_norm", "phi_norm"])
+def test_bad_tolerance_rejected(entry, tol):
+    pts = generate_uniform(8, 2, seed=0)
+    calls = {
+        "lp_discrepancy": lambda: lp_discrepancy(pts, 3.0, rel_tol=tol),
+        "cache": lambda: LpCache(pts, rel_tol=tol),
+        "cache_norm": lambda: LpCache(pts).norm(3.0, rel_tol=tol),
+        "luxemburg_norm": lambda: luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=tol),
+        "phi_norm": lambda: phi_norm(pts, WeightFn.power(1.0, 0.5), rel_tol=tol),
+    }
+    with pytest.raises(ValueError, match="rel_tol"):
+        calls[entry]()
 
 
 def test_warnock_against_both_engines():
@@ -144,6 +161,19 @@ def test_lp_zero_discrepancy_impossible_but_zero_scale_guard():
     pts = PointSet(np.array([[0.0, 0.0]]))
     res = lp_discrepancy(pts, 3.0, rel_tol=1e-8)
     assert 0.0 < res.value <= 1.0
+
+
+def test_tiny_coordinates_stay_finite():
+    # outer node products below about 1e-308 once made inf * 0 = NaN
+    # cells; a strip that thin changes no norm, so zero is the reference
+    tiny = 2.2250738585072014e-308
+    for coords in ([[2.2e-311, 0.0]], [[0.0, 0.0, 0.5], [0.0, tiny, 0.0], [0.125, 0.0, 0.0]]):
+        pts = PointSet(np.array(coords))
+        flat = PointSet(np.where(pts.coords < 1e-300, 0.0, pts.coords))
+        for p in (1.0, 2.5, 7.0):
+            got = lp_discrepancy(pts, p, rel_tol=1e-8)
+            want = lp_discrepancy(flat, p, rel_tol=1e-8)
+            assert abs(got.value - want.value) <= 1e-8 * want.value
 
 
 def test_norm_result_float_coercion():

@@ -1,5 +1,6 @@
 """Young functions, weight functions, and Luxemburg norms."""
 
+import functools
 import json
 import math
 
@@ -8,6 +9,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from discnorm import lp as lp_module
+from discnorm.integrate import lp_adaptive_integral
 from discnorm.lp import LpCache, lp_discrepancy
 from discnorm.orlicz import (
     OrliczSpec,
@@ -193,6 +196,27 @@ class TestLuxemburgNorm:
                                cache=LpCache(pts, rel_tol=1e-10))
         assert abs(loose.value - tight.value) <= 3.0 * loose.abs_error_estimate
 
+    def test_default_cache_is_a_tenth_of_the_tolerance(self):
+        pts = generate_uniform(12, 2, seed=45)
+        own = luxemburg_norm(pts, OrliczSpec(2.0))
+        given = luxemburg_norm(pts, OrliczSpec(2.0), cache=LpCache(pts, 1e-9))
+        assert own == given
+        loose = luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=1e-5)
+        assert loose == luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=1e-5,
+                                       cache=LpCache(pts, 1e-6))
+
+    def test_diagnostics_carry_the_lp_reads(self, monkeypatch):
+        pts = generate_uniform(8, 2, seed=46)
+        cache = LpCache(pts)
+        res = luxemburg_norm(pts, OrliczSpec(2.0), cache=cache)
+        assert res.diagnostics["p_values"] == len(cache._values)
+        assert res.diagnostics["budget_exceeded"] is False
+        # one box in all: every adaptive L_p result runs out of budget
+        monkeypatch.setattr(lp_module, "lp_adaptive_integral",
+                            functools.partial(lp_adaptive_integral, total_budget=1))
+        starved = luxemburg_norm(pts, OrliczSpec(2.0))
+        assert starved.diagnostics["budget_exceeded"] is True
+
 
 class TestPhiNorm:
     def test_single_point_alpha_norm_attained_at_p_equal_one(self):
@@ -228,6 +252,26 @@ class TestPhiNorm:
     def test_empty_set_phi_norm_positive(self):
         res = phi_norm(empty_pointset(2), WeightFn.power(1.0, 1.0))
         assert res.value > 0.0
+
+    def test_default_cache_is_the_tolerance(self):
+        pts = generate_uniform(12, 2, seed=57)
+        for tol in (1e-6, 1e-4):
+            own = alpha_norm(pts, 2.0, rel_tol=tol)
+            assert own == alpha_norm(pts, 2.0, rel_tol=tol, cache=LpCache(pts, tol))
+
+    def test_error_estimate_brackets_tight_rerun(self):
+        pts = generate_uniform(12, 2, seed=58)
+        w = WeightFn.power(1.0, 0.5)
+        loose = phi_norm(pts, w, rel_tol=1e-4)
+        tight = phi_norm(pts, w, rel_tol=1e-10, cache=LpCache(pts, rel_tol=1e-10))
+        assert abs(loose.value - tight.value) <= 3.0 * loose.abs_error_estimate
+
+    def test_diagnostics_carry_the_lp_reads(self):
+        pts = generate_uniform(8, 2, seed=59)
+        cache = LpCache(pts)
+        res = alpha_norm(pts, 2.0, cache=cache)
+        assert res.diagnostics["p_values"] == len(cache._values)
+        assert res.diagnostics["budget_exceeded"] is False
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
