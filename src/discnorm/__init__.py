@@ -18,15 +18,13 @@ from .bounds import (
     theorem2_n_bound,
 )
 from .cells import CellGrid, build_cell_grid, count_in_box, local_discrepancy
-from .integrate import NumericalError, integrate_of_delta
+from .integrate import NumericalError
 from .lp import LpCache, NormResult, initial_lp, lp_discrepancy, warnock_l2
 from .orlicz import (
     OrliczSpec,
     WeightFn,
     alpha_norm,
     luxemburg_norm,
-    luxemburg_norm_piecewise,
-    modular_by_quadrature,
     phi_norm,
     young_eval,
 )
@@ -67,15 +65,12 @@ __all__ = [
     "initial_lp",
     "initial_of",
     "initial_phi_lower",
-    "integrate_of_delta",
     "lemma1_sandwich_check",
     "load_pointset",
     "local_discrepancy",
     "lp_discrepancy",
     "luxemburg_norm",
-    "luxemburg_norm_piecewise",
     "min_const_check",
-    "modular_by_quadrature",
     "nbound1",
     "phi_norm",
     "pointset_from_json",

@@ -48,10 +48,16 @@ def check_rel_tol(rel_tol: float) -> float:
     return rel_tol
 
 
+def check_p(p: float) -> float:
+    """``p`` itself if it is a finite number >= 1, else a ValueError."""
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
+    return p
+
+
 def initial_lp(p: float, dim: int) -> float:
     """L_p norm of the discrepancy of the empty point set: (p+1)^(-d/p)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_p(p)
     if dim < 1:
         raise ValueError("dim must be >= 1")
     return math.exp(-dim / p * math.log(p + 1.0))
@@ -115,8 +121,7 @@ class LpCache:
 
 
 def _compute_lp(points: PointSet, grid: CellGrid, p: float, rel_tol: float) -> NormResult:
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_p(p)
     d = points.dim
     n = points.n_points
     if n == 0:
@@ -157,8 +162,7 @@ def _compute_lp(points: PointSet, grid: CellGrid, p: float, rel_tol: float) -> N
 
 def lp_discrepancy(points: PointSet, p: float, rel_tol: float = 1e-9) -> NormResult:
     """L_p norm of the local discrepancy of ``points`` on the unit cube."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_p(p)
     check_rel_tol(rel_tol)
     grid = build_cell_grid(points)
     return _compute_lp(points, grid, p, rel_tol)

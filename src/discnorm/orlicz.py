@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import build_cell_grid
-from .integrate import NumericalError, integrate_of_delta
+from .integrate import NumericalError
 from .lp import LpCache, NormResult, check_rel_tol
 from .pointset import PointSet
 
@@ -26,7 +25,8 @@ _WEIGHT_KINDS = ("factorial", "power", "subexp", "tabulated")
 # Series caps; hitting one raises instead of returning a quietly wrong value.
 _ELL_CAP = 2048
 _YOUNG_TERM_CAP = 4096
-# Halvings to bracket a Luxemburg root, and bisection steps to close it.
+# Halvings or doublings to bracket a Luxemburg root, and bisection steps
+# to close it.
 _ROOT_STEP_CAP = 200
 
 _lgamma_array = np.vectorize(math.lgamma, otypes=[float])
@@ -239,23 +239,15 @@ def young_eval(spec: OrliczSpec, x):
 
 @functools.lru_cache(maxsize=256)
 def _psi_inv_one(spec: OrliczSpec) -> float:
-    """The point where psi reaches 1; exact for the closed-form kind."""
+    """The point where psi reaches 1; exact for the closed-form kind.
+
+    Otherwise it is 1 / K for the root K of modular(K) = psi(1 / K),
+    found by the Luxemburg root search to 1e-15 relative.
+    """
     if spec.weight is None:
         return math.log(2.0) ** (1.0 / spec.alpha)
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if young_eval(spec, hi) > 1.0:
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise NumericalError("psi never exceeds 1; weight grows too fast")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if young_eval(spec, mid) > 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    lo, hi, _ = _luxemburg_root(lambda k: (young_eval(spec, 1.0 / k), 0.0), 1.0, 1e-15)
+    return 2.0 / (lo + hi)
 
 
 def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float,
@@ -299,8 +291,10 @@ def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float,
 def _luxemburg_root(modular, hi: float, rel_tol: float):
     """Bracket and bisect the K where modular(K) crosses 1.
 
-    ``modular(K)`` returns (value, tail bound) and must be at most 1 at
-    ``hi``.  K is halved until the value is above 1, then bisected until
+    ``modular(K)`` returns (value, tail bound) and decreases in K.  K is
+    halved from ``hi`` until the value is above 1; if that takes a
+    single halving, ``hi`` itself is tested and doubled while its value
+    is above 1.  The bracket is then bisected until
     hi - lo <= rel_tol * hi; K counts as below the root while value +
     tail is above 1.  Returns (lo, hi, bisection steps).
     """
@@ -311,6 +305,12 @@ def _luxemburg_root(modular, hi: float, rel_tol: float):
             break
     else:
         raise NumericalError("could not bracket the Luxemburg norm from below")
+    for _ in range(_ROOT_STEP_CAP):
+        if 2.0 * lo < hi or modular(hi)[0] <= 1.0:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise NumericalError("could not bracket the Luxemburg norm from above")
     iters = 0
     while (hi - lo) > rel_tol * hi:
         if iters == _ROOT_STEP_CAP:
@@ -372,50 +372,6 @@ def luxemburg_norm(points: PointSet, spec: OrliczSpec, rel_tol: float = 1e-8,
         diagnostics={"engine": "orlicz-series", "iterations": iters,
                      "bracket": (lo, hi), **_lp_summary(read)},
     )
-
-
-def luxemburg_norm_piecewise(volumes, values, spec: OrliczSpec,
-                             rel_tol: float = 1e-12) -> NormResult:
-    """Luxemburg norm of a nonnegative piecewise-constant function.
-
-    ``volumes`` and ``values`` describe |f|: it equals values[i] on a set
-    of measure volumes[i].  The modular is then an exact finite sum, so
-    this is the synthetic ground-truth entry used to validate the series
-    route on known functions.
-    """
-    volumes = np.asarray(volumes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if volumes.shape != values.shape:
-        raise ValueError("volumes and values must have matching shapes")
-    if np.any(volumes < 0) or np.any(values < 0):
-        raise ValueError("volumes and values must be nonnegative")
-    vmax = float(values.max(initial=0.0))
-    if vmax == 0.0:
-        return NormResult(0.0, 0.0, {"engine": "piecewise"})
-
-    def modular(k):
-        with np.errstate(over="ignore"):
-            return float(np.sum(volumes * young_eval(spec, values / k))), 0.0
-
-    lo, hi, iters = _luxemburg_root(modular, vmax / _psi_inv_one(spec), rel_tol)
-    value = 0.5 * (lo + hi)
-    return NormResult(value, 0.5 * (hi - lo), {"engine": "piecewise", "iterations": iters})
-
-
-def modular_by_quadrature(points: PointSet, spec: OrliczSpec, k: float,
-                          rel_tol: float = 1e-5):
-    """int psi(|local discrepancy| / k) by direct adaptive quadrature.
-
-    Entirely independent of the series identity; retained as the
-    cross-check route.  Returns (value, err_estimate).
-    """
-    grid = build_cell_grid(points)
-
-    def fn(delta):
-        return young_eval(spec, np.abs(delta) / k)
-
-    val, err, _ = integrate_of_delta(grid, fn, rel_tol=rel_tol)
-    return val, err
 
 
 def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,

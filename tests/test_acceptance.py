@@ -25,14 +25,10 @@ from discnorm.bounds import (
     theorem2_n_bound,
 )
 from discnorm.lp import LpCache, lp_discrepancy, warnock_l2
-from discnorm.orlicz import (
-    OrliczSpec,
-    WeightFn,
-    luxemburg_norm,
-    luxemburg_norm_piecewise,
-)
+from discnorm.orlicz import OrliczSpec, WeightFn, luxemburg_norm
 from discnorm.pointset import PointSet, empty_pointset, generate_uniform
 from discnorm.star import star_discrepancy_exact, star_discrepancy_lower_mc
+from oracles import luxemburg_norm_piecewise
 
 
 @pytest.fixture

@@ -70,6 +70,19 @@ def test_bad_tolerance_rejected(entry, tol):
         calls[entry]()
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+@pytest.mark.parametrize("entry", ["lp_discrepancy", "cache_norm", "initial_lp"])
+def test_bad_p_rejected(entry, p):
+    pts = generate_uniform(8, 2, seed=0)
+    calls = {
+        "lp_discrepancy": lambda: lp_discrepancy(pts, p),
+        "cache_norm": lambda: LpCache(pts).norm(p),
+        "initial_lp": lambda: initial_lp(p, 2),
+    }
+    with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+        calls[entry]()
+
+
 def test_warnock_against_both_engines():
     for n, d, seed in [(8, 1, 1), (16, 2, 2), (12, 3, 3), (32, 2, 4), (24, 4, 5)]:
         pts = generate_uniform(n, d, seed=seed)
