@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import NumericalError
-from .lp import LpCache, NormResult, lp_discrepancy
+from .lp import LpCache, NormResult, check_p, lp_discrepancy
 from .orlicz import (
     OrliczSpec,
     WeightFn,
@@ -33,6 +33,8 @@ C_PT_DEFAULT = 2.5287
 # Integer ceiling returned when a bound formula overflows doubles.
 NBOUND_SATURATION = 10 ** 308
 
+# Relative slack, against the Luxemburg norm, of the sandwich comparisons.
+SANDWICH_REL_SLACK = 1e-6
 # e^(11/12) / sqrt(2*pi), the base of the lower sandwich constant.
 SANDWICH_LOWER_BASE = math.exp(11.0 / 12.0) / math.sqrt(2.0 * math.pi)
 
@@ -63,10 +65,9 @@ class NormSpec:
         if need is not None and getattr(self, need) is None:
             flag = "phi" if need == "weight" else need
             raise ValueError(f"--{flag} is required for --norm {self.kind}")
-        for name in ("p", "alpha"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 1.0):
-                raise ValueError(f"{name} must be a finite number >= 1, got {v!r}")
+        for name, value in (("p", self.p), ("alpha", self.alpha)):
+            if value is not None:
+                check_p(value, name)
 
     @classmethod
     def from_json(cls, data: dict) -> "NormSpec":
@@ -248,51 +249,42 @@ def construction_constants_check(a: float) -> BoundReport:
 def _general_lower_const(phi: WeightFn, alpha: float) -> float:
     """inf over p >= 1 of phi(p) / max(phi(alpha), phi(p)).
 
-    Closed form min(1, phi(1)/phi(alpha)) for nondecreasing weights,
-    cross-checked against a grid infimum over p in [1, alpha].
+    Where phi(p) >= phi(alpha) the ratio is 1; elsewhere it is
+    phi(p) / phi(alpha), whose infimum is that of phi over [1, infinity).
+    This is min(1, phi(1)/phi(alpha)) for nondecreasing weights and
+    honors the dips of a tabulated one.
     """
-    phi_a = float(phi.phi(alpha))
-    closed = min(1.0, float(phi.phi(1.0)) / phi_a)
-    if alpha > 1.0:
-        p = np.exp(np.linspace(0.0, math.log(alpha), 1001))
-        vals = np.asarray(phi.phi(p)) / np.maximum(phi_a, np.asarray(phi.phi(p)))
-        grid = float(vals.min())
-    else:
-        grid = closed
-    if grid < closed - 1e-9:
-        # non-monotone weight: the grid value is the honest constant
-        return grid
-    return closed
+    return min(1.0, phi.min_phi_from(1.0) / float(phi.phi(alpha)))
 
 
 def lemma1_sandwich_check(points: PointSet, alpha: float,
                           phi: WeightFn | None = None,
-                          cache: LpCache | None = None,
-                          rel_slack: float = 1e-6) -> BoundReport:
+                          cache: LpCache | None = None) -> BoundReport:
     """Sandwich of the Luxemburg norm between weighted sup-of-L_p norms.
 
     With ``phi=None``: (e^(11/12)/sqrt(2 pi))^(1/a) * ||f||_a <= ||f||_psi_a
     <= (2 e a)^(1/a) * ||f||_a.  With a weight: the lower constant is
     inf_p phi(p)/max(phi(alpha), phi(p)) and the upper is 2^(1/alpha),
-    against the phi norm.
+    against the phi norm.  Both sides may miss by ``SANDWICH_REL_SLACK``
+    times the Luxemburg norm.
     """
+    spec = OrliczSpec(alpha, phi)
     if cache is None:
         cache = LpCache(points)
     if phi is None:
         lo_c = SANDWICH_LOWER_BASE ** (1.0 / alpha)
         hi_c = (2.0 * math.e * alpha) ** (1.0 / alpha)
         base = alpha_norm(points, alpha, cache=cache)
-        lux = luxemburg_norm(points, OrliczSpec(alpha), cache=cache)
         name = "lemma1_exponential"
     else:
         lo_c = _general_lower_const(phi, alpha)
         hi_c = 2.0 ** (1.0 / alpha)
         base = phi_norm(points, phi, cache=cache)
-        lux = luxemburg_norm(points, OrliczSpec(alpha, phi), cache=cache)
         name = "lemma1_general"
+    lux = luxemburg_norm(points, spec, cache=cache)
     lhs = lo_c * base.value
     rhs = hi_c * base.value
-    slack = rel_slack * lux.value
+    slack = SANDWICH_REL_SLACK * lux.value
     holds = (lhs <= lux.value + slack) and (lux.value <= rhs + slack)
     margin = min(lux.value - lhs, rhs - lux.value)
     params = {

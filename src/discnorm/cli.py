@@ -212,6 +212,9 @@ def _parse_range(text: str):
         return list(range(lo, hi + 1))
     if len(parts) == 3 and parts[2] == "geometric":
         lo, hi = int(parts[0]), int(parts[1])
+        if lo < 1:
+            # doubling from 0 or below never passes hi
+            raise ValueError(f"a geometric range must start at 1 or above, got {text!r}")
         out = []
         v = lo
         while v <= hi:

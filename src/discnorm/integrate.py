@@ -19,13 +19,12 @@ Two routes, used by the norm modules:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .cells import CellGrid
-
-_GL_CACHE: dict = {}
 
 # Evaluation-cost guard for the adaptive engines (elements per full pass).
 MAX_EVAL_ELEMENTS = 400_000_000
@@ -38,12 +37,11 @@ class NumericalError(RuntimeError):
     """Raised when an iteration fails to bracket or converge structurally."""
 
 
+@functools.cache
 def _gl01(n: int):
     """Gauss-Legendre nodes and weights on [0, 1]."""
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = ((x + 1.0) / 2.0, w / 2.0)
-    return _GL_CACHE[n]
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 def lp_moment_integral(grid: CellGrid, p: int):
@@ -168,10 +166,10 @@ def _eval_lp_boxes(cols, lo, hi, a_cols, t_lo, t_hi, p, scale, skip_tol=0.0):
     bound on the box integral.  With ``skip_tol`` (the first pass) the
     summed endpoint min gives a cheap, non-rigorous size hint, and boxes
     whose bound is a negligible share of it are not quadratured: their
-    value is bound / 2, within bound / 2 of the truth, and they come
-    back flagged unevaluated so the refinement loop can activate them
-    later if the error budget ever demands it.  The combined placeholder
-    error stays a few percent of the target.
+    value and error are both bound / 2, so the value is within the error
+    of the truth, and the refinement loop splits them like any other box
+    if the error budget ever picks them.  The combined placeholder error
+    stays a few percent of the target.
     """
     m = a_cols.shape[1]
     qq = np.stack([lo.prod(axis=1), hi.prod(axis=1)], axis=1)
@@ -180,13 +178,12 @@ def _eval_lp_boxes(cols, lo, hi, a_cols, t_lo, t_hi, p, scale, skip_tol=0.0):
     bounds = per_cell.max(axis=1).sum(axis=1) * vol
     vals = 0.5 * bounds
     errs = 0.5 * bounds
-    evaluated = np.ones(cols.shape[0], dtype=bool)
+    idx = np.arange(cols.shape[0])
     if skip_tol > 0.0:
         hint = float((per_cell.min(axis=1).sum(axis=1) * vol).sum())
         skip_below = 0.04 * skip_tol * hint / cols.shape[0]
         if skip_below > 0.0:
-            evaluated = bounds > skip_below
-    idx = np.nonzero(evaluated)[0]
+            idx = np.nonzero(bounds > skip_below)[0]
     n_low = _GL_LOW ** lo.shape[1]
     chunk = max(1, _CHUNK_ELEMENTS // max(1, (n_low + _GL_HIGH ** lo.shape[1]) * m))
     for s in range(0, idx.size, chunk):
@@ -200,7 +197,7 @@ def _eval_lp_boxes(cols, lo, hi, a_cols, t_lo, t_hi, p, scale, skip_tol=0.0):
         high = (w_high * f[:, n_low:]).sum(axis=1)
         vals[sel] = high
         errs[sel] = np.abs(high - low)
-    return vals, errs, bounds, evaluated
+    return vals, errs, bounds
 
 
 def _effective_err(val, err, bnd, target):
@@ -227,7 +224,9 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
     per cell column and are refined worst-first until the summed error
     estimate meets ``rel_tol`` times the integral, or until
     ``total_budget`` boxes have been made; running out is reported
-    through the diagnostics, never silently.
+    through the diagnostics, never silently.  A column the first pass
+    skips as negligible carries half its sup bound as value and as
+    error, and is split like any other box if it is ever picked.
     """
     d = grid.dim
     diag = {"engine": "adaptive", "boxes": 0, "budget_exceeded": False}
@@ -258,8 +257,8 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
 
     # the box store: slots [0, n) hold the live boxes; capacity doubles
     col = np.arange(n)
-    val, err, bnd, evaluated = _eval_lp_boxes(col, lo, hi, a_cols, t_lo, t_hi, p, scale,
-                                              skip_tol=rel_tol)
+    val, err, bnd = _eval_lp_boxes(col, lo, hi, a_cols, t_lo, t_hi, p, scale,
+                                   skip_tol=rel_tol)
     eff = _effective_err(val, err, bnd, rel_tol * max(float(val.sum()), 1e-300))
     n_boxes = n
     while True:
@@ -278,25 +277,13 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
         order = np.argpartition(-eff[:n], k - 1)
         top = order[:k][np.lexsort((order[:k], -eff[order[:k]]))]
         left = np.cumsum(eff[top][::-1])[::-1] + float(np.sum(eff[order[k:]]))
-        pick = top[(left > 0.5 * target) & (eff[top] > 0.0)]
-        if pick.size == 0:
-            break
-        # placeholders carried by their bound are evaluated, not split
-        placeholder = ~evaluated[pick]
-        act, par = pick[placeholder], pick[~placeholder]
-        if act.size:
-            v, e, b, _ = _eval_lp_boxes(col[act], lo[act], hi[act],
-                                        a_cols, t_lo, t_hi, p, scale)
-            val[act] = v
-            eff[act] = _effective_err(v, e, b, target)
-            evaluated[act] = True
+        par = top[(left > 0.5 * target) & (eff[top] > 0.0)]
         if par.size == 0:
-            continue
+            break
         n_par = par.size
         while n + n_par > val.shape[0]:
-            col, lo, hi, val, eff, evaluated = (
-                np.concatenate([a, np.empty_like(a)])
-                for a in (col, lo, hi, val, eff, evaluated))
+            col, lo, hi, val, eff = (np.concatenate([a, np.empty_like(a)])
+                                     for a in (col, lo, hi, val, eff))
         # halve each parent's longest axis: the lower child takes the
         # parent's slot, the upper one is appended
         rows = np.arange(n_par)
@@ -307,12 +294,11 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
         c_hi[rows, ax] = mid
         c_lo[n_par + rows, ax] = mid
         c_col = np.concatenate([col[par], col[par]])
-        v, e, b, _ = _eval_lp_boxes(c_col, c_lo, c_hi, a_cols, t_lo, t_hi, p, scale)
+        v, e, b = _eval_lp_boxes(c_col, c_lo, c_hi, a_cols, t_lo, t_hi, p, scale)
         slots = np.concatenate([par, np.arange(n, n + n_par)])
         col[slots], lo[slots], hi[slots] = c_col, c_lo, c_hi
         val[slots] = v
         eff[slots] = _effective_err(v, e, b, target)
-        evaluated[slots] = True
         n += n_par
         n_boxes += 2 * n_par
 

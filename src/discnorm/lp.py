@@ -48,10 +48,11 @@ def check_rel_tol(rel_tol: float) -> float:
     return rel_tol
 
 
-def check_p(p: float) -> float:
-    """``p`` itself if it is a finite number >= 1, else a ValueError."""
+def check_p(p: float, name: str = "p") -> float:
+    """``p`` itself if it is a finite number >= 1, else a ValueError that
+    calls it ``name``."""
     if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
+        raise ValueError(f"{name} must be a finite number >= 1, got {p!r}")
     return p
 
 
@@ -110,59 +111,52 @@ class LpCache:
         return self._sup
 
     def norm(self, p: float, rel_tol: float | None = None) -> NormResult:
+        """The L_p norm at ``p``, computed to ``rel_tol`` (default: the
+        cache's own) unless a value at least that tight is stored."""
+        check_p(p)
         tol = self.rel_tol if rel_tol is None else check_rel_tol(rel_tol)
         key = float(p)
         hit = self._values.get(key)
         if hit is not None and hit.diagnostics.get("rel_tol", 1.0) <= tol:
             return hit
-        res = _compute_lp(self.points, self.grid, p, tol)
-        self._values[key] = res
+        res = self._values[key] = self._compute(p, tol)
         return res
 
-
-def _compute_lp(points: PointSet, grid: CellGrid, p: float, rel_tol: float) -> NormResult:
-    check_p(p)
-    d = points.dim
-    n = points.n_points
-    if n == 0:
-        # |disc| = prod t, so the integral of the p-th power is (p+1)^(-d)
-        return NormResult(
-            value=initial_lp(p, d),
-            abs_error_estimate=0.0,
-            diagnostics={"engine": "empty-exact", "rel_tol": 0.0},
-        )
-    pi = int(round(p))
-    if pi == p and pi % 2 == 0 and 2 <= pi <= MOMENT_P_MAX:
-        integral, amp = lp_moment_integral(grid, pi)
-        if integral > 0.0 and amp <= MOMENT_AMP_MAX:
-            value = integral ** (1.0 / p)
-            err = value * amp * 2e-16 / p
+    def _compute(self, p: float, rel_tol: float) -> NormResult:
+        if self.points.n_points == 0:
+            # |disc| = prod t, so the integral of the p-th power is (p+1)^(-d)
             return NormResult(
-                value=value,
-                abs_error_estimate=err,
-                diagnostics={"engine": "moment", "amplification": amp, "rel_tol": 0.0},
+                value=initial_lp(p, self.points.dim),
+                abs_error_estimate=0.0,
+                diagnostics={"engine": "empty-exact", "rel_tol": 0.0},
             )
-    # value = scale * J^(1/p), so a relative error of eps in J moves the
-    # norm by only eps / p; the integral tolerance can be that much looser
-    j_tol = min(0.25, p * rel_tol)
-    scaled, scale, err_j, diag = lp_adaptive_integral(grid, p, j_tol)
-    if scaled <= 0.0:
-        # the scaled integrand (|disc|/sup)^p underflowed everywhere;
-        # the norm then sits within exp(-708/p) of the sup itself
-        err = scale * -math.expm1(-708.0 / p)
-        return NormResult(value=scale, abs_error_estimate=err,
-                          diagnostics={**diag, "engine": "sup-limit", "rel_tol": rel_tol})
-    value = scale * math.exp(math.log(scaled) / p)
-    abs_err = value * (err_j / (p * scaled))
-    diag = dict(diag)
-    diag["rel_tol"] = rel_tol
-    diag["scale"] = scale
-    return NormResult(value=value, abs_error_estimate=abs_err, diagnostics=diag)
+        pi = int(round(p))
+        if pi == p and pi % 2 == 0 and 2 <= pi <= MOMENT_P_MAX:
+            integral, amp = lp_moment_integral(self.grid, pi)
+            if integral > 0.0 and amp <= MOMENT_AMP_MAX:
+                value = integral ** (1.0 / p)
+                err = value * amp * 2e-16 / p
+                return NormResult(
+                    value=value,
+                    abs_error_estimate=err,
+                    diagnostics={"engine": "moment", "amplification": amp, "rel_tol": 0.0},
+                )
+        # value = scale * J^(1/p), so a relative error of eps in J moves the
+        # norm by only eps / p; the integral tolerance can be that much looser
+        j_tol = min(0.25, p * rel_tol)
+        scaled, scale, err_j, diag = lp_adaptive_integral(self.grid, p, j_tol)
+        if scaled <= 0.0:
+            # the scaled integrand (|disc|/sup)^p underflowed everywhere;
+            # the norm then sits within exp(-708/p) of the sup itself
+            err = scale * -math.expm1(-708.0 / p)
+            return NormResult(value=scale, abs_error_estimate=err,
+                              diagnostics={**diag, "engine": "sup-limit", "rel_tol": rel_tol})
+        value = scale * math.exp(math.log(scaled) / p)
+        abs_err = value * (err_j / (p * scaled))
+        return NormResult(value=value, abs_error_estimate=abs_err,
+                          diagnostics={**diag, "rel_tol": rel_tol, "scale": scale})
 
 
 def lp_discrepancy(points: PointSet, p: float, rel_tol: float = 1e-9) -> NormResult:
     """L_p norm of the local discrepancy of ``points`` on the unit cube."""
-    check_p(p)
-    check_rel_tol(rel_tol)
-    grid = build_cell_grid(points)
-    return _compute_lp(points, grid, p, rel_tol)
+    return LpCache(points, rel_tol).norm(p)

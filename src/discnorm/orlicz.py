@@ -28,6 +28,8 @@ _YOUNG_TERM_CAP = 4096
 # Halvings or doublings to bracket a Luxemburg root, and bisection steps
 # to close it.
 _ROOT_STEP_CAP = 200
+# Largest p on the phi-norm scan grid.
+_PHI_P_CAP = 4096.0
 
 _lgamma_array = np.vectorize(math.lgamma, otypes=[float])
 
@@ -250,14 +252,14 @@ def _psi_inv_one(spec: OrliczSpec) -> float:
     return 2.0 / (lo + hi)
 
 
-def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float,
-                    above_cut: float = 1.0):
+def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float):
     """The modular sum_l (||f||_{alpha l} / (k phi(alpha l)))^(alpha l).
 
     lp_at(p) must return the L_p norm of f; sup is an upper bound for all
     of them (the sup norm), which gives a rigorous geometric tail bound.
     Returns (value, tail_bound); value is inf on overflow, and the sum may
-    stop early once it provably exceeds ``above_cut``.
+    stop early once it is provably above or provably at most 1, the level
+    the root search compares it with.
     """
     logk = math.log(k)
     logsup = math.log(sup)
@@ -272,7 +274,7 @@ def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float,
         if logterm > 709.0:
             return math.inf, 0.0
         partial += math.exp(logterm)
-        if partial > above_cut:
+        if partial > 1.0:
             return partial, 0.0
         # tail from the sup bound: tau_l decays at least geometrically
         # once consecutive log-taus decrease
@@ -283,7 +285,7 @@ def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float,
             q = math.exp(lt2 - lt1)
             if q < 1.0:
                 tail = tau1 / (1.0 - q)
-                if tail <= 1e-14 * max(partial, 1e-300) or partial + tail <= above_cut:
+                if tail <= 1e-14 * max(partial, 1e-300) or partial + tail <= 1.0:
                     return partial, tail
     raise NumericalError("modular series needs more than the term cap allows")
 
@@ -375,13 +377,13 @@ def luxemburg_norm(points: PointSet, spec: OrliczSpec, rel_tol: float = 1e-8,
 
 
 def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
-             p_cap: float = 4096.0, cache: LpCache | None = None) -> NormResult:
+             cache: LpCache | None = None) -> NormResult:
     """sup over p >= 1 of ||local discrepancy||_{L_p} / phi(p).
 
     Scans a geometric grid of p, stops rigorously once sup|f|/phi(q) for
     all remaining q cannot beat the best value seen, then refines around
     the best grid point by golden section in log p.  If phi grows too
-    slowly to close the tail by p_cap, the gap is reported in the error
+    slowly to close the tail by p = 4096, the gap is reported in the error
     estimate rather than hidden.  Without a ``cache`` the L_p values are
     computed at ``rel_tol``; the reported error is never below 1e-3 of
     the value.
@@ -398,8 +400,8 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
         return lp_at(p) / float(weight.phi(p))
 
     ps = [1.0]
-    while ps[-1] < p_cap:
-        ps.append(min(ps[-1] * 2.0, p_cap))
+    while ps[-1] < _PHI_P_CAP:
+        ps.append(min(ps[-1] * 2.0, _PHI_P_CAP))
     vals = []
     best = -math.inf
     best_j = 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from discnorm import bounds
 from discnorm.bounds import (
     SANDWICH_LOWER_BASE,
     BoundReport,
@@ -137,6 +138,17 @@ def test_lemma1_sandwich_small_sets():
             assert rep.lhs <= rep.params["luxemburg"] <= rep.rhs
         rep = lemma1_sandwich_check(pts, 2.0, phi=WeightFn.power(1.0, 0.5), cache=cache)
         assert rep.holds
+
+
+def test_lemma1_sandwich_rejects_bounded_weight_before_any_norm(monkeypatch):
+    def no_norm(*args, **kwargs):
+        raise AssertionError("a norm was computed for a weight that is rejected")
+
+    monkeypatch.setattr(bounds, "phi_norm", no_norm)
+    monkeypatch.setattr(bounds, "luxemburg_norm", no_norm)
+    w = WeightFn.tabulated(((1.0, 1.0), (10.0, 3.0)))
+    with pytest.raises(ValueError, match="unbounded weight"):
+        lemma1_sandwich_check(generate_uniform(8, 2, seed=0), 2.0, phi=w)
 
 
 def test_lemma1_sandwich_empty_set():

@@ -122,6 +122,8 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"power","C":"x","r":1}'],
         ["sweep", "--norm", "star", "--d-range", "1:2", "--n-range", "4:8", "--trials", "0"],
         ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "0:2"],
+        ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "0:8:geometric"],
+        ["sweep", "--norm", "star", "--d-range", "0:2:geometric", "--n-range", "2:4"],
         ["disc", "--in", str(f), "--norm", "phi", "--phi",
          '{"kind":"tabulated","knots":[[1,"nan"]]}'],
     ]

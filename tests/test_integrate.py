@@ -98,12 +98,14 @@ def _lp_adaptive_heap(grid, p, rel_tol, col_budget=1 << 20, total_budget=1 << 22
     """The refinement driver as it was before it ran on box arrays: per-box
     Python lists, a lazy-deletion heap, running totals resynced by fsum
     every 64 rounds and a per-column budget.  Kept as a frozen oracle for
-    d >= 2; the array driver must match it bit for bit.  ``diag`` also
-    counts the placeholder activations and the splits.  It evaluates boxes
-    through ``integrate._eval_lp_boxes``, so a patch there reaches both."""
+    d >= 2; the array driver must match it bit for bit.  A first-pass
+    column skipped as negligible (value = error = bound / 2) is split like
+    any other box when picked; ``diag`` also counts those picks and all
+    splits.  It evaluates boxes through ``integrate._eval_lp_boxes``, so a
+    patch there reaches both."""
     d = grid.dim
     diag = {"engine": "adaptive", "boxes": 0, "budget_exceeded": False,
-            "activated": 0, "split": 0}
+            "placeholders_split": 0, "split": 0}
     scale = grid.sup_abs_discrepancy()
     m = grid.counts.shape[-1]
     a_cols = grid.count_fractions().reshape(-1, m)
@@ -115,15 +117,16 @@ def _lp_adaptive_heap(grid, p, rel_tol, col_budget=1 << 20, total_budget=1 << 22
     col_hi = np.stack([g.reshape(-1) for g in np.meshgrid(*hi_axes, indexing="ij")], axis=1)
     n_cols = col_lo.shape[0]
     cols0 = np.arange(n_cols)
-    vals0, errs0, bnds0, ev0 = integrate._eval_lp_boxes(
+    vals0, errs0, bnds0 = integrate._eval_lp_boxes(
         cols0, col_lo, col_hi, a_cols, t_lo, t_hi, p, scale, skip_tol=rel_tol)
+    placeholder = (vals0 == 0.5 * bnds0) & (errs0 == 0.5 * bnds0)
 
     store_col = list(cols0)
     store_lo = [col_lo[i].copy() for i in range(n_cols)]
     store_hi = [col_hi[i].copy() for i in range(n_cols)]
     store_val = list(map(float, vals0))
     store_err = list(map(float, errs0))
-    store_ev = list(map(bool, ev0))
+    store_ph = list(map(bool, placeholder))
     alive = [True] * n_cols
     col_boxes = dict.fromkeys(range(n_cols), 1)
 
@@ -151,47 +154,22 @@ def _lp_adaptive_heap(grid, p, rel_tol, col_budget=1 << 20, total_budget=1 << 22
             diag["budget_exceeded"] = True
             break
         parents = []
-        activate = []
         want = max(total_eff - 0.5 * target, 0.0)
         got = 0.0
-        while heap and len(parents) + len(activate) < 128 and got < want:
+        while heap and len(parents) < 128 and got < want:
             negerr, i = heapq.heappop(heap)
             if not alive[i]:
                 continue
             if -negerr <= 0.0:
                 heapq.heappush(heap, (negerr, i))
                 break
-            if not store_ev[i]:
-                activate.append(i)
-                got += -negerr
-                continue
             if col_boxes.get(store_col[i], 0) >= col_budget:
                 diag["budget_exceeded"] = True
                 continue
             parents.append(i)
+            diag["placeholders_split"] += store_ph[i]
             got += -negerr
-        if activate:
-            diag["activated"] += len(activate)
-            acol = np.array([store_col[i] for i in activate])
-            alo = np.array([store_lo[i] for i in activate])
-            ahi = np.array([store_hi[i] for i in activate])
-            avals, aerrs, abnds, _ = integrate._eval_lp_boxes(
-                acol, alo, ahi, a_cols, t_lo, t_hi, p, scale)
-            for j, i in enumerate(activate):
-                total_val -= store_val[i]
-                total_eff -= eff[i]
-                store_val[i] = float(avals[j])
-                store_err[i] = float(aerrs[j])
-                store_ev[i] = True
-                e = eff_err(store_val[i], store_err[i], float(abnds[j]), target)
-                eff[i] = e
-                heapq.heappush(heap, (-e, i))
-                total_val += store_val[i]
-                total_eff += e
         if not parents:
-            if activate:
-                rounds += 1
-                continue
             break
         diag["split"] += len(parents)
         child_col, child_lo, child_hi = [], [], []
@@ -216,7 +194,7 @@ def _lp_adaptive_heap(grid, p, rel_tol, col_budget=1 << 20, total_budget=1 << 22
         ccol = np.array(child_col)
         clo = np.array(child_lo)
         chi = np.array(child_hi)
-        cval, cerr, cbnd, _ = integrate._eval_lp_boxes(ccol, clo, chi, a_cols, t_lo, t_hi, p, scale)
+        cval, cerr, cbnd = integrate._eval_lp_boxes(ccol, clo, chi, a_cols, t_lo, t_hi, p, scale)
         for j in range(len(ccol)):
             idx = len(store_col)
             store_col.append(int(ccol[j]))
@@ -224,7 +202,7 @@ def _lp_adaptive_heap(grid, p, rel_tol, col_budget=1 << 20, total_budget=1 << 22
             store_hi.append(chi[j])
             store_val.append(float(cval[j]))
             store_err.append(float(cerr[j]))
-            store_ev.append(True)
+            store_ph.append(False)
             alive.append(True)
             e = eff_err(float(cval[j]), float(cerr[j]), float(cbnd[j]), target)
             eff.append(e)
@@ -247,7 +225,7 @@ def _lp_adaptive_heap(grid, p, rel_tol, col_budget=1 << 20, total_budget=1 << 22
 # (point set, p, rel_tol, total_budget, first-pass skip factor).  A skip
 # factor above 1 raises the first pass's placeholder threshold in both
 # drivers, so placeholders carry a real share of the error and the loop
-# activates them.  At the library's own threshold a search over
+# picks and splits them.  At the library's own threshold a search over
 # d = 2..4 found them picked only where half the target is below the
 # rounding unit of the summed error, where the two drivers' pick rules
 # round differently.
@@ -267,7 +245,7 @@ DRIVER_CORPUS = [
 
 def test_array_driver_bit_identical_to_heap_oracle(monkeypatch):
     real_eval = integrate._eval_lp_boxes
-    paths = {"activated": 0, "split": 0, "budget_exceeded": 0}
+    paths = {"placeholders_split": 0, "split": 0, "budget_exceeded": 0}
     for pts, p, tol, budget, factor in DRIVER_CORPUS:
         monkeypatch.setattr(integrate, "_eval_lp_boxes",
                             lambda *a, skip_tol=0.0: real_eval(*a, skip_tol=factor * skip_tol))

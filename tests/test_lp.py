@@ -16,6 +16,7 @@ from discnorm.lp import (
 )
 from discnorm.orlicz import OrliczSpec, WeightFn, luxemburg_norm, phi_norm
 from discnorm.pointset import PointSet, empty_pointset, generate_uniform
+from oracles import lp_mpmath
 
 # Frozen references computed at rel_tol 1e-11 and cross-validated against
 # a 2e6-sample Monte Carlo estimate (all within 2.3 standard errors).
@@ -94,6 +95,23 @@ def test_warnock_against_both_engines():
         scaled, scale, _, _ = lp_adaptive_integral(grid, 2.0, 1e-10)
         forced = scale * math.sqrt(scaled)
         assert abs(forced - w) / w < 1e-9
+
+
+# (N, d, seed, requested rel_tol): seeded sets with N <= 8, and the
+# README's case whose error estimate falls short of the true error
+MPMATH_CASES = [(5, 1, 1, 1e-9), (8, 1, 2, 1e-9), (6, 2, 3, 1e-8), (8, 2, 4, 1e-8),
+                (4, 2, 136, 1e-3)]
+
+
+@pytest.mark.parametrize("n, d, seed, tol", MPMATH_CASES)
+def test_against_mpmath_oracle(n, d, seed, tol):
+    pts = generate_uniform(n, d, seed=seed)
+    # d = 1 is closed form per cell in both routes; d = 2 must meet rel_tol
+    bound = 1e-12 if d == 1 else tol
+    for p in (1.0, 1.7, 2.5, 7.0):
+        want = lp_mpmath(pts, p, dps=30 if d == 1 else 20)
+        got = lp_discrepancy(pts, p, rel_tol=tol).value
+        assert abs(got - want) <= bound * want, (p, got, want)
 
 
 def test_warnock_empty_set():
