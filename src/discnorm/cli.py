@@ -207,21 +207,21 @@ def cmd_verify(args) -> int:
 
 def _parse_range(text: str):
     parts = text.split(":")
+    if len(parts) not in (2, 3) or parts[2:] not in ([], ["geometric"]):
+        raise ValueError(f"bad range {text!r}; expected a:b or a:b:geometric")
+    lo, hi = int(parts[0]), int(parts[1])
+    if lo > hi:
+        raise ValueError(f"range {text!r} is empty: {lo} > {hi}")
     if len(parts) == 2:
-        lo, hi = int(parts[0]), int(parts[1])
         return list(range(lo, hi + 1))
-    if len(parts) == 3 and parts[2] == "geometric":
-        lo, hi = int(parts[0]), int(parts[1])
-        if lo < 1:
-            # doubling from 0 or below never passes hi
-            raise ValueError(f"a geometric range must start at 1 or above, got {text!r}")
-        out = []
-        v = lo
-        while v <= hi:
-            out.append(v)
-            v *= 2
-        return out
-    raise ValueError(f"bad range {text!r}; expected a:b or a:b:geometric")
+    if lo < 1:
+        # doubling from 0 or below never passes hi
+        raise ValueError(f"a geometric range must start at 1 or above, got {text!r}")
+    out = []
+    while lo <= hi:
+        out.append(lo)
+        lo *= 2
+    return out
 
 
 def cmd_sweep(args) -> int:
@@ -234,8 +234,6 @@ def cmd_sweep(args) -> int:
         raise ValueError("--n-range values must be at least 1")
     lines = ["d,N,min_disc,initial_disc,ratio,bound"]
     for d in sorted(d_values):
-        if not n_values:
-            continue
         initial = spec.initial(d)
         for n in sorted(n_values):
             best = math.inf

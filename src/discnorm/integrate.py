@@ -8,13 +8,14 @@ Two routes, used by the norm modules:
   reported amplification factor.
 
 * ``lp_adaptive_integral``: int |A - prod t|^p for arbitrary real
-  p >= 1.  The last axis is integrated in closed form (the
-  antiderivative of |A - Q t|^p is elementary in t), which removes the
-  kink of the absolute value; the remaining axes use tensor
-  Gauss-Legendre of orders 3 and 6 with worst-first dyadic subdivision,
-  the order difference serving as the error estimate (an estimate, not
-  a bound).  Everything is scaled by the sup of |local discrepancy| so
-  arbitrarily large p stays inside double range.
+  p >= 1.  The last axis is integrated in closed form, which leaves on
+  each cell column a function F(s) of the product s of the other
+  coordinates against the density of s over the column's box: one
+  dimension in every d.  Pieces between corner products are bisected
+  worst-first, with Gauss-Legendre orders 3 and 6 whose difference is
+  the error estimate (not a bound); the kinks of F, where the zero of
+  A - s t crosses a cell edge, are cut out cell by cell.  Everything is
+  scaled by sup |local discrepancy| so any large p stays in range.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
     """sum_k int_{t_lo[k]}^{t_hi[k]} (|A_k - q t| / scale)^p dt, vectorized.
 
     q: (B, S) products of the outer coordinates; a_cnt: (B, m) counting
-    terms of the inner cell stack; t_lo/t_hi: (m,).  The antiderivative
-    of each one-signed piece is a pure power, evaluated through
-    log1p/expm1 so nearly-cancelling endpoint powers stay accurate.
-    With ``reduce=False`` the per-cell integrals (B, S, m) are returned
-    unsummed.
+    terms of the inner cell stack; t_lo/t_hi: (m,), or (B, 1, m) for
+    bounds that differ per row.  The antiderivative of each one-signed
+    piece is a pure power, evaluated through log1p/expm1 so nearly-
+    cancelling endpoint powers stay accurate.  With ``reduce=False`` the
+    per-cell integrals (B, S, m) are returned unsummed.
     """
     q1 = p + 1.0
     qe = q[:, :, None]
@@ -129,90 +130,91 @@ def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
             out[straddle] = s_val
         if thin.any():
             b, s, k = np.nonzero(thin)
-            mid = np.abs(a_cnt[b, k] - q[b, s] * (t_lo + t_hi)[k] * 0.5) / scale
-            out[b, s, k] = tlen[k] * np.power(mid, p)
+            t_mid = np.broadcast_to(t_lo + t_hi, out.shape)[b, s, k]
+            mid = np.abs(a_cnt[b, k] - q[b, s] * t_mid * 0.5) / scale
+            out[b, s, k] = np.broadcast_to(tlen, out.shape)[b, s, k] * np.power(mid, p)
     return out.sum(axis=2) if reduce else out
 
 
-def _outer_tensor(lo, hi, order):
-    """Tensor GL nodes as coordinate products plus weights.
-
-    lo, hi: (B, douter).  Returns q (B, order**douter) of node products
-    and w (B, order**douter) of weights including the box volume.
-    """
-    b = lo.shape[0]
-    x, w = _gl01(order)
-    q = np.ones((b, 1))
-    wt = np.ones((b, 1))
-    for i in range(lo.shape[1]):
-        span = hi[:, i] - lo[:, i]
-        nodes = lo[:, i, None] + span[:, None] * x
-        q = (q[:, :, None] * nodes[:, None, :]).reshape(b, -1)
-        wt = (wt[:, :, None] * (span[:, None] * w)[:, None, :]).reshape(b, -1)
-    return q, wt
-
-
-# Tensor Gauss-Legendre order pair for the outer dimensions.
+# Gauss-Legendre order pair of every piece.
 _GL_LOW = 3
 _GL_HIGH = 6
 
 
-def _eval_lp_boxes(cols, lo, hi, a_cols, t_lo, t_hi, p, scale, skip_tol=0.0):
-    """Quadrature value, order-difference error, sup bound per outer box.
+def _gauss_nodes(lo, hi):
+    """Nodes (P, 3 + 6) of both orders, low first, on [lo, hi]; weights."""
+    x, w = (np.concatenate(v) for v in zip(_gl01(_GL_LOW), _gl01(_GL_HIGH)))
+    h = (hi - lo)[:, None]
+    return lo[:, None] + h * x, h * w
 
-    The inner per-cell integral is convex in the outer product q
-    (abs-affine composed with a convex power), so its max over
-    [qmin, qmax] sits at an endpoint; vol times the summed max is a true
-    bound on the box integral.  With ``skip_tol`` (the first pass) the
-    summed endpoint min gives a cheap, non-rigorous size hint, and boxes
-    whose bound is a negligible share of it are not quadratured: their
-    value and error are both bound / 2, so the value is within the error
-    of the truth, and the refinement loop splits them like any other box
-    if the error budget ever picks them.  The combined placeholder error
-    stays a few percent of the target.
+
+def _product_law(s, corners, cumulative=False):
+    """Density at s (P, K) of the product of the n outer coordinates over
+    a column's box, or with ``cumulative`` the box's measure where it is
+    <= s.  On [0, c]^n with C = prod c these are log(C/s)^(n-1) / (n-1)!
+    and s sum_{k<n} log(C/s)^k / k! for s < C; the box is their signed
+    sum over its corner products (P, 2^n), corner j taking the lower
+    bound on the axes of the set bits of j (Dettmann and Georgiou 2009).
     """
-    m = a_cols.shape[1]
-    qq = np.stack([lo.prod(axis=1), hi.prod(axis=1)], axis=1)
-    per_cell = _inner_stack(qq, a_cols[cols], t_lo, t_hi, p, scale, reduce=False)
-    vol = (hi - lo).prod(axis=1)
-    bounds = per_cell.max(axis=1).sum(axis=1) * vol
-    vals = 0.5 * bounds
-    errs = 0.5 * bounds
-    idx = np.arange(cols.shape[0])
-    if skip_tol > 0.0:
-        hint = float((per_cell.min(axis=1).sum(axis=1) * vol).sum())
-        skip_below = 0.04 * skip_tol * hint / cols.shape[0]
-        if skip_below > 0.0:
-            idx = np.nonzero(bounds > skip_below)[0]
-    n_low = _GL_LOW ** lo.shape[1]
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, (n_low + _GL_HIGH ** lo.shape[1]) * m))
-    for s in range(0, idx.size, chunk):
-        sel = idx[s:s + chunk]
-        # both orders' nodes go through one kernel call
-        q_low, w_low = _outer_tensor(lo[sel], hi[sel], _GL_LOW)
-        q_high, w_high = _outer_tensor(lo[sel], hi[sel], _GL_HIGH)
-        f = _inner_stack(np.concatenate([q_low, q_high], axis=1), a_cols[cols[sel]],
-                         t_lo, t_hi, p, scale)
-        low = (w_low * f[:, :n_low]).sum(axis=1)
-        high = (w_high * f[:, n_low:]).sum(axis=1)
-        vals[sel] = high
-        errs[sel] = np.abs(high - low)
+    n = corners.shape[1].bit_length() - 1
+    # [log(C/s)]_+ from two logs, so that no quotient overflows; s = 0 (the
+    # end of a piece at a zero lower corner) is clamped to keep its log finite
+    s, c = np.maximum(s, 5e-324)[:, :, None], corners[:, None, :]
+    with np.errstate(divide="ignore"):
+        lg = np.maximum(np.log(c) - np.log(s), 0.0)
+    if cumulative:
+        terms = np.minimum(s, c) * sum(lg ** k / math.factorial(k) for k in range(n))
+    else:
+        terms = (lg > 0.0) * lg ** (n - 1) / math.factorial(n - 1)
+    return terms @ [(-1.0) ** bin(j).count("1") for j in range(1 << n)]
+
+
+def _eval_pieces(col, lo, hi, corners, stack, skip_tol=0.0):
+    """Quadrature value, error estimate and sup bound of every piece.
+
+    Each cell's integral is convex in s, so its max over a piece sits at
+    an endpoint, and the summed max times the piece's mass bounds the
+    piece.  With ``skip_tol`` (the first pass) the summed endpoint min is
+    a cheap, non-rigorous size hint; a piece whose bound is a negligible
+    share of it is not quadratured and carries half its bound as value
+    and as error, which keeps the truth within the error.  Together these
+    placeholders stay a few percent of the target.
+    """
+    a_cols, t_lo, t_hi, p, scale = stack
+    ends = np.stack([lo, hi], axis=1)
+    mass = np.diff(_product_law(ends, corners[col], cumulative=True), axis=1)[:, 0]
+    per_cell = _inner_stack(ends, a_cols[col], t_lo, t_hi, p, scale, reduce=False)
+    bounds = per_cell.max(axis=1).sum(axis=1) * mass
+    hint = float((per_cell.min(axis=1).sum(axis=1) * mass).sum())
+    go = np.nonzero(bounds > 0.04 * skip_tol * hint / max(col.size, 1))[0]
+    vals, errs = 0.5 * bounds, 0.5 * bounds
+    col, lo, hi, a = col[go], lo[go], hi[go], a_cols[col[go]]
+    q, wt = _gauss_nodes(lo, hi)
+    f = _inner_stack(q, a, t_lo, t_hi, p, scale, reduce=False)
+    # a cell whose kink A/t_hi or A/t_lo lies inside the piece leaves the
+    # stack sum and is integrated alone on the sub-pieces cut there
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kinks = np.stack([a / t_hi, a / t_lo], axis=2)
+    inside = (kinks > lo[:, None, None]) & (kinks < hi[:, None, None])
+    rows, cells = np.nonzero(inside.any(axis=2))
+    f[rows, :, cells] = 0.0
+    part = wt * _product_law(q, corners[col]) * f.sum(axis=2)
+    cuts = np.clip(kinks[rows, cells], lo[rows, None], hi[rows, None])
+    edges = np.concatenate([lo[rows, None], cuts, hi[rows, None]], axis=1)
+    r3, c3 = np.repeat(rows, 3), np.repeat(cells, 3)
+    q, wt = _gauss_nodes(edges[:, :-1].reshape(-1), edges[:, 1:].reshape(-1))
+    sub = wt * _product_law(q, corners[col[r3]]) * _inner_stack(
+        q, a[r3, c3][:, None], t_lo[c3][:, None, None], t_hi[c3][:, None, None], p, scale)
+    part = np.concatenate([part, sub])
+    rows = np.concatenate([np.arange(go.size), r3])
+    high = part[:, _GL_LOW:].sum(axis=1)
+    vals[go] = np.bincount(rows, high, minlength=go.size)
+    errs[go] = np.bincount(rows, np.abs(high - part[:, :_GL_LOW].sum(axis=1)), minlength=go.size)
     return vals, errs, bounds
 
 
-def _effective_err(val, err, bnd, target):
-    """The error a box is ranked and counted by.
-
-    A near-zero value against a sizable sup bound means the nodes may
-    have missed a narrow peak; such a box carries half its bound instead,
-    which forces its refinement.
-    """
-    missed = (val < 1e-3 * bnd) & (bnd > 0.01 * max(target, 1e-300))
-    return np.where(missed, np.maximum(err, 0.5 * bnd), err)
-
-
-# Boxes picked per refinement round, at most.
-_ROUND_BOXES = 128
+# Pieces picked per refinement round, at most.
+_ROUND_PIECES = 128
 
 
 def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
@@ -220,13 +222,12 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
     """int (|A - prod t| / scale)^p over the cube, scale = sup |disc|.
 
     Returns (integral, scale, err_estimate, diagnostics).  d = 1 is
-    exact (no outer quadrature at all).  The outer boxes start as one
-    per cell column and are refined worst-first until the summed error
-    estimate meets ``rel_tol`` times the integral, or until
-    ``total_budget`` boxes have been made; running out is reported
-    through the diagnostics, never silently.  A column the first pass
-    skips as negligible carries half its sup bound as value and as
-    error, and is split like any other box if it is ever picked.
+    exact, and so is every column whose counts are all zero.  The other
+    columns start as one piece between each two consecutive corner
+    products, bisected worst-first until the summed error estimate meets
+    ``rel_tol`` times the integral, or until ``total_budget`` pieces
+    (``boxes`` in the diagnostics) have been made; running out is
+    reported through the diagnostics, never silently.
     """
     d = grid.dim
     diag = {"engine": "adaptive", "boxes": 0, "budget_exceeded": False}
@@ -239,68 +240,66 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
     t_hi = np.ascontiguousarray(grid.cell_hi(d - 1))
     if d == 1:
         f = _inner_stack(np.ones((1, 1)), a_cols, t_lo, t_hi, p, scale)
-        diag["engine"] = "exact-1d"
-        diag["boxes"] = 1
+        diag.update(engine="exact-1d", boxes=1)
         return float(f[0, 0]), scale, 0.0, diag
 
     lo_axes = [grid.cell_lo(i) for i in range(d - 1)]
     hi_axes = [grid.cell_hi(i) for i in range(d - 1)]
-    lo = np.stack([g.reshape(-1) for g in np.meshgrid(*lo_axes, indexing="ij")], axis=1)
-    hi = np.stack([g.reshape(-1) for g in np.meshgrid(*hi_axes, indexing="ij")], axis=1)
-    n = lo.shape[0]
-    cost = n * (_GL_HIGH ** (d - 1) + _GL_LOW ** (d - 1)) * m
-    if cost > MAX_EVAL_ELEMENTS:
-        raise ValueError(
-            f"adaptive Lp integration pass needs {cost} evaluations "
-            f"(limit {MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale"
-        )
+    # a column with no point below it integrates (prod t / scale)^p, a
+    # product of one-axis powers; in logs, as large p underflows them
+    q1 = p + 1.0
+    with np.errstate(divide="ignore"):
+        logs = [q1 * np.log(h) + np.log(-np.expm1(q1 * np.log(low / h)))
+                for low, h in zip(lo_axes, hi_axes)]
+    occupied = a_cols.any(axis=1)
+    log_closed = functools.reduce(np.add.outer, logs).reshape(-1)[~occupied]
+    closed = math.fsum(np.exp(log_closed - d * math.log(q1) - p * math.log(scale)))
 
-    # the box store: slots [0, n) hold the live boxes; capacity doubles
-    col = np.arange(n)
-    val, err, bnd = _eval_lp_boxes(col, lo, hi, a_cols, t_lo, t_hi, p, scale,
-                                   skip_tol=rel_tol)
-    eff = _effective_err(val, err, bnd, rel_tol * max(float(val.sum()), 1e-300))
-    n_boxes = n
+    corners = np.stack([functools.reduce(np.multiply.outer, [
+        (lo_axes if j >> i & 1 else hi_axes)[i] for i in range(d - 1)]).reshape(-1)
+        for j in range(1 << (d - 1))], axis=1)
+    brk = np.sort(corners[occupied], axis=1)
+    col = np.repeat(np.nonzero(occupied)[0], brk.shape[1] - 1)
+    lo, hi = brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1)
+    cost = col.size * (2 + _GL_LOW + _GL_HIGH) * m
+    if cost > MAX_EVAL_ELEMENTS:
+        raise ValueError(f"adaptive Lp integration pass needs {cost} evaluations (limit "
+                         f"{MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale")
+
+    # the first pass runs in chunks that bound its memory
+    stack = (a_cols, t_lo, t_hi, p, scale)
+    chunk = max(1, _CHUNK_ELEMENTS // ((2 + _GL_LOW + _GL_HIGH) * m))
+    val, err, bnd = (np.concatenate(x) for x in zip(*(
+        _eval_pieces(col[s:s + chunk], lo[s:s + chunk], hi[s:s + chunk], corners, stack, rel_tol)
+        for s in range(0, max(col.size, 1), chunk))))
+    # every piece made stays in the store; a bisected one holds zeros
     while True:
-        target = rel_tol * max(float(np.sum(val[:n])), 1e-300)
-        total_eff = float(np.sum(eff[:n]))
-        if total_eff <= target:
+        target = rel_tol * max(closed + float(val.sum()), 1e-300)
+        # a near-zero value against a sizable sup bound means the nodes may
+        # have missed a narrow peak; such a piece carries half its bound
+        missed = (val < 1e-3 * bnd) & (bnd > 0.01 * target)
+        eff = np.where(missed, np.maximum(err, 0.5 * bnd), err)
+        if float(eff.sum()) <= target:
             break
-        if n_boxes >= total_budget:
+        if val.size >= total_budget:
             diag["budget_exceeded"] = True
             break
-        # the worst boxes in (-eff, slot) order, each taken while the
-        # error from it on, over all boxes, exceeds half the target.
+        # the worst pieces in (-eff, slot) order, each taken while the
+        # error from it on, over all pieces, exceeds half the target.
         # Summing what is left, not what is taken, keeps the choice exact
         # when half the target is below the rounding unit of the total.
-        k = min(_ROUND_BOXES, n)
-        order = np.argpartition(-eff[:n], k - 1)
+        k = min(_ROUND_PIECES, val.size)
+        order = np.argpartition(-eff, k - 1)
         top = order[:k][np.lexsort((order[:k], -eff[order[:k]]))]
         left = np.cumsum(eff[top][::-1])[::-1] + float(np.sum(eff[order[k:]]))
         par = top[(left > 0.5 * target) & (eff[top] > 0.0)]
         if par.size == 0:
             break
-        n_par = par.size
-        while n + n_par > val.shape[0]:
-            col, lo, hi, val, eff = (np.concatenate([a, np.empty_like(a)])
-                                     for a in (col, lo, hi, val, eff))
-        # halve each parent's longest axis: the lower child takes the
-        # parent's slot, the upper one is appended
-        rows = np.arange(n_par)
-        ax = np.argmax(hi[par] - lo[par], axis=1)
-        mid = 0.5 * (lo[par, ax] + hi[par, ax])
-        c_lo = np.concatenate([lo[par], lo[par]])
-        c_hi = np.concatenate([hi[par], hi[par]])
-        c_hi[rows, ax] = mid
-        c_lo[n_par + rows, ax] = mid
-        c_col = np.concatenate([col[par], col[par]])
-        v, e, b = _eval_lp_boxes(c_col, c_lo, c_hi, a_cols, t_lo, t_hi, p, scale)
-        slots = np.concatenate([par, np.arange(n, n + n_par)])
-        col[slots], lo[slots], hi[slots] = c_col, c_lo, c_hi
-        val[slots] = v
-        eff[slots] = _effective_err(v, e, b, target)
-        n += n_par
-        n_boxes += 2 * n_par
+        mid = 0.5 * (lo[par] + hi[par])
+        new = np.tile(col[par], 2), np.concatenate([lo[par], mid]), np.concatenate([mid, hi[par]])
+        val[par] = err[par] = bnd[par] = 0.0
+        col, lo, hi, val, err, bnd = (np.concatenate(x) for x in zip(
+            (col, lo, hi, val, err, bnd), (*new, *_eval_pieces(*new, corners, stack))))
 
-    diag["boxes"] = n_boxes
-    return math.fsum(val[:n]), scale, math.fsum(eff[:n]), diag
+    diag["boxes"] = val.size
+    return math.fsum(np.append(val, closed)), scale, math.fsum(eff), diag

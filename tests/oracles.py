@@ -17,10 +17,28 @@ import mpmath
 import numpy as np
 
 from discnorm.cells import CellGrid, build_cell_grid
-from discnorm.integrate import MAX_EVAL_ELEMENTS, _outer_tensor
+from discnorm.integrate import MAX_EVAL_ELEMENTS, _gl01
 from discnorm.lp import NormResult
 from discnorm.orlicz import OrliczSpec, _luxemburg_root, _psi_inv_one, young_eval
 from discnorm.pointset import PointSet
+
+
+def _outer_tensor(lo, hi, order):
+    """Tensor GL nodes as coordinate products plus weights.
+
+    lo, hi: (B, douter).  Returns q (B, order**douter) of node products
+    and w (B, order**douter) of weights including the box volume.
+    """
+    b = lo.shape[0]
+    x, w = _gl01(order)
+    q = np.ones((b, 1))
+    wt = np.ones((b, 1))
+    for i in range(lo.shape[1]):
+        span = hi[:, i] - lo[:, i]
+        nodes = lo[:, i, None] + span[:, None] * x
+        q = (q[:, :, None] * nodes[:, None, :]).reshape(b, -1)
+        wt = (wt[:, :, None] * (span[:, None] * w)[:, None, :]).reshape(b, -1)
+    return q, wt
 
 
 def integrate_of_delta(grid: CellGrid, fn, rel_tol: float = 1e-6,

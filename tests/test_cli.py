@@ -1,5 +1,7 @@
 """Command-line interface: determinism, formats, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import discnorm
 from discnorm import bounds, cli
@@ -124,6 +128,8 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "0:2"],
         ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "0:8:geometric"],
         ["sweep", "--norm", "star", "--d-range", "0:2:geometric", "--n-range", "2:4"],
+        ["sweep", "--norm", "star", "--d-range", "3:1", "--n-range", "2:2"],             # empty
+        ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "8:4:geometric"],   # empty
         ["disc", "--in", str(f), "--norm", "phi", "--phi",
          '{"kind":"tabulated","knots":[[1,"nan"]]}'],
     ]
@@ -223,3 +229,57 @@ def test_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Values for every flag of every subcommand: small enough that any
+# combination runs in well under a second, odd enough to reach the
+# error paths.
+_NUMS = ["0", "1", "2", "-1", "0.5", "1e-9", "nan", "inf", "x"]
+_RANGES = ["1:2", "2:1", "3:1", "1:2:geometric", "8:4:geometric", "0:2:geometric", "1", "a:b"]
+_FLAG_VALUES = {
+    "--kind": ["uniform", "halton", "x"], "--n": _NUMS, "--d": _NUMS, "--seed": _NUMS,
+    "--norm": ["lp", "star", "psi-alpha", "phi", "alpha-norm", "x"], "--p": _NUMS,
+    "--alpha": _NUMS, "--tol": _NUMS, "--trials": _NUMS, "--suite": ["minconst", "stirling", "x"],
+    "--phi": ['{"kind":"power","C":1,"r":0.5}', '{"kind":"power"}', "[1]", "{bad"],
+    "--d-range": _RANGES, "--n-range": _RANGES, "--in": ["{in}", "{missing}"], "--json": [None],
+}
+# (required, optional) flags of each subcommand
+_COMMAND_FLAGS = {
+    "gen": (["--kind", "--n", "--d"], ["--seed"]),
+    "disc": (["--in", "--norm"], ["--p", "--alpha", "--phi", "--tol", "--d", "--json"]),
+    "verify": (["--suite"], ["--seed"]),
+    "sweep": (["--norm", "--d-range", "--n-range"], ["--p", "--alpha", "--phi", "--trials"]),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with its required flags, some optional ones and now
+    and then a missing or foreign flag, each with a drawn value."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    required, optional = _COMMAND_FLAGS[command]
+    flags = required + draw(st.lists(st.sampled_from(optional), unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        flags = flags[1:] + [draw(st.sampled_from(sorted(_FLAG_VALUES)))]
+    argv = [command]
+    for flag in flags:
+        value = draw(st.sampled_from(_FLAG_VALUES[flag]))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_argvs())
+def test_fuzzed_argv_exits_with_a_known_code(tmp_path_factory, argv):
+    tmp = tmp_path_factory.getbasetemp()
+    (tmp / "in.csv").write_text("0.25,0.5\n0.75,0.125\n")
+    paths = {"{in}": str(tmp / "in.csv"), "{missing}": str(tmp / "nope.csv")}
+    argv = [paths.get(a, a) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
