@@ -11,9 +11,10 @@ Two routes, used by the norm modules:
   p >= 1.  The last axis is integrated in closed form, which leaves on
   each cell column a function F(s) of the product s of the other
   coordinates against the density of s over the column's box: one
-  dimension in every d.  Pieces between corner products are bisected
-  worst-first, with Gauss-Legendre orders 3 and 6 whose difference is
-  the error estimate (not a bound); the kinks of F, where the zero of
+  dimension in every d.  Pieces between corner products start at
+  Gauss-Legendre orders 3 and 6, whose difference is the error estimate
+  (not a bound); the worst are refined first, by doubling both orders up
+  to (12, 24) and by bisection there.  The kinks of F, where the zero of
   A - s t crosses a cell edge, are cut out cell by cell.  Everything is
   scaled by sup |local discrepancy| so any large p stays in range.
 """
@@ -136,14 +137,17 @@ def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
     return out.sum(axis=2) if reduce else out
 
 
-# Gauss-Legendre order pair of every piece.
-_GL_LOW = 3
-_GL_HIGH = 6
+# A piece at level l has Gauss-Legendre orders n = 3 * 2^l and 2n; below
+# the top level it is refined by doubling n, at the top by bisection.
+_BASE_ORDER = 3
+_MAX_LEVEL = 2
 
 
-def _gauss_nodes(lo, hi):
-    """Nodes (P, 3 + 6) of both orders, low first, on [lo, hi]; weights."""
-    x, w = (np.concatenate(v) for v in zip(_gl01(_GL_LOW), _gl01(_GL_HIGH)))
+def _gauss_nodes(lo, hi, level, both=True):
+    """Nodes (P, 3n) of orders n and 2n at ``level``, low first, on
+    [lo, hi], or without ``both`` (P, 2n) of order 2n alone; weights."""
+    n = _BASE_ORDER << level
+    x, w = (np.concatenate(v[not both:]) for v in zip(_gl01(n), _gl01(2 * n)))
     h = (hi - lo)[:, None]
     return lo[:, None] + h * x, h * w
 
@@ -169,16 +173,16 @@ def _product_law(s, corners, cumulative=False):
     return terms @ [(-1.0) ** bin(j).count("1") for j in range(1 << n)]
 
 
-def _eval_pieces(col, lo, hi, corners, stack, skip_tol=0.0):
-    """Quadrature value, error estimate and sup bound of every piece.
+def _new_pieces(col, lo, hi, corners, stack, level, skip_tol=0.0):
+    """Value, error, sup bound and level of new pieces; elements used.
 
     Each cell's integral is convex in s, so its max over a piece sits at
     an endpoint, and the summed max times the piece's mass bounds the
     piece.  With ``skip_tol`` (the first pass) the summed endpoint min is
     a cheap, non-rigorous size hint; a piece whose bound is a negligible
-    share of it is not quadratured and carries half its bound as value
-    and as error, which keeps the truth within the error.  Together these
-    placeholders stay a few percent of the target.
+    share of it is a placeholder at level -1, carrying half its bound as
+    value and as error, which keeps the truth within the error.  Together
+    these placeholders stay a few percent of the target.
     """
     a_cols, t_lo, t_hi, p, scale = stack
     ends = np.stack([lo, hi], axis=1)
@@ -186,10 +190,20 @@ def _eval_pieces(col, lo, hi, corners, stack, skip_tol=0.0):
     per_cell = _inner_stack(ends, a_cols[col], t_lo, t_hi, p, scale, reduce=False)
     bounds = per_cell.max(axis=1).sum(axis=1) * mass
     hint = float((per_cell.min(axis=1).sum(axis=1) * mass).sum())
-    go = np.nonzero(bounds > 0.04 * skip_tol * hint / max(col.size, 1))[0]
-    vals, errs = 0.5 * bounds, 0.5 * bounds
-    col, lo, hi, a = col[go], lo[go], hi[go], a_cols[col[go]]
-    q, wt = _gauss_nodes(lo, hi)
+    go = bounds > 0.04 * skip_tol * hint / max(col.size, 1)
+    vals, errs, levels = 0.5 * bounds, 0.5 * bounds, np.where(go, level, -1)
+    vals[go], errs[go], used = _eval_pieces(col[go], lo[go], hi[go], corners, stack, level)
+    return vals, errs, bounds, levels, per_cell.size + used
+
+
+def _eval_pieces(col, lo, hi, corners, stack, level, low=None):
+    """Order-2n Gauss value of every piece at ``level``, its difference
+    from order n, and the elements used; given the order-n values
+    ``low``, only order 2n is evaluated."""
+    a_cols, t_lo, t_hi, p, scale = stack
+    n = _BASE_ORDER << level
+    a = a_cols[col]
+    q, wt = _gauss_nodes(lo, hi, level, low is None)
     f = _inner_stack(q, a, t_lo, t_hi, p, scale, reduce=False)
     # a cell whose kink A/t_hi or A/t_lo lies inside the piece leaves the
     # stack sum and is integrated alone on the sub-pieces cut there
@@ -202,15 +216,16 @@ def _eval_pieces(col, lo, hi, corners, stack, skip_tol=0.0):
     cuts = np.clip(kinks[rows, cells], lo[rows, None], hi[rows, None])
     edges = np.concatenate([lo[rows, None], cuts, hi[rows, None]], axis=1)
     r3, c3 = np.repeat(rows, 3), np.repeat(cells, 3)
-    q, wt = _gauss_nodes(edges[:, :-1].reshape(-1), edges[:, 1:].reshape(-1))
+    q, wt = _gauss_nodes(edges[:, :-1].reshape(-1), edges[:, 1:].reshape(-1), level, low is None)
     sub = wt * _product_law(q, corners[col[r3]]) * _inner_stack(
         q, a[r3, c3][:, None], t_lo[c3][:, None, None], t_hi[c3][:, None, None], p, scale)
     part = np.concatenate([part, sub])
-    rows = np.concatenate([np.arange(go.size), r3])
-    high = part[:, _GL_LOW:].sum(axis=1)
-    vals[go] = np.bincount(rows, high, minlength=go.size)
-    errs[go] = np.bincount(rows, np.abs(high - part[:, :_GL_LOW].sum(axis=1)), minlength=go.size)
-    return vals, errs, bounds
+    rows = np.concatenate([np.arange(col.size), r3])
+    high = part[:, -2 * n:].sum(axis=1)
+    vals = np.bincount(rows, high, minlength=col.size)
+    errs = np.abs(vals - low) if low is not None else np.bincount(
+        rows, np.abs(high - part[:, :n].sum(axis=1)), minlength=col.size)
+    return vals, errs, f.size + q.size
 
 
 # Pieces picked per refinement round, at most.
@@ -224,13 +239,14 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
     Returns (integral, scale, err_estimate, diagnostics).  d = 1 is
     exact, and so is every column whose counts are all zero.  The other
     columns start as one piece between each two consecutive corner
-    products, bisected worst-first until the summed error estimate meets
+    products, refined worst-first until the summed error estimate meets
     ``rel_tol`` times the integral, or until ``total_budget`` pieces
     (``boxes`` in the diagnostics) have been made; running out is
-    reported through the diagnostics, never silently.
+    reported through the diagnostics, never silently.  ``elements``
+    counts the inner-stack elements evaluated.
     """
     d = grid.dim
-    diag = {"engine": "adaptive", "boxes": 0, "budget_exceeded": False}
+    diag = {"engine": "adaptive", "boxes": 0, "elements": 0, "budget_exceeded": False}
     scale = grid.sup_abs_discrepancy()
     if scale == 0.0:
         return 0.0, 0.0, 0.0, diag
@@ -240,7 +256,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
     t_hi = np.ascontiguousarray(grid.cell_hi(d - 1))
     if d == 1:
         f = _inner_stack(np.ones((1, 1)), a_cols, t_lo, t_hi, p, scale)
-        diag.update(engine="exact-1d", boxes=1)
+        diag.update(engine="exact-1d", boxes=1, elements=m)
         return float(f[0, 0]), scale, 0.0, diag
 
     lo_axes = [grid.cell_lo(i) for i in range(d - 1)]
@@ -261,23 +277,24 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
     brk = np.sort(corners[occupied], axis=1)
     col = np.repeat(np.nonzero(occupied)[0], brk.shape[1] - 1)
     lo, hi = brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1)
-    cost = col.size * (2 + _GL_LOW + _GL_HIGH) * m
+    cost = col.size * (2 + 3 * _BASE_ORDER) * m
     if cost > MAX_EVAL_ELEMENTS:
         raise ValueError(f"adaptive Lp integration pass needs {cost} evaluations (limit "
                          f"{MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale")
 
     # the first pass runs in chunks that bound its memory
     stack = (a_cols, t_lo, t_hi, p, scale)
-    chunk = max(1, _CHUNK_ELEMENTS // ((2 + _GL_LOW + _GL_HIGH) * m))
-    val, err, bnd = (np.concatenate(x) for x in zip(*(
-        _eval_pieces(col[s:s + chunk], lo[s:s + chunk], hi[s:s + chunk], corners, stack, rel_tol)
-        for s in range(0, max(col.size, 1), chunk))))
+    chunk = max(1, _CHUNK_ELEMENTS // ((2 + 3 * _BASE_ORDER) * m))
+    *store, used = zip(*(_new_pieces(col[s:s + chunk], lo[s:s + chunk], hi[s:s + chunk], corners,
+                                     stack, 0, rel_tol) for s in range(0, max(col.size, 1), chunk)))
+    (val, err, bnd, lvl), elements = map(np.concatenate, store), sum(used)
     # every piece made stays in the store; a bisected one holds zeros
     while True:
         target = rel_tol * max(closed + float(val.sum()), 1e-300)
         # a near-zero value against a sizable sup bound means the nodes may
-        # have missed a narrow peak; such a piece carries half its bound
-        missed = (val < 1e-3 * bnd) & (bnd > 0.01 * target)
+        # have missed a narrow peak, and orders that differ by more than half
+        # the value have not converged; such a piece carries half its bound
+        missed = ((val < 1e-3 * bnd) | (err > 0.5 * val)) & (bnd > 0.01 * target)
         eff = np.where(missed, np.maximum(err, 0.5 * bnd), err)
         if float(eff.sum()) <= target:
             break
@@ -295,11 +312,27 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
         par = top[(left > 0.5 * target) & (eff[top] > 0.0)]
         if par.size == 0:
             break
-        mid = 0.5 * (lo[par] + hi[par])
-        new = np.tile(col[par], 2), np.concatenate([lo[par], mid]), np.concatenate([mid, hi[par]])
-        val[par] = err[par] = bnd[par] = 0.0
-        col, lo, hi, val, err, bnd = (np.concatenate(x) for x in zip(
-            (col, lo, hi, val, err, bnd), (*new, *_eval_pieces(*new, corners, stack))))
+        # a piece below the top level moves one level up in place, its order
+        # 2n becoming order n (a placeholder goes to level 0); one at the top
+        # level is bisected
+        up, par = par[lvl[par] < _MAX_LEVEL], par[lvl[par] == _MAX_LEVEL]
+        for level in np.unique(lvl[up]).tolist():
+            g = up[lvl[up] == level]
+            val[g], err[g], used = _eval_pieces(col[g], lo[g], hi[g], corners, stack, level + 1,
+                                                None if level < 0 else val[g])
+            lvl[g] += 1
+            elements += used
+        if par.size:
+            mid = 0.5 * (lo[par] + hi[par])
+            new = np.tile(col[par], 2), np.append(lo[par], mid), np.append(mid, hi[par])
+            val[par] = err[par] = bnd[par] = 0.0
+            *fresh, used = _new_pieces(*new, corners, stack, _MAX_LEVEL)
+            col, lo, hi, val, err, bnd, lvl = (np.concatenate(x) for x in zip(
+                (col, lo, hi, val, err, bnd, lvl), (*new, *fresh)))
+            elements += used
 
-    diag["boxes"] = val.size
-    return math.fsum(np.append(val, closed)), scale, math.fsum(eff), diag
+    diag.update(boxes=val.size, elements=elements)
+    # a floor of four rounding units of the sums, as converged orders can
+    # agree below them
+    err_j = math.fsum(eff) + 4 * 2.0 ** -52 * (math.fsum(np.abs(val)) + closed)
+    return math.fsum(np.append(val, closed)), scale, err_j, diag

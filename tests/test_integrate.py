@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from discnorm.cells import build_cell_grid
-from discnorm.integrate import _gauss_nodes, _inner_stack
+from discnorm.integrate import _MAX_LEVEL, _gauss_nodes, _inner_stack
 from discnorm.pointset import generate_halton, generate_uniform
 
 
@@ -44,12 +44,12 @@ def _inner_stack_masked(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
 
 
 def _kernel_inputs(pts):
-    """Kernel arguments of the first pass over every column.
+    """Kernel arguments of the first pass over every column, at every level.
 
     Each piece between two consecutive corner products of a column gives
-    a row of its two endpoints and its Gauss nodes.  The origin column's
-    lower endpoint is the product 0, which makes its cells thin; d = 1
-    has the single q = 1 row.
+    a row of its two endpoints and its Gauss nodes of all levels.  The
+    origin column's lower endpoint is the product 0, which makes its cells
+    thin; d = 1 has the single q = 1 row.
     """
     grid = build_cell_grid(pts)
     d = grid.dim
@@ -64,8 +64,8 @@ def _kernel_inputs(pts):
         for j in range(1 << (d - 1))], axis=1)
     brk = np.sort(corners, axis=1)
     lo, hi = brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1)
-    nodes, _ = _gauss_nodes(lo, hi)
-    q = np.concatenate([lo[:, None], hi[:, None], nodes], axis=1)
+    nodes = [_gauss_nodes(lo, hi, level)[0] for level in range(_MAX_LEVEL + 1)]
+    q = np.concatenate([lo[:, None], hi[:, None], *nodes], axis=1)
     return q, np.repeat(a, brk.shape[1] - 1, axis=0), t_lo, t_hi, grid.sup_abs_discrepancy()
 
 

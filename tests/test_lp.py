@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from discnorm import integrate
 from discnorm.cells import build_cell_grid
 from discnorm.integrate import lp_adaptive_integral, lp_moment_integral
 from discnorm.lp import (
@@ -17,7 +18,7 @@ from discnorm.lp import (
     warnock_l2,
 )
 from discnorm.orlicz import OrliczSpec, WeightFn, luxemburg_norm, phi_norm
-from discnorm.pointset import PointSet, empty_pointset, generate_uniform
+from discnorm.pointset import PointSet, empty_pointset, generate_halton, generate_uniform
 from oracles import lp_mpmath
 
 # Frozen references computed at rel_tol 1e-11 and cross-validated against
@@ -128,17 +129,37 @@ def test_warnock_empty_set():
 def test_moment_engine_matches_adaptive():
     checked = 0
     for n, d, seed in [(8, 2, 3), (16, 2, 5), (8, 3, 9), (6, 4, 10), (5, 5, 11)]:
-        grid = build_cell_grid(generate_uniform(n, d, seed=seed))
+        pts = generate_uniform(n, d, seed=seed)
+        grid = build_cell_grid(pts)
         for p in range(2, MOMENT_P_MAX + 1, 2):
             j_mom, amp = lp_moment_integral(grid, p)
             if amp > MOMENT_AMP_MAX:
                 continue
-            scaled, scale, _, _ = lp_adaptive_integral(grid, float(p), 1e-10)
+            scaled, scale, err_j, _ = lp_adaptive_integral(grid, float(p), 1e-13)
             j_ada = scaled * scale ** p
             # the moment sum loses up to about amp * 5e-16 to cancellation
             assert abs(j_mom - j_ada) / j_mom < 1e-9 + amp * 1e-15, (n, d, p, amp)
+            # and the error the cache reports for it covers that loss
+            mom = LpCache(pts).norm(float(p), rel_tol=1e-3)
+            assert mom.diagnostics["engine"] == "moment"
+            ada = scale * scaled ** (1.0 / p)
+            ada_err = ada * err_j / (p * scaled)
+            assert abs(mom.value - ada) <= mom.abs_error_estimate + ada_err, (n, d, p, amp)
             checked += 1
     assert checked >= 30
+
+
+def test_moment_route_only_within_tolerance():
+    # (16,2) seed 5 at p = 8 cancels by amp ~1.4e6, about 1.8e-10 of the
+    # norm: the moment result meets 1e-6, and 1e-12 goes to the adaptive
+    # engine, also from a cache that already holds the looser result
+    cache = LpCache(generate_uniform(16, 2, seed=5))
+    loose = cache.norm(8.0, rel_tol=1e-6)
+    assert loose.diagnostics["engine"] == "moment"
+    assert loose.abs_error_estimate <= 1e-6 * loose.value
+    tight = cache.norm(8.0, rel_tol=1e-12)
+    assert tight.diagnostics["engine"] == "adaptive"
+    assert abs(loose.value - tight.value) <= loose.abs_error_estimate + tight.abs_error_estimate
 
 
 def test_adaptive_converges_in_d4():
@@ -149,6 +170,63 @@ def test_adaptive_converges_in_d4():
     tight = lp_discrepancy(pts, 1.0, rel_tol=1e-12)
     assert abs(loose.value - tight.value) <= loose.abs_error_estimate + tight.abs_error_estimate
     assert tight.abs_error_estimate <= 1e-12 * tight.value
+
+
+def test_large_p_loose_tolerance_estimate_covers():
+    # at p = 150 and J-level tolerance 0.15 the first pass once kept a
+    # piece whose orders 3 and 6 both undershot a steep rise while the
+    # value stayed just above the missed-peak share of its sup bound
+    pts = generate_uniform(10, 3, seed=3)
+    got = lp_discrepancy(pts, 150.0, rel_tol=1e-3)
+    want = lp_discrepancy(pts, 150.0, rel_tol=1e-12)
+    assert abs(got.value - want.value) <= got.abs_error_estimate, (got, want)
+
+
+@pytest.mark.parametrize("n, d, seed", [(32, 2, 0), (16, 3, 1), (8, 4, 0)])
+def test_large_p_estimates_cover_tight_rerun(n, d, seed):
+    pts = generate_uniform(n, d, seed=seed)
+    for p in (400.0, 1000.0):
+        want = lp_discrepancy(pts, p, rel_tol=1e-13)
+        for tol in (1e-6, 1e-9):
+            got = lp_discrepancy(pts, p, rel_tol=tol)
+            assert abs(got.value - want.value) <= tol * want.value, (p, tol, got, want)
+            assert abs(got.value - want.value) <= got.abs_error_estimate, (p, tol, got, want)
+
+
+def test_luxemburg_ladder_reaches_top_level(monkeypatch):
+    # the p ladder a Luxemburg series reads; the refinement doubles some
+    # pieces up to the top Gauss level, and every rung matches a tight rerun
+    levels = set()
+    eval_pieces = integrate._eval_pieces
+
+    def spy(col, lo, hi, corners, stack, level, low=None):
+        levels.add(level)
+        return eval_pieces(col, lo, hi, corners, stack, level, low)
+
+    monkeypatch.setattr(integrate, "_eval_pieces", spy)
+    grid = build_cell_grid(generate_halton(64, 2))
+    for p in range(6, 57, 2):
+        got, _, err, _ = lp_adaptive_integral(grid, float(p), p * 1e-9)
+        want, _, err_tight, _ = lp_adaptive_integral(grid, float(p), p * 1e-13)
+        assert abs(got - want) <= err + err_tight, (p, got, want, err)
+        assert err <= p * 1e-9 * got + 1e-15 * got
+    assert integrate._MAX_LEVEL in levels
+
+
+def test_elements_count_kernel_work(monkeypatch):
+    counted = []
+    inner_stack = integrate._inner_stack
+
+    def spy(q, a_cnt, *args, **kwargs):
+        counted.append(q.shape[0] * q.shape[1] * a_cnt.shape[1])
+        return inner_stack(q, a_cnt, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "_inner_stack", spy)
+    for n, d, seed, p in [(9, 1, 3, 2.5), (16, 2, 5, 1.0), (8, 3, 2, 40.0)]:
+        counted.clear()
+        grid = build_cell_grid(generate_uniform(n, d, seed=seed))
+        _, _, _, diag = lp_adaptive_integral(grid, p, 1e-10)
+        assert diag["elements"] == sum(counted) > 0, (n, d, p)
 
 
 def test_moment_engine_rejects_odd_p():
