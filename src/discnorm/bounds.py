@@ -30,6 +30,8 @@ from .star import star_discrepancy_exact
 LOG_SLACK = 1e-12
 # Default constant in the random-set star-discrepancy bound.
 C_PT_DEFAULT = 2.5287
+# Largest d scanned by ``min_const_check``.
+MIN_CONST_D_MAX = 1_000_000
 # Integer ceiling returned when a bound formula overflows doubles.
 NBOUND_SATURATION = 10 ** 308
 
@@ -170,7 +172,7 @@ def theorem2_n_bound(alpha: float, eps: float, d: int) -> int:
     return int(math.ceil(x))
 
 
-def nbound1(eps: float, d: int, phi: WeightFn, c_pt: float = C_PT_DEFAULT) -> int:
+def nbound1(eps: float, d: int, phi: WeightFn) -> int:
     """ceil(C_PT^2 * d (d+1)^2 phi(d)^2 / eps^2 * sup_p 1/phi(p)^2).
 
     The sup is 1/phi(1)^2 for the nondecreasing kinds; tabulated weights
@@ -184,7 +186,7 @@ def nbound1(eps: float, d: int, phi: WeightFn, c_pt: float = C_PT_DEFAULT) -> in
     eps2 = eps * eps
     if eps2 == 0.0:
         return NBOUND_SATURATION
-    x = c_pt ** 2 * d * (d + 1.0) ** 2 * float(phi.phi(float(d))) ** 2 / eps2 * sup_inv
+    x = C_PT_DEFAULT ** 2 * d * (d + 1.0) ** 2 * float(phi.phi(float(d))) ** 2 / eps2 * sup_inv
     if not math.isfinite(x) or x >= NBOUND_SATURATION:
         return NBOUND_SATURATION
     return int(math.ceil(x))
@@ -206,13 +208,13 @@ def initial_alpha_lower(d: int, alpha: float) -> float:
     return 1.0 / (4.0 * (d * math.log(d + 1.0)) ** (1.0 / alpha))
 
 
-def min_const_check(d_max: int = 1_000_000) -> BoundReport:
+def min_const_check() -> BoundReport:
     """Scan g(d) = (1 + d log(d+1))^(-1/log(d+1)) over integer d.
 
     Expected: minimizer d = 20, minimum 0.257944 within 1e-6, and
     g(d) >= 1/4 everywhere scanned.
     """
-    d = np.arange(1, d_max + 1, dtype=float)
+    d = np.arange(1, MIN_CONST_D_MAX + 1, dtype=float)
     logs = np.log(d + 1.0)
     g = np.exp(-np.log1p(d * logs) / logs)
     j = int(np.argmin(g))
@@ -225,7 +227,7 @@ def min_const_check(d_max: int = 1_000_000) -> BoundReport:
         rhs=gmin,
         holds=holds,
         margin=gmin - 0.25,
-        params={"argmin": argmin, "min_value": gmin, "d_max": d_max},
+        params={"argmin": argmin, "min_value": gmin, "d_max": MIN_CONST_D_MAX},
         note="minimum of the alpha-norm lower-bound constant",
     )
 

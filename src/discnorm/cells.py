@@ -100,7 +100,7 @@ class CellGrid:
         return float(m)
 
 
-def build_cell_grid(ps: PointSet, max_cells: int = MAX_CELLS_DEFAULT) -> CellGrid:
+def build_cell_grid(ps: PointSet) -> CellGrid:
     """Cell decomposition of [0,1]^d induced by the coordinates of P.
 
     Ties collapse to a single breakpoint; duplicated points are counted
@@ -113,10 +113,10 @@ def build_cell_grid(ps: PointSet, max_cells: int = MAX_CELLS_DEFAULT) -> CellGri
         bps.append(np.unique(vals))
     shape = tuple(len(b) - 1 for b in bps)
     n_cells = int(np.prod([float(s) for s in shape]))
-    if n_cells > max_cells:
+    if n_cells > MAX_CELLS_DEFAULT:
         raise ValueError(
             f"exact engines infeasible at n={ps.n_points}, d={d}: the cell grid "
-            f"would have {n_cells} cells (limit {max_cells})"
+            f"would have {n_cells} cells (limit {MAX_CELLS_DEFAULT})"
         )
     occ = np.zeros(shape, dtype=np.int64)
     if ps.n_points:

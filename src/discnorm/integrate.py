@@ -230,26 +230,26 @@ def _eval_pieces(col, lo, hi, corners, stack, level, low=None):
 
 # Pieces picked per refinement round, at most.
 _ROUND_PIECES = 128
+# Pieces the adaptive refinement may make, at most.
+PIECE_BUDGET = 1 << 22
 
 
-def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
-                         total_budget: int = 1 << 22):
+def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     """int (|A - prod t| / scale)^p over the cube, scale = sup |disc|.
 
     Returns (integral, scale, err_estimate, diagnostics).  d = 1 is
     exact, and so is every column whose counts are all zero.  The other
     columns start as one piece between each two consecutive corner
     products, refined worst-first until the summed error estimate meets
-    ``rel_tol`` times the integral, or until ``total_budget`` pieces
-    (``boxes`` in the diagnostics) have been made; running out is
-    reported through the diagnostics, never silently.  ``elements``
-    counts the inner-stack elements evaluated.
+    ``rel_tol`` times the integral, until ``PIECE_BUDGET`` pieces
+    (``boxes`` in the diagnostics) have been made, or until no piece can
+    be refined; running out of budget is reported through the
+    diagnostics, never silently.  ``elements`` counts the inner-stack
+    elements evaluated.
     """
     d = grid.dim
     diag = {"engine": "adaptive", "boxes": 0, "elements": 0, "budget_exceeded": False}
     scale = grid.sup_abs_discrepancy()
-    if scale == 0.0:
-        return 0.0, 0.0, 0.0, diag
     m = grid.counts.shape[-1]
     a_cols = grid.count_fractions().reshape(-1, m)
     t_lo = np.ascontiguousarray(grid.cell_lo(d - 1))
@@ -262,14 +262,16 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
     lo_axes = [grid.cell_lo(i) for i in range(d - 1)]
     hi_axes = [grid.cell_hi(i) for i in range(d - 1)]
     # a column with no point below it integrates (prod t / scale)^p, a
-    # product of one-axis powers; in logs, as large p underflows them
+    # product of one-axis powers; in logs, as large p underflows them.  A
+    # NaN from -inf - -inf near p = 1e308 is a term below q1^-d, so 0
     q1 = p + 1.0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         logs = [q1 * np.log(h) + np.log(-np.expm1(q1 * np.log(low / h)))
                 for low, h in zip(lo_axes, hi_axes)]
-    occupied = a_cols.any(axis=1)
-    log_closed = functools.reduce(np.add.outer, logs).reshape(-1)[~occupied]
-    closed = math.fsum(np.exp(log_closed - d * math.log(q1) - p * math.log(scale)))
+        occupied = a_cols.any(axis=1)
+        log_closed = functools.reduce(np.add.outer, logs).reshape(-1)[~occupied]
+        log_closed = log_closed - d * math.log(q1) - p * math.log(scale)
+    closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
 
     corners = np.stack([functools.reduce(np.multiply.outer, [
         (lo_axes if j >> i & 1 else hi_axes)[i] for i in range(d - 1)]).reshape(-1)
@@ -298,18 +300,22 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
         eff = np.where(missed, np.maximum(err, 0.5 * bnd), err)
         if float(eff.sum()) <= target:
             break
-        if val.size >= total_budget:
+        if val.size >= PIECE_BUDGET:
             diag["budget_exceeded"] = True
             break
         # the worst pieces in (-eff, slot) order, each taken while the
         # error from it on, over all pieces, exceeds half the target.
         # Summing what is left, not what is taken, keeps the choice exact
         # when half the target is below the rounding unit of the total.
+        # A top-level piece whose midpoint rounds to an end cannot be
+        # bisected, so it is never taken and its error stays in the sum.
+        mid = 0.5 * (lo + hi)
+        pick = np.where((lvl == _MAX_LEVEL) & ((mid == lo) | (mid == hi)), 0.0, eff)
         k = min(_ROUND_PIECES, val.size)
-        order = np.argpartition(-eff, k - 1)
-        top = order[:k][np.lexsort((order[:k], -eff[order[:k]]))]
-        left = np.cumsum(eff[top][::-1])[::-1] + float(np.sum(eff[order[k:]]))
-        par = top[(left > 0.5 * target) & (eff[top] > 0.0)]
+        order = np.argpartition(-pick, k - 1)
+        top = order[:k][np.lexsort((order[:k], -pick[order[:k]]))]
+        left = np.cumsum(pick[top][::-1])[::-1] + float(np.sum(pick[order[k:]]))
+        par = top[(left > 0.5 * target) & (pick[top] > 0.0)]
         if par.size == 0:
             break
         # a piece below the top level moves one level up in place, its order
@@ -323,8 +329,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float,
             lvl[g] += 1
             elements += used
         if par.size:
-            mid = 0.5 * (lo[par] + hi[par])
-            new = np.tile(col[par], 2), np.append(lo[par], mid), np.append(mid, hi[par])
+            new = np.tile(col[par], 2), np.append(lo[par], mid[par]), np.append(mid[par], hi[par])
             val[par] = err[par] = bnd[par] = 0.0
             *fresh, used = _new_pieces(*new, corners, stack, _MAX_LEVEL)
             col, lo, hi, val, err, bnd, lvl = (np.concatenate(x) for x in zip(

@@ -23,6 +23,8 @@ from .pointset import PointSet
 MOMENT_P_MAX = 16
 # Amplification at which the moment result is discarded as cancelled.
 MOMENT_AMP_MAX = 1e8
+# Tightest relative tolerance honoured; double rounding cannot meet less.
+REL_TOL_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,15 @@ class NormResult:
 
 
 def check_rel_tol(rel_tol: float) -> float:
-    """``rel_tol`` itself if it is a finite number > 0, else a ValueError.
+    """``rel_tol`` raised to ``REL_TOL_FLOOR`` if it is a finite number > 0,
+    else a ValueError.
 
     A zero, negative or NaN tolerance would keep the adaptive refinement
     running until its budget, or end it at once with a meaningless error.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be a finite number > 0, got {rel_tol!r}")
-    return rel_tol
+    return max(rel_tol, REL_TOL_FLOOR)
 
 
 def check_p(p: float, name: str = "p") -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import NumericalError
-from .lp import LpCache, NormResult, check_rel_tol
+from .lp import REL_TOL_FLOOR, LpCache, NormResult, check_rel_tol
 from .pointset import PointSet
 
 _WEIGHT_KINDS = ("factorial", "power", "subexp", "tabulated")
@@ -28,8 +28,9 @@ _YOUNG_TERM_CAP = 4096
 # Halvings or doublings to bracket a Luxemburg root, and bisection steps
 # to close it.
 _ROOT_STEP_CAP = 200
-# Largest p on the phi-norm scan grid.
-_PHI_P_CAP = 4096.0
+# Largest log2 p on the phi-norm walk, and the step halvings around its best point.
+_PHI_X_CAP = 12
+_PHI_HALVINGS = 7
 
 _lgamma_array = np.vectorize(math.lgamma, otypes=[float])
 
@@ -244,11 +245,11 @@ def _psi_inv_one(spec: OrliczSpec) -> float:
     """The point where psi reaches 1; exact for the closed-form kind.
 
     Otherwise it is 1 / K for the root K of modular(K) = psi(1 / K),
-    found by the Luxemburg root search to 1e-15 relative.
+    found by the Luxemburg root search to ``REL_TOL_FLOOR`` relative.
     """
     if spec.weight is None:
         return math.log(2.0) ** (1.0 / spec.alpha)
-    lo, hi, _ = _luxemburg_root(lambda k: (young_eval(spec, 1.0 / k), 0.0), 1.0, 1e-15)
+    lo, hi, _ = _luxemburg_root(lambda k: (young_eval(spec, 1.0 / k), 0.0), 1.0, REL_TOL_FLOOR)
     return 2.0 / (lo + hi)
 
 
@@ -355,15 +356,11 @@ def luxemburg_norm(points: PointSet, spec: OrliczSpec, rel_tol: float = 1e-8,
     ``cache`` the L_p values are computed at ``rel_tol / 10``, so their
     share of the error, 10 times the cache tolerance, stays ``rel_tol``.
     """
-    check_rel_tol(rel_tol)
+    rel_tol = check_rel_tol(rel_tol)
     if cache is None:
         cache = LpCache(points, rel_tol / 10.0)
     lp_at, read = _lp_reader(cache)
     sup = cache.sup_abs
-    if sup == 0.0:
-        return NormResult(0.0, 0.0, {"engine": "orlicz-series", "terms": 0,
-                                     **_lp_summary(read)})
-
     lo, hi, iters = _luxemburg_root(
         lambda k: _modular_series(lp_at, sup, spec, k), sup / _psi_inv_one(spec), rel_tol)
     value = 0.5 * (lo + hi)
@@ -380,80 +377,50 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
              cache: LpCache | None = None) -> NormResult:
     """sup over p >= 1 of ||local discrepancy||_{L_p} / phi(p).
 
-    Scans a geometric grid of p, stops rigorously once sup|f|/phi(q) for
-    all remaining q cannot beat the best value seen, then refines around
-    the best grid point by golden section in log p.  If phi grows too
-    slowly to close the tail by p = 4096, the gap is reported in the error
-    estimate rather than hidden.  Without a ``cache`` the L_p values are
-    computed at ``rel_tol``; the reported error is never below 1e-3 of
-    the value.
+    Walks the dyadic lattice x = log2 p up from p = 1 until sup|f| /
+    phi(q) for every later q cannot beat the best value seen, then halves
+    the step around the best point, moving it to the better neighbour
+    each time.  This assumes the ratio is unimodal in log p; every p read
+    lies on one lattice, so calls sharing a ``cache`` reuse them.  If phi
+    grows too slowly to close the tail by p = 4096, the gap is reported
+    in the error estimate rather than hidden.  Without a ``cache`` the
+    L_p values are computed at ``rel_tol``; the reported error is never
+    below 1e-3 of the value.
     """
-    check_rel_tol(rel_tol)
+    rel_tol = check_rel_tol(rel_tol)
     if cache is None:
         cache = LpCache(points, rel_tol)
     lp_at, read = _lp_reader(cache)
     sup = cache.sup_abs
-    if sup == 0.0:
-        return NormResult(0.0, 0.0, {"engine": "phi-sup", **_lp_summary(read)})
 
-    def g(p):
+    def g(x):
+        p = 2.0 ** x
         return lp_at(p) / float(weight.phi(p))
 
-    ps = [1.0]
-    while ps[-1] < _PHI_P_CAP:
-        ps.append(min(ps[-1] * 2.0, _PHI_P_CAP))
-    vals = []
-    best = -math.inf
-    best_j = 0
-    tail_closed = False
-    scanned = 0
-    for j, p in enumerate(ps):
-        v = g(p)
-        vals.append(v)
-        scanned = j + 1
+    best, x_star = -math.inf, 0.0
+    for x_last in range(_PHI_X_CAP + 1):
+        v = g(x_last)
         if v > best:
-            best, best_j = v, j
-        if sup / weight.min_phi_from(p) <= best:
-            tail_closed = True
+            best, x_star = v, float(x_last)
+        tail = sup / weight.min_phi_from(2.0 ** x_last)
+        tail_closed = tail <= best
+        if tail_closed:
             break
-    ps = ps[:scanned]
+    for k in range(1, _PHI_HALVINGS + 1):
+        centre = x_star
+        for x in (centre - 2.0 ** -k, centre + 2.0 ** -k):
+            if 0.0 <= x <= x_last:
+                v = g(x)
+                if v > best:
+                    best, x_star = v, x
 
-    # golden-section refinement (in log p) around the best grid point
-    lo = ps[best_j - 1] if best_j > 0 else ps[0]
-    hi = ps[best_j + 1] if best_j + 1 < len(ps) else ps[-1]
-    if hi > lo:
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = math.log(lo), math.log(hi)
-        c = b - gr * (b - a)
-        d = a + gr * (b - a)
-        fc, fd = g(math.exp(c)), g(math.exp(d))
-        for _ in range(12):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = g(math.exp(c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = g(math.exp(d))
-        p_star = math.exp(0.5 * (a + b))
-        refined = max(fc, fd, best)
-        if refined > best:
-            best = refined
-        else:
-            p_star = ps[best_j]
-    else:
-        p_star = ps[best_j]
-
-    tail_margin = 0.0
-    if not tail_closed:
-        tail_margin = max(0.0, sup / weight.min_phi_from(ps[-1]) - best)
+    tail_margin = max(0.0, tail - best)
     err = best * max(rel_tol, 1e-3) + tail_margin
     return NormResult(
         value=best,
         abs_error_estimate=err,
-        diagnostics={"engine": "phi-sup", "p_star": p_star,
-                     "grid_points": scanned, "tail_closed": tail_closed,
+        diagnostics={"engine": "phi-sup", "p_star": 2.0 ** x_star,
+                     "grid_points": x_last + 1, "tail_closed": tail_closed,
                      "tail_margin": tail_margin, **_lp_summary(read)},
     )
 

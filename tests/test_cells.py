@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from discnorm import cells
 from discnorm.cells import build_cell_grid, count_in_box, local_discrepancy
 from discnorm.pointset import PointSet, empty_pointset, generate_uniform
 from discnorm.star import star_discrepancy_exact
@@ -112,7 +113,8 @@ def test_sup_abs_empty_set_is_one():
     assert grid.sup_abs_discrepancy() == 1.0
 
 
-def test_cell_budget_guard():
+def test_cell_budget_guard(monkeypatch):
     ps = generate_uniform(40, 3, seed=5)
+    monkeypatch.setattr(cells, "MAX_CELLS_DEFAULT", 1000)
     with pytest.raises(ValueError):
-        build_cell_grid(ps, max_cells=1000)
+        build_cell_grid(ps)

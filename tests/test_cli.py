@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -106,6 +107,19 @@ def test_disc_reruns_byte_identical(capsys, tmp_path):
     _, out1, _ = run_cli(argv, capsys)
     _, out2, _ = run_cli(argv, capsys)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("extra", [["--norm", "lp", "--p", "1e20"],
+                                   ["--norm", "lp", "--p", "2.5", "--tol", "1e-300"],
+                                   ["--norm", "psi-alpha", "--alpha", "2", "--tol", "1e-300"]])
+def test_disc_extreme_p_and_tolerance_finish(capfd, tmp_path, extra):
+    f = tmp_path / "p.csv"
+    cli.main(["gen", "--kind", "uniform", "--n", "8", "--d", "2",
+              "--seed", "0", "--out", str(f)])
+    capfd.readouterr()
+    code, out, err = run_cli(["disc", "--in", str(f), *extra], capfd)
+    assert code == 0 and err == ""
+    assert math.isfinite(float(dict(line.split("=", 1) for line in out.splitlines())["value"]))
 
 
 def test_usage_errors_exit_one(capsys, tmp_path):

@@ -11,6 +11,7 @@ from discnorm.integrate import lp_adaptive_integral, lp_moment_integral
 from discnorm.lp import (
     MOMENT_AMP_MAX,
     MOMENT_P_MAX,
+    REL_TOL_FLOOR,
     LpCache,
     NormResult,
     initial_lp,
@@ -19,6 +20,7 @@ from discnorm.lp import (
 )
 from discnorm.orlicz import OrliczSpec, WeightFn, luxemburg_norm, phi_norm
 from discnorm.pointset import PointSet, empty_pointset, generate_halton, generate_uniform
+from discnorm.star import star_discrepancy_exact
 from oracles import lp_mpmath
 
 # Frozen references computed at rel_tol 1e-11 and cross-validated against
@@ -264,6 +266,32 @@ def test_extreme_p_sup_limit_engine():
     res = cache.norm(2.0 ** 21)
     assert res.value == pytest.approx(cache.sup_abs, rel=1e-3)
     assert res.abs_error_estimate < 1e-2 * res.value
+
+
+@pytest.mark.parametrize("pts", [generate_uniform(8, 2, seed=0), generate_halton(64, 2),
+                                 generate_uniform(32, 3, seed=0)], ids=["u8x2", "h64x2", "u32x3"])
+def test_astronomical_p_reaches_the_sup(pts, capfd):
+    # pieces at the sup point shrink until their midpoint rounds to an end,
+    # and near p = 1e308 the logs of the empty columns overflow
+    star = star_discrepancy_exact(pts)
+    for p in (1e20, 1e100, 1e200, 1e308):
+        res = lp_discrepancy(pts, p)
+        assert math.isfinite(res.value)
+        assert abs(res.value - star) <= res.abs_error_estimate
+    # at p = 1e12 the norm is still below the sup, by about sup |log J| / p
+    res = lp_discrepancy(pts, 1e12)
+    assert star * (1.0 - 1e-9) <= res.value <= star + res.abs_error_estimate
+    assert capfd.readouterr().err == ""
+
+
+def test_tolerance_below_double_rounding_is_floored():
+    pts = generate_uniform(8, 2, seed=0)
+    for p in (1.0, 2.5, 20.0):
+        tiny, tight = (lp_discrepancy(pts, p, rel_tol=tol) for tol in (1e-300, 1e-13))
+        assert tiny.diagnostics["rel_tol"] == REL_TOL_FLOOR
+        assert abs(tiny.value - tight.value) <= tiny.abs_error_estimate + tight.abs_error_estimate
+    tiny, tight = (luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=tol) for tol in (1e-300, 1e-13))
+    assert abs(tiny.value - tight.value) <= tiny.abs_error_estimate + tight.abs_error_estimate
 
 
 def test_error_estimates_honest_against_tight_solve():

@@ -1,6 +1,5 @@
 """Young functions, weight functions, and Luxemburg norms."""
 
-import functools
 import json
 import math
 
@@ -9,8 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from discnorm import lp as lp_module
-from discnorm.integrate import lp_adaptive_integral
+from discnorm import integrate
 from discnorm.lp import LpCache, lp_discrepancy
 from discnorm.orlicz import (
     OrliczSpec,
@@ -211,8 +209,7 @@ class TestLuxemburgNorm:
         assert res.diagnostics["p_values"] == len(cache._values)
         assert res.diagnostics["budget_exceeded"] is False
         # one box in all: every adaptive L_p result runs out of budget
-        monkeypatch.setattr(lp_module, "lp_adaptive_integral",
-                            functools.partial(lp_adaptive_integral, total_budget=1))
+        monkeypatch.setattr(integrate, "PIECE_BUDGET", 1)
         starved = luxemburg_norm(pts, OrliczSpec(2.0))
         assert starved.diagnostics["budget_exceeded"] is True
 
@@ -224,6 +221,22 @@ class TestPhiNorm:
         # ||disc||_1 = 1/4 and ||disc||_p / p only decays from there
         assert res.value == pytest.approx(0.25, rel=1e-6)
         assert res.diagnostics["p_star"] == 1.0
+
+    @pytest.mark.parametrize("r, exact", [(0.05, 0.38048224386330),
+                                          (0.1, 0.31829840516725),
+                                          (0.15, 0.27850618580627)])
+    def test_interior_max_matches_closed_form(self, r, exact):
+        # the point 0.5 in d = 1 has ||disc||_p = 0.5 (p+1)^(-1/p); against
+        # p^r the sup sits at p* = 63.7, 21.6 and 9.83 (mpmath)
+        res = phi_norm(PointSet(np.array([[0.5]])), WeightFn.power(1.0, r))
+        assert abs(res.value - exact) <= res.abs_error_estimate
+        assert res.value == pytest.approx(exact, rel=1e-6)
+        assert res.diagnostics["p_star"] > 8.0
+
+    def test_sup_at_p_one_walks_one_side(self):
+        res = alpha_norm(generate_uniform(64, 2, seed=0), 2.0, rel_tol=1e-6)
+        assert res.diagnostics["p_star"] == 1.0
+        assert res.diagnostics["p_values"] <= 12
 
     def test_alpha_norm_equals_power_weight_phi_norm(self):
         pts = generate_uniform(8, 2, seed=55)
