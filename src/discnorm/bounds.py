@@ -9,7 +9,7 @@ deterministic in CI even though the underlying claim is probabilistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -117,20 +117,12 @@ class BoundReport:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "margin": self.margin,
-            "params": self.params,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def stirling_check(p: int) -> BoundReport:
     """sqrt(2 pi p)(p/e)^p <= p! <= same * e^(1/(12p)), in log domain."""
-    if not 1 <= p <= 170:
+    if p not in range(1, 171):
         raise ValueError("p must be an integer in [1, 170]")
     log_lo = 0.5 * math.log(2.0 * math.pi * p) + p * (math.log(p) - 1.0)
     log_hi = log_lo + 1.0 / (12.0 * p)
@@ -150,26 +142,35 @@ def stirling_check(p: int) -> BoundReport:
 
 def theorem2_constant(alpha: float) -> float:
     """2601 * alpha^(2/alpha) * (sqrt(2 pi) / e^(11/12))^(2/alpha)."""
-    if alpha < 1:
+    if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
     expo = (2.0 / alpha) * (math.log(alpha) - math.log(SANDWICH_LOWER_BASE))
     return 2601.0 * math.exp(expo)
 
 
-def theorem2_n_bound(alpha: float, eps: float, d: int) -> int:
-    """ceil(C_alpha * d^max(1, 2/alpha) * log(d+1)^(2/alpha) / eps^2)."""
+def _n_bound(eps: float, d: int, over_eps2) -> int:
+    """ceil(over_eps2(eps^2)), called once eps lies in (0, 1) and d >= 1.
+
+    An eps^2 that underflows, or a bound that overflows, saturates.
+    """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if d < 1:
         raise ValueError("d must be >= 1")
-    c = theorem2_constant(alpha)
     eps2 = eps * eps
     if eps2 == 0.0:
         return NBOUND_SATURATION
-    x = c * d ** max(1.0, 2.0 / alpha) * math.log(d + 1.0) ** (2.0 / alpha) / eps2
+    x = over_eps2(eps2)
     if not math.isfinite(x) or x >= NBOUND_SATURATION:
         return NBOUND_SATURATION
     return int(math.ceil(x))
+
+
+def theorem2_n_bound(alpha: float, eps: float, d: int) -> int:
+    """ceil(C_alpha * d^max(1, 2/alpha) * log(d+1)^(2/alpha) / eps^2)."""
+    c = theorem2_constant(alpha)
+    return _n_bound(eps, d, lambda eps2: (
+        c * d ** max(1.0, 2.0 / alpha) * math.log(d + 1.0) ** (2.0 / alpha) / eps2))
 
 
 def nbound1(eps: float, d: int, phi: WeightFn) -> int:
@@ -178,32 +179,23 @@ def nbound1(eps: float, d: int, phi: WeightFn) -> int:
     The sup is 1/phi(1)^2 for the nondecreasing kinds; tabulated weights
     scan their knots.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if d < 1:
-        raise ValueError("d must be >= 1")
     sup_inv = 1.0 / phi.min_phi_from(1.0) ** 2
-    eps2 = eps * eps
-    if eps2 == 0.0:
-        return NBOUND_SATURATION
-    x = C_PT_DEFAULT ** 2 * d * (d + 1.0) ** 2 * float(phi.phi(float(d))) ** 2 / eps2 * sup_inv
-    if not math.isfinite(x) or x >= NBOUND_SATURATION:
-        return NBOUND_SATURATION
-    return int(math.ceil(x))
+    return _n_bound(eps, d, lambda eps2: (
+        C_PT_DEFAULT ** 2 * d * (d + 1.0) ** 2 * phi.phi(float(d)) ** 2 / eps2 * sup_inv))
 
 
 def initial_phi_lower(d: int, phi: WeightFn) -> float:
     """1 / ((d+1) phi(d)): lower bound for the empty-set phi norm."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return 1.0 / ((d + 1.0) * float(phi.phi(float(d))))
+    return 1.0 / ((d + 1.0) * phi.phi(float(d)))
 
 
 def initial_alpha_lower(d: int, alpha: float) -> float:
     """1 / (4 (d log(d+1))^(1/alpha)): empty-set alpha-norm lower bound."""
     if d < 2:
         raise ValueError("d must be >= 2 so the attaining p stays >= 1")
-    if alpha < 1:
+    if not alpha >= 1.0:
         raise ValueError("alpha must be >= 1")
     return 1.0 / (4.0 * (d * math.log(d + 1.0)) ** (1.0 / alpha))
 
@@ -256,7 +248,7 @@ def _general_lower_const(phi: WeightFn, alpha: float) -> float:
     This is min(1, phi(1)/phi(alpha)) for nondecreasing weights and
     honors the dips of a tabulated one.
     """
-    return min(1.0, phi.min_phi_from(1.0) / float(phi.phi(alpha)))
+    return min(1.0, phi.min_phi_from(1.0) / phi.phi(alpha))
 
 
 def lemma1_sandwich_check(points: PointSet, alpha: float,

@@ -12,9 +12,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bounds import (
+    _NORM_NEEDS,
     BoundReport,
     NormSpec,
     construction_constants_check,
@@ -55,8 +57,6 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
     if args.kind == "uniform":
         pts = generate_uniform(args.n, args.d, args.seed)
     else:
@@ -77,12 +77,7 @@ def cmd_disc(args) -> int:
         raise ValueError("--tol must lie in (0, 1e-2]")
     res = spec.compute(points, rel_tol=args.tol)
     if args.json:
-        payload = {
-            "value": res.value,
-            "abs_error_estimate": res.abs_error_estimate,
-            "diagnostics": res.diagnostics,
-        }
-        print(json.dumps(payload))
+        print(json.dumps(asdict(res)))
     else:
         print(f"value={res.value!r}")
         print(f"abs_error_estimate={res.abs_error_estimate!r}")
@@ -252,6 +247,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _add_norm_flags(parser: _Parser) -> None:
+    """The --norm flag and the parameters its kinds take."""
+    parser.add_argument("--norm", required=True, choices=list(_NORM_NEEDS))
+    parser.add_argument("--p", type=float, default=None)
+    parser.add_argument("--alpha", type=float, default=None)
+    parser.add_argument("--phi", default=None, help="weight JSON descriptor")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="discnorm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -266,11 +269,7 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("disc", help="compute a discrepancy norm")
     c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--norm", required=True,
-                   choices=["lp", "star", "psi-alpha", "phi", "alpha-norm"])
-    c.add_argument("--p", type=float, default=None)
-    c.add_argument("--alpha", type=float, default=None)
-    c.add_argument("--phi", default=None, help="weight JSON descriptor")
+    _add_norm_flags(c)
     c.add_argument("--tol", type=float, default=None)
     c.add_argument("--d", type=int, default=None,
                    help="dimension (required for empty input files)")
@@ -283,11 +282,7 @@ def build_parser() -> _Parser:
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("sweep", help="trial-minimum discrepancy sweep CSV")
-    s.add_argument("--norm", required=True,
-                   choices=["lp", "star", "psi-alpha", "phi", "alpha-norm"])
-    s.add_argument("--p", type=float, default=None)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--phi", default=None)
+    _add_norm_flags(s)
     s.add_argument("--d-range", dest="d_range", required=True)
     s.add_argument("--n-range", dest="n_range", required=True)
     s.add_argument("--trials", type=int, default=4)

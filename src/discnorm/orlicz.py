@@ -32,17 +32,6 @@ _ROOT_STEP_CAP = 200
 _PHI_X_CAP = 12
 _PHI_HALVINGS = 7
 
-_lgamma_array = np.vectorize(math.lgamma, otypes=[float])
-
-
-def _lgamma(x):
-    """log Gamma elementwise, by math.lgamma; scalars skip np.vectorize."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return np.float64(math.lgamma(x))
-    return _lgamma_array(x)
-
-
 def _json_number(data: dict, key: str) -> float:
     """data[key] as a finite float; anything else is a ValueError."""
     try:
@@ -65,6 +54,8 @@ class WeightFn:
       subexp(tau):      phi(p) = exp(p^tau) with 0 < tau < 1.
       tabulated(knots): linear interpolation of (p, value) pairs, constant
           beyond the first/last knot.
+
+    ``log_phi`` and ``phi`` take one float p > 0 and return a float.
     """
 
     kind: str
@@ -89,8 +80,7 @@ class WeightFn:
         else:
             if not self.knots:
                 raise ValueError("tabulated weight needs at least one knot")
-            ps = [k[0] for k in self.knots]
-            vs = [k[1] for k in self.knots]
+            ps, vs = zip(*self.knots)
             if not all(0.0 < v < math.inf for v in vs):
                 raise ValueError("tabulated weight values must be positive and finite")
             if not all(math.isfinite(p) for p in ps):
@@ -114,43 +104,33 @@ class WeightFn:
     def tabulated(cls, knots) -> "WeightFn":
         return cls(kind="tabulated", knots=tuple((float(p), float(v)) for p, v in knots))
 
-    def log_phi(self, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0):
+    def log_phi(self, p: float) -> float:
+        if not p > 0:
             raise ValueError("weight evaluated at p <= 0")
         if self.kind == "factorial":
-            out = _lgamma(p / self.alpha + 1.0) / p
-        elif self.kind == "power":
-            out = math.log(self.C) + self.r * np.log(p)
-        elif self.kind == "subexp":
-            out = p ** self.tau
-        else:
-            kp = np.array([k[0] for k in self.knots])
-            kv = np.array([k[1] for k in self.knots])
-            out = np.log(np.interp(p, kp, kv))
-        return out if out.ndim else float(out)
+            return math.lgamma(p / self.alpha + 1.0) / p
+        if self.kind == "power":
+            return math.log(self.C) + self.r * math.log(p)
+        if self.kind == "subexp":
+            return p ** self.tau
+        kp, kv = zip(*self.knots)
+        return math.log(np.interp(p, kp, kv))
 
-    def phi(self, p):
-        out = np.exp(self.log_phi(p))
-        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    def phi(self, p: float) -> float:
+        return math.exp(self.log_phi(p))
 
     def is_unbounded(self) -> bool:
         """Whether phi(p) -> infinity as p grows; exact per kind."""
         if self.kind == "power":
             return self.r > 0.0
-        if self.kind == "tabulated":
-            return False
-        return True
+        return self.kind != "tabulated"
 
     def min_phi_from(self, p: float) -> float:
         """inf of phi over [p, infinity); exact for the built-in kinds."""
         if self.kind == "tabulated":
-            kp = [k[0] for k in self.knots]
-            kv = [k[1] for k in self.knots]
-            cands = [float(self.phi(p))] + [v for q, v in zip(kp, kv) if q >= p]
-            return min(cands)
+            return min([self.phi(p)] + [v for q, v in self.knots if q >= p])
         # factorial, power, subexp weights are nondecreasing on p >= 1
-        return float(self.phi(p))
+        return self.phi(p)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -196,19 +176,16 @@ class OrliczSpec:
                 "this one stays bounded"
             )
 
-    def log_denom(self, ell):
-        """log of phi(alpha*ell)^(alpha*ell), i.e. log(l!) for the exact kind."""
-        ell = np.asarray(ell, dtype=float)
+    def log_denom(self, ell: float) -> float:
+        """log phi(alpha*ell)^(alpha*ell) as a float, i.e. log(ell!) for the exact kind."""
         if self.weight is None:
-            out = _lgamma(ell + 1.0)
-        else:
-            p = self.alpha * ell
-            out = p * self.weight.log_phi(p)
-        return out if out.ndim else float(out)
+            return math.lgamma(ell + 1.0)
+        p = self.alpha * ell
+        return p * self.weight.log_phi(p)
 
 
 def young_eval(spec: OrliczSpec, x):
-    """psi(x) for x >= 0, vectorized; overflow saturates to inf."""
+    """psi(x) for x >= 0, the layer's only function vectorised in x; overflow gives inf."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -236,7 +213,6 @@ def young_eval(spec: OrliczSpec, x):
                 prev = logterm
             else:
                 raise NumericalError("Young series did not converge within the term cap")
-        out = np.where(np.isinf(out), np.inf, out)
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
@@ -395,7 +371,7 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
 
     def g(x):
         p = 2.0 ** x
-        return lp_at(p) / float(weight.phi(p))
+        return lp_at(p) / weight.phi(p)
 
     best, x_star = -math.inf, 0.0
     for x_last in range(_PHI_X_CAP + 1):

@@ -64,6 +64,23 @@ def test_theorem2_n_bound_frozen_and_saturation():
     assert all(a <= b for a, b in zip(seq, seq[1:]))
 
 
+@pytest.mark.parametrize("fn, args", [
+    (theorem2_constant, (math.nan,)),
+    (theorem2_constant, (math.inf,)),
+    (theorem2_n_bound, (math.nan, 0.5, 3)),
+    (theorem2_n_bound, (math.inf, 0.5, 3)),
+    (initial_alpha_lower, (3, math.nan)),
+    (stirling_check, (2.5,)),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_bound_helpers_reject_nan_infinite_alpha_and_fractional_p(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+def test_initial_alpha_lower_infinite_alpha_is_the_limit():
+    assert initial_alpha_lower(3, math.inf) == 0.25
+
+
 def test_nbound1_frozen_value():
     assert nbound1(0.5, 2, WeightFn.power(1.0, 1.0)) == 1842
     assert nbound1(1e-200, 2, WeightFn.power(1.0, 1.0)) == 10 ** 308
@@ -193,4 +210,5 @@ def test_bound_report_json():
     rep = stirling_check(7)
     data = rep.to_json()
     assert set(data) == {"name", "lhs", "rhs", "holds", "margin", "params", "note"}
+    assert list(data) == ["name", "lhs", "rhs", "holds", "margin", "params", "note"]
     assert data["holds"] is True

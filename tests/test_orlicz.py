@@ -25,6 +25,14 @@ from oracles import luxemburg_norm_piecewise, modular_by_quadrature
 # discrepancy |f(t)| = t on [0, 1] under psi_1; frozen from brentq.
 EMPTY_D1_ALPHA1 = 0.7959050946318331
 
+# One weight of each kind.
+ALL_KINDS = [
+    WeightFn.factorial(2.0),
+    WeightFn.power(1.5, 0.5),
+    WeightFn.subexp(0.5),
+    WeightFn.tabulated(((1.0, 2.0), (4.0, 1.0), (16.0, 3.0))),
+]
+
 
 class TestWeightFn:
     def test_factorial_kind_values(self):
@@ -86,6 +94,20 @@ class TestWeightFn:
         assert w.min_phi_from(2.0) == 1.0
         assert w.min_phi_from(6.0) == pytest.approx(2.0, rel=1e-14)
 
+    @pytest.mark.parametrize("w", ALL_KINDS)
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan])
+    def test_rejects_p_not_positive(self, w, p):
+        with pytest.raises(ValueError):
+            w.log_phi(p)
+        with pytest.raises(ValueError):
+            w.phi(p)
+
+    @pytest.mark.parametrize("w", ALL_KINDS)
+    def test_scalar_in_float_out(self, w):
+        for p in (1.0, 2.5, 40.0):
+            assert type(w.log_phi(p)) is float
+            assert type(w.phi(p)) is float
+
 
 class TestYoungFunction:
     def test_series_matches_closed_form_for_factorial_weight(self):
@@ -117,6 +139,12 @@ class TestYoungFunction:
         spec_w = OrliczSpec(2.0, WeightFn.power(1.0, 1.0))
         # log(phi(alpha l)^(alpha l)) = alpha l * log(alpha l) for phi(p) = p
         assert spec_w.log_denom(3) == pytest.approx(6.0 * math.log(6.0), rel=1e-14)
+
+    @pytest.mark.parametrize("weight", [None] + [w for w in ALL_KINDS if w.is_unbounded()])
+    def test_log_denom_returns_float(self, weight):
+        spec = OrliczSpec(2.0, weight)
+        for ell in (1, 3, 7.0):
+            assert type(spec.log_denom(ell)) is float
 
 
 class TestLuxemburgPiecewise:
