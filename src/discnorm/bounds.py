@@ -142,8 +142,7 @@ def stirling_check(p: int) -> BoundReport:
 
 def theorem2_constant(alpha: float) -> float:
     """2601 * alpha^(2/alpha) * (sqrt(2 pi) / e^(11/12))^(2/alpha)."""
-    if not 1.0 <= alpha < math.inf:
-        raise ValueError("alpha must be >= 1")
+    check_p(alpha, "alpha")
     expo = (2.0 / alpha) * (math.log(alpha) - math.log(SANDWICH_LOWER_BASE))
     return 2601.0 * math.exp(expo)
 

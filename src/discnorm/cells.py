@@ -31,21 +31,12 @@ def count_in_box(ps: PointSet, t) -> int:
         raise ValueError(f"t must have shape ({ps.dim},)")
     if (t < 0.0).any() or (t > 1.0).any():
         raise ValueError("t must lie in [0, 1]^d")
-    if ps.n_points == 0:
-        return 0
     return int((ps.coords < t).all(axis=1).sum())
 
 
 def local_discrepancy(ps: PointSet, t) -> float:
     """count([0,t))/N - Vol([0,t)); for N = 0 this is -Vol([0,t))."""
-    t = np.asarray(t, dtype=np.float64)
-    vol = float(np.prod(t))
-    if ps.n_points == 0:
-        # Empty-set convention: the counting term vanishes.
-        if t.shape != (ps.dim,) or (t < 0.0).any() or (t > 1.0).any():
-            raise ValueError("t must lie in [0, 1]^d")
-        return -vol
-    return count_in_box(ps, t) / ps.n_points - vol
+    return count_in_box(ps, t) / max(ps.n_points, 1) - float(np.prod(t))
 
 
 @dataclass(frozen=True)
@@ -81,9 +72,7 @@ class CellGrid:
 
     def count_fractions(self) -> np.ndarray:
         """counts / N as float; all zeros for the empty set."""
-        if self.n_points == 0:
-            return np.zeros_like(self.counts, dtype=np.float64)
-        return self.counts / float(self.n_points)
+        return self.counts / float(max(self.n_points, 1))
 
     def sup_abs_discrepancy(self) -> float:
         """sup over the cube of |local discrepancy|.
@@ -119,17 +108,16 @@ def build_cell_grid(ps: PointSet) -> CellGrid:
             f"would have {n_cells} cells (limit {MAX_CELLS_DEFAULT})"
         )
     occ = np.zeros(shape, dtype=np.int64)
-    if ps.n_points:
-        # Point with coordinate equal to breakpoint b_m is inside [0, t)
-        # exactly when the cell starts at b_m or later, so an occupancy
-        # histogram at the point's own breakpoint indices followed by a
-        # prefix sum along every axis yields all cell counts at once.
-        idx = tuple(
-            np.searchsorted(bps[i], ps.coords[:, i], side="left") for i in range(d)
-        )
-        np.add.at(occ, idx, 1)
-        for ax in range(d):
-            occ = occ.cumsum(axis=ax)
+    # Point with coordinate equal to breakpoint b_m is inside [0, t)
+    # exactly when the cell starts at b_m or later, so an occupancy
+    # histogram at the point's own breakpoint indices followed by a
+    # prefix sum along every axis yields all cell counts at once.
+    idx = tuple(
+        np.searchsorted(bps[i], ps.coords[:, i], side="left") for i in range(d)
+    )
+    np.add.at(occ, idx, 1)
+    for ax in range(d):
+        occ = occ.cumsum(axis=ax)
     counts = occ
     counts.setflags(write=False)
     return CellGrid(breakpoints=tuple(bps), counts=counts, n_points=ps.n_points)

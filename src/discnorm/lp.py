@@ -98,7 +98,6 @@ class LpCache:
         self.rel_tol = check_rel_tol(rel_tol)
         self._grid: CellGrid | None = None
         self._values: dict[float, NormResult] = {}
-        self._sup: float | None = None
 
     @property
     def grid(self) -> CellGrid:
@@ -109,9 +108,7 @@ class LpCache:
     @property
     def sup_abs(self) -> float:
         """sup over the cube of |local discrepancy| (exact)."""
-        if self._sup is None:
-            self._sup = self.grid.sup_abs_discrepancy()
-        return self._sup
+        return self.grid.sup_abs_discrepancy()
 
     def norm(self, p: float, rel_tol: float | None = None) -> NormResult:
         """The L_p norm at ``p``, computed to ``rel_tol`` (default: the

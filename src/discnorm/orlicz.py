@@ -11,14 +11,13 @@ search entirely: each new series term is one cached L_p computation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .integrate import NumericalError
-from .lp import REL_TOL_FLOOR, LpCache, NormResult, check_rel_tol
+from .lp import LpCache, NormResult, check_p, check_rel_tol
 from .pointset import PointSet
 
 _WEIGHT_KINDS = ("factorial", "power", "subexp", "tabulated")
@@ -69,11 +68,11 @@ class WeightFn:
         if self.kind not in _WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == "factorial":
-            if self.alpha is None or not self.alpha >= 1.0:
-                raise ValueError("factorial weight needs alpha >= 1")
+            check_p(math.nan if self.alpha is None else self.alpha, "alpha")
         elif self.kind == "power":
-            if self.C is None or self.r is None or not self.C > 0 or not self.r >= 0:
-                raise ValueError("power weight needs C > 0 and r >= 0")
+            if not (self.C is not None and self.r is not None
+                    and 0.0 < self.C < math.inf and 0.0 <= self.r < math.inf):
+                raise ValueError("power weight needs finite C > 0 and r >= 0")
         elif self.kind == "subexp":
             if self.tau is None or not 0.0 < self.tau < 1.0:
                 raise ValueError("subexp weight needs 0 < tau < 1")
@@ -168,8 +167,7 @@ class OrliczSpec:
     weight: WeightFn | None = None
 
     def __post_init__(self):
-        if not self.alpha >= 1.0:
-            raise ValueError("alpha must be >= 1")
+        check_p(self.alpha, "alpha")
         if self.weight is not None and not self.weight.is_unbounded():
             raise ValueError(
                 "the Young-series construction needs an unbounded weight; "
@@ -214,19 +212,6 @@ def young_eval(spec: OrliczSpec, x):
             else:
                 raise NumericalError("Young series did not converge within the term cap")
     return float(out[0]) if scalar else out.reshape(np.shape(x))
-
-
-@functools.lru_cache(maxsize=256)
-def _psi_inv_one(spec: OrliczSpec) -> float:
-    """The point where psi reaches 1; exact for the closed-form kind.
-
-    Otherwise it is 1 / K for the root K of modular(K) = psi(1 / K),
-    found by the Luxemburg root search to ``REL_TOL_FLOOR`` relative.
-    """
-    if spec.weight is None:
-        return math.log(2.0) ** (1.0 / spec.alpha)
-    lo, hi, _ = _luxemburg_root(lambda k: (young_eval(spec, 1.0 / k), 0.0), 1.0, REL_TOL_FLOOR)
-    return 2.0 / (lo + hi)
 
 
 def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float):
@@ -304,15 +289,20 @@ def _luxemburg_root(modular, hi: float, rel_tol: float):
     return lo, hi, iters
 
 
-def _lp_reader(cache: LpCache):
-    """A p -> L_p value function on ``cache``, and the results it has read."""
+def _lp_reader(points: PointSet, cache: LpCache | None, rel_tol: float):
+    """The opening of an Orlicz norm: the checked ``rel_tol``, a p -> L_p
+    value function on ``cache`` (by default one at ``rel_tol``), the
+    results it has read, and sup|f| for its tail bounds."""
+    rel_tol = check_rel_tol(rel_tol)
+    if cache is None:
+        cache = LpCache(points, rel_tol)
     read: dict[float, NormResult] = {}
 
     def lp_at(p):
         res = read[float(p)] = cache.norm(p)
         return res.value
 
-    return lp_at, read
+    return rel_tol, cache, lp_at, read, cache.sup_abs
 
 
 def _lp_summary(read: dict) -> dict:
@@ -326,21 +316,26 @@ def luxemburg_norm(points: PointSet, spec: OrliczSpec, rel_tol: float = 1e-8,
                    cache: LpCache | None = None) -> NormResult:
     """Luxemburg norm of the local discrepancy of ``points`` under psi.
 
-    Root search on K for modular(K) = 1.  The starting upper bracket
-    K = sup|f| / psi^{-1}(1) always has modular <= 1 pointwise, and the
-    modular blows up as K -> 0, so plain bisection is safe.  Without a
-    ``cache`` the L_p values are computed at ``rel_tol / 10``, so their
-    share of the error, 10 times the cache tolerance, stays ``rel_tol``.
+    Root search on K for modular(K) = 1, started at K = sup|f| / x1.
+    For the closed-form kind x1 = psi^{-1}(1) = log(2)^(1/alpha), so
+    modular(K) <= 1 pointwise there; for a weighted kind x1 = phi(alpha),
+    where the first series term reaches 1, and the doubling branch of
+    the root search brackets from there.  The modular blows up as K -> 0,
+    so plain bisection is safe.
+
+    Scaling every L_p value and K by 1 + eps leaves the modular
+    unchanged, and the modular falls as K grows, so L_p values within
+    ``cache.rel_tol`` move the root by at most that relative amount: the
+    error is half the final bracket plus ``value * cache.rel_tol``.
+    Without a ``cache`` the L_p values are computed at ``rel_tol``.
     """
-    rel_tol = check_rel_tol(rel_tol)
-    if cache is None:
-        cache = LpCache(points, rel_tol / 10.0)
-    lp_at, read = _lp_reader(cache)
-    sup = cache.sup_abs
+    rel_tol, cache, lp_at, read, sup = _lp_reader(points, cache, rel_tol)
+    x1 = (math.log(2.0) ** (1.0 / spec.alpha) if spec.weight is None
+          else spec.weight.phi(spec.alpha))
     lo, hi, iters = _luxemburg_root(
-        lambda k: _modular_series(lp_at, sup, spec, k), sup / _psi_inv_one(spec), rel_tol)
+        lambda k: _modular_series(lp_at, sup, spec, k), sup / x1, rel_tol)
     value = 0.5 * (lo + hi)
-    err = 0.5 * (hi - lo) + value * 10.0 * cache.rel_tol
+    err = 0.5 * (hi - lo) + value * cache.rel_tol
     return NormResult(
         value=value,
         abs_error_estimate=err,
@@ -363,11 +358,7 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
     L_p values are computed at ``rel_tol``; the reported error is never
     below 1e-3 of the value.
     """
-    rel_tol = check_rel_tol(rel_tol)
-    if cache is None:
-        cache = LpCache(points, rel_tol)
-    lp_at, read = _lp_reader(cache)
-    sup = cache.sup_abs
+    rel_tol, _, lp_at, read, sup = _lp_reader(points, cache, rel_tol)
 
     def g(x):
         p = 2.0 ** x
@@ -404,8 +395,7 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
 def alpha_norm(points: PointSet, alpha: float, rel_tol: float = 1e-6,
                cache: LpCache | None = None) -> NormResult:
     """sup over p >= 1 of ||local discrepancy||_{L_p} / p^(1/alpha)."""
-    if not alpha >= 1.0:
-        raise ValueError("alpha must be >= 1")
+    check_p(alpha, "alpha")
     res = phi_norm(points, WeightFn.power(1.0, 1.0 / alpha),
                    rel_tol=rel_tol, cache=cache)
     diag = dict(res.diagnostics)

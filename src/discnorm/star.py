@@ -27,18 +27,14 @@ def star_discrepancy_lower_mc(points: PointSet, samples: int = 100_000,
     n = points.n_points
     rng = np.random.Generator(np.random.PCG64(seed))
     best = 0.0
-    chunk = max(1, min(samples, 4_000_000 // max(n, 1) if n else samples))
+    chunk = max(1, min(samples, 4_000_000 // max(n, 1)))
     left = samples
     coords = points.coords
     while left > 0:
         b = min(chunk, left)
         t = rng.random((b, d))
-        vol = t.prod(axis=1)
-        if n:
-            cnt = (coords[None, :, :] < t[:, None, :]).all(axis=2).sum(axis=1)
-            disc = np.abs(cnt / n - vol)
-        else:
-            disc = vol
+        cnt = (coords[None, :, :] < t[:, None, :]).all(axis=2).sum(axis=1)
+        disc = np.abs(cnt / max(n, 1) - t.prod(axis=1))
         best = max(best, float(disc.max()))
         left -= b
     return best

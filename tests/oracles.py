@@ -19,7 +19,7 @@ import numpy as np
 from discnorm.cells import CellGrid, build_cell_grid
 from discnorm.integrate import MAX_EVAL_ELEMENTS, _gl01
 from discnorm.lp import NormResult
-from discnorm.orlicz import OrliczSpec, _luxemburg_root, _psi_inv_one, young_eval
+from discnorm.orlicz import OrliczSpec, _luxemburg_root, young_eval
 from discnorm.pointset import PointSet
 
 
@@ -171,7 +171,7 @@ def luxemburg_norm_piecewise(volumes, values, spec: OrliczSpec,
         with np.errstate(over="ignore"):
             return float(np.sum(volumes * young_eval(spec, values / k))), 0.0
 
-    lo, hi, iters = _luxemburg_root(modular, vmax / _psi_inv_one(spec), rel_tol)
+    lo, hi, iters = _luxemburg_root(modular, vmax, rel_tol)
     value = 0.5 * (lo + hi)
     return NormResult(value, 0.5 * (hi - lo), {"engine": "piecewise", "iterations": iters})
 

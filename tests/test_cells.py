@@ -68,6 +68,15 @@ def test_local_discrepancy_empty_set():
     ps = empty_pointset(2)
     assert local_discrepancy(ps, [0.5, 0.5]) == -0.25
     assert local_discrepancy(ps, [1.0, 1.0]) == -1.0
+    with pytest.raises(ValueError):
+        local_discrepancy(ps, [0.5, 1.5])
+
+
+def test_count_empty_set():
+    ps = empty_pointset(3)
+    assert count_in_box(ps, [1.0, 1.0, 1.0]) == 0
+    with pytest.raises(ValueError):
+        count_in_box(ps, [0.5, 0.5])
 
 
 def test_cell_volumes_partition_the_cube():

@@ -75,6 +75,13 @@ class TestWeightFn:
             WeightFn.factorial(0.5)
         with pytest.raises(ValueError):
             WeightFn(kind="nope")
+        # an infinite parameter is rejected too; power(1, inf) would give a
+        # phi norm of 0.0 with error 0.0
+        for make in (lambda: WeightFn.factorial(math.inf),
+                     lambda: WeightFn.power(1.0, math.inf),
+                     lambda: WeightFn.power(math.inf, 0.5)):
+            with pytest.raises(ValueError):
+                make()
 
     def test_json_round_trip_all_kinds(self):
         weights = [
@@ -132,6 +139,8 @@ class TestYoungFunction:
             OrliczSpec(2.0, WeightFn.power(1.0, 0.0))
         with pytest.raises(ValueError):
             OrliczSpec(0.5)
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            OrliczSpec(math.inf)
 
     def test_log_denom_exact_kind_is_log_factorial(self):
         spec = OrliczSpec(2.0)
@@ -221,14 +230,35 @@ class TestLuxemburgNorm:
                                cache=LpCache(pts, rel_tol=1e-10))
         assert abs(loose.value - tight.value) <= 3.0 * loose.abs_error_estimate
 
-    def test_default_cache_is_a_tenth_of_the_tolerance(self):
+    def test_default_cache_is_the_tolerance(self):
         pts = generate_uniform(12, 2, seed=45)
         own = luxemburg_norm(pts, OrliczSpec(2.0))
-        given = luxemburg_norm(pts, OrliczSpec(2.0), cache=LpCache(pts, 1e-9))
+        given = luxemburg_norm(pts, OrliczSpec(2.0), cache=LpCache(pts, 1e-8))
         assert own == given
         loose = luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=1e-5)
         assert loose == luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=1e-5,
-                                       cache=LpCache(pts, 1e-6))
+                                       cache=LpCache(pts, 1e-5))
+        # the L_p share of the error is the cache tolerance itself
+        lo, hi = own.diagnostics["bracket"]
+        assert own.abs_error_estimate == 0.5 * (hi - lo) + own.value * 1e-8
+
+    @pytest.mark.parametrize("n, d, seed", [(16, 2, 3), (8, 3, 1)])
+    def test_error_covers_tight_rerun_for_every_kind(self, n, d, seed):
+        pts = generate_uniform(n, d, seed=seed)
+        tight = LpCache(pts, 1e-12)
+        for spec in [OrliczSpec(1.0), OrliczSpec(2.0),
+                     OrliczSpec(2.0, WeightFn.factorial(2.0)),
+                     OrliczSpec(2.0, WeightFn.power(1.0, 0.5)),
+                     OrliczSpec(2.0, WeightFn.power(100.0, 0.5)),
+                     OrliczSpec(2.0, WeightFn.power(0.01, 0.5)),
+                     OrliczSpec(1.0, WeightFn.subexp(0.5))]:
+            ref = luxemburg_norm(pts, spec, rel_tol=1e-12, cache=tight).value
+            for res in (luxemburg_norm(pts, spec, cache=LpCache(pts, 1e-5)),
+                        luxemburg_norm(pts, spec, rel_tol=1e-6)):
+                assert abs(res.value - ref) <= res.abs_error_estimate
+            # the start is within a factor 4 of the root here, so at 1e-8 the
+            # bisection of the bracket closes in at most 29 halvings
+            assert luxemburg_norm(pts, spec).diagnostics["iterations"] <= 29
 
     def test_diagnostics_carry_the_lp_reads(self, monkeypatch):
         pts = generate_uniform(8, 2, seed=46)
@@ -314,5 +344,6 @@ class TestPhiNorm:
         assert res.diagnostics["budget_exceeded"] is False
 
     def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            alpha_norm(generate_uniform(4, 1, seed=0), 0.5)
+        for alpha in (0.5, math.inf):
+            with pytest.raises(ValueError):
+                alpha_norm(generate_uniform(4, 1, seed=0), alpha)

@@ -51,6 +51,11 @@ def test_exact_dominates_monte_carlo():
         assert mc >= 0.5 * exact
 
 
+def test_monte_carlo_empty_set_is_the_largest_sampled_volume():
+    t = np.random.Generator(np.random.PCG64(3)).random((1000, 2))
+    assert star_discrepancy_lower_mc(empty_pointset(2), samples=1000, seed=3) == t.prod(axis=1).max()
+
+
 def test_monte_carlo_deterministic():
     pts = generate_uniform(16, 2, seed=21)
     a = star_discrepancy_lower_mc(pts, samples=10_000, seed=5)
