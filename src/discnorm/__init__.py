@@ -8,7 +8,6 @@ from .bounds import (
     empirical_inverse_discrepancy,
     hnww_empirical_check,
     initial_alpha_lower,
-    initial_of,
     initial_phi_lower,
     lemma1_sandwich_check,
     min_const_check,
@@ -17,7 +16,7 @@ from .bounds import (
     theorem2_constant,
     theorem2_n_bound,
 )
-from .cells import CellGrid, build_cell_grid, count_in_box, local_discrepancy
+from .cells import CellGrid, build_cell_grid
 from .integrate import NumericalError
 from .lp import LpCache, NormResult, initial_lp, lp_discrepancy, warnock_l2
 from .orlicz import (
@@ -26,7 +25,6 @@ from .orlicz import (
     alpha_norm,
     luxemburg_norm,
     phi_norm,
-    young_eval,
 )
 from .pointset import (
     PointSet,
@@ -34,8 +32,6 @@ from .pointset import (
     generate_halton,
     generate_uniform,
     load_pointset,
-    pointset_from_json,
-    pointset_to_json,
     save_pointset,
 )
 from .star import star_discrepancy_exact, star_discrepancy_lower_mc
@@ -55,7 +51,6 @@ __all__ = [
     "alpha_norm",
     "build_cell_grid",
     "construction_constants_check",
-    "count_in_box",
     "empirical_inverse_discrepancy",
     "empty_pointset",
     "generate_halton",
@@ -63,18 +58,14 @@ __all__ = [
     "hnww_empirical_check",
     "initial_alpha_lower",
     "initial_lp",
-    "initial_of",
     "initial_phi_lower",
     "lemma1_sandwich_check",
     "load_pointset",
-    "local_discrepancy",
     "lp_discrepancy",
     "luxemburg_norm",
     "min_const_check",
     "nbound1",
     "phi_norm",
-    "pointset_from_json",
-    "pointset_to_json",
     "save_pointset",
     "star_discrepancy_exact",
     "star_discrepancy_lower_mc",
@@ -82,5 +73,4 @@ __all__ = [
     "theorem2_constant",
     "theorem2_n_bound",
     "warnock_l2",
-    "young_eval",
 ]

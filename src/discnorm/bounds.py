@@ -327,11 +327,6 @@ def hnww_empirical_check(d: int, n: int, k_trials: int, seed: int) -> BoundRepor
     )
 
 
-def initial_of(norm: dict, d: int) -> float:
-    """Discrepancy of the empty point set under the given norm spec."""
-    return NormSpec.from_json(norm).initial(d)
-
-
 def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
                                   k_trials: int = 16, seed: int = 0,
                                   n_cap: int = 4096) -> int:

@@ -9,7 +9,7 @@ is what every integration routine in this package exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -18,25 +18,6 @@ from .pointset import PointSet
 # Cell counts use a full d-dimensional occupancy histogram, so the cell
 # count is capped; documented desk-scale limit is d <= 5 at moderate N.
 MAX_CELLS_DEFAULT = 1 << 26
-
-
-def count_in_box(ps: PointSet, t) -> int:
-    """Number of points inside the anchored half-open box [0, t).
-
-    Strict inequality in every coordinate: a point sitting exactly on
-    the upper face is outside.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape != (ps.dim,):
-        raise ValueError(f"t must have shape ({ps.dim},)")
-    if (t < 0.0).any() or (t > 1.0).any():
-        raise ValueError("t must lie in [0, 1]^d")
-    return int((ps.coords < t).all(axis=1).sum())
-
-
-def local_discrepancy(ps: PointSet, t) -> float:
-    """count([0,t))/N - Vol([0,t)); for N = 0 this is -Vol([0,t))."""
-    return count_in_box(ps, t) / max(ps.n_points, 1) - float(np.prod(t))
 
 
 @dataclass(frozen=True)
@@ -66,10 +47,6 @@ class CellGrid:
     def cell_hi(self, axis: int) -> np.ndarray:
         return self.breakpoints[axis][1:]
 
-    def cell_volumes(self) -> np.ndarray:
-        lens = [self.cell_hi(i) - self.cell_lo(i) for i in range(self.dim)]
-        return reduce(np.multiply.outer, lens)
-
     def count_fractions(self) -> np.ndarray:
         """counts / N as float; all zeros for the empty set."""
         return self.counts / float(max(self.n_points, 1))
@@ -87,6 +64,17 @@ class CellGrid:
         a = self.count_fractions()
         m = max(np.abs(a - lo).max(), np.abs(a - hi).max())
         return float(m)
+
+    @cached_property
+    def sup_abs(self) -> float:
+        """``sup_abs_discrepancy()``, computed once per grid."""
+        return self.sup_abs_discrepancy()
+
+    @cached_property
+    def memo(self) -> dict:
+        """Store for engines that keep p-independent work on this grid
+        across calls."""
+        return {}
 
 
 def build_cell_grid(ps: PointSet) -> CellGrid:

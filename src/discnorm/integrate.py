@@ -16,7 +16,9 @@ Two routes, used by the norm modules:
   (not a bound); the worst are refined first, by doubling both orders up
   to (12, 24) and by bisection there.  The kinks of F, where the zero of
   A - s t crosses a cell edge, are cut out cell by cell.  Everything is
-  scaled by sup |local discrepancy| so any large p stays in range.
+  scaled by sup |local discrepancy| so any large p stays in range.  From
+  a grid's second call on, the p-independent work on its first-pass
+  pieces is kept on the grid (``_Plan``) and each p only finishes it.
 """
 
 from __future__ import annotations
@@ -72,6 +74,89 @@ def lp_moment_integral(grid: CellGrid, p: int):
     return total, amp
 
 
+def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
+    """The p-independent work of ``_inner_stack``, as the tuple that
+    ``_stack_apply`` reads.
+
+    Per cell: the endpoint value |v| of larger magnitude, floored at
+    1e-300, and log1p(-delta/|v|); the straddle cells, where the sign
+    changes inside the cell, with their two endpoint magnitudes; and the
+    thin cells, whose length is below rounding of |v|, with their lengths
+    and midpoint values.  Those two sets are flat indices, None when
+    empty.  The floor leaves |v|^(p+1) at 0, as p >= 1.
+    """
+    qe = q[:, :, None]
+    ae = a_cnt[:, None, :]
+    tlen = t_hi - t_lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        delta = np.multiply(qe, tlen)
+        delta /= scale
+        vhi = np.multiply(qe, t_lo)
+        np.subtract(ae, vhi, out=vhi)
+        vhi /= scale
+        vlo = np.subtract(vhi, delta)
+        pos = vlo >= 0.0
+        straddle = vhi > 0.0
+        straddle &= ~pos
+        cross = None
+        if straddle.any():
+            idx = np.flatnonzero(straddle)
+            cross = (idx, np.maximum(vhi.reshape(-1)[idx], 0.0),
+                     np.maximum(-vlo.reshape(-1)[idx], 0.0))
+        # the endpoint value of larger magnitude off the straddle cells, in
+        # place of vlo so that no fourth block is held; -vlo is exactly
+        # delta - vhi under IEEE rounding
+        big = np.negative(vlo, out=vlo)
+        np.copyto(big, vhi, where=pos)
+        del pos
+        np.maximum(big, 1e-300, out=big)
+        thin = np.less_equal(delta, np.multiply(big, 1e-12, out=vhi))
+        thin &= ~straddle
+        lg = np.divide(delta, big, out=delta)
+        np.clip(lg, 0.0, 1.0, out=lg)
+        np.negative(lg, out=lg)
+        np.log1p(lg, out=lg)
+        flat = None
+        if thin.any():
+            idx = np.flatnonzero(thin)
+            b, s, k = np.unravel_index(idx, thin.shape)
+            t_mid = np.broadcast_to(t_lo + t_hi, thin.shape)[b, s, k]
+            mid = np.abs(a_cnt[b, k] - q[b, s] * t_mid * 0.5) / scale
+            flat = idx, np.broadcast_to(tlen, thin.shape)[b, s, k], mid
+    return q, big, lg, cross, flat
+
+
+def _stack_apply(prep, p, scale, reduce=True, inplace=True):
+    """The p-dependent rest of ``_inner_stack`` on a ``_stack_prep``;
+    ``inplace`` lets it overwrite the prep's arrays."""
+    q, big, lg, cross, flat = prep
+    q1 = p + 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        # capped so that inf * 0 cannot make a NaN: when q * q1 underflows,
+        # a cell that is not thin has |v| below 1e-296, whose powers are 0
+        inv = np.minimum(scale / (q[:, :, None] * q1), _DBL_MAX)
+        # the common case: the cell sits entirely on one side of the zero
+        # crossing, so the power antiderivative nearly cancels between the
+        # endpoints and goes through log1p/expm1 for accuracy.  It runs on
+        # the whole block; the few straddle and thin cells are overwritten
+        # afterwards.
+        ratio = np.multiply(lg, q1, out=lg if inplace else None)
+        np.expm1(ratio, out=ratio)
+        np.negative(ratio, out=ratio)
+        out = np.power(big, q1, out=big if inplace else None)
+        out *= inv
+        out *= ratio
+        flat_out = out.reshape(-1)
+        if cross is not None:
+            idx, vhi, vlo = cross
+            flat_out[idx] = inv.reshape(-1)[idx // out.shape[2]] * (
+                np.power(vhi, q1) + np.power(vlo, q1))
+        if flat is not None:
+            idx, tlen, mid = flat
+            flat_out[idx] = tlen * np.power(mid, p)
+    return out.sum(axis=2) if reduce else out
+
+
 def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
     """sum_k int_{t_lo[k]}^{t_hi[k]} (|A_k - q t| / scale)^p dt, vectorized.
 
@@ -82,59 +167,7 @@ def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
     cancelling endpoint powers stay accurate.  With ``reduce=False`` the
     per-cell integrals (B, S, m) are returned unsummed.
     """
-    q1 = p + 1.0
-    qe = q[:, :, None]
-    ae = a_cnt[:, None, :]
-    tlen = t_hi - t_lo
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        # capped so that inf * 0 cannot make a NaN: when q * q1 underflows,
-        # a cell that is not thin has |v| below 1e-296, whose powers are 0
-        inv = np.minimum(scale / (qe * q1), _DBL_MAX)
-        delta = np.multiply(qe, tlen)
-        delta /= scale
-        vhi = np.multiply(qe, t_lo)
-        np.subtract(ae, vhi, out=vhi)
-        vhi /= scale
-        vlo = np.subtract(vhi, delta)
-        pos = vlo >= 0.0
-        straddle = vhi > 0.0
-        straddle &= ~pos
-        # the endpoint value of larger magnitude off the straddle cells;
-        # -vlo is exactly delta - vhi under IEEE rounding
-        out = np.negative(vlo)
-        np.copyto(out, vhi, where=pos)
-        cross = straddle.any()
-        if cross:
-            s_val = np.broadcast_to(inv, out.shape)[straddle] * (
-                np.power(np.maximum(vhi[straddle], 0.0), q1)
-                + np.power(np.maximum(-vlo[straddle], 0.0), q1)
-            )
-        den = np.maximum(out, 1e-300, out=vlo)
-        thin = np.less_equal(delta, np.multiply(den, 1e-12, out=vhi))
-        thin &= ~straddle
-        # the common case: the cell sits entirely on one side of the zero
-        # crossing, so the power antiderivative nearly cancels between the
-        # endpoints and goes through log1p/expm1 for accuracy.  It runs on
-        # the whole block in place; the few straddle and thin cells are
-        # overwritten afterwards.
-        ratio = np.divide(delta, den, out=delta)
-        np.clip(ratio, 0.0, 1.0, out=ratio)
-        np.negative(ratio, out=ratio)
-        np.log1p(ratio, out=ratio)
-        ratio *= q1
-        np.expm1(ratio, out=ratio)
-        np.negative(ratio, out=ratio)
-        np.power(out, q1, out=out)
-        out *= inv
-        out *= ratio
-        if cross:
-            out[straddle] = s_val
-        if thin.any():
-            b, s, k = np.nonzero(thin)
-            t_mid = np.broadcast_to(t_lo + t_hi, out.shape)[b, s, k]
-            mid = np.abs(a_cnt[b, k] - q[b, s] * t_mid * 0.5) / scale
-            out[b, s, k] = np.broadcast_to(tlen, out.shape)[b, s, k] * np.power(mid, p)
-    return out.sum(axis=2) if reduce else out
+    return _stack_apply(_stack_prep(q, a_cnt, t_lo, t_hi, scale), p, scale, reduce)
 
 
 # A piece at level l has Gauss-Legendre orders n = 3 * 2^l and 2n; below
@@ -173,7 +206,128 @@ def _product_law(s, corners, cumulative=False):
     return terms @ [(-1.0) ** bin(j).count("1") for j in range(1 << n)]
 
 
-def _new_pieces(col, lo, hi, corners, stack, level, skip_tol=0.0):
+def _ends_prep(col, lo, hi, stack):
+    """The pieces' masses and the ``_stack_prep`` at their endpoints."""
+    a_cols, t_lo, t_hi, corners, scale = stack
+    ends = np.stack([lo, hi], axis=1)
+    mass = np.diff(_product_law(ends, corners[col], cumulative=True), axis=1)[:, 0]
+    return mass, _stack_prep(ends, a_cols[col], t_lo, t_hi, scale)
+
+
+def _main_prep(col, lo, hi, stack, level, both):
+    """The p-independent work on the pieces' own stacks at ``level``: the
+    ``_stack_prep`` at their Gauss nodes and the weights times the
+    product law there."""
+    a_cols, t_lo, t_hi, corners, scale = stack
+    q, wt = _gauss_nodes(lo, hi, level, both)
+    weights = wt * _product_law(q, corners[col])
+    return _stack_prep(q, a_cols[col], t_lo, t_hi, scale), weights
+
+
+def _kink_prep(col, lo, hi, stack, level, both):
+    """The cells (rows, cells) whose kink A/t_hi or A/t_lo lies inside a
+    piece, which leave the stack sum and are integrated alone on the
+    sub-pieces cut there; and the sub-pieces' ``_stack_prep``, weights
+    times product law, and piece rows."""
+    a_cols, t_lo, t_hi, corners, scale = stack
+    a = a_cols[col]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kinks = np.stack([a / t_hi, a / t_lo], axis=2)
+    inside = (kinks > lo[:, None, None]) & (kinks < hi[:, None, None])
+    rows, cells = np.nonzero(inside.any(axis=2))
+    cuts = np.clip(kinks[rows, cells], lo[rows, None], hi[rows, None])
+    edges = np.concatenate([lo[rows, None], cuts, hi[rows, None]], axis=1)
+    r3, c3 = np.repeat(rows, 3), np.repeat(cells, 3)
+    q, wt = _gauss_nodes(edges[:, :-1].reshape(-1), edges[:, 1:].reshape(-1), level, both)
+    # the weights first: the product law's temporaries outsize the prep
+    weights = wt * _product_law(q, corners[col[r3]])
+    sub = _stack_prep(q, a[r3, c3][:, None], t_lo[c3][:, None, None], t_hi[c3][:, None, None],
+                      scale)
+    return rows, cells, sub, weights, r3
+
+
+def _take_prep(prep, rows):
+    """The rows ``rows`` of a ``_stack_prep``, as a copy."""
+    q, big, lg, *cells = prep
+    pos = np.full(q.shape[0], -1)
+    pos[rows] = np.arange(rows.size)
+    # the straddle and thin cells: flat indices, and values per cell
+    per_row = math.prod(big.shape[1:])
+    for i, c in enumerate(cells):
+        if c is not None:
+            r, rest = np.divmod(c[0], per_row)
+            keep = pos[r] >= 0
+            c = pos[r[keep]] * per_row + rest[keep], *(v[keep] for v in c[1:])
+            cells[i] = c if keep.any() else None
+    return q[rows], big[rows], lg[rows], *cells
+
+
+def _take(work, rows):
+    """The ``_main_prep`` and ``_kink_prep`` of the pieces ``rows`` out of
+    those of a larger set, as copies in the order of ``rows``; each
+    piece keeps its kinks in their order."""
+    (prep, weights), (k_rows, k_cells, sub, sub_w, r3) = work
+    pos = np.full(weights.shape[0], -1)
+    pos[rows] = np.arange(rows.size)
+    k, s = pos[k_rows] >= 0, np.flatnonzero(pos[r3] >= 0)
+    return ((_take_prep(prep, rows), weights[rows]),
+            (pos[k_rows[k]], k_cells[k], _take_prep(sub, s), sub_w[s], pos[r3[s]]))
+
+
+class _Plan:
+    """The p-independent work on one grid's first-pass pieces, kept across p.
+
+    It holds the pieces (col, lo, hi), their masses and the
+    ``_stack_prep`` at their endpoints, and per (level, orders) the
+    ``_main_prep`` and ``_kink_prep`` of every piece.  Everything is
+    indexed by first-pass piece, so a p-dependent subset takes its rows.
+    The work of a level and orders is made once the pieces asked of it
+    reach the number of pieces, so that making it costs no more than the
+    evaluations it replaces, and kept while the stack elements held stay
+    within ``_CHUNK_ELEMENTS``.
+    """
+
+    def __init__(self, col, lo, hi, stack):
+        self.pieces, self.stack, self.work, self.asked = (col, lo, hi), stack, {}, {}
+        self.mass, self.ends = _ends_prep(col, lo, hi, stack)
+        self.elements = self.ends[1].size
+
+    def entry(self, level, both, asked):
+        """The work at ``level`` and orders ``both`` (2n alone when False)
+        of every piece, asked for ``asked`` of them, or None if it is not
+        kept."""
+        key = (level, both)
+        if key not in self.work:
+            self.asked[key] = self.asked.get(key, 0) + asked
+            if self.asked[key] < self.pieces[0].size:
+                return None
+            self.work[key] = None
+            nodes = (3 if both else 2) * (_BASE_ORDER << level)
+            size = self.pieces[0].size * nodes * self.stack[0].shape[1]
+            if self.elements + size <= _CHUNK_ELEMENTS:
+                work = (_main_prep(*self.pieces, self.stack, level, both),
+                        _kink_prep(*self.pieces, self.stack, level, both))
+                size += work[1][2][1].size
+                if self.elements + size <= _CHUNK_ELEMENTS:
+                    self.work[key], self.elements = work, self.elements + size
+        return self.work[key]
+
+
+def _grid_plan(grid, col, lo, hi, stack):
+    """``grid``'s plan, made at its second adaptive compute: None before
+    that, and when its first pass does not fit in ``_CHUNK_ELEMENTS``
+    (so a kept plan always has a one-chunk first pass)."""
+    memo = grid.memo
+    if "plan" not in memo:
+        memo["computes"] = memo.get("computes", 0) + 1
+        if memo["computes"] < 2:
+            return None
+        first = col.size * (2 + 3 * _BASE_ORDER) * stack[0].shape[1]
+        memo["plan"] = _Plan(col, lo, hi, stack) if first <= _CHUNK_ELEMENTS else None
+    return memo["plan"]
+
+
+def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
     """Value, error, sup bound and level of new pieces; elements used.
 
     Each cell's integral is convex in s, so its max over a piece sits at
@@ -182,50 +336,54 @@ def _new_pieces(col, lo, hi, corners, stack, level, skip_tol=0.0):
     a cheap, non-rigorous size hint; a piece whose bound is a negligible
     share of it is a placeholder at level -1, carrying half its bound as
     value and as error, which keeps the truth within the error.  Together
-    these placeholders stay a few percent of the target.
+    these placeholders stay a few percent of the target.  Given the
+    grid's ``plan``, the pieces are its first-pass pieces.
     """
-    a_cols, t_lo, t_hi, p, scale = stack
-    ends = np.stack([lo, hi], axis=1)
-    mass = np.diff(_product_law(ends, corners[col], cumulative=True), axis=1)[:, 0]
-    per_cell = _inner_stack(ends, a_cols[col], t_lo, t_hi, p, scale, reduce=False)
+    if plan is None:
+        mass, prep = _ends_prep(col, lo, hi, stack)
+        per_cell = _stack_apply(prep, p, stack[-1], reduce=False)
+        # its log array is not held through the evaluation below
+        del prep
+    else:
+        mass, per_cell = plan.mass, _stack_apply(plan.ends, p, stack[-1], reduce=False,
+                                                 inplace=False)
     bounds = per_cell.max(axis=1).sum(axis=1) * mass
     hint = float((per_cell.min(axis=1).sum(axis=1) * mass).sum())
     go = bounds > 0.04 * skip_tol * hint / max(col.size, 1)
     vals, errs, levels = 0.5 * bounds, 0.5 * bounds, np.where(go, level, -1)
-    vals[go], errs[go], used = _eval_pieces(col[go], lo[go], hi[go], corners, stack, level)
+    vals[go], errs[go], used = _eval_pieces(col[go], lo[go], hi[go], stack, p, level, None, plan,
+                                            None if go.all() else np.flatnonzero(go))
     return vals, errs, bounds, levels, per_cell.size + used
 
 
-def _eval_pieces(col, lo, hi, corners, stack, level, low=None):
+def _eval_pieces(col, lo, hi, stack, p, level, low=None, plan=None, rows=None):
     """Order-2n Gauss value of every piece at ``level``, its difference
     from order n, and the elements used; given the order-n values
-    ``low``, only order 2n is evaluated."""
-    a_cols, t_lo, t_hi, p, scale = stack
-    n = _BASE_ORDER << level
-    a = a_cols[col]
-    q, wt = _gauss_nodes(lo, hi, level, low is None)
-    f = _inner_stack(q, a, t_lo, t_hi, p, scale, reduce=False)
-    # a cell whose kink A/t_hi or A/t_lo lies inside the piece leaves the
-    # stack sum and is integrated alone on the sub-pieces cut there
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kinks = np.stack([a / t_hi, a / t_lo], axis=2)
-    inside = (kinks > lo[:, None, None]) & (kinks < hi[:, None, None])
-    rows, cells = np.nonzero(inside.any(axis=2))
-    f[rows, :, cells] = 0.0
-    part = wt * _product_law(q, corners[col]) * f.sum(axis=2)
-    cuts = np.clip(kinks[rows, cells], lo[rows, None], hi[rows, None])
-    edges = np.concatenate([lo[rows, None], cuts, hi[rows, None]], axis=1)
-    r3, c3 = np.repeat(rows, 3), np.repeat(cells, 3)
-    q, wt = _gauss_nodes(edges[:, :-1].reshape(-1), edges[:, 1:].reshape(-1), level, low is None)
-    sub = wt * _product_law(q, corners[col[r3]]) * _inner_stack(
-        q, a[r3, c3][:, None], t_lo[c3][:, None, None], t_hi[c3][:, None, None], p, scale)
-    part = np.concatenate([part, sub])
-    rows = np.concatenate([np.arange(col.size), r3])
+    ``low``, only order 2n is evaluated.  Given the grid's ``plan``, the
+    pieces are its first-pass pieces ``rows`` (all when None), and the
+    plan's work is used where it keeps it.
+    """
+    scale, n, both = stack[-1], _BASE_ORDER << level, low is None
+    work = plan.entry(level, both, col.size) if plan else None
+    own = work is None or rows is not None
+    if work is None:
+        work = _main_prep(col, lo, hi, stack, level, both), None
+    elif rows is not None:
+        work = _take(work, rows)
+    (prep, weights), kinks = work
+    f = _stack_apply(prep, p, scale, reduce=False, inplace=own)
+    # the main stack's prep is let go before the kinks are prepared
+    del work, prep
+    k_rows, k_cells, sub, sub_w, r3 = kinks or _kink_prep(col, lo, hi, stack, level, both)
+    f[k_rows, :, k_cells] = 0.0
+    part = weights * f.sum(axis=2)
+    part = np.concatenate([part, sub_w * _stack_apply(sub, p, scale, inplace=own)])
+    idx = np.concatenate([np.arange(f.shape[0]), r3])
     high = part[:, -2 * n:].sum(axis=1)
-    vals = np.bincount(rows, high, minlength=col.size)
+    vals = np.bincount(idx, high, minlength=f.shape[0])
     errs = np.abs(vals - low) if low is not None else np.bincount(
-        rows, np.abs(high - part[:, :n].sum(axis=1)), minlength=col.size)
-    return vals, errs, f.size + q.size
+        idx, np.abs(high - part[:, :n].sum(axis=1)), minlength=f.shape[0])
+    return vals, errs, f.size + sub[0].size
 
 
 # Pieces picked per refinement round, at most.
@@ -249,7 +407,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     """
     d = grid.dim
     diag = {"engine": "adaptive", "boxes": 0, "elements": 0, "budget_exceeded": False}
-    scale = grid.sup_abs_discrepancy()
+    scale = grid.sup_abs
     m = grid.counts.shape[-1]
     a_cols = grid.count_fractions().reshape(-1, m)
     t_lo = np.ascontiguousarray(grid.cell_lo(d - 1))
@@ -284,11 +442,13 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         raise ValueError(f"adaptive Lp integration pass needs {cost} evaluations (limit "
                          f"{MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale")
 
-    # the first pass runs in chunks that bound its memory
-    stack = (a_cols, t_lo, t_hi, p, scale)
+    # the first pass runs in chunks that bound its memory; a grid's plan
+    # only exists where that is one chunk
+    stack = (a_cols, t_lo, t_hi, corners, scale)
+    plan = _grid_plan(grid, col, lo, hi, stack)
     chunk = max(1, _CHUNK_ELEMENTS // ((2 + 3 * _BASE_ORDER) * m))
-    *store, used = zip(*(_new_pieces(col[s:s + chunk], lo[s:s + chunk], hi[s:s + chunk], corners,
-                                     stack, 0, rel_tol) for s in range(0, max(col.size, 1), chunk)))
+    *store, used = zip(*(_new_pieces(col[s:s + chunk], lo[s:s + chunk], hi[s:s + chunk], stack, p,
+                                     0, rel_tol, plan) for s in range(0, max(col.size, 1), chunk)))
     (val, err, bnd, lvl), elements = map(np.concatenate, store), sum(used)
     # every piece made stays in the store; a bisected one holds zeros
     while True:
@@ -320,18 +480,19 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
             break
         # a piece below the top level moves one level up in place, its order
         # 2n becoming order n (a placeholder goes to level 0); one at the top
-        # level is bisected
+        # level is bisected.  Pieces below the top level are all first-pass
+        # pieces, as bisection makes top-level ones.
         up, par = par[lvl[par] < _MAX_LEVEL], par[lvl[par] == _MAX_LEVEL]
         for level in np.unique(lvl[up]).tolist():
             g = up[lvl[up] == level]
-            val[g], err[g], used = _eval_pieces(col[g], lo[g], hi[g], corners, stack, level + 1,
-                                                None if level < 0 else val[g])
+            val[g], err[g], used = _eval_pieces(col[g], lo[g], hi[g], stack, p, level + 1,
+                                                None if level < 0 else val[g], plan, g)
             lvl[g] += 1
             elements += used
         if par.size:
             new = np.tile(col[par], 2), np.append(lo[par], mid[par]), np.append(mid[par], hi[par])
             val[par] = err[par] = bnd[par] = 0.0
-            *fresh, used = _new_pieces(*new, corners, stack, _MAX_LEVEL)
+            *fresh, used = _new_pieces(*new, stack, p, _MAX_LEVEL)
             col, lo, hi, val, err, bnd, lvl = (np.concatenate(x) for x in zip(
                 (col, lo, hi, val, err, bnd, lvl), (*new, *fresh)))
             elements += used

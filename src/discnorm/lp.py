@@ -90,7 +90,11 @@ class LpCache:
     """Per-point-set store of the cell grid and computed L_p values.
 
     Reusing one cache across many p queries (norm scans, Orlicz series)
-    skips rebuilding the grid and recomputing norms at repeated p.
+    skips rebuilding the grid and recomputing norms at repeated p.  Each
+    new p is still one adaptive computation, but from the second on the
+    grid keeps the p-independent part of that work, so later p only do
+    the part that depends on p; their results are bit-identical to a
+    fresh cache's.
     """
 
     def __init__(self, points: PointSet, rel_tol: float = 1e-9):
@@ -108,7 +112,7 @@ class LpCache:
     @property
     def sup_abs(self) -> float:
         """sup over the cube of |local discrepancy| (exact)."""
-        return self.grid.sup_abs_discrepancy()
+        return self.grid.sup_abs
 
     def norm(self, p: float, rel_tol: float | None = None) -> NormResult:
         """The L_p norm at ``p``, computed to ``rel_tol`` (default: the

@@ -23,7 +23,6 @@ from .pointset import PointSet
 _WEIGHT_KINDS = ("factorial", "power", "subexp", "tabulated")
 # Series caps; hitting one raises instead of returning a quietly wrong value.
 _ELL_CAP = 2048
-_YOUNG_TERM_CAP = 4096
 # Halvings or doublings to bracket a Luxemburg root, and bisection steps
 # to close it.
 _ROOT_STEP_CAP = 200
@@ -180,38 +179,6 @@ class OrliczSpec:
             return math.lgamma(ell + 1.0)
         p = self.alpha * ell
         return p * self.weight.log_phi(p)
-
-
-def young_eval(spec: OrliczSpec, x):
-    """psi(x) for x >= 0, the layer's only function vectorised in x; overflow gives inf."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr < 0):
-        raise ValueError("young_eval needs x >= 0")
-    if spec.weight is None:
-        with np.errstate(over="ignore"):
-            out = np.expm1(arr ** spec.alpha)
-    else:
-        out = np.zeros_like(arr)
-        pos = arr > 0.0
-        with np.errstate(divide="ignore", over="ignore"):
-            logx = np.where(pos, np.log(np.maximum(arr, 1e-320)), -np.inf)
-            prev = np.full_like(arr, np.inf)
-            for ell in range(1, _YOUNG_TERM_CAP + 1):
-                p = spec.alpha * ell
-                logterm = p * logx - spec.log_denom(ell)
-                term = np.where(logterm > 709.0, np.inf, np.exp(logterm))
-                out = out + term
-                done = (~pos) | np.isinf(out) | (
-                    (term <= 1e-17 * np.maximum(out, 1e-300)) & (logterm < prev)
-                )
-                if bool(np.all(done)):
-                    break
-                prev = logterm
-            else:
-                raise NumericalError("Young series did not converge within the term cap")
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
 def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float):

@@ -8,7 +8,6 @@ construction and on load.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,20 +126,3 @@ def load_pointset(text: str, dim: int | None = None) -> PointSet:
     if dim is not None and dim != len(rows[0]):
         raise ValueError(f"declared dim {dim} does not match rows of length {len(rows[0])}")
     return PointSet(np.array(rows))
-
-
-def pointset_to_json(ps: PointSet) -> str:
-    """JSON export: {"dim": d, "points": [[...], ...]} at full precision."""
-    return json.dumps({"dim": ps.dim, "points": ps.coords.tolist()})
-
-
-def pointset_from_json(text: str) -> PointSet:
-    obj = json.loads(text)
-    dim = int(obj["dim"])
-    pts = obj["points"]
-    if not pts:
-        return empty_pointset(dim)
-    arr = np.array(pts, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError("points do not match declared dim")
-    return PointSet(arr)

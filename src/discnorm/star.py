@@ -17,7 +17,7 @@ def star_discrepancy_exact(points: PointSet) -> float:
 
     Raises ``ValueError`` when the cell grid exceeds its cell-count cap.
     """
-    return build_cell_grid(points).sup_abs_discrepancy()
+    return build_cell_grid(points).sup_abs
 
 
 def star_discrepancy_lower_mc(points: PointSet, samples: int = 100_000,

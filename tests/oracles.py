@@ -5,7 +5,9 @@ They compute the same quantities as the library by independent means:
 with no closed-form help, ``modular_by_quadrature`` uses it for the
 Orlicz modular, ``luxemburg_norm_piecewise`` solves the Luxemburg
 norm of a piecewise-constant function, whose modular is an exact sum,
-and ``lp_mpmath`` computes L_p norms in d = 1, 2 in extended precision.
+``lp_mpmath`` computes L_p norms in d = 1, 2 in extended precision,
+``count_in_box`` and ``local_discrepancy`` count points directly, and
+``young_eval`` sums the Young series pointwise.
 """
 
 from __future__ import annotations
@@ -17,10 +19,64 @@ import mpmath
 import numpy as np
 
 from discnorm.cells import CellGrid, build_cell_grid
-from discnorm.integrate import MAX_EVAL_ELEMENTS, _gl01
+from discnorm.integrate import MAX_EVAL_ELEMENTS, NumericalError, _gl01
 from discnorm.lp import NormResult
-from discnorm.orlicz import OrliczSpec, _luxemburg_root, young_eval
+from discnorm.orlicz import OrliczSpec, _luxemburg_root
 from discnorm.pointset import PointSet
+
+# Term cap of the pointwise Young series; hitting it raises.
+_YOUNG_TERM_CAP = 4096
+
+
+def count_in_box(ps: PointSet, t) -> int:
+    """Number of points inside the anchored half-open box [0, t).
+
+    Strict inequality in every coordinate: a point sitting exactly on
+    the upper face is outside.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != (ps.dim,):
+        raise ValueError(f"t must have shape ({ps.dim},)")
+    if (t < 0.0).any() or (t > 1.0).any():
+        raise ValueError("t must lie in [0, 1]^d")
+    return int((ps.coords < t).all(axis=1).sum())
+
+
+def local_discrepancy(ps: PointSet, t) -> float:
+    """count([0,t))/N - Vol([0,t)); for N = 0 this is -Vol([0,t))."""
+    return count_in_box(ps, t) / max(ps.n_points, 1) - float(np.prod(t))
+
+
+def young_eval(spec: OrliczSpec, x):
+    """psi(x) for x >= 0 by its series, vectorised in x; overflow gives inf."""
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    if np.any(arr < 0):
+        raise ValueError("young_eval needs x >= 0")
+    if spec.weight is None:
+        with np.errstate(over="ignore"):
+            out = np.expm1(arr ** spec.alpha)
+    else:
+        out = np.zeros_like(arr)
+        pos = arr > 0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            logx = np.where(pos, np.log(np.maximum(arr, 1e-320)), -np.inf)
+            prev = np.full_like(arr, np.inf)
+            for ell in range(1, _YOUNG_TERM_CAP + 1):
+                p = spec.alpha * ell
+                logterm = p * logx - spec.log_denom(ell)
+                term = np.where(logterm > 709.0, np.inf, np.exp(logterm))
+                out = out + term
+                done = (~pos) | np.isinf(out) | (
+                    (term <= 1e-17 * np.maximum(out, 1e-300)) & (logterm < prev)
+                )
+                if bool(np.all(done)):
+                    break
+                prev = logterm
+            else:
+                raise NumericalError("Young series did not converge within the term cap")
+    return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
 def _outer_tensor(lo, hi, order):

@@ -9,11 +9,11 @@ from discnorm import bounds
 from discnorm.bounds import (
     SANDWICH_LOWER_BASE,
     BoundReport,
+    NormSpec,
     construction_constants_check,
     empirical_inverse_discrepancy,
     hnww_empirical_check,
     initial_alpha_lower,
-    initial_of,
     initial_phi_lower,
     lemma1_sandwich_check,
     min_const_check,
@@ -184,6 +184,9 @@ def test_hnww_empirical():
 
 
 def test_initial_of_norm_specs():
+    def initial_of(norm, d):
+        return NormSpec.from_json(norm).initial(d)
+
     assert initial_of({"norm": "star"}, 3) == 1.0
     assert initial_of({"norm": "lp", "p": 2.0}, 2) == initial_lp(2.0, 2)
     assert initial_of({"norm": "alpha-norm", "alpha": 2.0}, 2) > 0.0

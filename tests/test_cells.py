@@ -1,12 +1,15 @@
 """Cell decomposition of the local discrepancy and its exact sup."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from discnorm import cells
-from discnorm.cells import build_cell_grid, count_in_box, local_discrepancy
+from discnorm.cells import build_cell_grid
 from discnorm.pointset import PointSet, empty_pointset, generate_uniform
 from discnorm.star import star_discrepancy_exact
+from oracles import count_in_box, local_discrepancy
 
 
 def _star_corner_grid(points):
@@ -82,7 +85,9 @@ def test_count_empty_set():
 def test_cell_volumes_partition_the_cube():
     for n, d, seed in [(5, 1, 1), (7, 2, 2), (6, 3, 3)]:
         grid = build_cell_grid(generate_uniform(n, d, seed=seed))
-        assert abs(grid.cell_volumes().sum() - 1.0) < 1e-12
+        volumes = functools.reduce(np.multiply.outer, [np.diff(b) for b in grid.breakpoints])
+        assert volumes.shape == grid.counts.shape
+        assert abs(volumes.sum() - 1.0) < 1e-12
 
 
 def test_counts_match_direct_counting():
@@ -114,7 +119,10 @@ def test_sup_abs_matches_star_discrepancy():
         ps = generate_uniform(n, d, seed=seed)
         grid = build_cell_grid(ps)
         assert abs(grid.sup_abs_discrepancy() - _star_corner_grid(ps)) < 1e-14
-        assert star_discrepancy_exact(ps) == grid.sup_abs_discrepancy()
+        assert star_discrepancy_exact(ps) == grid.sup_abs_discrepancy() == grid.sup_abs
+        # the sup bounds the directly counted discrepancy at random anchors
+        for t in np.random.default_rng(seed).random((20, d)):
+            assert abs(local_discrepancy(ps, t)) <= grid.sup_abs
 
 
 def test_sup_abs_empty_set_is_one():

@@ -1,12 +1,15 @@
-"""The inner-stack kernel of the adaptive L_p engine."""
+"""The inner-stack kernel of the adaptive L_p engine, and the reuse of
+its p-independent work across p on one grid."""
 
 import functools
 
 import numpy as np
 import pytest
 
+from discnorm import integrate
 from discnorm.cells import build_cell_grid
-from discnorm.integrate import _MAX_LEVEL, _gauss_nodes, _inner_stack
+from discnorm.integrate import _MAX_LEVEL, _gauss_nodes, _inner_stack, lp_adaptive_integral
+from discnorm.lp import LpCache, lp_discrepancy
 from discnorm.pointset import generate_halton, generate_uniform
 
 
@@ -96,3 +99,70 @@ def test_kernel_bit_identical_to_masked_oracle(p):
                            t_hi[k][:, None, None], p, scale)
         assert np.array_equal(one.view(np.int64), got[np.arange(q.shape[0]), :, k].view(np.int64))
     assert (kinds > 0).all(), kinds
+
+
+LADDER = (1.0, 2.5, 20.0, 150.0, 2.0 ** 21)
+PLAN_SETS = {"d2": generate_uniform(12, 2, seed=5), "d3": generate_uniform(8, 3, seed=2),
+             "d4": generate_uniform(6, 4, seed=1)}
+
+
+def _bits(result):
+    value, scale, err, diag = result
+    return value.hex(), scale.hex(), err.hex(), diag
+
+
+def _ladder_matches_fresh_grids(pts):
+    """Runs the ladder at a loose and a tight tolerance through one grid,
+    each rung against a fresh grid; returns the shared grid."""
+    shared = build_cell_grid(pts)
+    for tol in (1e-6, 1e-12):
+        for p in LADDER:
+            got = lp_adaptive_integral(shared, p, p * tol)
+            assert _bits(got) == _bits(lp_adaptive_integral(build_cell_grid(pts), p, p * tol)), (
+                tol, p)
+    return shared
+
+
+@pytest.mark.parametrize("name", PLAN_SETS)
+def test_plan_reuse_is_bit_identical(name, monkeypatch):
+    # which first-pass placeholders and bisections the ladder meets
+    made = []
+    new_pieces = integrate._new_pieces
+
+    def spy(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
+        out = new_pieces(col, lo, hi, stack, p, level, skip_tol, plan)
+        made.append((level, bool((out[3] < 0).any()) and skip_tol > 0.0))
+        return out
+
+    monkeypatch.setattr(integrate, "_new_pieces", spy)
+    pts = PLAN_SETS[name]
+    shared = _ladder_matches_fresh_grids(pts)
+    # a level's work is kept once the pieces asked of it reach the number
+    # of pieces; the d = 3 set asks too few at the top level
+    plan = shared.memo["plan"]
+    kept = [(0, True), (1, False)] + [(2, False)] * (name != "d3")
+    assert [key for key, work in sorted(plan.work.items()) if work] == kept
+    assert plan.elements <= integrate._CHUNK_ELEMENTS
+    assert any(placeholders for _, placeholders in made)
+    assert any(level == _MAX_LEVEL for level, _ in made)
+    # the same through one cache, largest p first, against single-p calls
+    for tol in (1e-6, 1e-12):
+        cache = LpCache(pts, tol)
+        for p in LADDER[::-1]:
+            got, want = cache.norm(p), lp_discrepancy(pts, p, tol)
+            assert (got.value, got.abs_error_estimate, got.diagnostics) == (
+                want.value, want.abs_error_estimate, want.diagnostics), (tol, p)
+        assert cache.grid.memo["plan"] is not None
+
+
+@pytest.mark.parametrize("cap", [5_000, 40_000])
+def test_plan_stays_within_chunk_elements(cap, monkeypatch):
+    # 5,000 elements split the first pass of the d = 3 set into chunks, so
+    # its grid keeps no plan; 40,000 hold the first pass but not every level
+    monkeypatch.setattr(integrate, "_CHUNK_ELEMENTS", cap)
+    shared = _ladder_matches_fresh_grids(PLAN_SETS["d3"])
+    plan = shared.memo["plan"]
+    if cap == 5_000:
+        assert plan is None
+    else:
+        assert plan.elements <= cap and None in plan.work.values()

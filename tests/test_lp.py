@@ -201,9 +201,9 @@ def test_luxemburg_ladder_reaches_top_level(monkeypatch):
     levels = set()
     eval_pieces = integrate._eval_pieces
 
-    def spy(col, lo, hi, corners, stack, level, low=None):
+    def spy(col, lo, hi, stack, p, level, *args):
         levels.add(level)
-        return eval_pieces(col, lo, hi, corners, stack, level, low)
+        return eval_pieces(col, lo, hi, stack, p, level, *args)
 
     monkeypatch.setattr(integrate, "_eval_pieces", spy)
     grid = build_cell_grid(generate_halton(64, 2))
@@ -217,18 +217,21 @@ def test_luxemburg_ladder_reaches_top_level(monkeypatch):
 
 def test_elements_count_kernel_work(monkeypatch):
     counted = []
-    inner_stack = integrate._inner_stack
+    stack_apply = integrate._stack_apply
 
-    def spy(q, a_cnt, *args, **kwargs):
-        counted.append(q.shape[0] * q.shape[1] * a_cnt.shape[1])
-        return inner_stack(q, a_cnt, *args, **kwargs)
+    def spy(prep, *args, **kwargs):
+        q, big = prep[:2]
+        counted.append(q.shape[0] * q.shape[1] * big.shape[2])
+        return stack_apply(prep, *args, **kwargs)
 
-    monkeypatch.setattr(integrate, "_inner_stack", spy)
+    monkeypatch.setattr(integrate, "_stack_apply", spy)
     for n, d, seed, p in [(9, 1, 3, 2.5), (16, 2, 5, 1.0), (8, 3, 2, 40.0)]:
-        counted.clear()
         grid = build_cell_grid(generate_uniform(n, d, seed=seed))
-        _, _, _, diag = lp_adaptive_integral(grid, p, 1e-10)
-        assert diag["elements"] == sum(counted) > 0, (n, d, p)
+        # the second p on a grid runs on the grid's kept plan
+        for q in (p, p + 1.5):
+            counted.clear()
+            _, _, _, diag = lp_adaptive_integral(grid, q, 1e-10)
+            assert diag["elements"] == sum(counted) > 0, (n, d, q)
 
 
 def test_moment_engine_rejects_odd_p():

@@ -16,10 +16,9 @@ from discnorm.orlicz import (
     alpha_norm,
     luxemburg_norm,
     phi_norm,
-    young_eval,
 )
 from discnorm.pointset import PointSet, empty_pointset, generate_uniform
-from oracles import luxemburg_norm_piecewise, modular_by_quadrature
+from oracles import luxemburg_norm_piecewise, modular_by_quadrature, young_eval
 
 # Root of K * (e^(1/K) - 1) = 2, i.e. the norm of the empty-set local
 # discrepancy |f(t)| = t on [0, 1] under psi_1; frozen from brentq.

@@ -9,8 +9,6 @@ from discnorm.pointset import (
     generate_halton,
     generate_uniform,
     load_pointset,
-    pointset_from_json,
-    pointset_to_json,
     save_pointset,
 )
 
@@ -102,11 +100,3 @@ def test_csv_rejects_malformed_input():
         load_pointset("0.1,0.2\n", dim=3)
     with pytest.raises(ValueError):
         load_pointset("1.5,0.2\n")
-
-
-def test_json_round_trip():
-    ps = generate_uniform(8, 2, seed=11)
-    back = pointset_from_json(pointset_to_json(ps))
-    assert np.array_equal(ps.coords, back.coords)
-    empty = pointset_from_json(pointset_to_json(empty_pointset(5)))
-    assert empty.n_points == 0 and empty.dim == 5
