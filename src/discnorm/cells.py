@@ -57,12 +57,14 @@ class CellGrid:
         The counting term is constant per cell and the volume term is
         monotone, so the supremum over a cell closure sits at one of
         the two diagonal corners; the global value equals the exact
-        star discrepancy.
+        star discrepancy.  Each corner's products (copied by the exact
+        start 1.0 at d = 1) are overwritten by |a - product| in turn.
         """
-        lo = reduce(np.multiply.outer, [self.cell_lo(i) for i in range(self.dim)])
-        hi = reduce(np.multiply.outer, [self.cell_hi(i) for i in range(self.dim)])
-        a = self.count_fractions()
-        m = max(np.abs(a - lo).max(), np.abs(a - hi).max())
+        a, m = self.count_fractions(), 0.0
+        for ends in (self.cell_lo, self.cell_hi):
+            v = reduce(np.multiply.outer, [ends(i) for i in range(self.dim)], 1.0)
+            m = max(m, np.abs(np.subtract(a, v, out=v), out=v).max())
+            del v
         return float(m)
 
     @cached_property

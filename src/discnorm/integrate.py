@@ -16,9 +16,9 @@ Two routes, used by the norm modules:
   (not a bound); the worst are refined first, by doubling both orders up
   to (12, 24) and by bisection there.  The kinks of F, where the zero of
   A - s t crosses a cell edge, are cut out cell by cell.  Everything is
-  scaled by sup |local discrepancy| so any large p stays in range.  From
-  a grid's second call on, the p-independent work on its first-pass
-  pieces is kept on the grid (``_Plan``) and each p only finishes it.
+  scaled by sup |local discrepancy| so any large p stays in range.  The
+  stacks run in cache-sized row blocks, and from a grid's second call on
+  the p-independent work on its first pieces is kept on it (``_Plan``).
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .cells import CellGrid
 MAX_EVAL_ELEMENTS = 400_000_000
 # Batch memory cap (array elements per evaluation chunk).
 _CHUNK_ELEMENTS = 24_000_000
+# Stack elements per row block of the kernel, so no call holds a pass.
+_BLOCK_ELEMENTS = 1 << 16
 _DBL_MAX = np.finfo(float).max
 
 
@@ -228,7 +230,8 @@ def _kink_prep(col, lo, hi, stack, level, both):
     """The cells (rows, cells) whose kink A/t_hi or A/t_lo lies inside a
     piece, which leave the stack sum and are integrated alone on the
     sub-pieces cut there; and the sub-pieces' ``_stack_prep``, weights
-    times product law, and piece rows."""
+    times product law, and piece rows.  A sub-piece of zero width, where
+    a kink is clipped to an end, adds nothing and is left out."""
     a_cols, t_lo, t_hi, corners, scale = stack
     a = a_cols[col]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -237,8 +240,9 @@ def _kink_prep(col, lo, hi, stack, level, both):
     rows, cells = np.nonzero(inside.any(axis=2))
     cuts = np.clip(kinks[rows, cells], lo[rows, None], hi[rows, None])
     edges = np.concatenate([lo[rows, None], cuts, hi[rows, None]], axis=1)
-    r3, c3 = np.repeat(rows, 3), np.repeat(cells, 3)
-    q, wt = _gauss_nodes(edges[:, :-1].reshape(-1), edges[:, 1:].reshape(-1), level, both)
+    wide = np.flatnonzero(edges[:, 1:] > edges[:, :-1])
+    r3, c3 = rows[wide // 3], cells[wide // 3]
+    q, wt = _gauss_nodes(edges[:, :-1].flat[wide], edges[:, 1:].flat[wide], level, both)
     # the weights first: the product law's temporaries outsize the prep
     weights = wt * _product_law(q, corners[col[r3]])
     sub = _stack_prep(q, a[r3, c3][:, None], t_lo[c3][:, None, None], t_hi[c3][:, None, None],
@@ -246,32 +250,53 @@ def _kink_prep(col, lo, hi, stack, level, both):
     return rows, cells, sub, weights, r3
 
 
-def _take_prep(prep, rows):
-    """The rows ``rows`` of a ``_stack_prep``, as a copy."""
+def _take_cells(prep, rows):
+    """``prep`` with its straddle and thin cells moved to the positions of
+    their rows in ``rows``, in flat order (other rows' dropped)."""
     q, big, lg, *cells = prep
     pos = np.full(q.shape[0], -1)
     pos[rows] = np.arange(rows.size)
-    # the straddle and thin cells: flat indices, and values per cell
     per_row = math.prod(big.shape[1:])
     for i, c in enumerate(cells):
         if c is not None:
             r, rest = np.divmod(c[0], per_row)
-            keep = pos[r] >= 0
-            c = pos[r[keep]] * per_row + rest[keep], *(v[keep] for v in c[1:])
-            cells[i] = c if keep.any() else None
-    return q[rows], big[rows], lg[rows], *cells
+            keep = np.flatnonzero(pos[r] >= 0)
+            flat = pos[r[keep]] * per_row + rest[keep]
+            order = np.argsort(flat)
+            cells[i] = (flat[order], *(v[keep[order]] for v in c[1:])) if keep.size else None
+    return q, big, lg, *cells
+
+
+def _row_block(prep, s, rows=None):
+    """Rows ``s`` of a ``_stack_prep``, cells re-based unless ``s`` is every
+    row; with ``rows``, of ``_take_cells(prep, rows)``, taking ``rows[s]``."""
+    q, big, lg, *cells = prep
+    per_row = math.prod(big.shape[1:])
+    for i, c in enumerate(cells if s.start or s.stop < len(q if rows is None else rows) else ()):
+        if c is not None:
+            a, b = np.searchsorted(c[0], [s.start * per_row, s.stop * per_row])
+            cells[i] = (c[0][a:b] - s.start * per_row, *(v[a:b] for v in c[1:])) if b > a else None
+    r = s if rows is None else rows[s]
+    return q[r], big[r], lg[r], *cells
+
+
+def _blocks(n_rows, per_row):
+    """Row slices of about ``_BLOCK_ELEMENTS`` elements, one row at least."""
+    step = max(1, _BLOCK_ELEMENTS // per_row)
+    return [slice(s, s + step) for s in range(0, n_rows, step)]
 
 
 def _take(work, rows):
-    """The ``_main_prep`` and ``_kink_prep`` of the pieces ``rows`` out of
-    those of a larger set, as copies in the order of ``rows``; each
-    piece keeps its kinks in their order."""
+    """A plan's ``work`` for its pieces ``rows``: the main prep for
+    ``_row_block`` and, as copies in the order of ``rows``, the weights
+    and the ``_kink_prep``, each piece keeping its kinks in their order."""
     (prep, weights), (k_rows, k_cells, sub, sub_w, r3) = work
     pos = np.full(weights.shape[0], -1)
     pos[rows] = np.arange(rows.size)
     k, s = pos[k_rows] >= 0, np.flatnonzero(pos[r3] >= 0)
-    return ((_take_prep(prep, rows), weights[rows]),
-            (pos[k_rows[k]], k_cells[k], _take_prep(sub, s), sub_w[s], pos[r3[s]]))
+    sub = _row_block(_take_cells(sub, s), slice(0, s.size), s)
+    return ((_take_cells(prep, rows), weights[rows]),
+            (pos[k_rows[k]], k_cells[k], sub, sub_w[s], pos[r3[s]]))
 
 
 class _Plan:
@@ -279,12 +304,10 @@ class _Plan:
 
     It holds the pieces (col, lo, hi), their masses and the
     ``_stack_prep`` at their endpoints, and per (level, orders) the
-    ``_main_prep`` and ``_kink_prep`` of every piece.  Everything is
-    indexed by first-pass piece, so a p-dependent subset takes its rows.
+    ``_main_prep`` and ``_kink_prep`` of every piece, by first-pass piece.
     The work of a level and orders is made once the pieces asked of it
-    reach the number of pieces, so that making it costs no more than the
-    evaluations it replaces, and kept while the stack elements held stay
-    within ``_CHUNK_ELEMENTS``.
+    reach the number of pieces, so that it costs no more than the
+    evaluations it replaces, and kept while it fits ``_CHUNK_ELEMENTS``.
     """
 
     def __init__(self, col, lo, hi, stack):
@@ -313,16 +336,15 @@ class _Plan:
         return self.work[key]
 
 
-def _grid_plan(grid, col, lo, hi, stack):
+def _grid_plan(grid, first, col, lo, hi, stack):
     """``grid``'s plan, made at its second adaptive compute: None before
-    that, and when its first pass does not fit in ``_CHUNK_ELEMENTS``
-    (so a kept plan always has a one-chunk first pass)."""
+    that, and when its first pass of ``first`` elements does not fit in
+    ``_CHUNK_ELEMENTS`` (so a kept plan always has a one-chunk first pass)."""
     memo = grid.memo
     if "plan" not in memo:
         memo["computes"] = memo.get("computes", 0) + 1
         if memo["computes"] < 2:
             return None
-        first = col.size * (2 + 3 * _BASE_ORDER) * stack[0].shape[1]
         memo["plan"] = _Plan(col, lo, hi, stack) if first <= _CHUNK_ELEMENTS else None
     return memo["plan"]
 
@@ -339,21 +361,20 @@ def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
     these placeholders stay a few percent of the target.  Given the
     grid's ``plan``, the pieces are its first-pass pieces.
     """
-    if plan is None:
-        mass, prep = _ends_prep(col, lo, hi, stack)
-        per_cell = _stack_apply(prep, p, stack[-1], reduce=False)
-        # its log array is not held through the evaluation below
-        del prep
-    else:
-        mass, per_cell = plan.mass, _stack_apply(plan.ends, p, stack[-1], reduce=False,
-                                                 inplace=False)
-    bounds = per_cell.max(axis=1).sum(axis=1) * mass
-    hint = float((per_cell.min(axis=1).sum(axis=1) * mass).sum())
+    block = (lambda s: (plan.mass[s], _row_block(plan.ends, s))) if plan else (
+        lambda s: _ends_prep(col[s], lo[s], hi[s], stack))
+    bounds, low = np.empty(col.size), np.empty(col.size)
+    for s in _blocks(col.size, 2 * stack[0].shape[1]):
+        mass, prep = block(s)
+        per_cell = _stack_apply(prep, p, stack[-1], reduce=False, inplace=plan is None)
+        bounds[s] = per_cell.max(axis=1).sum(axis=1) * mass
+        low[s] = per_cell.min(axis=1).sum(axis=1) * mass
+    hint = float(low.sum())
     go = bounds > 0.04 * skip_tol * hint / max(col.size, 1)
     vals, errs, levels = 0.5 * bounds, 0.5 * bounds, np.where(go, level, -1)
     vals[go], errs[go], used = _eval_pieces(col[go], lo[go], hi[go], stack, p, level, None, plan,
                                             None if go.all() else np.flatnonzero(go))
-    return vals, errs, bounds, levels, per_cell.size + used
+    return vals, errs, bounds, levels, 2 * col.size * stack[0].shape[1] + used
 
 
 def _eval_pieces(col, lo, hi, stack, p, level, low=None, plan=None, rows=None):
@@ -361,29 +382,32 @@ def _eval_pieces(col, lo, hi, stack, p, level, low=None, plan=None, rows=None):
     from order n, and the elements used; given the order-n values
     ``low``, only order 2n is evaluated.  Given the grid's ``plan``, the
     pieces are its first-pass pieces ``rows`` (all when None), and the
-    plan's work is used where it keeps it.
+    plan's work is used where it keeps it.  Stacks go in row blocks.
     """
-    scale, n, both = stack[-1], _BASE_ORDER << level, low is None
+    scale, n, both, m = stack[-1], _BASE_ORDER << level, low is None, stack[0].shape[1]
     work = plan.entry(level, both, col.size) if plan else None
-    own = work is None or rows is not None
     if work is None:
-        work = _main_prep(col, lo, hi, stack, level, both), None
-    elif rows is not None:
-        work = _take(work, rows)
-    (prep, weights), kinks = work
-    f = _stack_apply(prep, p, scale, reduce=False, inplace=own)
-    # the main stack's prep is let go before the kinks are prepared
-    del work, prep
-    k_rows, k_cells, sub, sub_w, r3 = kinks or _kink_prep(col, lo, hi, stack, level, both)
-    f[k_rows, :, k_cells] = 0.0
-    part = weights * f.sum(axis=2)
-    part = np.concatenate([part, sub_w * _stack_apply(sub, p, scale, inplace=own)])
-    idx = np.concatenate([np.arange(f.shape[0]), r3])
+        kinks = _kink_prep(col, lo, hi, stack, level, both)
+        block = lambda s: _main_prep(col[s], lo[s], hi[s], stack, level, both)
+    else:
+        (prep, weights), kinks = work if rows is None else _take(work, rows)
+        block = lambda s: (_row_block(prep, s, rows), weights[s])
+    own = work is None or rows is not None
+    k_rows, k_cells, sub, sub_w, r3 = kinks
+    main = np.empty((col.size, (3 if both else 2) * n))
+    for s in _blocks(col.size, main.shape[1] * m):
+        prep_s, weights_s = block(s)
+        f = _stack_apply(prep_s, p, scale, reduce=False, inplace=own)
+        k = (k_rows >= s.start) & (k_rows < s.stop)
+        f[k_rows[k] - s.start, :, k_cells[k]] = 0.0
+        main[s] = weights_s * f.sum(axis=2)
+    part = np.concatenate([main, sub_w * _stack_apply(sub, p, scale, inplace=own)])
+    idx = np.concatenate([np.arange(col.size), r3])
     high = part[:, -2 * n:].sum(axis=1)
-    vals = np.bincount(idx, high, minlength=f.shape[0])
+    vals = np.bincount(idx, high, minlength=col.size)
     errs = np.abs(vals - low) if low is not None else np.bincount(
-        idx, np.abs(high - part[:, :n].sum(axis=1)), minlength=f.shape[0])
-    return vals, errs, f.size + sub[0].size
+        idx, np.abs(high - part[:, :n].sum(axis=1)), minlength=col.size)
+    return vals, errs, main.size * m + sub[0].size
 
 
 # Pieces picked per refinement round, at most.
@@ -408,17 +432,29 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     d = grid.dim
     diag = {"engine": "adaptive", "boxes": 0, "elements": 0, "budget_exceeded": False}
     scale = grid.sup_abs
-    m = grid.counts.shape[-1]
-    a_cols = grid.count_fractions().reshape(-1, m)
-    t_lo = np.ascontiguousarray(grid.cell_lo(d - 1))
-    t_hi = np.ascontiguousarray(grid.cell_hi(d - 1))
     if d == 1:
-        f = _inner_stack(np.ones((1, 1)), a_cols, t_lo, t_hi, p, scale)
-        diag.update(engine="exact-1d", boxes=1, elements=m)
+        a = grid.count_fractions()[None]
+        f = _inner_stack(np.ones((1, 1)), a, grid.cell_lo(0), grid.cell_hi(0), p, scale)
+        diag.update(engine="exact-1d", boxes=1, elements=a.size)
         return float(f[0, 0]), scale, 0.0, diag
 
-    lo_axes = [grid.cell_lo(i) for i in range(d - 1)]
-    hi_axes = [grid.cell_hi(i) for i in range(d - 1)]
+    memo = grid.memo
+    # the p-independent setup, made once per grid: the stack, the outer
+    # axes' cell bounds, the occupied columns and the first-pass pieces
+    if "layout" not in memo:
+        a_cols = grid.count_fractions().reshape(-1, grid.counts.shape[-1])
+        lo_axes, hi_axes = ([f(i) for i in range(d - 1)] for f in (grid.cell_lo, grid.cell_hi))
+        corners = np.stack([functools.reduce(np.multiply.outer, [
+            (lo_axes if j >> i & 1 else hi_axes)[i] for i in range(d - 1)]).reshape(-1)
+            for j in range(1 << (d - 1))], axis=1)
+        occupied = a_cols.any(axis=1)
+        brk = np.sort(corners[occupied], axis=1)
+        col = np.repeat(np.nonzero(occupied)[0], brk.shape[1] - 1)
+        stack = a_cols, grid.cell_lo(d - 1), grid.cell_hi(d - 1), corners, scale
+        memo["layout"] = stack, lo_axes, hi_axes, occupied, (
+            col, brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1))
+    stack, lo_axes, hi_axes, occupied, (col, lo, hi) = memo["layout"]
+    m = stack[0].shape[1]
     # a column with no point below it integrates (prod t / scale)^p, a
     # product of one-axis powers; in logs, as large p underflows them.  A
     # NaN from -inf - -inf near p = 1e308 is a term below q1^-d, so 0
@@ -426,17 +462,10 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         logs = [q1 * np.log(h) + np.log(-np.expm1(q1 * np.log(low / h)))
                 for low, h in zip(lo_axes, hi_axes)]
-        occupied = a_cols.any(axis=1)
         log_closed = functools.reduce(np.add.outer, logs).reshape(-1)[~occupied]
         log_closed = log_closed - d * math.log(q1) - p * math.log(scale)
     closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
 
-    corners = np.stack([functools.reduce(np.multiply.outer, [
-        (lo_axes if j >> i & 1 else hi_axes)[i] for i in range(d - 1)]).reshape(-1)
-        for j in range(1 << (d - 1))], axis=1)
-    brk = np.sort(corners[occupied], axis=1)
-    col = np.repeat(np.nonzero(occupied)[0], brk.shape[1] - 1)
-    lo, hi = brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1)
     cost = col.size * (2 + 3 * _BASE_ORDER) * m
     if cost > MAX_EVAL_ELEMENTS:
         raise ValueError(f"adaptive Lp integration pass needs {cost} evaluations (limit "
@@ -444,8 +473,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
 
     # the first pass runs in chunks that bound its memory; a grid's plan
     # only exists where that is one chunk
-    stack = (a_cols, t_lo, t_hi, corners, scale)
-    plan = _grid_plan(grid, col, lo, hi, stack)
+    plan = _grid_plan(grid, cost, col, lo, hi, stack)
     chunk = max(1, _CHUNK_ELEMENTS // ((2 + 3 * _BASE_ORDER) * m))
     *store, used = zip(*(_new_pieces(col[s:s + chunk], lo[s:s + chunk], hi[s:s + chunk], stack, p,
                                      0, rel_tol, plan) for s in range(0, max(col.size, 1), chunk)))

@@ -1,7 +1,8 @@
-"""The inner-stack kernel of the adaptive L_p engine, and the reuse of
-its p-independent work across p on one grid."""
+"""The inner-stack kernel of the adaptive L_p engine, its evaluation in
+row blocks, and the reuse of its p-independent work across p on one grid."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,3 +167,45 @@ def test_plan_stays_within_chunk_elements(cap, monkeypatch):
         assert plan is None
     else:
         assert plan.elements <= cap and None in plan.work.values()
+
+
+def _single_and_shared(pts, tol):
+    """The ladder as single-p calls on fresh grids and through one grid."""
+    shared = build_cell_grid(pts)
+    return ([_bits(lp_adaptive_integral(build_cell_grid(pts), p, p * tol)) for p in LADDER],
+            [_bits(lp_adaptive_integral(shared, p, p * tol)) for p in LADDER],
+            shared.memo["layout"][-1][0].size)
+
+
+@pytest.mark.parametrize("name", PLAN_SETS)
+def test_row_blocks_do_not_change_results(name, monkeypatch):
+    # one row per block against the default blocks: values, errors and
+    # work counts bit for bit, on fresh grids and on a grid's plan, where
+    # a p-dependent subset of the plan's rows is taken block by block
+    taken = set()
+    row_block = integrate._row_block
+
+    def spy(prep, s, rows=None):
+        taken.add(rows is not None)
+        return row_block(prep, s, rows)
+
+    monkeypatch.setattr(integrate, "_row_block", spy)
+    pts = PLAN_SETS[name]
+    want = [_single_and_shared(pts, tol) for tol in (1e-6, 1e-12)]
+    monkeypatch.setattr(integrate, "_BLOCK_ELEMENTS", 1)
+    assert [_single_and_shared(pts, tol) for tol in (1e-6, 1e-12)] == want
+    assert taken == {False, True}
+    # some rung bisects: it makes more pieces than the first pass
+    assert any(diag["boxes"] > first for single, _, first in want for *_, diag in single)
+
+
+def test_single_p_peak_memory():
+    # the kernel runs in row blocks, so a single-p call holds no whole pass
+    pts = generate_uniform(32, 3, 0)
+    tracemalloc.start()
+    try:
+        lp_discrepancy(pts, 2.5, rel_tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13e6, peak
