@@ -15,10 +15,11 @@ Two routes, used by the norm modules:
   Gauss-Legendre orders 3 and 6, whose difference is the error estimate
   (not a bound); the worst are refined first, by doubling both orders up
   to (12, 24) and by bisection there.  The kinks of F, where the zero of
-  A - s t crosses a cell edge, are cut out cell by cell.  Everything is
+  A - s t crosses a cell edge, are cut out cell by cell, and the other
+  cells go as runs of one count A, one integrand each.  Everything is
   scaled by sup |local discrepancy| so any large p stays in range.  The
-  stacks run in cache-sized row blocks, and from a grid's second call on
-  the p-independent work on its first pieces is kept on it (``_Plan``).
+  stacks run in cache-sized blocks, and from a grid's second call on the
+  p-independent work on its first pieces is kept on it (``_Plan``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .cells import CellGrid
 MAX_EVAL_ELEMENTS = 400_000_000
 # Batch memory cap (array elements per evaluation chunk).
 _CHUNK_ELEMENTS = 24_000_000
-# Stack elements per row block of the kernel, so no call holds a pass.
+# Stack elements per block of the kernel, so no call holds a pass.
 _BLOCK_ELEMENTS = 1 << 16
 _DBL_MAX = np.finfo(float).max
 
@@ -91,15 +92,15 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
     ae = a_cnt[:, None, :]
     tlen = t_hi - t_lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        delta = np.multiply(qe, tlen)
-        delta /= scale
+        # -delta, so that log1p(-delta/|v|) needs no negation pass
+        ndelta = np.multiply(qe, -tlen)
+        ndelta /= scale
         vhi = np.multiply(qe, t_lo)
         np.subtract(ae, vhi, out=vhi)
         vhi /= scale
-        vlo = np.subtract(vhi, delta)
-        pos = vlo >= 0.0
+        vlo = np.add(vhi, ndelta)
         straddle = vhi > 0.0
-        straddle &= ~pos
+        straddle &= vlo < 0.0
         cross = None
         if straddle.any():
             idx = np.flatnonzero(straddle)
@@ -109,14 +110,12 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
         # place of vlo so that no fourth block is held; -vlo is exactly
         # delta - vhi under IEEE rounding
         big = np.negative(vlo, out=vlo)
-        np.copyto(big, vhi, where=pos)
-        del pos
+        np.maximum(big, vhi, out=big)
         np.maximum(big, 1e-300, out=big)
-        thin = np.less_equal(delta, np.multiply(big, 1e-12, out=vhi))
+        thin = np.greater_equal(ndelta, np.multiply(big, -1e-12, out=vhi))
         thin &= ~straddle
-        lg = np.divide(delta, big, out=delta)
-        np.clip(lg, 0.0, 1.0, out=lg)
-        np.negative(lg, out=lg)
+        lg = np.divide(ndelta, big, out=ndelta)
+        np.maximum(lg, -1.0, out=lg)
         np.log1p(lg, out=lg)
         flat = None
         if thin.any():
@@ -216,19 +215,40 @@ def _ends_prep(col, lo, hi, stack):
     return mass, _stack_prep(ends, a_cols[col], t_lo, t_hi, scale)
 
 
-def _main_prep(col, lo, hi, stack, level, both):
-    """The p-independent work on the pieces' own stacks at ``level``: the
-    ``_stack_prep`` at their Gauss nodes and the weights times the
-    product law there."""
+def _runs(a, k_rows, k_cells):
+    """The runs of pieces with cell counts ``a`` (P, m), the maximal
+    stretches of one count free of kink cells: each piece's offset into
+    them (P + 1), and each run's count and first and last cell."""
+    m = a.shape[1]
+    kink = np.zeros(a.shape, dtype=bool)
+    kink[k_rows, k_cells] = True
+    start = kink.copy()
+    start[:, 0] = True
+    start[:, 1:] |= a[:, 1:] != a[:, :-1]
+    start[:, 1:] |= kink[:, :-1]
+    first = np.flatnonzero(start)
+    last = np.append(first[1:], start.size) - 1
+    keep = ~kink.reshape(-1)[first]
+    first, last = first[keep], last[keep]
+    off = np.searchsorted(first, np.arange(0, a.size + 1, m))
+    return off, a.reshape(-1)[first], first % m, last % m
+
+
+def _main_prep(col, lo, hi, stack, level, both, runs):
+    """The pieces' Gauss nodes at ``level``, the weights times the product
+    law there, and the ``_stack_prep`` of the ``runs`` (piece, count,
+    first and last cell) at their piece's nodes."""
     a_cols, t_lo, t_hi, corners, scale = stack
     q, wt = _gauss_nodes(lo, hi, level, both)
-    weights = wt * _product_law(q, corners[col])
-    return _stack_prep(q, a_cols[col], t_lo, t_hi, scale), weights
+    piece, a, first, last = runs
+    prep = _stack_prep(q[piece], a[:, None], t_lo[first][:, None, None],
+                       t_hi[last][:, None, None], scale)
+    return q, wt * _product_law(q, corners[col]), prep
 
 
 def _kink_prep(col, lo, hi, stack, level, both):
     """The cells (rows, cells) whose kink A/t_hi or A/t_lo lies inside a
-    piece, which leave the stack sum and are integrated alone on the
+    piece, which leave the piece's runs and are integrated alone on the
     sub-pieces cut there; and the sub-pieces' ``_stack_prep``, weights
     times product law, and piece rows.  A sub-piece of zero width, where
     a kink is clipped to an end, adds nothing and is left out."""
@@ -250,53 +270,78 @@ def _kink_prep(col, lo, hi, stack, level, both):
     return rows, cells, sub, weights, r3
 
 
-def _take_cells(prep, rows):
-    """``prep`` with its straddle and thin cells moved to the positions of
-    their rows in ``rows``, in flat order (other rows' dropped)."""
-    q, big, lg, *cells = prep
-    pos = np.full(q.shape[0], -1)
+def _ranges(starts, counts):
+    """The indices of the ranges starts[i]:starts[i] + counts[i], in order."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def _take_cells(cells, rows):
+    """``_stack_prep(...)[1:]`` with its straddle and thin cells moved to
+    the positions of their rows in ``rows`` (sorted), others dropped."""
+    big, lg, *cells = cells
+    pos = np.full(big.shape[0], -1)
     pos[rows] = np.arange(rows.size)
     per_row = math.prod(big.shape[1:])
     for i, c in enumerate(cells):
         if c is not None:
             r, rest = np.divmod(c[0], per_row)
             keep = np.flatnonzero(pos[r] >= 0)
-            flat = pos[r[keep]] * per_row + rest[keep]
-            order = np.argsort(flat)
-            cells[i] = (flat[order], *(v[keep[order]] for v in c[1:])) if keep.size else None
-    return q, big, lg, *cells
+            cells[i] = (pos[r[keep]] * per_row + rest[keep], *(v[keep] for v in c[1:])
+                        ) if keep.size else None
+    return big, lg, *cells
 
 
 def _row_block(prep, s, rows=None):
-    """Rows ``s`` of a ``_stack_prep``, cells re-based unless ``s`` is every
-    row; with ``rows``, of ``_take_cells(prep, rows)``, taking ``rows[s]``."""
-    q, big, lg, *cells = prep
+    """Rows ``s`` of ``_stack_prep(...)[1:]``, cells re-based unless ``s`` is
+    every row; with ``rows``, of ``_take_cells(prep, rows)``, taking
+    ``rows[s]``."""
+    big, lg, *cells = prep
     per_row = math.prod(big.shape[1:])
-    for i, c in enumerate(cells if s.start or s.stop < len(q if rows is None else rows) else ()):
+    for i, c in enumerate(cells if s.start or s.stop < len(big if rows is None else rows) else ()):
         if c is not None:
             a, b = np.searchsorted(c[0], [s.start * per_row, s.stop * per_row])
             cells[i] = (c[0][a:b] - s.start * per_row, *(v[a:b] for v in c[1:])) if b > a else None
     r = s if rows is None else rows[s]
-    return q[r], big[r], lg[r], *cells
+    return big[r], lg[r], *cells
 
 
-def _blocks(n_rows, per_row):
-    """Row slices of about ``_BLOCK_ELEMENTS`` elements, one row at least."""
-    step = max(1, _BLOCK_ELEMENTS // per_row)
-    return [slice(s, s + step) for s in range(0, n_rows, step)]
+def _blocks(off, per_run):
+    """Slices of pieces, piece i having runs off[i]:off[i + 1] of
+    ``per_run`` elements, of about ``_BLOCK_ELEMENTS``, one piece at least."""
+    s = 0
+    while s < off.size - 1:
+        t = max(s + 1, int(np.searchsorted(off, off[s] + _BLOCK_ELEMENTS // per_run, "right")) - 1)
+        yield slice(s, t)
+        s = t
+
+
+def _block_runs(off, s):
+    """The runs of the pieces ``s`` and each run's piece in ``s``."""
+    return slice(off[s.start], off[s.stop]), np.repeat(np.arange(s.stop - s.start),
+                                                       np.diff(off[s.start:s.stop + 1]))
+
+
+def _piece_sums(f, off):
+    """Per piece i the sum of rows f[off[i]:off[i + 1]], in order, or 0."""
+    out = np.zeros((off.size - 1, f.shape[1]))
+    full = np.flatnonzero(off[1:] > off[:-1])
+    if full.size:
+        out[full] = np.add.reduceat(f, off[full], axis=0)
+    return out
 
 
 def _take(work, rows):
-    """A plan's ``work`` for its pieces ``rows``: the main prep for
-    ``_row_block`` and, as copies in the order of ``rows``, the weights
-    and the ``_kink_prep``, each piece keeping its kinks in their order."""
-    (prep, weights), (k_rows, k_cells, sub, sub_w, r3) = work
-    pos = np.full(weights.shape[0], -1)
-    pos[rows] = np.arange(rows.size)
-    k, s = pos[k_rows] >= 0, np.flatnonzero(pos[r3] >= 0)
-    sub = _row_block(_take_cells(sub, s), slice(0, s.size), s)
-    return ((_take_cells(prep, rows), weights[rows]),
-            (pos[k_rows[k]], k_cells[k], sub, sub_w[s], pos[r3[s]]))
+    """A plan's ``work`` for its pieces ``rows`` (sorted): copies but for
+    the runs' cells, which ``_row_block`` takes with their runs' rows."""
+    (q, weights, off, cells), (sub, sub_w, r3) = work
+    counts = off[rows + 1] - off[rows]
+    runs = _ranges(off[rows], counts)
+    k_lo, k_hi = np.searchsorted(r3, [rows, rows + 1])
+    s = _ranges(k_lo, k_hi - k_lo)
+    sub = sub[0][s], *_row_block(_take_cells(sub[1:], s), slice(0, s.size), s)
+    return ((q[rows], weights[rows], np.concatenate([[0], np.cumsum(counts)]),
+             _take_cells(cells, runs), runs),
+            (sub, sub_w[s], np.repeat(np.arange(rows.size), k_hi - k_lo)))
 
 
 class _Plan:
@@ -325,15 +370,32 @@ class _Plan:
             if self.asked[key] < self.pieces[0].size:
                 return None
             self.work[key] = None
+            col, lo, hi = self.pieces
+            k_rows, k_cells, *kinks = _kink_prep(col, lo, hi, self.stack, level, both)
+            off, *runs = _runs(self.stack[0][col], k_rows, k_cells)
             nodes = (3 if both else 2) * (_BASE_ORDER << level)
-            size = self.pieces[0].size * nodes * self.stack[0].shape[1]
+            size = int(off[-1]) * nodes + kinks[0][0].size
             if self.elements + size <= _CHUNK_ELEMENTS:
-                work = (_main_prep(*self.pieces, self.stack, level, both),
-                        _kink_prep(*self.pieces, self.stack, level, both))
-                size += work[1][2][1].size
-                if self.elements + size <= _CHUNK_ELEMENTS:
-                    self.work[key], self.elements = work, self.elements + size
+                self.work[key] = self._main(level, both, off, runs), kinks
+                self.elements += size
         return self.work[key]
+
+    def _main(self, level, both, off, runs):
+        """The ``_main_prep`` of every piece, made block by block into one."""
+        col, lo, hi = self.pieces
+        nodes = (3 if both else 2) * (_BASE_ORDER << level)
+        q, weights = np.empty((2, col.size, nodes))
+        big, lg = np.empty((2, off[-1], nodes, 1))
+        cells = [], []
+        for s in _blocks(off, nodes):
+            r, piece = _block_runs(off, s)
+            q[s], weights[s], (_, big[r], lg[r], *made) = _main_prep(
+                col[s], lo[s], hi[s], self.stack, level, both, (piece, *(v[r] for v in runs)))
+            for c, part in zip(cells, made):
+                if part is not None:
+                    c.append((part[0] + r.start * nodes, *part[1:]))
+        cells = [tuple(map(np.concatenate, zip(*c))) if c else None for c in cells]
+        return q, weights, off, (big, lg, *cells)
 
 
 def _grid_plan(grid, first, col, lo, hi, stack):
@@ -361,10 +423,10 @@ def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
     these placeholders stay a few percent of the target.  Given the
     grid's ``plan``, the pieces are its first-pass pieces.
     """
-    block = (lambda s: (plan.mass[s], _row_block(plan.ends, s))) if plan else (
-        lambda s: _ends_prep(col[s], lo[s], hi[s], stack))
+    block = (lambda s: (plan.mass[s], (plan.ends[0][s], *_row_block(plan.ends[1:], s)))) if plan \
+        else (lambda s: _ends_prep(col[s], lo[s], hi[s], stack))
     bounds, low = np.empty(col.size), np.empty(col.size)
-    for s in _blocks(col.size, 2 * stack[0].shape[1]):
+    for s in _blocks(np.arange(col.size + 1), 2 * stack[0].shape[1]):
         mass, prep = block(s)
         per_cell = _stack_apply(prep, p, stack[-1], reduce=False, inplace=plan is None)
         bounds[s] = per_cell.max(axis=1).sum(axis=1) * mass
@@ -381,33 +443,35 @@ def _eval_pieces(col, lo, hi, stack, p, level, low=None, plan=None, rows=None):
     """Order-2n Gauss value of every piece at ``level``, its difference
     from order n, and the elements used; given the order-n values
     ``low``, only order 2n is evaluated.  Given the grid's ``plan``, the
-    pieces are its first-pass pieces ``rows`` (all when None), and the
-    plan's work is used where it keeps it.  Stacks go in row blocks.
+    pieces are its first-pass pieces ``rows`` (sorted; all when None),
+    and the plan's work is used where it keeps it.
     """
-    scale, n, both, m = stack[-1], _BASE_ORDER << level, low is None, stack[0].shape[1]
+    scale, n, both = stack[-1], _BASE_ORDER << level, low is None
     work = plan.entry(level, both, col.size) if plan else None
     if work is None:
-        kinks = _kink_prep(col, lo, hi, stack, level, both)
-        block = lambda s: _main_prep(col[s], lo[s], hi[s], stack, level, both)
+        k_rows, k_cells, sub, sub_w, r3 = _kink_prep(col, lo, hi, stack, level, both)
+        off, *runs = _runs(stack[0][col], k_rows, k_cells)
+        block = lambda s, r, piece: _main_prep(col[s], lo[s], hi[s], stack, level, both,
+                                               (piece, *(v[r] for v in runs)))[1:]
     else:
-        (prep, weights), kinks = work if rows is None else _take(work, rows)
-        block = lambda s: (_row_block(prep, s, rows), weights[s])
+        (q, weights, off, cells, *taken), (sub, sub_w, r3) = work if rows is None else _take(
+            work, rows)
+        block = lambda s, r, piece: (weights[s], (q[s][piece], *_row_block(cells, r, *taken)))
     own = work is None or rows is not None
-    k_rows, k_cells, sub, sub_w, r3 = kinks
     main = np.empty((col.size, (3 if both else 2) * n))
-    for s in _blocks(col.size, main.shape[1] * m):
-        prep_s, weights_s = block(s)
-        f = _stack_apply(prep_s, p, scale, reduce=False, inplace=own)
-        k = (k_rows >= s.start) & (k_rows < s.stop)
-        f[k_rows[k] - s.start, :, k_cells[k]] = 0.0
-        main[s] = weights_s * f.sum(axis=2)
+    for s in _blocks(off, main.shape[1]):
+        r, piece = _block_runs(off, s)
+        weights_s, prep = block(s, r, piece)
+        f = _stack_apply(prep, p, scale, reduce=False, inplace=own)[:, :, 0]
+        main[s] = weights_s * _piece_sums(f, off[s.start:s.stop + 1] - r.start)
+        del prep, f  # before the next block is made
     part = np.concatenate([main, sub_w * _stack_apply(sub, p, scale, inplace=own)])
     idx = np.concatenate([np.arange(col.size), r3])
     high = part[:, -2 * n:].sum(axis=1)
     vals = np.bincount(idx, high, minlength=col.size)
     errs = np.abs(vals - low) if low is not None else np.bincount(
         idx, np.abs(high - part[:, :n].sum(axis=1)), minlength=col.size)
-    return vals, errs, main.size * m + sub[0].size
+    return vals, errs, int(off[-1]) * main.shape[1] + sub[0].size
 
 
 # Pieces picked per refinement round, at most.
@@ -427,7 +491,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     (``boxes`` in the diagnostics) have been made, or until no piece can
     be refined; running out of budget is reported through the
     diagnostics, never silently.  ``elements`` counts the inner-stack
-    elements evaluated.
+    elements evaluated, one per node and run on the pieces' own stacks.
     """
     d = grid.dim
     diag = {"engine": "adaptive", "boxes": 0, "elements": 0, "budget_exceeded": False}
@@ -512,7 +576,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         # pieces, as bisection makes top-level ones.
         up, par = par[lvl[par] < _MAX_LEVEL], par[lvl[par] == _MAX_LEVEL]
         for level in np.unique(lvl[up]).tolist():
-            g = up[lvl[up] == level]
+            g = np.sort(up[lvl[up] == level])
             val[g], err[g], used = _eval_pieces(col[g], lo[g], hi[g], stack, p, level + 1,
                                                 None if level < 0 else val[g], plan, g)
             lvl[g] += 1

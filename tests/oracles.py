@@ -6,8 +6,9 @@ with no closed-form help, ``modular_by_quadrature`` uses it for the
 Orlicz modular, ``luxemburg_norm_piecewise`` solves the Luxemburg
 norm of a piecewise-constant function, whose modular is an exact sum,
 ``lp_mpmath`` computes L_p norms in d = 1, 2 in extended precision,
-``count_in_box`` and ``local_discrepancy`` count points directly, and
-``young_eval`` sums the Young series pointwise.
+``count_in_box`` and ``local_discrepancy`` count points directly,
+``young_eval`` sums the Young series pointwise, and ``cell_stack_sums``
+sums the adaptive engine's inner stacks cell by cell.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import mpmath
 import numpy as np
 
 from discnorm.cells import CellGrid, build_cell_grid
-from discnorm.integrate import MAX_EVAL_ELEMENTS, NumericalError, _gl01
+from discnorm.integrate import MAX_EVAL_ELEMENTS, NumericalError, _gl01, _inner_stack
 from discnorm.lp import NormResult
 from discnorm.orlicz import OrliczSpec, _luxemburg_root
 from discnorm.pointset import PointSet
@@ -289,3 +290,19 @@ def lp_mpmath(points: PointSet, p: float, dps: int = 30) -> float:
                             if t > 0 and s_lo < a / t < s_hi)
                 total += mpmath.quad(lambda s: stack(s, cs), sorted(cuts))
         return float(total ** (1 / pm))
+
+
+def cell_stack_sums(q, a, t_lo, t_hi, lo, hi, p, scale):
+    """Per piece and node, the inner stack summed cell by cell with the
+    piece's kink cells zeroed.
+
+    Piece i has nodes q[i] in (lo[i], hi[i]) and cell counts a[i]; a
+    cell is a kink cell when its kink a/t_hi or a/t_lo lies strictly
+    inside the piece.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kinks = np.stack([a / t_hi, a / t_lo])
+    kink = ((kinks > lo[:, None]) & (kinks < hi[:, None])).any(axis=0)
+    f = _inner_stack(q, a, t_lo, t_hi, p, scale, reduce=False)
+    f[np.broadcast_to(kink[:, None, :], f.shape)] = 0.0
+    return f.sum(axis=2)

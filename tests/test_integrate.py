@@ -12,6 +12,7 @@ from discnorm.cells import build_cell_grid
 from discnorm.integrate import _MAX_LEVEL, _gauss_nodes, _inner_stack, lp_adaptive_integral
 from discnorm.lp import LpCache, lp_discrepancy
 from discnorm.pointset import generate_halton, generate_uniform
+from oracles import cell_stack_sums
 
 
 def _inner_stack_masked(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
@@ -102,6 +103,48 @@ def test_kernel_bit_identical_to_masked_oracle(p):
     assert (kinds > 0).all(), kinds
 
 
+def _run_sums_match_cells(stack, col, lo, hi):
+    """Per piece and node, the sum of each piece's runs against the cell-by-
+    cell stack with its kink cells zeroed, at every level; returns the
+    runs' offsets, counts and stack prep at the top level."""
+    for level in range(_MAX_LEVEL + 1):
+        k_rows, k_cells, *_ = integrate._kink_prep(col, lo, hi, stack, level, True)
+        off, *runs = integrate._runs(stack[0][col], k_rows, k_cells)
+        piece = np.repeat(np.arange(col.size), np.diff(off))
+        q, _, prep = integrate._main_prep(col, lo, hi, stack, level, True, (piece, *runs))
+        for p in (1.0, 2.5, 33.0):
+            f = integrate._stack_apply(prep, p, stack[-1], reduce=False, inplace=False)
+            got = integrate._piece_sums(f[:, :, 0], off)
+            a_cols, t_lo, t_hi, _, scale = stack
+            want = cell_stack_sums(q, a_cols[col], t_lo, t_hi, lo, hi, p, scale)
+            assert (np.abs(got - want) <= 1e-13 * want).all(), (level, p)
+    return off, runs[0], prep
+
+
+def test_run_sums_match_cell_sums():
+    found = set()
+    for pts in (generate_halton(16, 2), generate_uniform(8, 3, seed=2),
+                generate_uniform(6, 4, seed=1)):
+        grid = build_cell_grid(pts)
+        lp_adaptive_integral(grid, 2.0, 1e-3)
+        stack, *_, pieces = grid.memo["layout"]
+        off, counts, prep = _run_sums_match_cells(stack, *pieces)
+        piece = np.repeat(np.arange(off.size - 1), np.diff(off))
+        found.add((pts.dim, "straddle", prep[3] is not None))
+        # two runs of one piece with one count have kink cells between them
+        found.add((pts.dim, "split", bool(((np.diff(piece) == 0) & (np.diff(counts) == 0)).any())))
+    assert all(hit for *_, hit in found), sorted(found)
+    # three cells of count 1/4: on (0.45, 0.9) each holds a kink, so that
+    # piece has no runs; on (0.05, 0.1) the one run stays positive, and on
+    # (0.7, 0.8) it straddles the zero, which lies in its first cell
+    stack = (np.full((1, 3), 0.25), np.array([0.3, 0.4, 0.5]), np.array([0.4, 0.5, 0.6]),
+             np.array([[1.0, 0.0]]), 1.0)
+    off, _, prep = _run_sums_match_cells(stack, np.zeros(3, dtype=int), np.array([0.45, 0.05, 0.7]),
+                                         np.array([0.9, 0.1, 0.8]))
+    assert off.tolist() == [0, 0, 1, 2]
+    assert np.unique(prep[3][0] // prep[1].shape[1]).tolist() == [1]
+
+
 LADDER = (1.0, 2.5, 20.0, 150.0, 2.0 ** 21)
 PLAN_SETS = {"d2": generate_uniform(12, 2, seed=5), "d3": generate_uniform(8, 3, seed=2),
              "d4": generate_uniform(6, 4, seed=1)}
@@ -156,10 +199,11 @@ def test_plan_reuse_is_bit_identical(name, monkeypatch):
         assert cache.grid.memo["plan"] is not None
 
 
-@pytest.mark.parametrize("cap", [5_000, 40_000])
+@pytest.mark.parametrize("cap", [5_000, 20_000])
 def test_plan_stays_within_chunk_elements(cap, monkeypatch):
-    # 5,000 elements split the first pass of the d = 3 set into chunks, so
-    # its grid keeps no plan; 40,000 hold the first pass but not every level
+    # 5,000 elements split the first pass of the d = 3 set (17,820) into
+    # chunks, so its grid keeps no plan; 20,000 hold the first pass and
+    # level 0 (12,582 with the endpoints) but not level 1 (25,038)
     monkeypatch.setattr(integrate, "_CHUNK_ELEMENTS", cap)
     shared = _ladder_matches_fresh_grids(PLAN_SETS["d3"])
     plan = shared.memo["plan"]
