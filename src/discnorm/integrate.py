@@ -227,7 +227,8 @@ def _runs(a, k_rows, k_cells):
     start[:, 1:] |= a[:, 1:] != a[:, :-1]
     start[:, 1:] |= kink[:, :-1]
     first = np.flatnonzero(start)
-    last = np.append(first[1:], start.size) - 1
+    last = np.roll(first, -1) - 1
+    last[-1:] = start.size - 1
     keep = ~kink.reshape(-1)[first]
     first, last = first[keep], last[keep]
     off = np.searchsorted(first, np.arange(0, a.size + 1, m))
@@ -246,13 +247,13 @@ def _main_prep(col, lo, hi, stack, level, both, runs):
     return q, wt * _product_law(q, corners[col]), prep
 
 
-def _kink_prep(col, lo, hi, stack, level, both):
+def _kinks(col, lo, hi, stack):
     """The cells (rows, cells) whose kink A/t_hi or A/t_lo lies inside a
     piece, which leave the piece's runs and are integrated alone on the
-    sub-pieces cut there; and the sub-pieces' ``_stack_prep``, weights
-    times product law, and piece rows.  A sub-piece of zero width, where
-    a kink is clipped to an end, adds nothing and is left out."""
-    a_cols, t_lo, t_hi, corners, scale = stack
+    sub-pieces cut there; and the sub-pieces' rows, cells and ends.  A
+    sub-piece of zero width, where a kink is clipped to an end, adds
+    nothing and is left out."""
+    a_cols, t_lo, t_hi = stack[:3]
     a = a_cols[col]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kinks = np.stack([a / t_hi, a / t_lo], axis=2)
@@ -261,13 +262,21 @@ def _kink_prep(col, lo, hi, stack, level, both):
     cuts = np.clip(kinks[rows, cells], lo[rows, None], hi[rows, None])
     edges = np.concatenate([lo[rows, None], cuts, hi[rows, None]], axis=1)
     wide = np.flatnonzero(edges[:, 1:] > edges[:, :-1])
-    r3, c3 = rows[wide // 3], cells[wide // 3]
-    q, wt = _gauss_nodes(edges[:, :-1].flat[wide], edges[:, 1:].flat[wide], level, both)
+    return rows, cells, (rows[wide // 3], cells[wide // 3], edges[:, :-1].flat[wide],
+                         edges[:, 1:].flat[wide])
+
+
+def _kink_prep(col, stack, level, both, subs):
+    """The ``_stack_prep`` of the sub-pieces ``subs`` of ``_kinks``, their
+    weights times product law, and their piece rows."""
+    a_cols, t_lo, t_hi, corners, scale = stack
+    r3, c3, s_lo, s_hi = subs
+    q, wt = _gauss_nodes(s_lo, s_hi, level, both)
     # the weights first: the product law's temporaries outsize the prep
     weights = wt * _product_law(q, corners[col[r3]])
-    sub = _stack_prep(q, a[r3, c3][:, None], t_lo[c3][:, None, None], t_hi[c3][:, None, None],
-                      scale)
-    return rows, cells, sub, weights, r3
+    sub = _stack_prep(q, a_cols[col[r3], c3][:, None], t_lo[c3][:, None, None],
+                      t_hi[c3][:, None, None], scale)
+    return sub, weights, r3
 
 
 def _ranges(starts, counts):
@@ -371,11 +380,13 @@ class _Plan:
                 return None
             self.work[key] = None
             col, lo, hi = self.pieces
-            k_rows, k_cells, *kinks = _kink_prep(col, lo, hi, self.stack, level, both)
+            # sized before the prep is made, so a level left out costs
+            # only the cells' counts and kinks
+            k_rows, k_cells, subs = _kinks(col, lo, hi, self.stack)
             off, *runs = _runs(self.stack[0][col], k_rows, k_cells)
-            nodes = (3 if both else 2) * (_BASE_ORDER << level)
-            size = int(off[-1]) * nodes + kinks[0][0].size
+            size = (int(off[-1]) + subs[0].size) * (3 if both else 2) * (_BASE_ORDER << level)
             if self.elements + size <= _CHUNK_ELEMENTS:
+                kinks = _kink_prep(col, self.stack, level, both, subs)
                 self.work[key] = self._main(level, both, off, runs), kinks
                 self.elements += size
         return self.work[key]
@@ -449,7 +460,8 @@ def _eval_pieces(col, lo, hi, stack, p, level, low=None, plan=None, rows=None):
     scale, n, both = stack[-1], _BASE_ORDER << level, low is None
     work = plan.entry(level, both, col.size) if plan else None
     if work is None:
-        k_rows, k_cells, sub, sub_w, r3 = _kink_prep(col, lo, hi, stack, level, both)
+        k_rows, k_cells, subs = _kinks(col, lo, hi, stack)
+        sub, sub_w, r3 = _kink_prep(col, stack, level, both, subs)
         off, *runs = _runs(stack[0][col], k_rows, k_cells)
         block = lambda s, r, piece: _main_prep(col[s], lo[s], hi[s], stack, level, both,
                                                (piece, *(v[r] for v in runs)))[1:]

@@ -107,10 +107,10 @@ def _run_sums_match_cells(stack, col, lo, hi):
     """Per piece and node, the sum of each piece's runs against the cell-by-
     cell stack with its kink cells zeroed, at every level; returns the
     runs' offsets, counts and stack prep at the top level."""
+    k_rows, k_cells, _ = integrate._kinks(col, lo, hi, stack)
+    off, *runs = integrate._runs(stack[0][col], k_rows, k_cells)
+    piece = np.repeat(np.arange(col.size), np.diff(off))
     for level in range(_MAX_LEVEL + 1):
-        k_rows, k_cells, *_ = integrate._kink_prep(col, lo, hi, stack, level, True)
-        off, *runs = integrate._runs(stack[0][col], k_rows, k_cells)
-        piece = np.repeat(np.arange(col.size), np.diff(off))
         q, _, prep = integrate._main_prep(col, lo, hi, stack, level, True, (piece, *runs))
         for p in (1.0, 2.5, 33.0):
             f = integrate._stack_apply(prep, p, stack[-1], reduce=False, inplace=False)

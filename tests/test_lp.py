@@ -287,6 +287,32 @@ def test_astronomical_p_reaches_the_sup(pts, capfd):
     assert capfd.readouterr().err == ""
 
 
+def test_sup_in_an_empty_column_leaves_no_piece_to_evaluate(monkeypatch):
+    # the sup 0.7 is reached only at (0.7, 1) on the empty column x < 0.7;
+    # every occupied cell stays below 0.47, so at p = 1e4 each first-pass
+    # piece's bound underflows to 0 and no piece is evaluated
+    pts = PointSet(np.array([[0.7, 0.1], [0.8, 0.5], [0.9, 0.9]]))
+    pieces = []
+    runs, take = integrate._runs, integrate._take
+    monkeypatch.setattr(integrate, "_runs", lambda a, *args: pieces.append(len(a)) or runs(a, *args))
+    monkeypatch.setattr(integrate, "_take",
+                        lambda work, rows: pieces.append(rows.size) or take(work, rows))
+    p = 1e4
+    closed = 0.7 * (0.7 / (p + 1.0) ** 2) ** (1.0 / p)
+    res = lp_discrepancy(pts, p)
+    assert star_discrepancy_exact(pts) == 0.7
+    assert res.value == pytest.approx(closed, rel=1e-12)
+    assert pieces == [0]
+    # the same through a grid's plan, whose level 0 two smaller p made
+    cache = LpCache(pts)
+    for q in (1.0, 3.0, p):
+        got, want = cache.norm(q), lp_discrepancy(pts, q)
+        assert (got.value, got.abs_error_estimate, got.diagnostics) == (
+            want.value, want.abs_error_estimate, want.diagnostics)
+    assert cache.grid.memo["plan"].work[(0, True)] is not None
+    assert pieces[-1] == 0
+
+
 def test_tolerance_below_double_rounding_is_floored():
     pts = generate_uniform(8, 2, seed=0)
     for p in (1.0, 2.5, 20.0):
