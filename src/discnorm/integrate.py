@@ -14,12 +14,13 @@ Two routes, used by the norm modules:
   dimension in every d.  Pieces between corner products start at
   Gauss-Legendre orders 3 and 6, whose difference is the error estimate
   (not a bound); the worst are refined first, by doubling both orders up
-  to (12, 24) and by bisection there.  The kinks of F, where the zero of
-  A - s t crosses a cell edge, are cut out cell by cell, and the other
-  cells go as runs of one count A, one integrand each.  Everything is
-  scaled by sup |local discrepancy| so any large p stays in range.  The
-  stacks run in cache-sized blocks, and from a grid's second call on the
-  p-independent work on its first pieces is kept on it (``_Plan``).
+  to (12, 24) and by bisection there.  A piece's cells go as runs of one
+  count A, one integrand each, but for those with a kink of F, where the
+  zero of A - s t crosses a cell edge: each is the one run of the
+  sub-pieces cut at its kinks, rows of the same pass in cache-sized
+  blocks.  Everything is scaled by sup |local discrepancy| so any large p
+  stays in range.  A grid keeps its setup, and from its second call on
+  the p-independent work on its first pieces (``_Plan``).
 """
 
 from __future__ import annotations
@@ -215,13 +216,25 @@ def _ends_prep(col, lo, hi, stack):
     return mass, _stack_prep(ends, a_cols[col], t_lo, t_hi, scale)
 
 
-def _runs(a, k_rows, k_cells):
-    """The runs of pieces with cell counts ``a`` (P, m), the maximal
-    stretches of one count free of kink cells: each piece's offset into
-    them (P + 1), and each run's count and first and last cell."""
+def _rows(col, lo, hi, stack):
+    """The rows (col, lo, hi) of the pieces, then of their kink sub-pieces;
+    the rows' offsets into their runs (rows + 1); each run's count and
+    first and last cell; and each sub-piece's piece.  A piece's runs are
+    its maximal stretches of one count free of kink cells, whose kink
+    A/t_hi or A/t_lo lies inside it.  A kink cell is the one run of each
+    sub-piece cut at its kinks; one of zero width, where a kink is clipped
+    to an end, adds nothing and is left out."""
+    a_cols, t_lo, t_hi = stack[:3]
+    a = a_cols[col]
     m = a.shape[1]
-    kink = np.zeros(a.shape, dtype=bool)
-    kink[k_rows, k_cells] = True
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kinks = np.stack([a / t_hi, a / t_lo], axis=2)
+    kink = ((kinks > lo[:, None, None]) & (kinks < hi[:, None, None])).any(axis=2)
+    k_rows, k_cells = np.nonzero(kink)
+    cuts = np.clip(kinks[k_rows, k_cells], lo[k_rows, None], hi[k_rows, None])
+    edges = np.concatenate([lo[k_rows, None], cuts, hi[k_rows, None]], axis=1)
+    wide = np.flatnonzero(edges[:, 1:] > edges[:, :-1])
+    r3, c3 = k_rows[wide // 3], k_cells[wide // 3]
     start = kink.copy()
     start[:, 0] = True
     start[:, 1:] |= a[:, 1:] != a[:, :-1]
@@ -232,51 +245,24 @@ def _runs(a, k_rows, k_cells):
     keep = ~kink.reshape(-1)[first]
     first, last = first[keep], last[keep]
     off = np.searchsorted(first, np.arange(0, a.size + 1, m))
-    return off, a.reshape(-1)[first], first % m, last % m
+    rows = (np.append(col, col[r3]), np.append(lo, edges[:, :-1].flat[wide]),
+            np.append(hi, edges[:, 1:].flat[wide]))
+    return (rows, np.append(off, off[-1] + 1 + np.arange(r3.size)),
+            np.append(a.reshape(-1)[first], a[r3, c3]), np.append(first % m, c3),
+            np.append(last % m, c3), r3)
 
 
 def _main_prep(col, lo, hi, stack, level, both, runs):
-    """The pieces' Gauss nodes at ``level``, the weights times the product
-    law there, and the ``_stack_prep`` of the ``runs`` (piece, count,
-    first and last cell) at their piece's nodes."""
+    """The rows' Gauss nodes at ``level``, the weights times the product
+    law there, and the ``_stack_prep`` of the ``runs`` (row, count, first
+    and last cell) at their row's nodes."""
     a_cols, t_lo, t_hi, corners, scale = stack
     q, wt = _gauss_nodes(lo, hi, level, both)
-    piece, a, first, last = runs
-    prep = _stack_prep(q[piece], a[:, None], t_lo[first][:, None, None],
-                       t_hi[last][:, None, None], scale)
-    return q, wt * _product_law(q, corners[col]), prep
-
-
-def _kinks(col, lo, hi, stack):
-    """The cells (rows, cells) whose kink A/t_hi or A/t_lo lies inside a
-    piece, which leave the piece's runs and are integrated alone on the
-    sub-pieces cut there; and the sub-pieces' rows, cells and ends.  A
-    sub-piece of zero width, where a kink is clipped to an end, adds
-    nothing and is left out."""
-    a_cols, t_lo, t_hi = stack[:3]
-    a = a_cols[col]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kinks = np.stack([a / t_hi, a / t_lo], axis=2)
-    inside = (kinks > lo[:, None, None]) & (kinks < hi[:, None, None])
-    rows, cells = np.nonzero(inside.any(axis=2))
-    cuts = np.clip(kinks[rows, cells], lo[rows, None], hi[rows, None])
-    edges = np.concatenate([lo[rows, None], cuts, hi[rows, None]], axis=1)
-    wide = np.flatnonzero(edges[:, 1:] > edges[:, :-1])
-    return rows, cells, (rows[wide // 3], cells[wide // 3], edges[:, :-1].flat[wide],
-                         edges[:, 1:].flat[wide])
-
-
-def _kink_prep(col, stack, level, both, subs):
-    """The ``_stack_prep`` of the sub-pieces ``subs`` of ``_kinks``, their
-    weights times product law, and their piece rows."""
-    a_cols, t_lo, t_hi, corners, scale = stack
-    r3, c3, s_lo, s_hi = subs
-    q, wt = _gauss_nodes(s_lo, s_hi, level, both)
     # the weights first: the product law's temporaries outsize the prep
-    weights = wt * _product_law(q, corners[col[r3]])
-    sub = _stack_prep(q, a_cols[col[r3], c3][:, None], t_lo[c3][:, None, None],
-                      t_hi[c3][:, None, None], scale)
-    return sub, weights, r3
+    weights = wt * _product_law(q, corners[col])
+    row, a, first, last = runs
+    return q, weights, _stack_prep(q[row], a[:, None], t_lo[first][:, None, None],
+                                   t_hi[last][:, None, None], scale)
 
 
 def _ranges(starts, counts):
@@ -315,19 +301,14 @@ def _row_block(prep, s, rows=None):
 
 
 def _blocks(off, per_run):
-    """Slices of pieces, piece i having runs off[i]:off[i + 1] of
-    ``per_run`` elements, of about ``_BLOCK_ELEMENTS``, one piece at least."""
+    """Slices of rows, row i having runs off[i]:off[i + 1] of ``per_run``
+    elements, of about ``_BLOCK_ELEMENTS``, one row at least; each with
+    the slice of its runs and each run's row in the block."""
     s = 0
     while s < off.size - 1:
         t = max(s + 1, int(np.searchsorted(off, off[s] + _BLOCK_ELEMENTS // per_run, "right")) - 1)
-        yield slice(s, t)
+        yield slice(s, t), slice(off[s], off[t]), np.repeat(np.arange(t - s), np.diff(off[s:t + 1]))
         s = t
-
-
-def _block_runs(off, s):
-    """The runs of the pieces ``s`` and each run's piece in ``s``."""
-    return slice(off[s.start], off[s.stop]), np.repeat(np.arange(s.stop - s.start),
-                                                       np.diff(off[s.start:s.stop + 1]))
 
 
 def _piece_sums(f, off):
@@ -340,86 +321,86 @@ def _piece_sums(f, off):
 
 
 def _take(work, rows):
-    """A plan's ``work`` for its pieces ``rows`` (sorted): copies but for
-    the runs' cells, which ``_row_block`` takes with their runs' rows."""
-    (q, weights, off, cells), (sub, sub_w, r3) = work
-    counts = off[rows + 1] - off[rows]
-    runs = _ranges(off[rows], counts)
+    """A kept level's ``work`` for its pieces ``rows`` (sorted) and their
+    sub-pieces: copies but for the runs' cells, which ``_row_block`` takes
+    with their runs' rows."""
+    q, weights, off, cells, r3 = work
     k_lo, k_hi = np.searchsorted(r3, [rows, rows + 1])
-    s = _ranges(k_lo, k_hi - k_lo)
-    sub = sub[0][s], *_row_block(_take_cells(sub[1:], s), slice(0, s.size), s)
-    return ((q[rows], weights[rows], np.concatenate([[0], np.cumsum(counts)]),
-             _take_cells(cells, runs), runs),
-            (sub, sub_w[s], np.repeat(np.arange(rows.size), k_hi - k_lo)))
+    taken = np.append(rows, off.size - 1 - r3.size + _ranges(k_lo, k_hi - k_lo))
+    counts = off[taken + 1] - off[taken]
+    runs = _ranges(off[taken], counts)
+    return (q[taken], weights[taken], np.concatenate([[0], np.cumsum(counts)]),
+            _take_cells(cells, runs), np.repeat(np.arange(rows.size), k_hi - k_lo), runs)
 
 
 class _Plan:
-    """The p-independent work on one grid's first-pass pieces, kept across p.
+    """What one grid keeps for its adaptive computes, across p.
 
-    It holds the pieces (col, lo, hi), their masses and the
-    ``_stack_prep`` at their endpoints, and per (level, orders) the
-    ``_main_prep`` and ``_kink_prep`` of every piece, by first-pass piece.
-    The work of a level and orders is made once the pieces asked of it
-    reach the number of pieces, so that it costs no more than the
+    Made at the grid's first compute: the stack, the outer axes' cell
+    bounds, the occupied columns and the first-pass pieces (col, lo, hi).
+    From the second compute on, where the first pass is one chunk, the
+    p-independent work on those pieces: ``"ends"`` (``_ends_prep``) and
+    per level the ``_main_prep`` of every row, with the runs' offsets and
+    the sub-pieces' pieces.  Level 0 has orders n and 2n, as the first
+    pass and placeholders evaluate both, and a higher level 2n alone, as
+    a doubling reuses order n.  A work is made once the pieces asked of
+    it reach the number of pieces, so that it costs no more than the
     evaluations it replaces, and kept while it fits ``_CHUNK_ELEMENTS``.
     """
 
-    def __init__(self, col, lo, hi, stack):
-        self.pieces, self.stack, self.work, self.asked = (col, lo, hi), stack, {}, {}
-        self.mass, self.ends = _ends_prep(col, lo, hi, stack)
-        self.elements = self.ends[1].size
+    def __init__(self, grid):
+        d = grid.dim
+        a_cols = grid.count_fractions().reshape(-1, grid.counts.shape[-1])
+        self.lo_axes, self.hi_axes = ([f(i) for i in range(d - 1)]
+                                      for f in (grid.cell_lo, grid.cell_hi))
+        corners = np.stack([functools.reduce(np.multiply.outer, [
+            (self.lo_axes if j >> i & 1 else self.hi_axes)[i] for i in range(d - 1)]).reshape(-1)
+            for j in range(1 << (d - 1))], axis=1)
+        self.occupied = a_cols.any(axis=1)
+        brk = np.sort(corners[self.occupied], axis=1)
+        self.pieces = (np.repeat(np.nonzero(self.occupied)[0], brk.shape[1] - 1),
+                       brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1))
+        self.stack = a_cols, grid.cell_lo(d - 1), grid.cell_hi(d - 1), corners, grid.sup_abs
+        self.computes, self.elements, self.work, self.asked = 0, 0, {}, {}
 
-    def entry(self, level, both, asked):
-        """The work at ``level`` and orders ``both`` (2n alone when False)
-        of every piece, asked for ``asked`` of them, or None if it is not
-        kept."""
-        key = (level, both)
+    def entry(self, key, asked):
+        """The work ``key`` ("ends" or a level) of every piece, asked for
+        ``asked`` of them, or None if it is not kept."""
         if key not in self.work:
             self.asked[key] = self.asked.get(key, 0) + asked
-            if self.asked[key] < self.pieces[0].size:
+            col, lo, hi = self.pieces
+            if self.asked[key] < col.size:
                 return None
             self.work[key] = None
-            col, lo, hi = self.pieces
-            # sized before the prep is made, so a level left out costs
-            # only the cells' counts and kinks
-            k_rows, k_cells, subs = _kinks(col, lo, hi, self.stack)
-            off, *runs = _runs(self.stack[0][col], k_rows, k_cells)
-            size = (int(off[-1]) + subs[0].size) * (3 if both else 2) * (_BASE_ORDER << level)
+            # sized before the work is made, so a level left out costs
+            # only its rows
+            if key == "ends":
+                size, make = 2 * col.size * self.stack[0].shape[1], lambda: _ends_prep(
+                    col, lo, hi, self.stack)
+            else:
+                rows = _rows(col, lo, hi, self.stack)
+                nodes = (3 if key == 0 else 2) * (_BASE_ORDER << key)
+                size, make = int(rows[1][-1]) * nodes, lambda: self._level(key, nodes, rows)
             if self.elements + size <= _CHUNK_ELEMENTS:
-                kinks = _kink_prep(col, self.stack, level, both, subs)
-                self.work[key] = self._main(level, both, off, runs), kinks
+                self.work[key] = make()
                 self.elements += size
         return self.work[key]
 
-    def _main(self, level, both, off, runs):
-        """The ``_main_prep`` of every piece, made block by block into one."""
-        col, lo, hi = self.pieces
-        nodes = (3 if both else 2) * (_BASE_ORDER << level)
+    def _level(self, level, nodes, rows):
+        """The ``_main_prep`` of every one of the ``_rows`` at ``level``,
+        made block by block into one."""
+        (col, lo, hi), off, *runs, r3 = rows
         q, weights = np.empty((2, col.size, nodes))
         big, lg = np.empty((2, off[-1], nodes, 1))
         cells = [], []
-        for s in _blocks(off, nodes):
-            r, piece = _block_runs(off, s)
+        for s, r, row in _blocks(off, nodes):
             q[s], weights[s], (_, big[r], lg[r], *made) = _main_prep(
-                col[s], lo[s], hi[s], self.stack, level, both, (piece, *(v[r] for v in runs)))
+                col[s], lo[s], hi[s], self.stack, level, level == 0, (row, *(v[r] for v in runs)))
             for c, part in zip(cells, made):
                 if part is not None:
                     c.append((part[0] + r.start * nodes, *part[1:]))
         cells = [tuple(map(np.concatenate, zip(*c))) if c else None for c in cells]
-        return q, weights, off, (big, lg, *cells)
-
-
-def _grid_plan(grid, first, col, lo, hi, stack):
-    """``grid``'s plan, made at its second adaptive compute: None before
-    that, and when its first pass of ``first`` elements does not fit in
-    ``_CHUNK_ELEMENTS`` (so a kept plan always has a one-chunk first pass)."""
-    memo = grid.memo
-    if "plan" not in memo:
-        memo["computes"] = memo.get("computes", 0) + 1
-        if memo["computes"] < 2:
-            return None
-        memo["plan"] = _Plan(col, lo, hi, stack) if first <= _CHUNK_ELEMENTS else None
-    return memo["plan"]
+        return q, weights, off, (big, lg, *cells), r3
 
 
 def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
@@ -434,12 +415,13 @@ def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
     these placeholders stay a few percent of the target.  Given the
     grid's ``plan``, the pieces are its first-pass pieces.
     """
-    block = (lambda s: (plan.mass[s], (plan.ends[0][s], *_row_block(plan.ends[1:], s)))) if plan \
+    ends = plan.entry("ends", col.size) if plan else None
+    block = (lambda s: (ends[0][s], (ends[1][0][s], *_row_block(ends[1][1:], s)))) if ends \
         else (lambda s: _ends_prep(col[s], lo[s], hi[s], stack))
     bounds, low = np.empty(col.size), np.empty(col.size)
-    for s in _blocks(np.arange(col.size + 1), 2 * stack[0].shape[1]):
+    for s, *_ in _blocks(np.arange(col.size + 1), 2 * stack[0].shape[1]):
         mass, prep = block(s)
-        per_cell = _stack_apply(prep, p, stack[-1], reduce=False, inplace=plan is None)
+        per_cell = _stack_apply(prep, p, stack[-1], reduce=False, inplace=ends is None)
         bounds[s] = per_cell.max(axis=1).sum(axis=1) * mass
         low[s] = per_cell.min(axis=1).sum(axis=1) * mass
     hint = float(low.sum())
@@ -453,37 +435,39 @@ def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
 def _eval_pieces(col, lo, hi, stack, p, level, low=None, plan=None, rows=None):
     """Order-2n Gauss value of every piece at ``level``, its difference
     from order n, and the elements used; given the order-n values
-    ``low``, only order 2n is evaluated.  Given the grid's ``plan``, the
-    pieces are its first-pass pieces ``rows`` (sorted; all when None),
-    and the plan's work is used where it keeps it.
+    ``low``, only order 2n is evaluated.  The ``_rows`` run in blocks,
+    and each kink sub-piece's value is added to its piece's.  Given the
+    grid's ``plan``, the pieces are its first-pass pieces ``rows``
+    (sorted; all when None), and the plan's work is used where it keeps it.
     """
     scale, n, both = stack[-1], _BASE_ORDER << level, low is None
-    work = plan.entry(level, both, col.size) if plan else None
+    work = plan.entry(level, col.size) if plan else None
     if work is None:
-        k_rows, k_cells, subs = _kinks(col, lo, hi, stack)
-        sub, sub_w, r3 = _kink_prep(col, stack, level, both, subs)
-        off, *runs = _runs(stack[0][col], k_rows, k_cells)
-        block = lambda s, r, piece: _main_prep(col[s], lo[s], hi[s], stack, level, both,
-                                               (piece, *(v[r] for v in runs)))[1:]
+        (r_col, r_lo, r_hi), off, *runs, r3 = _rows(col, lo, hi, stack)
+        block = lambda s, r, row: _main_prep(r_col[s], r_lo[s], r_hi[s], stack, level, both,
+                                             (row, *(v[r] for v in runs)))[1:]
     else:
-        (q, weights, off, cells, *taken), (sub, sub_w, r3) = work if rows is None else _take(
-            work, rows)
-        block = lambda s, r, piece: (weights[s], (q[s][piece], *_row_block(cells, r, *taken)))
+        q, weights, off, cells, r3, *taken = work if rows is None else _take(work, rows)
+        block = lambda s, r, row: (weights[s], (q[s][row], *_row_block(cells, r, *taken)))
     own = work is None or rows is not None
-    main = np.empty((col.size, (3 if both else 2) * n))
-    for s in _blocks(off, main.shape[1]):
-        r, piece = _block_runs(off, s)
-        weights_s, prep = block(s, r, piece)
+    part = np.empty((off.size - 1, (3 if both else 2) * n))
+    for s, r, row in _blocks(off, part.shape[1]):
+        weights_s, prep = block(s, r, row)
         f = _stack_apply(prep, p, scale, reduce=False, inplace=own)[:, :, 0]
-        main[s] = weights_s * _piece_sums(f, off[s.start:s.stop + 1] - r.start)
+        # a sub-piece's row is its one run and needs no sum; reduceat runs
+        # its last segment to the end, so the pieces' runs are cut off
+        j = min(max(s.start, col.size), s.stop)
+        k = off[j] - r.start
+        part[s.start:j] = _piece_sums(f[:k], off[s.start:j + 1] - r.start)
+        part[j:s.stop] = f[k:]
+        part[s] *= weights_s
         del prep, f  # before the next block is made
-    part = np.concatenate([main, sub_w * _stack_apply(sub, p, scale, inplace=own)])
-    idx = np.concatenate([np.arange(col.size), r3])
+    idx = np.append(np.arange(col.size), r3)
     high = part[:, -2 * n:].sum(axis=1)
     vals = np.bincount(idx, high, minlength=col.size)
     errs = np.abs(vals - low) if low is not None else np.bincount(
         idx, np.abs(high - part[:, :n].sum(axis=1)), minlength=col.size)
-    return vals, errs, int(off[-1]) * main.shape[1] + sub[0].size
+    return vals, errs, int(off[-1]) * part.shape[1]
 
 
 # Pieces picked per refinement round, at most.
@@ -514,22 +498,9 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         diag.update(engine="exact-1d", boxes=1, elements=a.size)
         return float(f[0, 0]), scale, 0.0, diag
 
-    memo = grid.memo
-    # the p-independent setup, made once per grid: the stack, the outer
-    # axes' cell bounds, the occupied columns and the first-pass pieces
-    if "layout" not in memo:
-        a_cols = grid.count_fractions().reshape(-1, grid.counts.shape[-1])
-        lo_axes, hi_axes = ([f(i) for i in range(d - 1)] for f in (grid.cell_lo, grid.cell_hi))
-        corners = np.stack([functools.reduce(np.multiply.outer, [
-            (lo_axes if j >> i & 1 else hi_axes)[i] for i in range(d - 1)]).reshape(-1)
-            for j in range(1 << (d - 1))], axis=1)
-        occupied = a_cols.any(axis=1)
-        brk = np.sort(corners[occupied], axis=1)
-        col = np.repeat(np.nonzero(occupied)[0], brk.shape[1] - 1)
-        stack = a_cols, grid.cell_lo(d - 1), grid.cell_hi(d - 1), corners, scale
-        memo["layout"] = stack, lo_axes, hi_axes, occupied, (
-            col, brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1))
-    stack, lo_axes, hi_axes, occupied, (col, lo, hi) = memo["layout"]
+    plan = grid.memo["plan"] = grid.memo.get("plan") or _Plan(grid)
+    plan.computes += 1
+    stack, (col, lo, hi) = plan.stack, plan.pieces
     m = stack[0].shape[1]
     # a column with no point below it integrates (prod t / scale)^p, a
     # product of one-axis powers; in logs, as large p underflows them.  A
@@ -537,8 +508,8 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     q1 = p + 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         logs = [q1 * np.log(h) + np.log(-np.expm1(q1 * np.log(low / h)))
-                for low, h in zip(lo_axes, hi_axes)]
-        log_closed = functools.reduce(np.add.outer, logs).reshape(-1)[~occupied]
+                for low, h in zip(plan.lo_axes, plan.hi_axes)]
+        log_closed = functools.reduce(np.add.outer, logs).reshape(-1)[~plan.occupied]
         log_closed = log_closed - d * math.log(q1) - p * math.log(scale)
     closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
 
@@ -547,9 +518,10 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         raise ValueError(f"adaptive Lp integration pass needs {cost} evaluations (limit "
                          f"{MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale")
 
-    # the first pass runs in chunks that bound its memory; a grid's plan
-    # only exists where that is one chunk
-    plan = _grid_plan(grid, cost, col, lo, hi, stack)
+    # the first pass runs in chunks that bound its memory; a grid keeps
+    # work from its second compute on, and only where that is one chunk
+    if plan.computes < 2 or cost > _CHUNK_ELEMENTS:
+        plan = None
     chunk = max(1, _CHUNK_ELEMENTS // ((2 + 3 * _BASE_ORDER) * m))
     *store, used = zip(*(_new_pieces(col[s:s + chunk], lo[s:s + chunk], hi[s:s + chunk], stack, p,
                                      0, rel_tol, plan) for s in range(0, max(col.size, 1), chunk)))

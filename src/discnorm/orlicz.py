@@ -53,7 +53,8 @@ class WeightFn:
       tabulated(knots): linear interpolation of (p, value) pairs, constant
           beyond the first/last knot.
 
-    ``log_phi`` and ``phi`` take one float p > 0 and return a float.
+    ``log_phi`` and ``phi`` take one float p > 0 and return a float;
+    ``phi`` is inf where phi(p) is beyond a double, so a ratio over it is 0.
     """
 
     kind: str
@@ -100,7 +101,11 @@ class WeightFn:
 
     @classmethod
     def tabulated(cls, knots) -> "WeightFn":
-        return cls(kind="tabulated", knots=tuple((float(p), float(v)) for p, v in knots))
+        try:
+            knots = tuple((float(p), float(v)) for p, v in knots)
+        except (TypeError, ValueError):
+            raise ValueError("knots must be a list of [p, value] pairs") from None
+        return cls(kind="tabulated", knots=knots)
 
     def log_phi(self, p: float) -> float:
         if not p > 0:
@@ -115,7 +120,10 @@ class WeightFn:
         return math.log(np.interp(p, kp, kv))
 
     def phi(self, p: float) -> float:
-        return math.exp(self.log_phi(p))
+        try:
+            return math.exp(self.log_phi(p))
+        except OverflowError:
+            return math.inf
 
     def is_unbounded(self) -> bool:
         """Whether phi(p) -> infinity as p grows; exact per kind."""
@@ -146,10 +154,7 @@ class WeightFn:
             raise ValueError(f"a weight descriptor must be a JSON object, got {data!r}")
         kind = data.get("kind")
         if kind == "tabulated":
-            try:
-                return cls.tabulated(data["knots"])
-            except TypeError:
-                raise ValueError("knots must be a list of [p, value] pairs") from None
+            return cls.tabulated(data["knots"])
         kwargs = {k: _json_number(data, k) for k in ("alpha", "C", "r", "tau") if k in data}
         return cls(kind=kind, **kwargs)
 
@@ -299,6 +304,8 @@ def luxemburg_norm(points: PointSet, spec: OrliczSpec, rel_tol: float = 1e-8,
     rel_tol, cache, lp_at, read, sup = _lp_reader(points, cache, rel_tol)
     x1 = (math.log(2.0) ** (1.0 / spec.alpha) if spec.weight is None
           else spec.weight.phi(spec.alpha))
+    if not sup / x1 > 0.0:
+        raise ValueError(f"phi({spec.alpha:g}) is too large: no Luxemburg start sup / phi > 0")
     lo, hi, iters = _luxemburg_root(
         lambda k: _modular_series(lp_at, sup, spec, k), sup / x1, rel_tol)
     value = 0.5 * (lo + hi)

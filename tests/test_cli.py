@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discnorm
-from discnorm import bounds, cli
+from discnorm import bounds, cli, integrate
 from discnorm.integrate import NumericalError
 from discnorm.lp import lp_discrepancy
 from discnorm.pointset import generate_uniform, load_pointset
@@ -146,6 +146,12 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "8:4:geometric"],   # empty
         ["disc", "--in", str(f), "--norm", "phi", "--phi",
          '{"kind":"tabulated","knots":[[1,"nan"]]}'],
+        # phi(alpha) beyond a double leaves the Luxemburg root no start
+        ["disc", "--in", str(f), "--norm", "psi-alpha", "--alpha", "2", "--phi",
+         '{"kind":"power","C":1,"r":1e300}'],
+        ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"tabulated","knots":[[1]]}'],
+        ["disc", "--in", str(f), "--norm", "phi", "--phi",
+         '{"kind":"tabulated","knots":[[1,2,3]]}'],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)
@@ -153,6 +159,18 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "Traceback" not in err, argv
+
+
+def test_first_pass_size_guard_exits_one(capsys, tmp_path, monkeypatch):
+    f = tmp_path / "p.csv"
+    cli.main(["gen", "--kind", "uniform", "--n", "16", "--d", "3",
+              "--seed", "0", "--out", str(f)])
+    capsys.readouterr()
+    monkeypatch.setattr(integrate, "MAX_EVAL_ELEMENTS", 1_000)
+    code, out, err = run_cli(["disc", "--in", str(f), "--norm", "lp", "--p", "2.5"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "(limit 1000)" in err
 
 
 def test_argparse_errors_exit_one():

@@ -293,8 +293,9 @@ def test_sup_in_an_empty_column_leaves_no_piece_to_evaluate(monkeypatch):
     # piece's bound underflows to 0 and no piece is evaluated
     pts = PointSet(np.array([[0.7, 0.1], [0.8, 0.5], [0.9, 0.9]]))
     pieces = []
-    runs, take = integrate._runs, integrate._take
-    monkeypatch.setattr(integrate, "_runs", lambda a, *args: pieces.append(len(a)) or runs(a, *args))
+    make_rows, take = integrate._rows, integrate._take
+    monkeypatch.setattr(integrate, "_rows",
+                        lambda col, *args: pieces.append(col.size) or make_rows(col, *args))
     monkeypatch.setattr(integrate, "_take",
                         lambda work, rows: pieces.append(rows.size) or take(work, rows))
     p = 1e4
@@ -309,7 +310,7 @@ def test_sup_in_an_empty_column_leaves_no_piece_to_evaluate(monkeypatch):
         got, want = cache.norm(q), lp_discrepancy(pts, q)
         assert (got.value, got.abs_error_estimate, got.diagnostics) == (
             want.value, want.abs_error_estimate, want.diagnostics)
-    assert cache.grid.memo["plan"].work[(0, True)] is not None
+    assert cache.grid.memo["plan"].work[0] is not None
     assert pieces[-1] == 0
 
 

@@ -81,6 +81,9 @@ class TestWeightFn:
                      lambda: WeightFn.power(math.inf, 0.5)):
             with pytest.raises(ValueError):
                 make()
+        for knots in ([[1.0]], [[1.0, 2.0, 3.0]], [1.0], [[1.0, "x"]]):
+            with pytest.raises(ValueError, match=r"list of \[p, value\] pairs"):
+                WeightFn.from_json({"kind": "tabulated", "knots": knots})
 
     def test_json_round_trip_all_kinds(self):
         weights = [
@@ -341,6 +344,14 @@ class TestPhiNorm:
         res = alpha_norm(pts, 2.0, cache=cache)
         assert res.diagnostics["p_values"] == len(cache._values)
         assert res.diagnostics["budget_exceeded"] is False
+
+    def test_weight_beyond_a_double_gives_a_zero_ratio(self):
+        # phi(p) = p^1100 overflows from p = 2 on, so only p = 1 counts
+        pts = generate_uniform(8, 2, seed=0)
+        cache = LpCache(pts)
+        res = phi_norm(pts, WeightFn.power(1.0, 1100.0), cache=cache)
+        assert res.value == cache.norm(1.0).value
+        assert res.diagnostics["tail_closed"]
 
     def test_alpha_validation(self):
         for alpha in (0.5, math.inf):
