@@ -176,11 +176,16 @@ def nbound1(eps: float, d: int, phi: WeightFn) -> int:
     """ceil(C_PT^2 * d (d+1)^2 phi(d)^2 / eps^2 * sup_p 1/phi(p)^2).
 
     The sup is 1/phi(1)^2 for the nondecreasing kinds; tabulated weights
-    scan their knots.
+    scan their knots.  phi enters only through phi(d) / inf phi, taken
+    from logs so that a phi beyond a double's range, large or small, does
+    not change the bound.
     """
-    sup_inv = 1.0 / phi.min_phi_from(1.0) ** 2
+    try:
+        ratio = math.exp(phi.log_phi(float(d)) - math.log(phi.min_phi_from(1.0)))
+    except OverflowError:
+        ratio = math.inf
     return _n_bound(eps, d, lambda eps2: (
-        C_PT_DEFAULT ** 2 * d * (d + 1.0) ** 2 * phi.phi(float(d)) ** 2 / eps2 * sup_inv))
+        C_PT_DEFAULT ** 2 * d * (d + 1.0) ** 2 * (ratio * ratio) / eps2))
 
 
 def initial_phi_lower(d: int, phi: WeightFn) -> float:

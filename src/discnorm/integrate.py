@@ -20,7 +20,9 @@ Two routes, used by the norm modules:
   sub-pieces cut at its kinks, rows of the same pass in cache-sized
   blocks.  Everything is scaled by sup |local discrepancy| so any large p
   stays in range.  A grid keeps its setup, and from its second call on
-  the p-independent work on its first pieces (``_Plan``).
+  the p-independent work on its first pieces as the row blocks a fresh
+  pass makes (``_Plan``); a call that refines some pieces takes their
+  rows from each block.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ def lp_moment_integral(grid: CellGrid, p: int):
 
 
 def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
-    """The p-independent work of ``_inner_stack``, as the tuple that
-    ``_stack_apply`` reads.
+    """The p-independent work of ``_inner_stack`` on its cells, as the
+    tuple that ``_stack_apply`` reads.
 
     Per cell: the endpoint value |v| of larger magnitude, floored at
     1e-300, and log1p(-delta/|v|); the straddle cells, where the sign
@@ -125,18 +127,21 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
             t_mid = np.broadcast_to(t_lo + t_hi, thin.shape)[b, s, k]
             mid = np.abs(a_cnt[b, k] - q[b, s] * t_mid * 0.5) / scale
             flat = idx, np.broadcast_to(tlen, thin.shape)[b, s, k], mid
-    return q, big, lg, cross, flat
+    return big, lg, cross, flat
 
 
-def _stack_apply(prep, p, scale, reduce=True, inplace=True):
-    """The p-dependent rest of ``_inner_stack`` on a ``_stack_prep``;
-    ``inplace`` lets it overwrite the prep's arrays."""
-    q, big, lg, cross, flat = prep
+def _stack_apply(q, cells, p, scale, row=None, reduce=True, inplace=True):
+    """The p-dependent rest of ``_inner_stack`` on the ``_stack_prep``
+    ``cells`` at nodes ``q``, or with ``row`` at nodes ``q[row]``;
+    ``inplace`` lets it overwrite the cells' arrays."""
+    big, lg, cross, flat = cells
     q1 = p + 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         # capped so that inf * 0 cannot make a NaN: when q * q1 underflows,
         # a cell that is not thin has |v| below 1e-296, whose powers are 0
-        inv = np.minimum(scale / (q[:, :, None] * q1), _DBL_MAX)
+        inv = np.minimum(scale / (q * q1), _DBL_MAX)
+        if row is not None:
+            inv = inv[row]
         # the common case: the cell sits entirely on one side of the zero
         # crossing, so the power antiderivative nearly cancels between the
         # endpoints and goes through log1p/expm1 for accuracy.  It runs on
@@ -146,7 +151,7 @@ def _stack_apply(prep, p, scale, reduce=True, inplace=True):
         np.expm1(ratio, out=ratio)
         np.negative(ratio, out=ratio)
         out = np.power(big, q1, out=big if inplace else None)
-        out *= inv
+        out *= inv[:, :, None]
         out *= ratio
         flat_out = out.reshape(-1)
         if cross is not None:
@@ -169,7 +174,7 @@ def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
     cancelling endpoint powers stay accurate.  With ``reduce=False`` the
     per-cell integrals (B, S, m) are returned unsummed.
     """
-    return _stack_apply(_stack_prep(q, a_cnt, t_lo, t_hi, scale), p, scale, reduce)
+    return _stack_apply(q, _stack_prep(q, a_cnt, t_lo, t_hi, scale), p, scale, reduce=reduce)
 
 
 # A piece at level l has Gauss-Legendre orders n = 3 * 2^l and 2n; below
@@ -206,14 +211,6 @@ def _product_law(s, corners, cumulative=False):
     else:
         terms = (lg > 0.0) * lg ** (n - 1) / math.factorial(n - 1)
     return terms @ [(-1.0) ** bin(j).count("1") for j in range(1 << n)]
-
-
-def _ends_prep(col, lo, hi, stack):
-    """The pieces' masses and the ``_stack_prep`` at their endpoints."""
-    a_cols, t_lo, t_hi, corners, scale = stack
-    ends = np.stack([lo, hi], axis=1)
-    mass = np.diff(_product_law(ends, corners[col], cumulative=True), axis=1)[:, 0]
-    return mass, _stack_prep(ends, a_cols[col], t_lo, t_hi, scale)
 
 
 def _rows(col, lo, hi, stack):
@@ -265,41 +262,6 @@ def _main_prep(col, lo, hi, stack, level, both, runs):
                                    t_hi[last][:, None, None], scale)
 
 
-def _ranges(starts, counts):
-    """The indices of the ranges starts[i]:starts[i] + counts[i], in order."""
-    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-
-
-def _take_cells(cells, rows):
-    """``_stack_prep(...)[1:]`` with its straddle and thin cells moved to
-    the positions of their rows in ``rows`` (sorted), others dropped."""
-    big, lg, *cells = cells
-    pos = np.full(big.shape[0], -1)
-    pos[rows] = np.arange(rows.size)
-    per_row = math.prod(big.shape[1:])
-    for i, c in enumerate(cells):
-        if c is not None:
-            r, rest = np.divmod(c[0], per_row)
-            keep = np.flatnonzero(pos[r] >= 0)
-            cells[i] = (pos[r[keep]] * per_row + rest[keep], *(v[keep] for v in c[1:])
-                        ) if keep.size else None
-    return big, lg, *cells
-
-
-def _row_block(prep, s, rows=None):
-    """Rows ``s`` of ``_stack_prep(...)[1:]``, cells re-based unless ``s`` is
-    every row; with ``rows``, of ``_take_cells(prep, rows)``, taking
-    ``rows[s]``."""
-    big, lg, *cells = prep
-    per_row = math.prod(big.shape[1:])
-    for i, c in enumerate(cells if s.start or s.stop < len(big if rows is None else rows) else ()):
-        if c is not None:
-            a, b = np.searchsorted(c[0], [s.start * per_row, s.stop * per_row])
-            cells[i] = (c[0][a:b] - s.start * per_row, *(v[a:b] for v in c[1:])) if b > a else None
-    r = s if rows is None else rows[s]
-    return big[r], lg[r], *cells
-
-
 def _blocks(off, per_run):
     """Slices of rows, row i having runs off[i]:off[i + 1] of ``per_run``
     elements, of about ``_BLOCK_ELEMENTS``, one row at least; each with
@@ -311,8 +273,31 @@ def _blocks(off, per_run):
         s = t
 
 
+def _ends_blocks(col, lo, hi, stack):
+    """Per row block of the pieces: its slice, the pieces' masses, their
+    endpoints and the ``_stack_prep`` there."""
+    a_cols, t_lo, t_hi, corners, scale = stack
+    for s, *_ in _blocks(np.arange(col.size + 1), 2 * a_cols.shape[1]):
+        ends = np.stack([lo[s], hi[s]], axis=1)
+        yield (s, np.diff(_product_law(ends, corners[col[s]], cumulative=True), axis=1)[:, 0], ends,
+               _stack_prep(ends, a_cols[col[s]], t_lo, t_hi, scale))
+
+
+def _level_blocks(rows, stack, level, both):
+    """The work on the ``_rows`` at ``level`` in row blocks: per block
+    each row's piece, the offsets of its rows into their runs, each run's
+    row, and their ``_main_prep``."""
+    (col, lo, hi), off, *runs, r3 = rows
+    piece = np.append(np.arange(off.size - 1 - r3.size), r3)
+    for s, r, row in _blocks(off, (3 if both else 2) * (_BASE_ORDER << level)):
+        # made in the yield, so that the generator holds no block while
+        # the next one is made
+        yield (piece[s], off[s.start:s.stop + 1] - r.start, row, *_main_prep(
+            col[s], lo[s], hi[s], stack, level, both, (row, *(v[r] for v in runs))))
+
+
 def _piece_sums(f, off):
-    """Per piece i the sum of rows f[off[i]:off[i + 1]], in order, or 0."""
+    """Per row i the sum of runs f[off[i]:off[i + 1]], in order, or 0."""
     out = np.zeros((off.size - 1, f.shape[1]))
     full = np.flatnonzero(off[1:] > off[:-1])
     if full.size:
@@ -320,17 +305,23 @@ def _piece_sums(f, off):
     return out
 
 
-def _take(work, rows):
-    """A kept level's ``work`` for its pieces ``rows`` (sorted) and their
-    sub-pieces: copies but for the runs' cells, which ``_row_block`` takes
-    with their runs' rows."""
-    q, weights, off, cells, r3 = work
-    k_lo, k_hi = np.searchsorted(r3, [rows, rows + 1])
-    taken = np.append(rows, off.size - 1 - r3.size + _ranges(k_lo, k_hi - k_lo))
-    counts = off[taken + 1] - off[taken]
-    runs = _ranges(off[taken], counts)
-    return (q[taken], weights[taken], np.concatenate([[0], np.cumsum(counts)]),
-            _take_cells(cells, runs), np.repeat(np.arange(rows.size), k_hi - k_lo), runs)
+def _take(block, asked):
+    """A kept ``_level_blocks`` block with only its rows of the pieces
+    ``asked`` (a mask over the plan's pieces) and their runs, or None if
+    it has none of them."""
+    piece, off, row, q, weights, (big, lg, *cells) = block
+    keep = asked[piece]
+    if not keep.any():
+        return None
+    runs = keep[row]
+    at, per_run = np.cumsum(runs) - 1, big.shape[1]
+    for i, c in enumerate(cells):
+        if c is not None:
+            r, rest = np.divmod(c[0], per_run)
+            k = np.flatnonzero(runs[r])
+            cells[i] = (at[r[k]] * per_run + rest[k], *(v[k] for v in c[1:])) if k.size else None
+    return (piece[keep], np.append(0, np.cumsum(np.diff(off)[keep])),
+            (np.cumsum(keep) - 1)[row[runs]], q[keep], weights[keep], (big[runs], lg[runs], *cells))
 
 
 class _Plan:
@@ -339,13 +330,13 @@ class _Plan:
     Made at the grid's first compute: the stack, the outer axes' cell
     bounds, the occupied columns and the first-pass pieces (col, lo, hi).
     From the second compute on, where the first pass is one chunk, the
-    p-independent work on those pieces: ``"ends"`` (``_ends_prep``) and
-    per level the ``_main_prep`` of every row, with the runs' offsets and
-    the sub-pieces' pieces.  Level 0 has orders n and 2n, as the first
-    pass and placeholders evaluate both, and a higher level 2n alone, as
-    a doubling reuses order n.  A work is made once the pieces asked of
-    it reach the number of pieces, so that it costs no more than the
-    evaluations it replaces, and kept while it fits ``_CHUNK_ELEMENTS``.
+    p-independent work on those pieces, as the blocks a fresh pass makes:
+    ``"ends"`` (``_ends_blocks``) and per level ``_level_blocks``.  Level
+    0 has orders n and 2n, as the first pass and placeholders evaluate
+    both, and a higher level 2n alone, as a doubling reuses order n.  A
+    work is made once the pieces asked of it reach the number of pieces,
+    so that it costs no more than the evaluations it replaces, and kept
+    while it fits ``_CHUNK_ELEMENTS``.
     """
 
     def __init__(self, grid):
@@ -364,8 +355,8 @@ class _Plan:
         self.computes, self.elements, self.work, self.asked = 0, 0, {}, {}
 
     def entry(self, key, asked):
-        """The work ``key`` ("ends" or a level) of every piece, asked for
-        ``asked`` of them, or None if it is not kept."""
+        """The blocks of the work ``key`` ("ends" or a level) of every
+        piece, asked for ``asked`` of them, or None if it is not kept."""
         if key not in self.work:
             self.asked[key] = self.asked.get(key, 0) + asked
             col, lo, hi = self.pieces
@@ -375,32 +366,16 @@ class _Plan:
             # sized before the work is made, so a level left out costs
             # only its rows
             if key == "ends":
-                size, make = 2 * col.size * self.stack[0].shape[1], lambda: _ends_prep(
+                size, blocks = 2 * col.size * self.stack[0].shape[1], _ends_blocks(
                     col, lo, hi, self.stack)
             else:
                 rows = _rows(col, lo, hi, self.stack)
-                nodes = (3 if key == 0 else 2) * (_BASE_ORDER << key)
-                size, make = int(rows[1][-1]) * nodes, lambda: self._level(key, nodes, rows)
+                size = int(rows[1][-1]) * (3 if key == 0 else 2) * (_BASE_ORDER << key)
+                blocks = _level_blocks(rows, self.stack, key, key == 0)
             if self.elements + size <= _CHUNK_ELEMENTS:
-                self.work[key] = make()
+                self.work[key] = list(blocks)
                 self.elements += size
         return self.work[key]
-
-    def _level(self, level, nodes, rows):
-        """The ``_main_prep`` of every one of the ``_rows`` at ``level``,
-        made block by block into one."""
-        (col, lo, hi), off, *runs, r3 = rows
-        q, weights = np.empty((2, col.size, nodes))
-        big, lg = np.empty((2, off[-1], nodes, 1))
-        cells = [], []
-        for s, r, row in _blocks(off, nodes):
-            q[s], weights[s], (_, big[r], lg[r], *made) = _main_prep(
-                col[s], lo[s], hi[s], self.stack, level, level == 0, (row, *(v[r] for v in runs)))
-            for c, part in zip(cells, made):
-                if part is not None:
-                    c.append((part[0] + r.start * nodes, *part[1:]))
-        cells = [tuple(map(np.concatenate, zip(*c))) if c else None for c in cells]
-        return q, weights, off, (big, lg, *cells), r3
 
 
 def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
@@ -416,12 +391,9 @@ def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
     grid's ``plan``, the pieces are its first-pass pieces.
     """
     ends = plan.entry("ends", col.size) if plan else None
-    block = (lambda s: (ends[0][s], (ends[1][0][s], *_row_block(ends[1][1:], s)))) if ends \
-        else (lambda s: _ends_prep(col[s], lo[s], hi[s], stack))
     bounds, low = np.empty(col.size), np.empty(col.size)
-    for s, *_ in _blocks(np.arange(col.size + 1), 2 * stack[0].shape[1]):
-        mass, prep = block(s)
-        per_cell = _stack_apply(prep, p, stack[-1], reduce=False, inplace=ends is None)
+    for s, mass, q, cells in ends or _ends_blocks(col, lo, hi, stack):
+        per_cell = _stack_apply(q, cells, p, stack[-1], reduce=False, inplace=ends is None)
         bounds[s] = per_cell.max(axis=1).sum(axis=1) * mass
         low[s] = per_cell.min(axis=1).sum(axis=1) * mass
     hint = float(low.sum())
@@ -438,36 +410,37 @@ def _eval_pieces(col, lo, hi, stack, p, level, low=None, plan=None, rows=None):
     ``low``, only order 2n is evaluated.  The ``_rows`` run in blocks,
     and each kink sub-piece's value is added to its piece's.  Given the
     grid's ``plan``, the pieces are its first-pass pieces ``rows``
-    (sorted; all when None), and the plan's work is used where it keeps it.
+    (sorted; all when None), and the plan's blocks are used where it keeps
+    them, each taken to those pieces.
     """
     scale, n, both = stack[-1], _BASE_ORDER << level, low is None
-    work = plan.entry(level, col.size) if plan else None
-    if work is None:
-        (r_col, r_lo, r_hi), off, *runs, r3 = _rows(col, lo, hi, stack)
-        block = lambda s, r, row: _main_prep(r_col[s], r_lo[s], r_hi[s], stack, level, both,
-                                             (row, *(v[r] for v in runs)))[1:]
+    kept = plan.entry(level, col.size) if plan else None
+    if kept is None:
+        blocks = _level_blocks(_rows(col, lo, hi, stack), stack, level, both)
+    elif rows is None:
+        blocks = kept
     else:
-        q, weights, off, cells, r3, *taken = work if rows is None else _take(work, rows)
-        block = lambda s, r, row: (weights[s], (q[s][row], *_row_block(cells, r, *taken)))
-    own = work is None or rows is not None
-    part = np.empty((off.size - 1, (3 if both else 2) * n))
-    for s, r, row in _blocks(off, part.shape[1]):
-        weights_s, prep = block(s, r, row)
-        f = _stack_apply(prep, p, scale, reduce=False, inplace=own)[:, :, 0]
-        # a sub-piece's row is its one run and needs no sum; reduceat runs
-        # its last segment to the end, so the pieces' runs are cut off
-        j = min(max(s.start, col.size), s.stop)
-        k = off[j] - r.start
-        part[s.start:j] = _piece_sums(f[:k], off[s.start:j + 1] - r.start)
-        part[j:s.stop] = f[k:]
-        part[s] *= weights_s
-        del prep, f  # before the next block is made
-    idx = np.append(np.arange(col.size), r3)
-    high = part[:, -2 * n:].sum(axis=1)
+        asked = np.zeros(plan.pieces[0].size, bool)
+        asked[rows] = True
+        blocks = filter(None, (_take(block, asked) for block in kept))
+    # per row its piece and sums, from which the pieces' sums are made once
+    idx, high, diff, used = [np.empty(0, int)], [np.empty(0)], [np.empty(0)], 0
+    for piece, off, row, q, weights, cells in blocks:
+        f = _stack_apply(q, cells, p, scale, row, reduce=False, inplace=blocks is not kept)[:, :, 0]
+        # a sub-piece's row is its one run, whose sum is itself
+        part = _piece_sums(f, off) * weights
+        idx.append(piece)
+        high.append(part[:, -2 * n:].sum(axis=1))
+        if both:
+            diff.append(np.abs(high[-1] - part[:, :n].sum(axis=1)))
+        used += f.size
+        del cells, f  # before the next block is made
+    idx, high, diff = map(np.concatenate, (idx, high, diff))
+    if kept is not None and rows is not None:  # the plan's piece indices, to places in rows
+        idx = np.searchsorted(rows, idx)
     vals = np.bincount(idx, high, minlength=col.size)
-    errs = np.abs(vals - low) if low is not None else np.bincount(
-        idx, np.abs(high - part[:, :n].sum(axis=1)), minlength=col.size)
-    return vals, errs, int(off[-1]) * part.shape[1]
+    errs = np.abs(vals - low) if low is not None else np.bincount(idx, diff, minlength=col.size)
+    return vals, errs, used
 
 
 # Pieces picked per refinement round, at most.

@@ -30,10 +30,17 @@ _ROOT_STEP_CAP = 200
 _PHI_X_CAP = 12
 _PHI_HALVINGS = 7
 
+def _real(x) -> float:
+    """float(x), but a bool, which float() would read as 0 or 1, is a TypeError."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 def _json_number(data: dict, key: str) -> float:
     """data[key] as a finite float; anything else is a ValueError."""
     try:
-        value = float(data[key])
+        value = _real(data[key])
     except (TypeError, ValueError):
         value = math.nan
     if not math.isfinite(value):
@@ -102,7 +109,7 @@ class WeightFn:
     @classmethod
     def tabulated(cls, knots) -> "WeightFn":
         try:
-            knots = tuple((float(p), float(v)) for p, v in knots)
+            knots = tuple((_real(p), _real(v)) for p, v in knots)
         except (TypeError, ValueError):
             raise ValueError("knots must be a list of [p, value] pairs") from None
         return cls(kind="tabulated", knots=knots)
@@ -154,7 +161,7 @@ class WeightFn:
             raise ValueError(f"a weight descriptor must be a JSON object, got {data!r}")
         kind = data.get("kind")
         if kind == "tabulated":
-            return cls.tabulated(data["knots"])
+            return cls.tabulated(data.get("knots"))
         kwargs = {k: _json_number(data, k) for k in ("alpha", "C", "r", "tau") if k in data}
         return cls(kind=kind, **kwargs)
 

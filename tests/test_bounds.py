@@ -86,6 +86,14 @@ def test_nbound1_frozen_value():
     assert nbound1(1e-200, 2, WeightFn.power(1.0, 1.0)) == 10 ** 308
 
 
+def test_nbound1_depends_on_phi_only_through_its_ratio():
+    # phi(d) / inf phi does not change with the scale C of a power weight,
+    # even where phi(d)^2 overflows or 1 / phi(1)^2 divides by zero
+    for r, want in ((0.0, 461), (1.0, 1842), (2.0, 7367)):
+        for c in (1e-300, 1e-200, 1e-3, 1.0, 7.0, 1e200, 1e300):
+            assert nbound1(0.5, 2, WeightFn.power(c, r)) == want, (c, r)
+
+
 def test_nbound1_scaling_slope_matches_power_exponent():
     for r in (0.0, 0.5, 1.0):
         w = WeightFn.power(1.0, r)
@@ -190,6 +198,11 @@ def test_initial_of_norm_specs():
     assert initial_of({"norm": "star"}, 3) == 1.0
     assert initial_of({"norm": "lp", "p": 2.0}, 2) == initial_lp(2.0, 2)
     assert initial_of({"norm": "alpha-norm", "alpha": 2.0}, 2) > 0.0
+    # a JSON boolean is not a number
+    for norm, field in (({"norm": "lp", "p": True}, "p"),
+                        ({"norm": "alpha-norm", "alpha": False}, "alpha")):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            NormSpec.from_json(norm)
 
 
 def test_empirical_inverse_star_d1():

@@ -152,6 +152,10 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"tabulated","knots":[[1]]}'],
         ["disc", "--in", str(f), "--norm", "phi", "--phi",
          '{"kind":"tabulated","knots":[[1,2,3]]}'],
+        ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"tabulated"}'],
+        ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"power","C":true,"r":1}'],
+        ["disc", "--in", str(f), "--norm", "psi-alpha", "--alpha", "2", "--phi",
+         '{"kind":"power","C":1,"r":false}'],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)

@@ -116,7 +116,7 @@ def _run_sums_match_cells(stack, col, lo, hi):
     for level in range(_MAX_LEVEL + 1):
         q, _, prep = integrate._main_prep(col, lo, hi, stack, level, True, (piece, *runs))
         for p in (1.0, 2.5, 33.0):
-            f = integrate._stack_apply(prep, p, stack[-1], reduce=False, inplace=False)
+            f = integrate._stack_apply(q, prep, p, stack[-1], piece, reduce=False, inplace=False)
             got = integrate._piece_sums(f[:, :, 0], off)
             a_cols, t_lo, t_hi, _, scale = stack
             want = cell_stack_sums(q, a_cols[col], t_lo, t_hi, lo, hi, p, scale)
@@ -133,7 +133,7 @@ def test_run_sums_match_cell_sums():
         plan = grid.memo["plan"]
         off, counts, prep = _run_sums_match_cells(plan.stack, *plan.pieces)
         piece = np.repeat(np.arange(off.size - 1), np.diff(off))
-        found.add((pts.dim, "straddle", prep[3] is not None))
+        found.add((pts.dim, "straddle", prep[2] is not None))
         # two runs of one piece with one count have kink cells between them
         found.add((pts.dim, "split", bool(((np.diff(piece) == 0) & (np.diff(counts) == 0)).any())))
     assert all(hit for *_, hit in found), sorted(found)
@@ -145,7 +145,7 @@ def test_run_sums_match_cell_sums():
     off, _, prep = _run_sums_match_cells(stack, np.zeros(3, dtype=int), np.array([0.45, 0.05, 0.7]),
                                          np.array([0.9, 0.1, 0.8]))
     assert off.tolist() == [0, 0, 1, 2]
-    assert np.unique(prep[3][0] // prep[1].shape[1]).tolist() == [1]
+    assert np.unique(prep[2][0] // prep[0].shape[1]).tolist() == [1]
 
 
 LADDER = (1.0, 2.5, 20.0, 150.0, 2.0 ** 21)
@@ -227,16 +227,23 @@ def _single_and_shared(pts, tol):
 @pytest.mark.parametrize("name", PLAN_SETS)
 def test_row_blocks_do_not_change_results(name, monkeypatch):
     # one row per block against the default blocks: values, errors and
-    # work counts bit for bit, on fresh grids and on a grid's plan, where
-    # a p-dependent subset of the plan's rows is taken block by block
+    # work counts bit for bit, on fresh grids and on a grid's plan, whose
+    # blocks are read whole or taken to a p-dependent subset of its rows
     taken = set()
-    row_block = integrate._row_block
+    take, stack_apply = integrate._take, integrate._stack_apply
 
-    def spy(prep, s, rows=None):
-        taken.add(rows is not None)
-        return row_block(prep, s, rows)
+    def take_spy(*args, **kwargs):
+        taken.add(True)
+        return take(*args, **kwargs)
 
-    monkeypatch.setattr(integrate, "_row_block", spy)
+    def apply_spy(*args, **kwargs):
+        # only a plan's own blocks are read without overwriting them
+        if kwargs.get("inplace") is False:
+            taken.add(False)
+        return stack_apply(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "_take", take_spy)
+    monkeypatch.setattr(integrate, "_stack_apply", apply_spy)
     pts = PLAN_SETS[name]
     want = [_single_and_shared(pts, tol) for tol in (1e-6, 1e-12)]
     monkeypatch.setattr(integrate, "_BLOCK_ELEMENTS", 1)
@@ -258,3 +265,21 @@ def test_single_p_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= bound, (n, d, peak)
+
+
+def test_plan_ladder_peak_memory():
+    # a grid keeps its plan as the blocks a fresh pass makes, so the
+    # computes that make and read it hold no whole-pass copy besides it;
+    # after a warm-up, so that lazy imports are not counted
+    pts = generate_uniform(32, 3, 8)
+    lp_discrepancy(pts, 2.5, rel_tol=1e-5)
+    tracemalloc.start()
+    try:
+        cache = LpCache(pts, rel_tol=1e-5)
+        for p in (1.0, 2.5, 3.5, 5.0, 7.5, 9.0, 13.0, 20.0):
+            cache.norm(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache.grid.memo["plan"].work[0] is not None
+    assert peak <= 18.5e6, peak

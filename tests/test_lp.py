@@ -219,10 +219,10 @@ def test_elements_count_kernel_work(monkeypatch):
     counted = []
     stack_apply = integrate._stack_apply
 
-    def spy(prep, *args, **kwargs):
-        q, big = prep[:2]
-        counted.append(q.shape[0] * q.shape[1] * big.shape[2])
-        return stack_apply(prep, *args, **kwargs)
+    def spy(*args, **kwargs):
+        cells = args[1]
+        counted.append(math.prod(cells[0].shape))
+        return stack_apply(*args, **kwargs)
 
     monkeypatch.setattr(integrate, "_stack_apply", spy)
     for n, d, seed, p in [(9, 1, 3, 2.5), (16, 2, 5, 1.0), (8, 3, 2, 40.0)]:
@@ -292,12 +292,12 @@ def test_sup_in_an_empty_column_leaves_no_piece_to_evaluate(monkeypatch):
     # every occupied cell stays below 0.47, so at p = 1e4 each first-pass
     # piece's bound underflows to 0 and no piece is evaluated
     pts = PointSet(np.array([[0.7, 0.1], [0.8, 0.5], [0.9, 0.9]]))
-    pieces = []
+    pieces, asked = [], []
     make_rows, take = integrate._rows, integrate._take
     monkeypatch.setattr(integrate, "_rows",
                         lambda col, *args: pieces.append(col.size) or make_rows(col, *args))
     monkeypatch.setattr(integrate, "_take",
-                        lambda work, rows: pieces.append(rows.size) or take(work, rows))
+                        lambda block, mask: asked.append(int(mask.sum())) or take(block, mask))
     p = 1e4
     closed = 0.7 * (0.7 / (p + 1.0) ** 2) ** (1.0 / p)
     res = lp_discrepancy(pts, p)
@@ -307,11 +307,13 @@ def test_sup_in_an_empty_column_leaves_no_piece_to_evaluate(monkeypatch):
     # the same through a grid's plan, whose level 0 two smaller p made
     cache = LpCache(pts)
     for q in (1.0, 3.0, p):
+        asked.clear()
         got, want = cache.norm(q), lp_discrepancy(pts, q)
         assert (got.value, got.abs_error_estimate, got.diagnostics) == (
             want.value, want.abs_error_estimate, want.diagnostics)
     assert cache.grid.memo["plan"].work[0] is not None
-    assert pieces[-1] == 0
+    # at p the kept level 0 is taken to no piece
+    assert asked and sum(asked) == 0
 
 
 def test_tolerance_below_double_rounding_is_floored():

@@ -81,9 +81,18 @@ class TestWeightFn:
                      lambda: WeightFn.power(math.inf, 0.5)):
             with pytest.raises(ValueError):
                 make()
-        for knots in ([[1.0]], [[1.0, 2.0, 3.0]], [1.0], [[1.0, "x"]]):
+        for knots in ([[1.0]], [[1.0, 2.0, 3.0]], [1.0], [[1.0, "x"]], [[1.0, True]]):
             with pytest.raises(ValueError, match=r"list of \[p, value\] pairs"):
                 WeightFn.from_json({"kind": "tabulated", "knots": knots})
+        with pytest.raises(ValueError, match=r"^knots must be a list of \[p, value\] pairs"):
+            WeightFn.from_json({"kind": "tabulated"})
+        # a JSON boolean is not a number, though float() reads it as 0 or 1
+        for data, field in (({"kind": "power", "C": True, "r": 1}, "C"),
+                            ({"kind": "power", "C": 1, "r": False}, "r"),
+                            ({"kind": "factorial", "alpha": True}, "alpha"),
+                            ({"kind": "subexp", "tau": True}, "tau")):
+            with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+                WeightFn.from_json(data)
 
     def test_json_round_trip_all_kinds(self):
         weights = [
