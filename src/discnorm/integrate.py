@@ -11,13 +11,14 @@ Two routes, used by the norm modules:
   p >= 1.  The last axis is integrated in closed form, which leaves on
   each cell column a function F(s) of the product s of the other
   coordinates against the density of s over the column's box: one
-  dimension in every d.  Pieces between corner products start at
-  Gauss-Legendre orders 3 and 6, whose difference is the error estimate
-  (not a bound); the worst are refined first, by doubling both orders up
-  to (12, 24) and by bisection there.  A piece's cells go as runs of one
-  count A, one integrand each, but for those with a kink of F, where the
-  zero of A - s t crosses a cell edge: each is the one run of the
-  sub-pieces cut at its kinks, rows of the same pass in cache-sized
+  dimension in every d.  Pieces between corner products start at the
+  7-node Kronrod rule K7, whose difference from the Gauss rule G3 on 3
+  of its nodes is the error estimate (not a bound); the worst are refined
+  first, up the nested Patterson rules P15 and P31, each evaluating only
+  the nodes it adds, and by bisection at P31.  A piece's cells go as runs
+  of one count A, one integrand each, but for those with a kink of F,
+  where the zero of A - s t crosses a cell edge: each is the one run of
+  the sub-pieces cut at its kinks, rows of the same pass in cache-sized
   blocks.  Everything is scaled by sup |local discrepancy| so any large p
   stays in range.  A grid keeps its setup, and from its second call on
   the p-independent work on its first pieces as the row blocks a fresh
@@ -45,13 +46,6 @@ _DBL_MAX = np.finfo(float).max
 
 class NumericalError(RuntimeError):
     """Raised when an iteration fails to bracket or converge structurally."""
-
-
-@functools.cache
-def _gl01(n: int):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
 
 
 def lp_moment_integral(grid: CellGrid, p: int):
@@ -177,19 +171,47 @@ def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
     return _stack_apply(q, _stack_prep(q, a_cnt, t_lo, t_hi, scale), p, scale, reduce=reduce)
 
 
-# A piece at level l has Gauss-Legendre orders n = 3 * 2^l and 2n; below
-# the top level it is refined by doubling n, at the top by bisection.
-_BASE_ORDER = 3
-_MAX_LEVEL = 2
+# The nested quadrature ladder G3 < K7 < P15 < P31 on [0, 1] (Kronrod 1965;
+# Patterson 1968), exact to degrees 5, 11, 23 and 47: its nodes x <= 1/2,
+# the centre and then those each rule adds, whose mirrors 1 - x are the
+# rest; and each rule's weights on its nodes in that order.
+_HALF_NODES = (
+    0.5, 0.11270166537925831, 0.019754365645989858, 0.28287812532659873, 0.0030840183936224888,
+    0.055770383563871498, 0.18944852663138681, 0.38830665678551657, 0.00045093751616620119,
+    0.009234425223129946, 0.035172571285129975, 0.081637030915565637, 0.14875189675423647,
+    0.23434012817781219, 0.3344323033710116, 0.44375552843340671)
+_HALF_WEIGHTS = (
+    (0.44444444444444442, 0.27777777777777779),
+    (0.22545826932923707, 0.13424404493416672, 0.052328113013233632, 0.20069870738798112),
+    (0.11275524989910335, 0.067207627621892113, 0.025801641498539869, 0.10031426468849451,
+     0.0085008598149701308, 0.046463597657562271, 0.085755954568195694, 0.10957842920079375),
+    (0.056377628360384346, 0.033603877147995349, 0.012903799048088327, 0.05015713930589779,
+     0.0042172828696605529, 0.023231446630878994, 0.042877960024995172, 0.054789210527962318,
+     0.0012723903957809373, 0.0082230249271939056, 0.01797855165356466, 0.028489754747061679,
+     0.038439810249501764, 0.046813554990632236, 0.052834946790117403, 0.05597843651047673))
+# The 31 nodes as the centre, then x and 1 - x, so that each rule's come
+# first; the weights (31, 4), a column per rule, 0 off its nodes.
+_NODES = np.append(0.5, np.stack([_HALF_NODES[1:], np.subtract(1.0, _HALF_NODES[1:])], axis=1))
+_WEIGHTS = np.stack([np.pad(np.append(w[0], np.repeat(w[1:], 2)),
+                            (0, _NODES.size + 1 - 2 * len(w))) for w in _HALF_WEIGHTS], axis=1)
+# A piece at level l takes rule l + 1 as its value and the difference
+# from rule l as its error; below the top level it is refined by the
+# next rule, at the top by bisection.  Rule l + 1 has _ENDS[l] nodes.
+_ENDS = tuple(2 * len(w) - 1 for w in _HALF_WEIGHTS[1:])
+_MAX_LEVEL = len(_ENDS) - 1
 
 
-def _gauss_nodes(lo, hi, level, both=True):
-    """Nodes (P, 3n) of orders n and 2n at ``level``, low first, on
-    [lo, hi], or without ``both`` (P, 2n) of order 2n alone; weights."""
-    n = _BASE_ORDER << level
-    x, w = (np.concatenate(v[not both:]) for v in zip(_gl01(n), _gl01(2 * n)))
+def _span(level, fresh):
+    """The ladder's nodes of the rule at ``level``, or without ``fresh``
+    those it adds to the level below."""
+    return slice(_ENDS[level - 1] if level and not fresh else 0, _ENDS[level])
+
+
+def _gauss_nodes(lo, hi, level, fresh=True):
+    """The ``_span`` of the Gauss-Kronrod-Patterson ladder at ``level`` as
+    nodes (P, k) on [lo, hi], and the pieces' lengths (P, 1)."""
     h = (hi - lo)[:, None]
-    return lo[:, None] + h * x, h * w
+    return lo[:, None] + h * _NODES[_span(level, fresh)], h
 
 
 def _product_law(s, corners, cumulative=False):
@@ -249,17 +271,17 @@ def _rows(col, lo, hi, stack):
             np.append(last % m, c3), r3)
 
 
-def _main_prep(col, lo, hi, stack, level, both, runs):
-    """The rows' Gauss nodes at ``level``, the weights times the product
-    law there, and the ``_stack_prep`` of the ``runs`` (row, count, first
-    and last cell) at their row's nodes."""
+def _main_prep(col, lo, hi, stack, level, fresh, runs):
+    """The rows' ``_gauss_nodes`` at ``level``, the rows' lengths times the
+    product law there, and the ``_stack_prep`` of the ``runs`` (row, count,
+    first and last cell) at their row's nodes."""
     a_cols, t_lo, t_hi, corners, scale = stack
-    q, wt = _gauss_nodes(lo, hi, level, both)
-    # the weights first: the product law's temporaries outsize the prep
-    weights = wt * _product_law(q, corners[col])
+    q, h = _gauss_nodes(lo, hi, level, fresh)
+    # the law first: its temporaries outsize the prep
+    law = h * _product_law(q, corners[col])
     row, a, first, last = runs
-    return q, weights, _stack_prep(q[row], a[:, None], t_lo[first][:, None, None],
-                                   t_hi[last][:, None, None], scale)
+    return q, law, _stack_prep(q[row], a[:, None], t_lo[first][:, None, None],
+                               t_hi[last][:, None, None], scale)
 
 
 def _blocks(off, per_run):
@@ -283,17 +305,17 @@ def _ends_blocks(col, lo, hi, stack):
                _stack_prep(ends, a_cols[col[s]], t_lo, t_hi, scale))
 
 
-def _level_blocks(rows, stack, level, both):
+def _level_blocks(rows, stack, level, fresh):
     """The work on the ``_rows`` at ``level`` in row blocks: per block
     each row's piece, the offsets of its rows into their runs, each run's
     row, and their ``_main_prep``."""
     (col, lo, hi), off, *runs, r3 = rows
     piece = np.append(np.arange(off.size - 1 - r3.size), r3)
-    for s, r, row in _blocks(off, (3 if both else 2) * (_BASE_ORDER << level)):
+    for s, r, row in _blocks(off, _NODES[_span(level, fresh)].size):
         # made in the yield, so that the generator holds no block while
         # the next one is made
         yield (piece[s], off[s.start:s.stop + 1] - r.start, row, *_main_prep(
-            col[s], lo[s], hi[s], stack, level, both, (row, *(v[r] for v in runs))))
+            col[s], lo[s], hi[s], stack, level, fresh, (row, *(v[r] for v in runs))))
 
 
 def _piece_sums(f, off):
@@ -309,7 +331,7 @@ def _take(block, asked):
     """A kept ``_level_blocks`` block with only its rows of the pieces
     ``asked`` (a mask over the plan's pieces) and their runs, or None if
     it has none of them."""
-    piece, off, row, q, weights, (big, lg, *cells) = block
+    piece, off, row, q, law, (big, lg, *cells) = block
     keep = asked[piece]
     if not keep.any():
         return None
@@ -321,7 +343,7 @@ def _take(block, asked):
             k = np.flatnonzero(runs[r])
             cells[i] = (at[r[k]] * per_run + rest[k], *(v[k] for v in c[1:])) if k.size else None
     return (piece[keep], np.append(0, np.cumsum(np.diff(off)[keep])),
-            (np.cumsum(keep) - 1)[row[runs]], q[keep], weights[keep], (big[runs], lg[runs], *cells))
+            (np.cumsum(keep) - 1)[row[runs]], q[keep], law[keep], (big[runs], lg[runs], *cells))
 
 
 class _Plan:
@@ -331,12 +353,12 @@ class _Plan:
     bounds, the occupied columns and the first-pass pieces (col, lo, hi).
     From the second compute on, where the first pass is one chunk, the
     p-independent work on those pieces, as the blocks a fresh pass makes:
-    ``"ends"`` (``_ends_blocks``) and per level ``_level_blocks``.  Level
-    0 has orders n and 2n, as the first pass and placeholders evaluate
-    both, and a higher level 2n alone, as a doubling reuses order n.  A
-    work is made once the pieces asked of it reach the number of pieces,
-    so that it costs no more than the evaluations it replaces, and kept
-    while it fits ``_CHUNK_ELEMENTS``.
+    ``"ends"`` (``_ends_blocks``) and per level ``_level_blocks`` of the
+    nodes the level adds to the one below: K7's 7 at level 0, P15's 8 new
+    ones at level 1 and P31's 16 at level 2.  A work is made once the
+    pieces asked of it reach the number of pieces, so that it costs no
+    more than the evaluations it replaces, and kept while it fits
+    ``_CHUNK_ELEMENTS``.
     """
 
     def __init__(self, grid):
@@ -370,8 +392,8 @@ class _Plan:
                     col, lo, hi, self.stack)
             else:
                 rows = _rows(col, lo, hi, self.stack)
-                size = int(rows[1][-1]) * (3 if key == 0 else 2) * (_BASE_ORDER << key)
-                blocks = _level_blocks(rows, self.stack, key, key == 0)
+                size = int(rows[1][-1]) * _NODES[_span(key, False)].size
+                blocks = _level_blocks(rows, self.stack, key, False)
             if self.elements + size <= _CHUNK_ELEMENTS:
                 self.work[key] = list(blocks)
                 self.elements += size
@@ -379,7 +401,8 @@ class _Plan:
 
 
 def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
-    """Value, error, sup bound and level of new pieces; elements used.
+    """Value, error, sup bound, level and the carried sums (P, 2) of their
+    nodes under P15's and P31's weights of new pieces; elements used.
 
     Each cell's integral is convex in s, so its max over a piece sits at
     an endpoint, and the summed max times the piece's mass bounds the
@@ -387,8 +410,8 @@ def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
     a cheap, non-rigorous size hint; a piece whose bound is a negligible
     share of it is a placeholder at level -1, carrying half its bound as
     value and as error, which keeps the truth within the error.  Together
-    these placeholders stay a few percent of the target.  Given the
-    grid's ``plan``, the pieces are its first-pass pieces.
+    these placeholders stay a few percent of the target, and carry no
+    sums.  Given the grid's ``plan``, the pieces are its first-pass pieces.
     """
     ends = plan.entry("ends", col.size) if plan else None
     bounds, low = np.empty(col.size), np.empty(col.size)
@@ -399,48 +422,51 @@ def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
     hint = float(low.sum())
     go = bounds > 0.04 * skip_tol * hint / max(col.size, 1)
     vals, errs, levels = 0.5 * bounds, 0.5 * bounds, np.where(go, level, -1)
-    vals[go], errs[go], used = _eval_pieces(col[go], lo[go], hi[go], stack, p, level, None, plan,
-                                            None if go.all() else np.flatnonzero(go))
-    return vals, errs, bounds, levels, 2 * col.size * stack[0].shape[1] + used
+    carry = np.zeros((col.size, 2))
+    vals[go], errs[go], rules, used = _eval_pieces(col[go], lo[go], hi[go], stack, p, level, None,
+                                                   plan, None if go.all() else np.flatnonzero(go))
+    carry[go] = rules[:, 2:]
+    return vals, errs, bounds, levels, carry, 2 * col.size * stack[0].shape[1] + used
 
 
-def _eval_pieces(col, lo, hi, stack, p, level, low=None, plan=None, rows=None):
-    """Order-2n Gauss value of every piece at ``level``, its difference
-    from order n, and the elements used; given the order-n values
-    ``low``, only order 2n is evaluated.  The ``_rows`` run in blocks,
-    and each kink sub-piece's value is added to its piece's.  Given the
-    grid's ``plan``, the pieces are its first-pass pieces ``rows``
-    (sorted; all when None), and the plan's blocks are used where it keeps
-    them, each taken to those pieces.
+def _eval_pieces(col, lo, hi, stack, p, level, acc=None, plan=None, rows=None):
+    """Every piece's value at ``level``, the sum of the level's rule; its
+    error, the difference from the rule below; the sums (P, 4) of all four
+    rules over the nodes evaluated; and the elements used.  Given ``acc``,
+    those sums over the nodes of the levels below, only the nodes the
+    level adds are evaluated.  The ``_rows`` run in blocks, and each kink
+    sub-piece's nodes are added to its piece's.  Given the grid's
+    ``plan``, the pieces are its first-pass pieces ``rows`` (sorted; all
+    when None), and the plan's blocks are used where it keeps them, each
+    taken to those pieces.
     """
-    scale, n, both = stack[-1], _BASE_ORDER << level, low is None
+    span = _span(level, acc is None)
     kept = plan.entry(level, col.size) if plan else None
     if kept is None:
-        blocks = _level_blocks(_rows(col, lo, hi, stack), stack, level, both)
+        blocks = _level_blocks(_rows(col, lo, hi, stack), stack, level, acc is None)
     elif rows is None:
         blocks = kept
     else:
         asked = np.zeros(plan.pieces[0].size, bool)
         asked[rows] = True
         blocks = filter(None, (_take(block, asked) for block in kept))
-    # per row its piece and sums, from which the pieces' sums are made once
-    idx, high, diff, used = [np.empty(0, int)], [np.empty(0)], [np.empty(0)], 0
-    for piece, off, row, q, weights, cells in blocks:
-        f = _stack_apply(q, cells, p, scale, row, reduce=False, inplace=blocks is not kept)[:, :, 0]
-        # a sub-piece's row is its one run, whose sum is itself
-        part = _piece_sums(f, off) * weights
-        idx.append(piece)
-        high.append(part[:, -2 * n:].sum(axis=1))
-        if both:
-            diff.append(np.abs(high[-1] - part[:, :n].sum(axis=1)))
+    k, used = _NODES[span].size, 0
+    nodes = np.zeros(col.size * k)
+    for piece, off, row, q, law, cells in blocks:
+        f = _stack_apply(q, cells, p, stack[-1], row, reduce=False, inplace=blocks is not kept)
+        if kept is not None and rows is not None:  # the plan's piece indices, to places in rows
+            piece = np.searchsorted(rows, piece)
+        # each piece's node sums, added row by row in order, so that no block
+        # size changes them; a sub-piece's row is its one run
+        np.add.at(nodes, (piece[:, None] * k + np.arange(k)).reshape(-1),
+                  (_piece_sums(f[:, :, 0], off) * law).reshape(-1))
         used += f.size
         del cells, f  # before the next block is made
-    idx, high, diff = map(np.concatenate, (idx, high, diff))
-    if kept is not None and rows is not None:  # the plan's piece indices, to places in rows
-        idx = np.searchsorted(rows, idx)
-    vals = np.bincount(idx, high, minlength=col.size)
-    errs = np.abs(vals - low) if low is not None else np.bincount(idx, diff, minlength=col.size)
-    return vals, errs, used
+    # the rules in one contraction of fixed order, as BLAS's depends on sizes
+    rules = np.einsum("pk,kr->pr", nodes.reshape(col.size, k), _WEIGHTS[span])
+    if acc is not None:
+        rules += acc
+    return rules[:, level + 1], np.abs(rules[:, level + 1] - rules[:, level]), rules, used
 
 
 # Pieces picked per refinement round, at most.
@@ -486,7 +512,8 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         log_closed = log_closed - d * math.log(q1) - p * math.log(scale)
     closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
 
-    cost = col.size * (2 + 3 * _BASE_ORDER) * m
+    # the first pass evaluates each piece at its two ends and level 0's nodes
+    cost = col.size * (2 + _ENDS[0]) * m
     if cost > MAX_EVAL_ELEMENTS:
         raise ValueError(f"adaptive Lp integration pass needs {cost} evaluations (limit "
                          f"{MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale")
@@ -495,15 +522,15 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     # work from its second compute on, and only where that is one chunk
     if plan.computes < 2 or cost > _CHUNK_ELEMENTS:
         plan = None
-    chunk = max(1, _CHUNK_ELEMENTS // ((2 + 3 * _BASE_ORDER) * m))
+    chunk = max(1, _CHUNK_ELEMENTS // ((2 + _ENDS[0]) * m))
     *store, used = zip(*(_new_pieces(col[s:s + chunk], lo[s:s + chunk], hi[s:s + chunk], stack, p,
                                      0, rel_tol, plan) for s in range(0, max(col.size, 1), chunk)))
-    (val, err, bnd, lvl), elements = map(np.concatenate, store), sum(used)
+    (val, err, bnd, lvl, carry), elements = map(np.concatenate, store), sum(used)
     # every piece made stays in the store; a bisected one holds zeros
     while True:
         target = rel_tol * max(closed + float(val.sum()), 1e-300)
         # a near-zero value against a sizable sup bound means the nodes may
-        # have missed a narrow peak, and orders that differ by more than half
+        # have missed a narrow peak, and rules that differ by more than half
         # the value have not converged; such a piece carries half its bound
         missed = ((val < 1e-3 * bnd) | (err > 0.5 * val)) & (bnd > 0.01 * target)
         eff = np.where(missed, np.maximum(err, 0.5 * bnd), err)
@@ -527,27 +554,32 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         par = top[(left > 0.5 * target) & (pick[top] > 0.0)]
         if par.size == 0:
             break
-        # a piece below the top level moves one level up in place, its order
-        # 2n becoming order n (a placeholder goes to level 0); one at the top
-        # level is bisected.  Pieces below the top level are all first-pass
-        # pieces, as bisection makes top-level ones.
+        # a piece below the top level moves one level up in place, adding
+        # the next rule's nodes (a placeholder goes to level 0); one at the
+        # top level is bisected.  Pieces below the top level are all first-
+        # pass pieces, as bisection makes top-level ones, so only they carry
+        # the higher rules' sums over their nodes so far.
         up, par = par[lvl[par] < _MAX_LEVEL], par[lvl[par] == _MAX_LEVEL]
         for level in np.unique(lvl[up]).tolist():
             g = np.sort(up[lvl[up] == level])
-            val[g], err[g], used = _eval_pieces(col[g], lo[g], hi[g], stack, p, level + 1,
-                                                None if level < 0 else val[g], plan, g)
+            # the rule sums so far: the value is K7's at level 0 and P15's
+            # at level 1, where the carried sum holds it too
+            acc = None if level < 0 else np.column_stack([np.zeros(g.size), val[g], carry[g]])
+            val[g], err[g], acc, used = _eval_pieces(
+                col[g], lo[g], hi[g], stack, p, level + 1, acc, plan, g)
+            carry[g] = acc[:, 2:]
             lvl[g] += 1
             elements += used
         if par.size:
             new = np.tile(col[par], 2), np.append(lo[par], mid[par]), np.append(mid[par], hi[par])
             val[par] = err[par] = bnd[par] = 0.0
-            *fresh, used = _new_pieces(*new, stack, p, _MAX_LEVEL)
+            *fresh, _, used = _new_pieces(*new, stack, p, _MAX_LEVEL)
             col, lo, hi, val, err, bnd, lvl = (np.concatenate(x) for x in zip(
                 (col, lo, hi, val, err, bnd, lvl), (*new, *fresh)))
             elements += used
 
     diag.update(boxes=val.size, elements=elements)
-    # a floor of four rounding units of the sums, as converged orders can
+    # a floor of four rounding units of the sums, as converged rules can
     # agree below them
     err_j = math.fsum(eff) + 4 * 2.0 ** -52 * (math.fsum(np.abs(val)) + closed)
     return math.fsum(np.append(val, closed)), scale, err_j, diag

@@ -20,7 +20,9 @@ from .integrate import NumericalError
 from .lp import LpCache, NormResult, check_p, check_rel_tol
 from .pointset import PointSet
 
-_WEIGHT_KINDS = ("factorial", "power", "subexp", "tabulated")
+# The fields each weight kind reads.
+_WEIGHT_FIELDS = {"factorial": ("alpha",), "power": ("C", "r"), "subexp": ("tau",),
+                  "tabulated": ("knots",)}
 # Series caps; hitting one raises instead of returning a quietly wrong value.
 _ELL_CAP = 2048
 # Halvings or doublings to bracket a Luxemburg root, and bisection steps
@@ -72,8 +74,11 @@ class WeightFn:
     knots: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in _WEIGHT_KINDS:
+        if self.kind not in _WEIGHT_FIELDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
+        for name in ("alpha", "C", "r", "tau", "knots"):
+            if getattr(self, name) is not None and name not in _WEIGHT_FIELDS[self.kind]:
+                raise ValueError(f"a {self.kind} weight takes no field {name!r}")
         if self.kind == "factorial":
             check_p(math.nan if self.alpha is None else self.alpha, "alpha")
         elif self.kind == "power":
@@ -160,6 +165,9 @@ class WeightFn:
         if not isinstance(data, dict):
             raise ValueError(f"a weight descriptor must be a JSON object, got {data!r}")
         kind = data.get("kind")
+        for key in data:
+            if key != "kind" and key not in _WEIGHT_FIELDS.get(kind, (key,)):
+                raise ValueError(f"a {kind} weight takes no field {key!r}")
         if kind == "tabulated":
             return cls.tabulated(data.get("knots"))
         kwargs = {k: _json_number(data, k) for k in ("alpha", "C", "r", "tau") if k in data}

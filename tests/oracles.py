@@ -7,12 +7,14 @@ Orlicz modular, ``luxemburg_norm_piecewise`` solves the Luxemburg
 norm of a piecewise-constant function, whose modular is an exact sum,
 ``lp_mpmath`` computes L_p norms in d = 1, 2 in extended precision,
 ``count_in_box`` and ``local_discrepancy`` count points directly,
-``young_eval`` sums the Young series pointwise, and ``cell_stack_sums``
-sums the adaptive engine's inner stacks cell by cell.
+``young_eval`` sums the Young series pointwise, ``cell_stack_sums``
+sums the adaptive engine's inner stacks cell by cell, and
+``patterson_ladder`` derives the engine's quadrature rules in mpmath.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 
@@ -20,7 +22,7 @@ import mpmath
 import numpy as np
 
 from discnorm.cells import CellGrid, build_cell_grid
-from discnorm.integrate import MAX_EVAL_ELEMENTS, NumericalError, _gl01, _inner_stack
+from discnorm.integrate import MAX_EVAL_ELEMENTS, NumericalError, _inner_stack
 from discnorm.lp import NormResult
 from discnorm.orlicz import OrliczSpec, _luxemburg_root
 from discnorm.pointset import PointSet
@@ -78,6 +80,13 @@ def young_eval(spec: OrliczSpec, x):
             else:
                 raise NumericalError("Young series did not converge within the term cap")
     return float(out[0]) if scalar else out.reshape(np.shape(x))
+
+
+@functools.cache
+def _gl01(n: int):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 def _outer_tensor(lo, hi, order):
@@ -306,3 +315,49 @@ def cell_stack_sums(q, a, t_lo, t_hi, lo, hi, p, scale):
     f = _inner_stack(q, a, t_lo, t_hi, p, scale, reduce=False)
     f[np.broadcast_to(kink[:, None, :], f.shape)] = 0.0
     return f.sum(axis=2)
+
+
+def patterson_ladder(dps: int = 40):
+    """The nested rules G3, K7, P15, P31 on [0, 1] in mpmath at ``dps``
+    digits, in the adaptive engine's order: the 31 nodes as the centre,
+    then x and 1 - x for each x < 1/2, each rule's nodes first, and per
+    rule its weights on them (0 off its nodes).
+
+    From G3 on, each rule adds the zeros of the monic polynomial E of
+    degree n + 1 orthogonal on [-1, 1] to every x^k pi(x), k <= n, where
+    pi vanishes on the rule's n nodes (Kronrod 1965; Patterson 1968);
+    E is even, so its zeros come from a polynomial in x^2.  The weights
+    are those of the interpolatory rule on the nodes.
+    """
+    with mpmath.workdps(dps + 40):
+        def moment(j):
+            return mpmath.mpf(2) / (j + 1) if j % 2 == 0 else mpmath.mpf(0)
+
+        half = [mpmath.mpf(0), mpmath.sqrt(mpmath.mpf(3) / 5)]
+        nodes = [half[0], -half[1], half[1]]
+        rules = []
+        while True:
+            n = len(nodes)
+            vander = mpmath.matrix([[x ** k for x in nodes] for k in range(n)])
+            rules.append(mpmath.lu_solve(vander, mpmath.matrix([moment(k) for k in range(n)])))
+            if n == 31:
+                break
+            pi = [mpmath.mpf(1)]  # ascending coefficients
+            for x in nodes:
+                pi = [a - x * b for a, b in zip([0] + pi, pi + [0])]
+
+            def pi_moment(i):
+                return mpmath.fsum(c * moment(a + i) for a, c in enumerate(pi))
+
+            gram = mpmath.matrix([[pi_moment(j + k) for j in range(n + 1)] for k in range(n + 1)])
+            c = mpmath.lu_solve(gram, mpmath.matrix([-pi_moment(n + 1 + k) for k in range(n + 1)]))
+            ys = mpmath.polyroots([1] + [c[j] for j in range(n - 1, -1, -2)],
+                                  maxsteps=500, extraprec=4 * dps)
+            new = sorted((mpmath.sqrt(mpmath.re(y)) for y in ys), reverse=True)
+            half += new
+            nodes += [sign * a for a in new for sign in (-1, 1)]
+        # x = (1 + t) / 2 maps [-1, 1] onto [0, 1]; -t comes before t
+        out_nodes = [(1 + t) / 2 for t in nodes]
+        out_weights = [[rule[i] / 2 if i < len(rule) else mpmath.mpf(0) for rule in rules]
+                       for i in range(len(nodes))]
+    return out_nodes, out_weights

@@ -156,6 +156,9 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"power","C":true,"r":1}'],
         ["disc", "--in", str(f), "--norm", "psi-alpha", "--alpha", "2", "--phi",
          '{"kind":"power","C":1,"r":false}'],
+        # a field the kind does not read, and a misspelt one
+        ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"power","C":1,"r":0.5,"tau":0.3}'],
+        ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"power","C":1,"r":0.5,"knotz":[[1,2]]}'],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)

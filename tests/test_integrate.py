@@ -1,9 +1,11 @@
-"""The inner-stack kernel of the adaptive L_p engine, its evaluation in
-row blocks, and the reuse of its p-independent work across p on one grid."""
+"""The quadrature ladder and the inner-stack kernel of the adaptive L_p
+engine, its error estimate, its evaluation in row blocks, and the reuse
+of its p-independent work across p on one grid."""
 
 import functools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +14,66 @@ from discnorm.cells import build_cell_grid
 from discnorm.integrate import _MAX_LEVEL, _gauss_nodes, _inner_stack, lp_adaptive_integral
 from discnorm.lp import LpCache, lp_discrepancy
 from discnorm.pointset import generate_halton, generate_uniform
-from oracles import cell_stack_sums
+from oracles import cell_stack_sums, patterson_ladder
+
+
+def test_quadrature_ladder():
+    # G3 < K7 < P15 < P31 on [0, 1]: each rule's nodes come first, so the
+    # sets are nested, and its weights are positive on them, 0 elsewhere
+    nodes, weights = integrate._NODES, integrate._WEIGHTS
+    sizes, degrees = (3, 7, 15, 31), (5, 11, 23, 47)
+    assert nodes.shape == (31,) and weights.shape == (31, 4)
+    assert np.unique(nodes).size == 31 and ((nodes > 0.0) & (nodes < 1.0)).all()
+    for r, n in enumerate(sizes):
+        assert (weights[:n, r] > 0.0).all() and (weights[n:, r] == 0.0).all()
+    assert integrate._ENDS == sizes[1:]
+    # exact on x^k up to each rule's degree, and G3, K7 not one further
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(v)) for v in nodes]
+        for r, deg in enumerate(degrees):
+            w = [mpmath.mpf(float(v)) for v in weights[:, r]]
+            for k in range(deg + 2):
+                rel = abs(mpmath.fsum(a * b ** k for a, b in zip(w, x)) * (k + 1) - 1)
+                if k <= deg:
+                    assert rel <= 1e-15, (r, k, rel)
+                elif r < 2:
+                    assert rel > 1e-7, (r, k, rel)
+    # the literals against an mpmath derivation, within 2 ulp
+    want_x, want_w = patterson_ladder(40)
+    for got, want in zip(nodes, want_x):
+        assert abs(mpmath.mpf(float(got)) - want) <= 2 * np.spacing(got)
+    for got, want in zip(weights.reshape(-1), (v for row in want_w for v in row)):
+        assert abs(mpmath.mpf(float(got)) - want) <= 2 * np.spacing(got)
+
+
+ESTIMATE_SETS = [generate_uniform(n, d, seed=seed) for n, d in ((8, 2), (6, 3), (4, 4), (3, 5))
+                 for seed in range(4)]
+
+
+def test_error_estimate_covers_tight_rerun_at_every_level(monkeypatch):
+    # every level's estimate, |K7 - G3|, |P15 - K7| or |P31 - P15|, and a
+    # bisected piece's, against reruns at 1e-12 on small sets at d = 2..5;
+    # levels 1 and 2 are reached by adding nodes to a piece's sums
+    levels, bisected = set(), []
+    eval_pieces, new_pieces = integrate._eval_pieces, integrate._new_pieces
+
+    def eval_spy(col, lo, hi, stack, p, level, acc=None, *args):
+        levels.add((level, acc is None))
+        return eval_pieces(col, lo, hi, stack, p, level, acc, *args)
+
+    def new_spy(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
+        bisected.append(level == _MAX_LEVEL)
+        return new_pieces(col, lo, hi, stack, p, level, skip_tol, plan)
+
+    monkeypatch.setattr(integrate, "_eval_pieces", eval_spy)
+    monkeypatch.setattr(integrate, "_new_pieces", new_spy)
+    for pts in ESTIMATE_SETS:
+        for p in (2.5, 20.0, 150.0):
+            want, _, err_tight, _ = lp_adaptive_integral(build_cell_grid(pts), p, 1e-12)
+            for tol in (1e-3, 1e-6):
+                got, _, err, _ = lp_adaptive_integral(build_cell_grid(pts), p, tol)
+                assert abs(got - want) <= err + err_tight, (pts.dim, p, tol, got, want, err)
+    assert {(0, True), (1, False), (2, False)} <= levels and any(bisected)
 
 
 def _inner_stack_masked(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
@@ -202,11 +263,11 @@ def test_plan_reuse_is_bit_identical(name, monkeypatch):
         assert cache.grid.memo["plan"].work["ends"] is not None
 
 
-@pytest.mark.parametrize("cap", [5_000, 20_000])
+@pytest.mark.parametrize("cap", [5_000, 15_000])
 def test_plan_stays_within_chunk_elements(cap, monkeypatch):
-    # 5,000 elements split the first pass of the d = 3 set (17,820) into
-    # chunks, so its grid keeps no work; 20,000 hold the first pass and
-    # level 0 (12,582 with the endpoints) but not level 1 (25,038)
+    # 5,000 elements split the first pass of the d = 3 set (14,580) into
+    # chunks, so its grid keeps no work; 15,000 hold the first pass and
+    # level 0 (10,506 with the endpoints) but not level 1 (18,810)
     monkeypatch.setattr(integrate, "_CHUNK_ELEMENTS", cap)
     shared = _ladder_matches_fresh_grids(PLAN_SETS["d3"])
     plan = shared.memo["plan"]

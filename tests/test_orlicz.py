@@ -74,6 +74,16 @@ class TestWeightFn:
             WeightFn.factorial(0.5)
         with pytest.raises(ValueError):
             WeightFn(kind="nope")
+        # a field the kind does not read, or no field at all, is an error
+        # that names it, not a weight that carries it
+        for data, field in (({"kind": "factorial", "alpha": 2, "tau": 0.5, "C": 3}, "tau"),
+                            ({"kind": "power", "C": 1, "r": 0.5, "tau": 0.3}, "tau"),
+                            ({"kind": "power", "C": 1, "r": 0.5, "knotz": [[1, 2]]}, "knotz"),
+                            ({"kind": "subexp", "tau": 0.5, "knots": [[1, 2]]}, "knots")):
+            with pytest.raises(ValueError, match=f"^a {data['kind']} weight takes no field '{field}'$"):
+                WeightFn.from_json(data)
+        with pytest.raises(ValueError, match="^a factorial weight takes no field 'C'$"):
+            WeightFn(kind="factorial", alpha=2.0, C=3.0)
         # an infinite parameter is rejected too; power(1, inf) would give a
         # phi norm of 0.0 with error 0.0
         for make in (lambda: WeightFn.factorial(math.inf),
