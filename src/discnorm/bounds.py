@@ -159,7 +159,10 @@ def _n_bound(eps: float, d: int, over_eps2) -> int:
     eps2 = eps * eps
     if eps2 == 0.0:
         return NBOUND_SATURATION
-    x = over_eps2(eps2)
+    try:
+        x = over_eps2(eps2)
+    except OverflowError:
+        return NBOUND_SATURATION
     if not math.isfinite(x) or x >= NBOUND_SATURATION:
         return NBOUND_SATURATION
     return int(math.ceil(x))
@@ -178,14 +181,13 @@ def nbound1(eps: float, d: int, phi: WeightFn) -> int:
     The sup is 1/phi(1)^2 for the nondecreasing kinds; tabulated weights
     scan their knots.  phi enters only through phi(d) / inf phi, taken
     from logs so that a phi beyond a double's range, large or small, does
-    not change the bound.
+    not change the bound.  phi is read only once eps and d are checked.
     """
-    try:
+    def over_eps2(eps2):
         ratio = math.exp(phi.log_phi(float(d)) - math.log(phi.min_phi_from(1.0)))
-    except OverflowError:
-        ratio = math.inf
-    return _n_bound(eps, d, lambda eps2: (
-        C_PT_DEFAULT ** 2 * d * (d + 1.0) ** 2 * (ratio * ratio) / eps2))
+        return C_PT_DEFAULT ** 2 * d * (d + 1.0) ** 2 * (ratio * ratio) / eps2
+
+    return _n_bound(eps, d, over_eps2)
 
 
 def initial_phi_lower(d: int, phi: WeightFn) -> float:
@@ -230,8 +232,8 @@ def min_const_check() -> BoundReport:
 
 def construction_constants_check(a: float) -> BoundReport:
     """2^(5/4)/(3^(3/4) a) + exp(4.9 - (a/5.7)^2) < 1, with 16 a^2 echoed."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"a must be a finite number > 0, got {a!r}")
     value = 2.0 ** 1.25 / (3.0 ** 0.75 * a) + math.exp(4.9 - (a / 5.7) ** 2)
     return BoundReport(
         name="construction_constants",
@@ -309,6 +311,8 @@ def hnww_empirical_check(d: int, n: int, k_trials: int, seed: int) -> BoundRepor
     """
     if d > 3 or n > 128:
         raise ValueError("empirical check is desk-scale: d <= 3, n <= 128")
+    if n < 1 or k_trials < 1:
+        raise ValueError("n and k_trials must be >= 1")
     stars = []
     lds = []
     for i in range(k_trials):
@@ -345,6 +349,8 @@ def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    if d > 16 and k_trials < 1:
+        raise ValueError("no candidate sets: d > 16 has no Halton set, so k_trials must be >= 1")
     spec = NormSpec.from_json(norm)
     threshold = eps * spec.initial(d)
     cache: dict[int, float] = {}

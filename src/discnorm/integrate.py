@@ -18,12 +18,12 @@ Two routes, used by the norm modules:
   the nodes it adds, and by bisection at P31.  A piece's cells go as runs
   of one count A, one integrand each, but for those with a kink of F,
   where the zero of A - s t crosses a cell edge: each is the one run of
-  the sub-pieces cut at its kinks, rows of the same pass in cache-sized
-  blocks.  Everything is scaled by sup |local discrepancy| so any large p
-  stays in range.  A grid keeps its setup, and from its second call on
-  the p-independent work on its first pieces as the row blocks a fresh
-  pass makes (``_Plan``); a call that refines some pieces takes their
-  rows from each block.
+  the sub-pieces cut at its kinks, rows of the same pass made per group
+  of pieces and run in cache-sized blocks.  Everything is scaled by
+  sup |local discrepancy| so any large p stays in range.  A grid keeps
+  its setup, and from its second call on the p-independent work on its
+  first pieces as the row blocks a fresh pass makes (``_Plan``); a call
+  that refines some pieces takes their rows from each block.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .cells import CellGrid
 
 # Evaluation-cost guard for the adaptive engines (elements per full pass).
 MAX_EVAL_ELEMENTS = 400_000_000
-# Batch memory cap (array elements per evaluation chunk).
-_CHUNK_ELEMENTS = 24_000_000
+# Stack elements a grid's plan keeps, at most; a larger first pass keeps none.
+_PLAN_ELEMENTS = 24_000_000
 # Stack elements per block of the kernel, so no call holds a pass.
 _BLOCK_ELEMENTS = 1 << 16
 _DBL_MAX = np.finfo(float).max
@@ -236,13 +236,13 @@ def _product_law(s, corners, cumulative=False):
 
 
 def _rows(col, lo, hi, stack):
-    """The rows (col, lo, hi) of the pieces, then of their kink sub-pieces;
-    the rows' offsets into their runs (rows + 1); each run's count and
-    first and last cell; and each sub-piece's piece.  A piece's runs are
-    its maximal stretches of one count free of kink cells, whose kink
-    A/t_hi or A/t_lo lies inside it.  A kink cell is the one run of each
-    sub-piece cut at its kinks; one of zero width, where a kink is clipped
-    to an end, adds nothing and is left out."""
+    """The rows (col, lo, hi) of a group of pieces, then of their kink
+    sub-pieces; the rows' offsets into their runs (rows + 1); each run's
+    count and first and last cell; and each sub-piece's piece in the group.
+    A piece's runs are its maximal stretches of one count free of kink
+    cells, whose kink A/t_hi or A/t_lo lies inside it.  A kink cell is the
+    one run of each sub-piece cut at its kinks; one of zero width, where a
+    kink is clipped to an end, adds nothing and is left out."""
     a_cols, t_lo, t_hi = stack[:3]
     a = a_cols[col]
     m = a.shape[1]
@@ -305,17 +305,20 @@ def _ends_blocks(col, lo, hi, stack):
                _stack_prep(ends, a_cols[col[s]], t_lo, t_hi, scale))
 
 
-def _level_blocks(rows, stack, level, fresh):
-    """The work on the ``_rows`` at ``level`` in row blocks: per block
+def _level_blocks(col, lo, hi, stack, level, fresh):
+    """The work on the pieces' rows at ``level`` in row blocks: per block
     each row's piece, the offsets of its rows into their runs, each run's
-    row, and their ``_main_prep``."""
-    (col, lo, hi), off, *runs, r3 = rows
-    piece = np.append(np.arange(off.size - 1 - r3.size), r3)
-    for s, r, row in _blocks(off, _NODES[_span(level, fresh)].size):
-        # made in the yield, so that the generator holds no block while
-        # the next one is made
-        yield (piece[s], off[s.start:s.stop + 1] - r.start, row, *_main_prep(
-            col[s], lo[s], hi[s], stack, level, fresh, (row, *(v[r] for v in runs))))
+    row, and their ``_main_prep``.  The ``_rows`` are made per group of
+    about ``_BLOCK_ELEMENTS`` cells, a piece's sub-pieces in its group."""
+    group = max(1, _BLOCK_ELEMENTS // stack[0].shape[1])
+    for g in range(0, col.size, group):
+        (c, l, h), off, *runs, r3 = _rows(*(v[g:g + group] for v in (col, lo, hi)), stack)
+        piece = g + np.append(np.arange(off.size - 1 - r3.size), r3)
+        for s, r, row in _blocks(off, _NODES[_span(level, fresh)].size):
+            # made in the yield, so that the generator holds no block while
+            # the next one is made
+            yield (piece[s], off[s.start:s.stop + 1] - r.start, row, *_main_prep(
+                c[s], l[s], h[s], stack, level, fresh, (row, *(v[r] for v in runs))))
 
 
 def _piece_sums(f, off):
@@ -351,14 +354,14 @@ class _Plan:
 
     Made at the grid's first compute: the stack, the outer axes' cell
     bounds, the occupied columns and the first-pass pieces (col, lo, hi).
-    From the second compute on, where the first pass is one chunk, the
-    p-independent work on those pieces, as the blocks a fresh pass makes:
-    ``"ends"`` (``_ends_blocks``) and per level ``_level_blocks`` of the
-    nodes the level adds to the one below: K7's 7 at level 0, P15's 8 new
-    ones at level 1 and P31's 16 at level 2.  A work is made once the
-    pieces asked of it reach the number of pieces, so that it costs no
-    more than the evaluations it replaces, and kept while it fits
-    ``_CHUNK_ELEMENTS``.
+    From the second compute on, where the first pass is within
+    ``_PLAN_ELEMENTS``, the p-independent work on those pieces, as the
+    blocks a fresh pass makes: ``"ends"`` (``_ends_blocks``) and per level
+    ``_level_blocks`` of the nodes the level adds to the one below: K7's 7
+    at level 0, P15's 8 new ones at level 1 and P31's 16 at level 2.  A
+    work is made once the pieces asked of it reach the number of pieces,
+    so that it costs no more than the evaluations it replaces.  It is made
+    block by block and dropped once the plan would pass ``_PLAN_ELEMENTS``.
     """
 
     def __init__(self, grid):
@@ -385,18 +388,16 @@ class _Plan:
             if self.asked[key] < col.size:
                 return None
             self.work[key] = None
-            # sized before the work is made, so a level left out costs
-            # only its rows
-            if key == "ends":
-                size, blocks = 2 * col.size * self.stack[0].shape[1], _ends_blocks(
-                    col, lo, hi, self.stack)
+            blocks = (_ends_blocks(col, lo, hi, self.stack) if key == "ends"
+                      else _level_blocks(col, lo, hi, self.stack, key, False))
+            work, size = [], self.elements
+            for block in blocks:
+                size += block[-1][0].size
+                if size > _PLAN_ELEMENTS:
+                    break
+                work.append(block)
             else:
-                rows = _rows(col, lo, hi, self.stack)
-                size = int(rows[1][-1]) * _NODES[_span(key, False)].size
-                blocks = _level_blocks(rows, self.stack, key, False)
-            if self.elements + size <= _CHUNK_ELEMENTS:
-                self.work[key] = list(blocks)
-                self.elements += size
+                self.work[key], self.elements = work, size
         return self.work[key]
 
 
@@ -434,8 +435,8 @@ def _eval_pieces(col, lo, hi, stack, p, level, acc=None, plan=None, rows=None):
     error, the difference from the rule below; the sums (P, 4) of all four
     rules over the nodes evaluated; and the elements used.  Given ``acc``,
     those sums over the nodes of the levels below, only the nodes the
-    level adds are evaluated.  The ``_rows`` run in blocks, and each kink
-    sub-piece's nodes are added to its piece's.  Given the grid's
+    level adds are evaluated.  The ``_level_blocks`` run in turn, and each
+    kink sub-piece's nodes are added to its piece's.  Given the grid's
     ``plan``, the pieces are its first-pass pieces ``rows`` (sorted; all
     when None), and the plan's blocks are used where it keeps them, each
     taken to those pieces.
@@ -443,7 +444,7 @@ def _eval_pieces(col, lo, hi, stack, p, level, acc=None, plan=None, rows=None):
     span = _span(level, acc is None)
     kept = plan.entry(level, col.size) if plan else None
     if kept is None:
-        blocks = _level_blocks(_rows(col, lo, hi, stack), stack, level, acc is None)
+        blocks = _level_blocks(col, lo, hi, stack, level, acc is None)
     elif rows is None:
         blocks = kept
     else:
@@ -500,7 +501,6 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     plan = grid.memo["plan"] = grid.memo.get("plan") or _Plan(grid)
     plan.computes += 1
     stack, (col, lo, hi) = plan.stack, plan.pieces
-    m = stack[0].shape[1]
     # a column with no point below it integrates (prod t / scale)^p, a
     # product of one-axis powers; in logs, as large p underflows them.  A
     # NaN from -inf - -inf near p = 1e308 is a term below q1^-d, so 0
@@ -513,19 +513,16 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
 
     # the first pass evaluates each piece at its two ends and level 0's nodes
-    cost = col.size * (2 + _ENDS[0]) * m
+    cost = col.size * (2 + _ENDS[0]) * stack[0].shape[1]
     if cost > MAX_EVAL_ELEMENTS:
         raise ValueError(f"adaptive Lp integration pass needs {cost} evaluations (limit "
                          f"{MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale")
 
-    # the first pass runs in chunks that bound its memory; a grid keeps
-    # work from its second compute on, and only where that is one chunk
-    if plan.computes < 2 or cost > _CHUNK_ELEMENTS:
+    # a grid keeps work from its second compute on, and only where its
+    # whole first pass is within the plan's cap, not just its endpoint prep
+    if plan.computes < 2 or cost > _PLAN_ELEMENTS:
         plan = None
-    chunk = max(1, _CHUNK_ELEMENTS // ((2 + _ENDS[0]) * m))
-    *store, used = zip(*(_new_pieces(col[s:s + chunk], lo[s:s + chunk], hi[s:s + chunk], stack, p,
-                                     0, rel_tol, plan) for s in range(0, max(col.size, 1), chunk)))
-    (val, err, bnd, lvl, carry), elements = map(np.concatenate, store), sum(used)
+    val, err, bnd, lvl, carry, elements = _new_pieces(col, lo, hi, stack, p, 0, rel_tol, plan)
     # every piece made stays in the store; a bisected one holds zeros
     while True:
         target = rel_tol * max(closed + float(val.sum()), 1e-300)

@@ -52,6 +52,8 @@ def test_theorem2_constant_values():
 def test_theorem2_n_bound_frozen_and_saturation():
     assert theorem2_n_bound(2.0, 0.5, 1) == 14456
     assert theorem2_n_bound(2.0, 1e-200, 5) == 10 ** 308
+    # d^2 overflows a double
+    assert theorem2_n_bound(1.0, 0.5, 10 ** 200) == 10 ** 308
     with pytest.raises(ValueError):
         theorem2_n_bound(2.0, 0.0, 1)
     with pytest.raises(ValueError):
@@ -64,6 +66,17 @@ def test_theorem2_n_bound_frozen_and_saturation():
     assert all(a <= b for a, b in zip(seq, seq[1:]))
 
 
+# The one-line error each helper gives for an input it rejects.
+_REJECTED = {theorem2_constant: "alpha must be a finite number >= 1",
+             theorem2_n_bound: "alpha must be a finite number >= 1",
+             initial_alpha_lower: "alpha must be >= 1",
+             stirling_check: r"p must be an integer in \[1, 170\]",
+             nbound1: "d must be >= 1",
+             construction_constants_check: "a must be a finite number > 0",
+             hnww_empirical_check: "n and k_trials must be >= 1",
+             empirical_inverse_discrepancy: "no candidate sets"}
+
+
 @pytest.mark.parametrize("fn, args", [
     (theorem2_constant, (math.nan,)),
     (theorem2_constant, (math.inf,)),
@@ -71,9 +84,17 @@ def test_theorem2_n_bound_frozen_and_saturation():
     (theorem2_n_bound, (math.inf, 0.5, 3)),
     (initial_alpha_lower, (3, math.nan)),
     (stirling_check, (2.5,)),
+    # d is checked before phi is read at d
+    (nbound1, (0.5, 0, WeightFn.power(1.0, 1.0))),
+    (construction_constants_check, (math.nan,)),
+    (construction_constants_check, (math.inf,)),
+    (hnww_empirical_check, (1, 0, 2, 0)),
+    (hnww_empirical_check, (1, 16, 0, 0)),
+    # above d = 16 there is no Halton set, so no candidate without trials
+    (empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 17, 0)),
 ], ids=lambda v: getattr(v, "__name__", repr(v)))
 def test_bound_helpers_reject_nan_infinite_alpha_and_fractional_p(fn, args):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_REJECTED[fn]):
         fn(*args)
 
 

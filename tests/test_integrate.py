@@ -250,7 +250,7 @@ def test_plan_reuse_is_bit_identical(name, monkeypatch):
     plan = shared.memo["plan"]
     kept = ["ends", 0, 1] + [2] * (name != "d3")
     assert [key for key, work in plan.work.items() if work] == kept
-    assert plan.elements <= integrate._CHUNK_ELEMENTS
+    assert plan.elements <= integrate._PLAN_ELEMENTS
     assert any(placeholders for _, placeholders in made)
     assert any(level == _MAX_LEVEL for level, _ in made)
     # the same through one cache, largest p first, against single-p calls
@@ -263,18 +263,28 @@ def test_plan_reuse_is_bit_identical(name, monkeypatch):
         assert cache.grid.memo["plan"].work["ends"] is not None
 
 
-@pytest.mark.parametrize("cap", [5_000, 15_000])
-def test_plan_stays_within_chunk_elements(cap, monkeypatch):
-    # 5,000 elements split the first pass of the d = 3 set (14,580) into
-    # chunks, so its grid keeps no work; 15,000 hold the first pass and
-    # level 0 (10,506 with the endpoints) but not level 1 (18,810)
-    monkeypatch.setattr(integrate, "_CHUNK_ELEMENTS", cap)
-    shared = _ladder_matches_fresh_grids(PLAN_SETS["d3"])
-    plan = shared.memo["plan"]
-    if cap == 5_000:
-        assert not plan.work
-    else:
+def _fresh_ladder(pts):
+    """The ladder at a loose and a tight tolerance, each rung on a fresh grid."""
+    return [_bits(lp_adaptive_integral(build_cell_grid(pts), p, p * tol))
+            for tol in (1e-6, 1e-12) for p in LADDER]
+
+
+@pytest.mark.parametrize("name, cap", [("d3", 5_000), ("d3", 15_000), ("d2", 200), ("h2", 1_000)])
+def test_plan_stays_within_plan_elements(name, cap, monkeypatch):
+    # a grid whose first pass is above the cap keeps no work: 14,580
+    # elements on the d = 3 set, 1,404 on d2 and 9,504 on h2; 15,000 hold
+    # d3's first pass and level 0 (10,506 with the endpoints) but not
+    # level 1 (18,810).  The cap sizes only what a grid keeps, so every
+    # rung, shared or fresh, is bit for bit the one at the default cap
+    pts = PLAN_SETS[name]
+    want = _fresh_ladder(pts)
+    monkeypatch.setattr(integrate, "_PLAN_ELEMENTS", cap)
+    plan = _ladder_matches_fresh_grids(pts).memo["plan"]
+    assert _fresh_ladder(pts) == want
+    if cap == 15_000:
         assert plan.elements <= cap and None in plan.work.values()
+    else:
+        assert not plan.work
 
 
 def _single_and_shared(pts, tol):
@@ -317,7 +327,7 @@ def test_row_blocks_do_not_change_results(name, monkeypatch):
 def test_single_p_peak_memory():
     # the kernel runs in row blocks, so a single-p call holds no whole pass;
     # on the (16,4) set most of that pass is kink sub-pieces
-    for (n, d), tol, bound in [((32, 3), 1e-9, 13e6), ((16, 4), 1e-6, 32e6)]:
+    for (n, d), tol, bound in [((32, 3), 1e-9, 13e6), ((16, 4), 1e-6, 20e6)]:
         pts = generate_uniform(n, d, 0)
         tracemalloc.start()
         try:
