@@ -21,9 +21,10 @@ Two routes, used by the norm modules:
   the sub-pieces cut at its kinks, rows of the same pass made per group
   of pieces and run in cache-sized blocks.  Everything is scaled by
   sup |local discrepancy| so any large p stays in range.  A grid keeps
-  its setup, and from its second call on the p-independent work on its
-  first pieces as the row blocks a fresh pass makes (``_Plan``); a call
-  that refines some pieces takes their rows from each block.
+  its setup, and from its second call on the p-independent work below the
+  top level on its first pieces, as the row blocks a fresh pass makes
+  (``_Plan``), which ``_Plan.blocks`` gives a call whole or taken to the
+  pieces it refines.
 """
 
 from __future__ import annotations
@@ -75,8 +76,10 @@ def lp_moment_integral(grid: CellGrid, p: int):
 
 
 def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
-    """The p-independent work of ``_inner_stack`` on its cells, as the
-    tuple that ``_stack_apply`` reads.
+    """The p-independent work of int_{t_lo[k]}^{t_hi[k]} (|A_k - q t| /
+    scale)^p dt at nodes q (B, S) on cells of counting terms a_cnt (B, m)
+    and bounds t_lo/t_hi (m,), or (B, 1, m) for bounds that differ per
+    row, as the tuple that ``_stack_apply`` reads.
 
     Per cell: the endpoint value |v| of larger magnitude, floored at
     1e-300, and log1p(-delta/|v|); the straddle cells, where the sign
@@ -124,10 +127,10 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
     return big, lg, cross, flat
 
 
-def _stack_apply(q, cells, p, scale, row=None, reduce=True, inplace=True):
-    """The p-dependent rest of ``_inner_stack`` on the ``_stack_prep``
-    ``cells`` at nodes ``q``, or with ``row`` at nodes ``q[row]``;
-    ``inplace`` lets it overwrite the cells' arrays."""
+def _stack_apply(q, cells, p, scale, row=None, inplace=True):
+    """The per-cell integrals (B, S, m) from the ``_stack_prep`` ``cells``
+    at nodes ``q``, or with ``row`` at nodes ``q[row]``; ``inplace`` lets
+    it overwrite the cells' arrays."""
     big, lg, cross, flat = cells
     q1 = p + 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
@@ -155,20 +158,7 @@ def _stack_apply(q, cells, p, scale, row=None, reduce=True, inplace=True):
         if flat is not None:
             idx, tlen, mid = flat
             flat_out[idx] = tlen * np.power(mid, p)
-    return out.sum(axis=2) if reduce else out
-
-
-def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
-    """sum_k int_{t_lo[k]}^{t_hi[k]} (|A_k - q t| / scale)^p dt, vectorized.
-
-    q: (B, S) products of the outer coordinates; a_cnt: (B, m) counting
-    terms of the inner cell stack; t_lo/t_hi: (m,), or (B, 1, m) for
-    bounds that differ per row.  The antiderivative of each one-signed
-    piece is a pure power, evaluated through log1p/expm1 so nearly-
-    cancelling endpoint powers stay accurate.  With ``reduce=False`` the
-    per-cell integrals (B, S, m) are returned unsummed.
-    """
-    return _stack_apply(q, _stack_prep(q, a_cnt, t_lo, t_hi, scale), p, scale, reduce=reduce)
+    return out
 
 
 # The nested quadrature ladder G3 < K7 < P15 < P31 on [0, 1] (Kronrod 1965;
@@ -330,12 +320,13 @@ def _piece_sums(f, off):
     return out
 
 
-def _take(block, asked):
-    """A kept ``_level_blocks`` block with only its rows of the pieces
-    ``asked`` (a mask over the plan's pieces) and their runs, or None if
-    it has none of them."""
+def _take(block, place):
+    """A kept ``_level_blocks`` block with only its rows of the pieces that
+    ``place`` (over the plan's pieces, -1 where not asked) puts somewhere,
+    each row's piece its place, and their runs; or None if it has none."""
     piece, off, row, q, law, (big, lg, *cells) = block
-    keep = asked[piece]
+    place = place[piece]
+    keep = place >= 0
     if not keep.any():
         return None
     runs = keep[row]
@@ -345,7 +336,7 @@ def _take(block, asked):
             r, rest = np.divmod(c[0], per_run)
             k = np.flatnonzero(runs[r])
             cells[i] = (at[r[k]] * per_run + rest[k], *(v[k] for v in c[1:])) if k.size else None
-    return (piece[keep], np.append(0, np.cumsum(np.diff(off)[keep])),
+    return (place[keep], np.append(0, np.cumsum(np.diff(off)[keep])),
             (np.cumsum(keep) - 1)[row[runs]], q[keep], law[keep], (big[runs], lg[runs], *cells))
 
 
@@ -354,14 +345,16 @@ class _Plan:
 
     Made at the grid's first compute: the stack, the outer axes' cell
     bounds, the occupied columns and the first-pass pieces (col, lo, hi).
-    From the second compute on, where the first pass is within
+    From the second compute on, where the first pass (``cost``) is within
     ``_PLAN_ELEMENTS``, the p-independent work on those pieces, as the
     blocks a fresh pass makes: ``"ends"`` (``_ends_blocks``) and per level
     ``_level_blocks`` of the nodes the level adds to the one below: K7's 7
-    at level 0, P15's 8 new ones at level 1 and P31's 16 at level 2.  A
-    work is made once the pieces asked of it reach the number of pieces,
-    so that it costs no more than the evaluations it replaces.  It is made
-    block by block and dropped once the plan would pass ``_PLAN_ELEMENTS``.
+    at level 0 and P15's 8 new ones at level 1.  P31's 16 at the top level
+    are not kept: few pieces reach it, taking them is no faster than making
+    them, and it would be the largest work.  A work is made once the pieces
+    asked of it reach the number of pieces, so that it costs no more than
+    the evaluations it replaces.  It is made block by block and dropped
+    once the plan would pass ``_PLAN_ELEMENTS``.
     """
 
     def __init__(self, grid):
@@ -377,14 +370,20 @@ class _Plan:
         self.pieces = (np.repeat(np.nonzero(self.occupied)[0], brk.shape[1] - 1),
                        brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1))
         self.stack = a_cols, grid.cell_lo(d - 1), grid.cell_hi(d - 1), corners, grid.sup_abs
+        # the first pass evaluates each piece at its two ends and level 0's nodes
+        self.cost = self.pieces[0].size * (2 + _ENDS[0]) * a_cols.shape[1]
         self.computes, self.elements, self.work, self.asked = 0, 0, {}, {}
 
-    def entry(self, key, asked):
-        """The blocks of the work ``key`` ("ends" or a level) of every
-        piece, asked for ``asked`` of them, or None if it is not kept."""
+    def blocks(self, key, asked=None):
+        """The kept blocks of the work ``key`` ("ends" or a level) as a
+        list, or with ``asked`` (sorted indices of pieces) a generator of
+        them taken to those pieces, each renumbered to its place in
+        ``asked``; None if the work is not kept."""
+        if self.computes < 2 or self.cost > _PLAN_ELEMENTS or key == _MAX_LEVEL:
+            return None
+        col, lo, hi = self.pieces
         if key not in self.work:
-            self.asked[key] = self.asked.get(key, 0) + asked
-            col, lo, hi = self.pieces
+            self.asked[key] = self.asked.get(key, 0) + (col.size if asked is None else asked.size)
             if self.asked[key] < col.size:
                 return None
             self.work[key] = None
@@ -398,7 +397,12 @@ class _Plan:
                 work.append(block)
             else:
                 self.work[key], self.elements = work, size
-        return self.work[key]
+        work = self.work[key]
+        if work is None or asked is None:
+            return work
+        place = np.full(col.size, -1)
+        place[asked] = np.arange(asked.size)
+        return filter(None, (_take(block, place) for block in work))
 
 
 def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
@@ -414,49 +418,39 @@ def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
     these placeholders stay a few percent of the target, and carry no
     sums.  Given the grid's ``plan``, the pieces are its first-pass pieces.
     """
-    ends = plan.entry("ends", col.size) if plan else None
+    ends = plan.blocks("ends") if plan else None
     bounds, low = np.empty(col.size), np.empty(col.size)
     for s, mass, q, cells in ends or _ends_blocks(col, lo, hi, stack):
-        per_cell = _stack_apply(q, cells, p, stack[-1], reduce=False, inplace=ends is None)
+        per_cell = _stack_apply(q, cells, p, stack[-1], inplace=ends is None)
         bounds[s] = per_cell.max(axis=1).sum(axis=1) * mass
         low[s] = per_cell.min(axis=1).sum(axis=1) * mass
     hint = float(low.sum())
     go = bounds > 0.04 * skip_tol * hint / max(col.size, 1)
     vals, errs, levels = 0.5 * bounds, 0.5 * bounds, np.where(go, level, -1)
     carry = np.zeros((col.size, 2))
+    asked = None if go.all() else np.flatnonzero(go)
     vals[go], errs[go], rules, used = _eval_pieces(col[go], lo[go], hi[go], stack, p, level, None,
-                                                   plan, None if go.all() else np.flatnonzero(go))
+                                                   plan.blocks(level, asked) if plan else None)
     carry[go] = rules[:, 2:]
     return vals, errs, bounds, levels, carry, 2 * col.size * stack[0].shape[1] + used
 
 
-def _eval_pieces(col, lo, hi, stack, p, level, acc=None, plan=None, rows=None):
+def _eval_pieces(col, lo, hi, stack, p, level, acc=None, kept=None):
     """Every piece's value at ``level``, the sum of the level's rule; its
     error, the difference from the rule below; the sums (P, 4) of all four
     rules over the nodes evaluated; and the elements used.  Given ``acc``,
     those sums over the nodes of the levels below, only the nodes the
     level adds are evaluated.  The ``_level_blocks`` run in turn, and each
-    kink sub-piece's nodes are added to its piece's.  Given the grid's
-    ``plan``, the pieces are its first-pass pieces ``rows`` (sorted; all
-    when None), and the plan's blocks are used where it keeps them, each
-    taken to those pieces.
+    kink sub-piece's nodes are added to its piece's.  Given ``kept``, the
+    ``_Plan.blocks`` of these pieces, those run instead: a plan's own list
+    is read without overwriting it, taken copies are overwritten.
     """
     span = _span(level, acc is None)
-    kept = plan.entry(level, col.size) if plan else None
-    if kept is None:
-        blocks = _level_blocks(col, lo, hi, stack, level, acc is None)
-    elif rows is None:
-        blocks = kept
-    else:
-        asked = np.zeros(plan.pieces[0].size, bool)
-        asked[rows] = True
-        blocks = filter(None, (_take(block, asked) for block in kept))
+    blocks = _level_blocks(col, lo, hi, stack, level, acc is None) if kept is None else kept
     k, used = _NODES[span].size, 0
     nodes = np.zeros(col.size * k)
     for piece, off, row, q, law, cells in blocks:
-        f = _stack_apply(q, cells, p, stack[-1], row, reduce=False, inplace=blocks is not kept)
-        if kept is not None and rows is not None:  # the plan's piece indices, to places in rows
-            piece = np.searchsorted(rows, piece)
+        f = _stack_apply(q, cells, p, stack[-1], row, inplace=not isinstance(kept, list))
         # each piece's node sums, added row by row in order, so that no block
         # size changes them; a sub-piece's row is its one run
         np.add.at(nodes, (piece[:, None] * k + np.arange(k)).reshape(-1),
@@ -493,10 +487,10 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     diag = {"engine": "adaptive", "boxes": 0, "elements": 0, "budget_exceeded": False}
     scale = grid.sup_abs
     if d == 1:
-        a = grid.count_fractions()[None]
-        f = _inner_stack(np.ones((1, 1)), a, grid.cell_lo(0), grid.cell_hi(0), p, scale)
+        a, q = grid.count_fractions()[None], np.ones((1, 1))
+        f = _stack_apply(q, _stack_prep(q, a, grid.cell_lo(0), grid.cell_hi(0), scale), p, scale)
         diag.update(engine="exact-1d", boxes=1, elements=a.size)
-        return float(f[0, 0]), scale, 0.0, diag
+        return float(f[0, 0].sum()), scale, 0.0, diag
 
     plan = grid.memo["plan"] = grid.memo.get("plan") or _Plan(grid)
     plan.computes += 1
@@ -512,16 +506,10 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         log_closed = log_closed - d * math.log(q1) - p * math.log(scale)
     closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
 
-    # the first pass evaluates each piece at its two ends and level 0's nodes
-    cost = col.size * (2 + _ENDS[0]) * stack[0].shape[1]
-    if cost > MAX_EVAL_ELEMENTS:
-        raise ValueError(f"adaptive Lp integration pass needs {cost} evaluations (limit "
+    if plan.cost > MAX_EVAL_ELEMENTS:
+        raise ValueError(f"adaptive Lp integration pass needs {plan.cost} evaluations (limit "
                          f"{MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale")
 
-    # a grid keeps work from its second compute on, and only where its
-    # whole first pass is within the plan's cap, not just its endpoint prep
-    if plan.computes < 2 or cost > _PLAN_ELEMENTS:
-        plan = None
     val, err, bnd, lvl, carry, elements = _new_pieces(col, lo, hi, stack, p, 0, rel_tol, plan)
     # every piece made stays in the store; a bisected one holds zeros
     while True:
@@ -563,7 +551,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
             # at level 1, where the carried sum holds it too
             acc = None if level < 0 else np.column_stack([np.zeros(g.size), val[g], carry[g]])
             val[g], err[g], acc, used = _eval_pieces(
-                col[g], lo[g], hi[g], stack, p, level + 1, acc, plan, g)
+                col[g], lo[g], hi[g], stack, p, level + 1, acc, plan.blocks(level + 1, g))
             carry[g] = acc[:, 2:]
             lvl[g] += 1
             elements += used

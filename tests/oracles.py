@@ -7,9 +7,10 @@ Orlicz modular, ``luxemburg_norm_piecewise`` solves the Luxemburg
 norm of a piecewise-constant function, whose modular is an exact sum,
 ``lp_mpmath`` computes L_p norms in d = 1, 2 in extended precision,
 ``count_in_box`` and ``local_discrepancy`` count points directly,
-``young_eval`` sums the Young series pointwise, ``cell_stack_sums``
-sums the adaptive engine's inner stacks cell by cell, and
-``patterson_ladder`` derives the engine's quadrature rules in mpmath.
+``young_eval`` sums the Young series pointwise, ``_inner_stack`` runs
+the adaptive engine's kernel on whole cell stacks, ``cell_stack_sums``
+sums those stacks cell by cell, and ``patterson_ladder`` derives the
+engine's quadrature rules in mpmath.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import mpmath
 import numpy as np
 
 from discnorm.cells import CellGrid, build_cell_grid
-from discnorm.integrate import MAX_EVAL_ELEMENTS, NumericalError, _inner_stack
+from discnorm.integrate import MAX_EVAL_ELEMENTS, NumericalError, _stack_apply, _stack_prep
 from discnorm.lp import NormResult
 from discnorm.orlicz import OrliczSpec, _luxemburg_root
 from discnorm.pointset import PointSet
@@ -299,6 +300,17 @@ def lp_mpmath(points: PointSet, p: float, dps: int = 30) -> float:
                             if t > 0 and s_lo < a / t < s_hi)
                 total += mpmath.quad(lambda s: stack(s, cs), sorted(cuts))
         return float(total ** (1 / pm))
+
+
+def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
+    """sum_k int_{t_lo[k]}^{t_hi[k]} (|A_k - q t| / scale)^p dt by the
+    engine's kernel, at nodes q (B, S) on cells of counting terms a_cnt
+    (B, m) and bounds t_lo/t_hi (m,), or (B, 1, m) for bounds that differ
+    per row.  With ``reduce=False`` the per-cell integrals (B, S, m) are
+    returned unsummed.
+    """
+    f = _stack_apply(q, _stack_prep(q, a_cnt, t_lo, t_hi, scale), p, scale)
+    return f.sum(axis=2) if reduce else f
 
 
 def cell_stack_sums(q, a, t_lo, t_hi, lo, hi, p, scale):

@@ -180,6 +180,20 @@ def test_first_pass_size_guard_exits_one(capsys, tmp_path, monkeypatch):
     assert "(limit 1000)" in err
 
 
+def test_impossible_allocation_exits_one(capsys, monkeypatch):
+    # numpy's message for a point set too large to allocate, as one line
+    def huge(*args, **kwargs):
+        raise MemoryError("Unable to allocate 146. TiB for an array with shape "
+                          "(10000000000000, 2) and data type float64")
+
+    monkeypatch.setattr(cli, "generate_uniform", huge)
+    code, out, err = run_cli(["gen", "--kind", "uniform", "--n", "10000000000000", "--d", "2"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: Unable to allocate 146. TiB for an array with shape "
+                   "(10000000000000, 2) and data type float64\n"), err
+
+
 def test_argparse_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "not-a-suite"])

@@ -11,10 +11,11 @@ import pytest
 
 from discnorm import integrate
 from discnorm.cells import build_cell_grid
-from discnorm.integrate import _MAX_LEVEL, _gauss_nodes, _inner_stack, lp_adaptive_integral
+from discnorm.integrate import _MAX_LEVEL, _gauss_nodes, lp_adaptive_integral
 from discnorm.lp import LpCache, lp_discrepancy
+from discnorm.orlicz import OrliczSpec, luxemburg_norm
 from discnorm.pointset import generate_halton, generate_uniform
-from oracles import cell_stack_sums, patterson_ladder
+from oracles import _inner_stack, cell_stack_sums, patterson_ladder
 
 
 def test_quadrature_ladder():
@@ -177,7 +178,7 @@ def _run_sums_match_cells(stack, col, lo, hi):
     for level in range(_MAX_LEVEL + 1):
         q, _, prep = integrate._main_prep(col, lo, hi, stack, level, True, (piece, *runs))
         for p in (1.0, 2.5, 33.0):
-            f = integrate._stack_apply(q, prep, p, stack[-1], piece, reduce=False, inplace=False)
+            f = integrate._stack_apply(q, prep, p, stack[-1], piece, inplace=False)
             got = integrate._piece_sums(f[:, :, 0], off)
             a_cols, t_lo, t_hi, _, scale = stack
             want = cell_stack_sums(q, a_cols[col], t_lo, t_hi, lo, hi, p, scale)
@@ -246,10 +247,9 @@ def test_plan_reuse_is_bit_identical(name, monkeypatch):
     pts = PLAN_SETS[name]
     shared = _ladder_matches_fresh_grids(pts)
     # a level's work is kept once the pieces asked of it reach the number
-    # of pieces; the d = 3 set asks too few at the top level
+    # of pieces, and the top level's never
     plan = shared.memo["plan"]
-    kept = ["ends", 0, 1] + [2] * (name != "d3")
-    assert [key for key, work in plan.work.items() if work] == kept
+    assert [key for key, work in plan.work.items() if work] == ["ends", 0, 1]
     assert plan.elements <= integrate._PLAN_ELEMENTS
     assert any(placeholders for _, placeholders in made)
     assert any(level == _MAX_LEVEL for level, _ in made)
@@ -354,3 +354,19 @@ def test_plan_ladder_peak_memory():
         tracemalloc.stop()
     assert cache.grid.memo["plan"].work[0] is not None
     assert peak <= 18.5e6, peak
+
+
+def test_luxemburg_plan_peak_memory():
+    # a Luxemburg norm reads many p through one cache; its plan keeps no
+    # top-level work, the largest, which few of those p refine to
+    pts = generate_halton(64, 2)
+    luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=1e-8, cache=LpCache(pts, 1e-9))
+    tracemalloc.start()
+    try:
+        cache = LpCache(pts, 1e-9)
+        luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=1e-8, cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache.grid.memo["plan"].work[1] is not None
+    assert peak <= 5.0e6, peak
