@@ -41,9 +41,9 @@ SANDWICH_REL_SLACK = 1e-6
 SANDWICH_LOWER_BASE = math.exp(11.0 / 12.0) / math.sqrt(2.0 * math.pi)
 
 
-# The parameter each norm kind needs, by kind; star needs none.
-_NORM_NEEDS = {"lp": "p", "star": None, "psi-alpha": "alpha", "phi": "weight",
-               "alpha-norm": "alpha"}
+# The parameters each norm kind reads, by kind, the first of them required.
+_NORM_FIELDS = {"lp": ("p",), "star": (), "psi-alpha": ("alpha", "weight"), "phi": ("weight",),
+                "alpha-norm": ("alpha",)}
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,9 @@ class NormSpec:
     """One discrepancy norm: its kind and the parameters that kind needs.
 
     Kinds: ``lp`` (p), ``star``, ``psi-alpha`` (alpha, optional weight),
-    ``phi`` (weight) and ``alpha-norm`` (alpha).  The JSON form is
-    ``{"norm": kind, "p": ..., "alpha": ..., "weight": {...}}``.
+    ``phi`` (weight) and ``alpha-norm`` (alpha); a kind takes no other.
+    The JSON form is ``{"norm": kind, "p": ..., "alpha": ..., "weight":
+    {...}}``, with no other key.
     """
 
     kind: str
@@ -61,12 +62,15 @@ class NormSpec:
     weight: WeightFn | None = None
 
     def __post_init__(self):
-        if self.kind not in _NORM_NEEDS:
+        if self.kind not in _NORM_FIELDS:
             raise ValueError(f"unknown norm {self.kind!r}")
-        need = _NORM_NEEDS[self.kind]
-        if need is not None and getattr(self, need) is None:
-            flag = "phi" if need == "weight" else need
-            raise ValueError(f"--{flag} is required for --norm {self.kind}")
+        fields = _NORM_FIELDS[self.kind]
+        for name in ("p", "alpha", "weight"):
+            flag = "phi" if name == "weight" else name
+            if name in fields[:1] and getattr(self, name) is None:
+                raise ValueError(f"--{flag} is required for --norm {self.kind}")
+            if name not in fields and getattr(self, name) is not None:
+                raise ValueError(f"--norm {self.kind} takes no --{flag}")
         for name, value in (("p", self.p), ("alpha", self.alpha)):
             if value is not None:
                 check_p(value, name)
@@ -75,6 +79,9 @@ class NormSpec:
     def from_json(cls, data: dict) -> "NormSpec":
         if not isinstance(data, dict):
             raise ValueError(f"a norm spec must be a JSON object, got {data!r}")
+        for key in data:
+            if key not in ("norm", "p", "alpha", "weight"):
+                raise ValueError(f"a norm spec takes no field {key!r}")
         return cls(
             kind=data.get("norm"),
             p=_json_number(data, "p") if "p" in data else None,

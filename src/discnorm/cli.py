@@ -16,7 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bounds import (
-    _NORM_NEEDS,
+    _NORM_FIELDS,
     BoundReport,
     NormSpec,
     construction_constants_check,
@@ -249,7 +249,7 @@ def cmd_sweep(args) -> int:
 
 def _add_norm_flags(parser: _Parser) -> None:
     """The --norm flag and the parameters its kinds take."""
-    parser.add_argument("--norm", required=True, choices=list(_NORM_NEEDS))
+    parser.add_argument("--norm", required=True, choices=list(_NORM_FIELDS))
     parser.add_argument("--p", type=float, default=None)
     parser.add_argument("--alpha", type=float, default=None)
     parser.add_argument("--phi", default=None, help="weight JSON descriptor")

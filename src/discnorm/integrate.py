@@ -11,20 +11,21 @@ Two routes, used by the norm modules:
   p >= 1.  The last axis is integrated in closed form, which leaves on
   each cell column a function F(s) of the product s of the other
   coordinates against the density of s over the column's box: one
-  dimension in every d.  Pieces between corner products start at the
-  7-node Kronrod rule K7, whose difference from the Gauss rule G3 on 3
-  of its nodes is the error estimate (not a bound); the worst are refined
-  first, up the nested Patterson rules P15 and P31, each evaluating only
-  the nodes it adds, and by bisection at P31.  A piece's cells go as runs
-  of one count A, one integrand each, but for those with a kink of F,
-  where the zero of A - s t crosses a cell edge: each is the one run of
-  the sub-pieces cut at its kinks, rows of the same pass made per group
-  of pieces and run in cache-sized blocks.  Everything is scaled by
-  sup |local discrepancy| so any large p stays in range.  A grid keeps
-  its setup, and from its second call on the p-independent work below the
-  top level on its first pieces, as the row blocks a fresh pass makes
-  (``_Plan``), which ``_Plan.blocks`` gives a call whole or taken to the
-  pieces it refines.
+  dimension in every d.  Every piece, from the first pass or a
+  bisection, starts at the 7-node Kronrod rule K7, whose difference from
+  the Gauss rule G3 on 3 of its nodes is the error estimate (not a
+  bound); the worst are refined first, up the nested Patterson rules P15
+  and P31, each evaluating only the nodes it adds, and at P31 by
+  bisection.  A piece's cells go as runs of one count A, one integrand
+  each, but for those with a kink of F, where the zero of A - s t
+  crosses a cell edge: each is the one run of the sub-pieces cut at its
+  kinks, rows of the same pass made per group of pieces and run in
+  cache-sized blocks.  Everything is scaled by sup |local discrepancy|
+  so any large p stays in range.  A grid keeps its setup, and the
+  p-independent work below the top level on its first pieces once its
+  computes ask for more than those pieces, as the frozen row blocks a
+  fresh pass makes (``_Plan``), which ``_Plan.blocks`` gives a call
+  whole or taken to the pieces it refines.
 """
 
 from __future__ import annotations
@@ -127,10 +128,10 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
     return big, lg, cross, flat
 
 
-def _stack_apply(q, cells, p, scale, row=None, inplace=True):
+def _stack_apply(q, cells, p, scale, row=None):
     """The per-cell integrals (B, S, m) from the ``_stack_prep`` ``cells``
-    at nodes ``q``, or with ``row`` at nodes ``q[row]``; ``inplace`` lets
-    it overwrite the cells' arrays."""
+    at nodes ``q``, or with ``row`` at nodes ``q[row]``; it overwrites
+    those of the cells' arrays that are writable."""
     big, lg, cross, flat = cells
     q1 = p + 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
@@ -144,10 +145,10 @@ def _stack_apply(q, cells, p, scale, row=None, inplace=True):
         # endpoints and goes through log1p/expm1 for accuracy.  It runs on
         # the whole block; the few straddle and thin cells are overwritten
         # afterwards.
-        ratio = np.multiply(lg, q1, out=lg if inplace else None)
+        ratio = np.multiply(lg, q1, out=lg if lg.flags.writeable else None)
         np.expm1(ratio, out=ratio)
         np.negative(ratio, out=ratio)
-        out = np.power(big, q1, out=big if inplace else None)
+        out = np.power(big, q1, out=big if big.flags.writeable else None)
         out *= inv[:, :, None]
         out *= ratio
         flat_out = out.reshape(-1)
@@ -186,22 +187,18 @@ _WEIGHTS = np.stack([np.pad(np.append(w[0], np.repeat(w[1:], 2)),
                             (0, _NODES.size + 1 - 2 * len(w))) for w in _HALF_WEIGHTS], axis=1)
 # A piece at level l takes rule l + 1 as its value and the difference
 # from rule l as its error; below the top level it is refined by the
-# next rule, at the top by bisection.  Rule l + 1 has _ENDS[l] nodes.
+# next rule, at the top by bisection.  Rule l + 1 has _ENDS[l] nodes, the
+# _SPANS[l] of them new.
 _ENDS = tuple(2 * len(w) - 1 for w in _HALF_WEIGHTS[1:])
+_SPANS = tuple(slice(a, b) for a, b in zip((0, *_ENDS), _ENDS))
 _MAX_LEVEL = len(_ENDS) - 1
 
 
-def _span(level, fresh):
-    """The ladder's nodes of the rule at ``level``, or without ``fresh``
-    those it adds to the level below."""
-    return slice(_ENDS[level - 1] if level and not fresh else 0, _ENDS[level])
-
-
-def _gauss_nodes(lo, hi, level, fresh=True):
-    """The ``_span`` of the Gauss-Kronrod-Patterson ladder at ``level`` as
-    nodes (P, k) on [lo, hi], and the pieces' lengths (P, 1)."""
+def _gauss_nodes(lo, hi, level):
+    """The nodes (P, k) on [lo, hi] that the ladder's rule at ``level``
+    adds to the level below, and the pieces' lengths (P, 1)."""
     h = (hi - lo)[:, None]
-    return lo[:, None] + h * _NODES[_span(level, fresh)], h
+    return lo[:, None] + h * _NODES[_SPANS[level]], h
 
 
 def _product_law(s, corners, cumulative=False):
@@ -261,12 +258,12 @@ def _rows(col, lo, hi, stack):
             np.append(last % m, c3), r3)
 
 
-def _main_prep(col, lo, hi, stack, level, fresh, runs):
+def _main_prep(col, lo, hi, stack, level, runs):
     """The rows' ``_gauss_nodes`` at ``level``, the rows' lengths times the
     product law there, and the ``_stack_prep`` of the ``runs`` (row, count,
     first and last cell) at their row's nodes."""
     a_cols, t_lo, t_hi, corners, scale = stack
-    q, h = _gauss_nodes(lo, hi, level, fresh)
+    q, h = _gauss_nodes(lo, hi, level)
     # the law first: its temporaries outsize the prep
     law = h * _product_law(q, corners[col])
     row, a, first, last = runs
@@ -289,13 +286,14 @@ def _ends_blocks(col, lo, hi, stack):
     """Per row block of the pieces: its slice, the pieces' masses, their
     endpoints and the ``_stack_prep`` there."""
     a_cols, t_lo, t_hi, corners, scale = stack
-    for s, *_ in _blocks(np.arange(col.size + 1), 2 * a_cols.shape[1]):
+    step = max(1, _BLOCK_ELEMENTS // (2 * a_cols.shape[1]))
+    for s in (slice(i, i + step) for i in range(0, col.size, step)):
         ends = np.stack([lo[s], hi[s]], axis=1)
         yield (s, np.diff(_product_law(ends, corners[col[s]], cumulative=True), axis=1)[:, 0], ends,
                _stack_prep(ends, a_cols[col[s]], t_lo, t_hi, scale))
 
 
-def _level_blocks(col, lo, hi, stack, level, fresh):
+def _level_blocks(col, lo, hi, stack, level):
     """The work on the pieces' rows at ``level`` in row blocks: per block
     each row's piece, the offsets of its rows into their runs, each run's
     row, and their ``_main_prep``.  The ``_rows`` are made per group of
@@ -304,11 +302,11 @@ def _level_blocks(col, lo, hi, stack, level, fresh):
     for g in range(0, col.size, group):
         (c, l, h), off, *runs, r3 = _rows(*(v[g:g + group] for v in (col, lo, hi)), stack)
         piece = g + np.append(np.arange(off.size - 1 - r3.size), r3)
-        for s, r, row in _blocks(off, _NODES[_span(level, fresh)].size):
+        for s, r, row in _blocks(off, _NODES[_SPANS[level]].size):
             # made in the yield, so that the generator holds no block while
             # the next one is made
             yield (piece[s], off[s.start:s.stop + 1] - r.start, row, *_main_prep(
-                c[s], l[s], h[s], stack, level, fresh, (row, *(v[r] for v in runs))))
+                c[s], l[s], h[s], stack, level, (row, *(v[r] for v in runs))))
 
 
 def _piece_sums(f, off):
@@ -345,16 +343,17 @@ class _Plan:
 
     Made at the grid's first compute: the stack, the outer axes' cell
     bounds, the occupied columns and the first-pass pieces (col, lo, hi).
-    From the second compute on, where the first pass (``cost``) is within
-    ``_PLAN_ELEMENTS``, the p-independent work on those pieces, as the
-    blocks a fresh pass makes: ``"ends"`` (``_ends_blocks``) and per level
-    ``_level_blocks`` of the nodes the level adds to the one below: K7's 7
-    at level 0 and P15's 8 new ones at level 1.  P31's 16 at the top level
-    are not kept: few pieces reach it, taking them is no faster than making
-    them, and it would be the largest work.  A work is made once the pieces
-    asked of it reach the number of pieces, so that it costs no more than
-    the evaluations it replaces.  It is made block by block and dropped
-    once the plan would pass ``_PLAN_ELEMENTS``.
+    Where the first pass (``cost``) is within ``_PLAN_ELEMENTS``, also the
+    p-independent work on those pieces, as the blocks a fresh pass makes:
+    ``"ends"`` (``_ends_blocks``) and per level ``_level_blocks`` of the
+    nodes the level adds to the one below: K7's 7 at level 0 and P15's 8
+    new ones at level 1.  P31's 16 at the top level are not kept: few
+    pieces reach it, taking them is no faster than making them, and it
+    would be the largest work.  A work is kept once the pieces asked of
+    it, over all computes, exceed the pieces it holds, so that it costs
+    no more than the evaluations it replaces and a single-p call keeps
+    none.  It is made block by block, its ``big`` and ``lg`` frozen for
+    ``_stack_apply``, and dropped once the plan would pass the cap.
     """
 
     def __init__(self, grid):
@@ -372,28 +371,31 @@ class _Plan:
         self.stack = a_cols, grid.cell_lo(d - 1), grid.cell_hi(d - 1), corners, grid.sup_abs
         # the first pass evaluates each piece at its two ends and level 0's nodes
         self.cost = self.pieces[0].size * (2 + _ENDS[0]) * a_cols.shape[1]
-        self.computes, self.elements, self.work, self.asked = 0, 0, {}, {}
+        self.elements, self.work, self.asked = 0, {}, {}
 
     def blocks(self, key, asked=None):
         """The kept blocks of the work ``key`` ("ends" or a level) as a
         list, or with ``asked`` (sorted indices of pieces) a generator of
         them taken to those pieces, each renumbered to its place in
-        ``asked``; None if the work is not kept."""
-        if self.computes < 2 or self.cost > _PLAN_ELEMENTS or key == _MAX_LEVEL:
-            return None
+        ``asked``; None if the work is not kept, or if ``asked`` holds a
+        piece the plan does not, a bisected half."""
         col, lo, hi = self.pieces
+        if (self.cost > _PLAN_ELEMENTS or key == _MAX_LEVEL
+                or asked is not None and asked.size and asked[-1] >= col.size):
+            return None
         if key not in self.work:
             self.asked[key] = self.asked.get(key, 0) + (col.size if asked is None else asked.size)
-            if self.asked[key] < col.size:
+            if self.asked[key] <= col.size:
                 return None
             self.work[key] = None
             blocks = (_ends_blocks(col, lo, hi, self.stack) if key == "ends"
-                      else _level_blocks(col, lo, hi, self.stack, key, False))
+                      else _level_blocks(col, lo, hi, self.stack, key))
             work, size = [], self.elements
             for block in blocks:
                 size += block[-1][0].size
                 if size > _PLAN_ELEMENTS:
                     break
+                block[-1][0].flags.writeable = block[-1][1].flags.writeable = False
                 work.append(block)
             else:
                 self.work[key], self.elements = work, size
@@ -405,9 +407,9 @@ class _Plan:
         return filter(None, (_take(block, place) for block in work))
 
 
-def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
-    """Value, error, sup bound, level and the carried sums (P, 2) of their
-    nodes under P15's and P31's weights of new pieces; elements used.
+def _new_pieces(col, lo, hi, stack, p, skip_tol=0.0, plan=None):
+    """Value, error, sup bound, level (0, at K7) and the sums (P, 2) of
+    their nodes under P15's and P31's weights of new pieces; elements used.
 
     Each cell's integral is convex in s, so its max over a piece sits at
     an endpoint, and the summed max times the piece's mass bounds the
@@ -416,21 +418,22 @@ def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
     share of it is a placeholder at level -1, carrying half its bound as
     value and as error, which keeps the truth within the error.  Together
     these placeholders stay a few percent of the target, and carry no
-    sums.  Given the grid's ``plan``, the pieces are its first-pass pieces.
+    sums.  Given the grid's ``plan``, the pieces are its first-pass pieces;
+    a bisection's halves come without one.
     """
     ends = plan.blocks("ends") if plan else None
     bounds, low = np.empty(col.size), np.empty(col.size)
     for s, mass, q, cells in ends or _ends_blocks(col, lo, hi, stack):
-        per_cell = _stack_apply(q, cells, p, stack[-1], inplace=ends is None)
+        per_cell = _stack_apply(q, cells, p, stack[-1])
         bounds[s] = per_cell.max(axis=1).sum(axis=1) * mass
         low[s] = per_cell.min(axis=1).sum(axis=1) * mass
     hint = float(low.sum())
     go = bounds > 0.04 * skip_tol * hint / max(col.size, 1)
-    vals, errs, levels = 0.5 * bounds, 0.5 * bounds, np.where(go, level, -1)
+    vals, errs, levels = 0.5 * bounds, 0.5 * bounds, np.where(go, 0, -1)
     carry = np.zeros((col.size, 2))
     asked = None if go.all() else np.flatnonzero(go)
-    vals[go], errs[go], rules, used = _eval_pieces(col[go], lo[go], hi[go], stack, p, level, None,
-                                                   plan.blocks(level, asked) if plan else None)
+    vals[go], errs[go], rules, used = _eval_pieces(col[go], lo[go], hi[go], stack, p, 0, None,
+                                                   plan.blocks(0, asked) if plan else None)
     carry[go] = rules[:, 2:]
     return vals, errs, bounds, levels, carry, 2 * col.size * stack[0].shape[1] + used
 
@@ -438,19 +441,18 @@ def _new_pieces(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
 def _eval_pieces(col, lo, hi, stack, p, level, acc=None, kept=None):
     """Every piece's value at ``level``, the sum of the level's rule; its
     error, the difference from the rule below; the sums (P, 4) of all four
-    rules over the nodes evaluated; and the elements used.  Given ``acc``,
-    those sums over the nodes of the levels below, only the nodes the
-    level adds are evaluated.  The ``_level_blocks`` run in turn, and each
-    kink sub-piece's nodes are added to its piece's.  Given ``kept``, the
-    ``_Plan.blocks`` of these pieces, those run instead: a plan's own list
-    is read without overwriting it, taken copies are overwritten.
+    rules over the nodes evaluated; and the elements used.  Only the nodes
+    the level adds are evaluated, their sums added to ``acc``, those over
+    the nodes of the levels below (None at level 0).  The ``_level_blocks``
+    run in turn, and each kink sub-piece's nodes are added to its piece's.
+    Given ``kept``, the ``_Plan.blocks`` of these pieces, those run instead.
     """
-    span = _span(level, acc is None)
-    blocks = _level_blocks(col, lo, hi, stack, level, acc is None) if kept is None else kept
+    span = _SPANS[level]
+    blocks = _level_blocks(col, lo, hi, stack, level) if kept is None else kept
     k, used = _NODES[span].size, 0
     nodes = np.zeros(col.size * k)
     for piece, off, row, q, law, cells in blocks:
-        f = _stack_apply(q, cells, p, stack[-1], row, inplace=not isinstance(kept, list))
+        f = _stack_apply(q, cells, p, stack[-1], row)
         # each piece's node sums, added row by row in order, so that no block
         # size changes them; a sub-piece's row is its one run
         np.add.at(nodes, (piece[:, None] * k + np.arange(k)).reshape(-1),
@@ -493,7 +495,6 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         return float(f[0, 0].sum()), scale, 0.0, diag
 
     plan = grid.memo["plan"] = grid.memo.get("plan") or _Plan(grid)
-    plan.computes += 1
     stack, (col, lo, hi) = plan.stack, plan.pieces
     # a column with no point below it integrates (prod t / scale)^p, a
     # product of one-axis powers; in logs, as large p underflows them.  A
@@ -510,7 +511,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         raise ValueError(f"adaptive Lp integration pass needs {plan.cost} evaluations (limit "
                          f"{MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale")
 
-    val, err, bnd, lvl, carry, elements = _new_pieces(col, lo, hi, stack, p, 0, rel_tol, plan)
+    val, err, bnd, lvl, carry, elements = _new_pieces(col, lo, hi, stack, p, rel_tol, plan)
     # every piece made stays in the store; a bisected one holds zeros
     while True:
         target = rel_tol * max(closed + float(val.sum()), 1e-300)
@@ -540,10 +541,9 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         if par.size == 0:
             break
         # a piece below the top level moves one level up in place, adding
-        # the next rule's nodes (a placeholder goes to level 0); one at the
-        # top level is bisected.  Pieces below the top level are all first-
-        # pass pieces, as bisection makes top-level ones, so only they carry
-        # the higher rules' sums over their nodes so far.
+        # the next rule's nodes to the higher rules' sums it carries (a
+        # placeholder goes to level 0); one at the top level is bisected
+        # into two new pieces at level 0
         up, par = par[lvl[par] < _MAX_LEVEL], par[lvl[par] == _MAX_LEVEL]
         for level in np.unique(lvl[up]).tolist():
             g = np.sort(up[lvl[up] == level])
@@ -558,9 +558,9 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         if par.size:
             new = np.tile(col[par], 2), np.append(lo[par], mid[par]), np.append(mid[par], hi[par])
             val[par] = err[par] = bnd[par] = 0.0
-            *fresh, _, used = _new_pieces(*new, stack, p, _MAX_LEVEL)
-            col, lo, hi, val, err, bnd, lvl = (np.concatenate(x) for x in zip(
-                (col, lo, hi, val, err, bnd, lvl), (*new, *fresh)))
+            *made, used = _new_pieces(*new, stack, p)
+            col, lo, hi, val, err, bnd, lvl, carry = (np.concatenate(x) for x in zip(
+                (col, lo, hi, val, err, bnd, lvl, carry), (*new, *made)))
             elements += used
 
     diag.update(boxes=val.size, elements=elements)

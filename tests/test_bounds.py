@@ -224,6 +224,19 @@ def test_initial_of_norm_specs():
                         ({"norm": "alpha-norm", "alpha": False}, "alpha")):
         with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
             NormSpec.from_json(norm)
+    # a parameter the kind does not read, and a key no kind reads
+    power = {"kind": "power", "C": 1.0, "r": 0.5}
+    for norm, message in (({"norm": "lp", "p": 2, "alpha": 3}, "--norm lp takes no --alpha"),
+                          ({"norm": "star", "p": 3}, "--norm star takes no --p"),
+                          ({"norm": "phi", "weight": power, "alpha": 2},
+                           "--norm phi takes no --alpha"),
+                          ({"norm": "alpha-norm", "alpha": 2, "weight": power},
+                           "--norm alpha-norm takes no --phi"),
+                          ({"norm": "lp", "P": 2}, "a norm spec takes no field 'P'")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NormSpec.from_json(norm)
+    # the weight of a psi-alpha norm stays optional
+    assert NormSpec.from_json({"norm": "psi-alpha", "alpha": 2, "weight": power}).weight
 
 
 def test_empirical_inverse_star_d1():

@@ -159,6 +159,11 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         # a field the kind does not read, and a misspelt one
         ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"power","C":1,"r":0.5,"tau":0.3}'],
         ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"power","C":1,"r":0.5,"knotz":[[1,2]]}'],
+        # a parameter the norm kind does not read
+        ["disc", "--in", str(f), "--norm", "star", "--p", "3"],
+        ["disc", "--in", str(f), "--norm", "lp", "--p", "2", "--alpha", "3"],
+        ["sweep", "--norm", "alpha-norm", "--alpha", "2", "--phi", '{"kind":"power","C":1,"r":0.5}',
+         "--d-range", "1:1", "--n-range", "2:2"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)

@@ -52,29 +52,37 @@ ESTIMATE_SETS = [generate_uniform(n, d, seed=seed) for n, d in ((8, 2), (6, 3), 
 
 
 def test_error_estimate_covers_tight_rerun_at_every_level(monkeypatch):
-    # every level's estimate, |K7 - G3|, |P15 - K7| or |P31 - P15|, and a
-    # bisected piece's, against reruns at 1e-12 on small sets at d = 2..5;
-    # levels 1 and 2 are reached by adding nodes to a piece's sums
-    levels, bisected = set(), []
+    # every level's estimate, |K7 - G3|, |P15 - K7| or |P31 - P15|, against
+    # reruns at 1e-12 on small sets at d = 2..5.  Only level 0 is evaluated
+    # afresh: first-pass pieces and bisected halves alike reach levels 1
+    # and 2 by adding nodes to their sums
+    levels, halves, climbed = set(), set(), set()
     eval_pieces, new_pieces = integrate._eval_pieces, integrate._new_pieces
 
     def eval_spy(col, lo, hi, stack, p, level, acc=None, *args):
+        assert acc is not None or level == 0, level
         levels.add((level, acc is None))
+        if halves & set(zip(lo.tolist(), hi.tolist())):
+            climbed.add((level, acc is None))
         return eval_pieces(col, lo, hi, stack, p, level, acc, *args)
 
-    def new_spy(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
-        bisected.append(level == _MAX_LEVEL)
-        return new_pieces(col, lo, hi, stack, p, level, skip_tol, plan)
+    def new_spy(col, lo, hi, stack, p, skip_tol=0.0, plan=None):
+        # a bisection's halves are made without the grid's plan
+        if plan is None:
+            halves.update(zip(lo.tolist(), hi.tolist()))
+        return new_pieces(col, lo, hi, stack, p, skip_tol, plan)
 
     monkeypatch.setattr(integrate, "_eval_pieces", eval_spy)
     monkeypatch.setattr(integrate, "_new_pieces", new_spy)
     for pts in ESTIMATE_SETS:
         for p in (2.5, 20.0, 150.0):
+            halves.clear()
             want, _, err_tight, _ = lp_adaptive_integral(build_cell_grid(pts), p, 1e-12)
             for tol in (1e-3, 1e-6):
+                halves.clear()
                 got, _, err, _ = lp_adaptive_integral(build_cell_grid(pts), p, tol)
                 assert abs(got - want) <= err + err_tight, (pts.dim, p, tol, got, want, err)
-    assert {(0, True), (1, False), (2, False)} <= levels and any(bisected)
+    assert levels == climbed == {(0, True), (1, False), (2, False)}
 
 
 def _inner_stack_masked(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
@@ -167,8 +175,9 @@ def test_kernel_bit_identical_to_masked_oracle(p):
 
 def _run_sums_match_cells(stack, col, lo, hi):
     """Per piece and node, the sum of each piece's runs against the cell-by-
-    cell stack with its kink cells zeroed, at every level; returns the
-    pieces' run offsets, counts and stack prep at the top level."""
+    cell stack with its kink cells zeroed, at the nodes each level adds;
+    returns the pieces' run offsets, counts and stack prep at the top
+    level's nodes."""
     _, off, *runs, _ = integrate._rows(col, lo, hi, stack)
     # each kink sub-piece's row, after the pieces' rows, is one run
     assert (np.diff(off[col.size:]) == 1).all()
@@ -176,9 +185,11 @@ def _run_sums_match_cells(stack, col, lo, hi):
     runs = [v[:off[-1]] for v in runs]
     piece = np.repeat(np.arange(col.size), np.diff(off))
     for level in range(_MAX_LEVEL + 1):
-        q, _, prep = integrate._main_prep(col, lo, hi, stack, level, True, (piece, *runs))
+        q, _, prep = integrate._main_prep(col, lo, hi, stack, level, (piece, *runs))
+        # frozen, as a plan freezes what it keeps, so that every p reads it
+        prep[0].flags.writeable = prep[1].flags.writeable = False
         for p in (1.0, 2.5, 33.0):
-            f = integrate._stack_apply(q, prep, p, stack[-1], piece, inplace=False)
+            f = integrate._stack_apply(q, prep, p, stack[-1], piece)
             got = integrate._piece_sums(f[:, :, 0], off)
             a_cols, t_lo, t_hi, _, scale = stack
             want = cell_stack_sums(q, a_cols[col], t_lo, t_hi, lo, hi, p, scale)
@@ -234,25 +245,26 @@ def _ladder_matches_fresh_grids(pts):
 
 @pytest.mark.parametrize("name", PLAN_SETS)
 def test_plan_reuse_is_bit_identical(name, monkeypatch):
-    # which first-pass placeholders and bisections the ladder meets
+    # which first-pass placeholders and bisections the ladder meets; a
+    # bisection's halves are made without the grid's plan
     made = []
     new_pieces = integrate._new_pieces
 
-    def spy(col, lo, hi, stack, p, level, skip_tol=0.0, plan=None):
-        out = new_pieces(col, lo, hi, stack, p, level, skip_tol, plan)
-        made.append((level, bool((out[3] < 0).any()) and skip_tol > 0.0))
+    def spy(col, lo, hi, stack, p, skip_tol=0.0, plan=None):
+        out = new_pieces(col, lo, hi, stack, p, skip_tol, plan)
+        made.append((plan is None, bool((out[3] < 0).any()) and skip_tol > 0.0))
         return out
 
     monkeypatch.setattr(integrate, "_new_pieces", spy)
     pts = PLAN_SETS[name]
     shared = _ladder_matches_fresh_grids(pts)
-    # a level's work is kept once the pieces asked of it reach the number
-    # of pieces, and the top level's never
+    # a level's work is kept once the pieces asked of it, over all
+    # computes, exceed the pieces it holds, and the top level's never
     plan = shared.memo["plan"]
     assert [key for key, work in plan.work.items() if work] == ["ends", 0, 1]
     assert plan.elements <= integrate._PLAN_ELEMENTS
     assert any(placeholders for _, placeholders in made)
-    assert any(level == _MAX_LEVEL for level, _ in made)
+    assert any(bisected for bisected, _ in made)
     # the same through one cache, largest p first, against single-p calls
     for tol in (1e-6, 1e-12):
         cache = LpCache(pts, tol)
@@ -308,8 +320,8 @@ def test_row_blocks_do_not_change_results(name, monkeypatch):
         return take(*args, **kwargs)
 
     def apply_spy(*args, **kwargs):
-        # only a plan's own blocks are read without overwriting them
-        if kwargs.get("inplace") is False:
+        # only a plan's own blocks are frozen, so read without overwriting
+        if not args[1][0].flags.writeable:
             taken.add(False)
         return stack_apply(*args, **kwargs)
 
@@ -322,6 +334,68 @@ def test_row_blocks_do_not_change_results(name, monkeypatch):
     assert taken == {False, True}
     # some rung bisects: it makes more pieces than the first pass
     assert any(diag["boxes"] > first for single, _, first in want for *_, diag in single)
+
+
+def test_single_p_call_keeps_no_work():
+    # one compute asks each work of a piece at most once, so no asked count
+    # exceeds the pieces a work would hold, bisections included
+    for pts in PLAN_SETS.values():
+        for p in (2.5, 150.0):
+            grid = build_cell_grid(pts)
+            lp_adaptive_integral(grid, p, 1e-12)
+            assert grid.memo["plan"].work == {}, p
+
+
+@pytest.mark.parametrize("name", ["d3", "h2"])
+def test_kept_blocks_are_frozen(name):
+    # the plan freezes the arrays of every block it keeps, which the kernel
+    # would otherwise overwrite, and a compute it serves leaves them as
+    # they were
+    grid = build_cell_grid(PLAN_SETS[name])
+    for p in LADDER:
+        lp_adaptive_integral(grid, p, p * 1e-6)
+    work = grid.memo["plan"].work
+    assert work["ends"] and work[0]
+    arrays = [a for blocks in work.values() if blocks for block in blocks for a in block[-1][:2]]
+    assert not any(a.flags.writeable for a in arrays)
+    before = [a.tobytes() for a in arrays]
+    lp_adaptive_integral(grid, 3.0, 1e-9)
+    assert [a.tobytes() for a in arrays] == before
+
+
+@pytest.mark.parametrize("n, d, seed", [(32, 3, 8), (16, 3, 0), (16, 4, 1)])
+def test_placeholders_are_raised_to_level_zero(n, d, seed, monkeypatch):
+    # a first pass at 1e4 times its skip tolerance leaves pieces as
+    # placeholders (level -1) that the error budget then needs, which no
+    # benchmark input does: refinement evaluates them at level 0, the
+    # result stays within its error, and the grid's plan serves its second
+    # compute bit for bit, its level 0 taken to the pieces it raises
+    placeholders, raised = set(), set()
+    eval_pieces, new_pieces = integrate._eval_pieces, integrate._new_pieces
+
+    def new_spy(col, lo, hi, stack, p, skip_tol=0.0, plan=None):
+        out = new_pieces(col, lo, hi, stack, p, 1e4 * skip_tol, plan)
+        low = out[3] < 0
+        placeholders.update(zip(col[low].tolist(), lo[low].tolist(), hi[low].tolist()))
+        return out
+
+    def eval_spy(col, lo, hi, stack, p, level, *args):
+        if level == 0:
+            raised.update(placeholders & set(zip(col.tolist(), lo.tolist(), hi.tolist())))
+        return eval_pieces(col, lo, hi, stack, p, level, *args)
+
+    monkeypatch.setattr(integrate, "_new_pieces", new_spy)
+    monkeypatch.setattr(integrate, "_eval_pieces", eval_spy)
+    pts = generate_uniform(n, d, seed)
+    shared = build_cell_grid(pts)
+    for p in (2.5, 20.0):
+        placeholders.clear(), raised.clear()
+        got = lp_adaptive_integral(shared, p, 1e-6)
+        assert raised, p
+        want, _, err_tight, _ = lp_adaptive_integral(build_cell_grid(pts), p, 1e-12)
+        assert abs(got[0] - want) <= got[2] + err_tight, (p, got, want)
+        assert _bits(got) == _bits(lp_adaptive_integral(build_cell_grid(pts), p, 1e-6)), p
+    assert shared.memo["plan"].work["ends"] and shared.memo["plan"].work[0]
 
 
 def test_single_p_peak_memory():
