@@ -34,7 +34,7 @@ from .pointset import (
     load_pointset,
     save_pointset,
 )
-from .star import star_discrepancy_exact, star_discrepancy_lower_mc
+from .star import star_discrepancy_exact
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "phi_norm",
     "save_pointset",
     "star_discrepancy_exact",
-    "star_discrepancy_lower_mc",
     "stirling_check",
     "theorem2_constant",
     "theorem2_n_bound",

@@ -12,20 +12,21 @@ Two routes, used by the norm modules:
   each cell column a function F(s) of the product s of the other
   coordinates against the density of s over the column's box: one
   dimension in every d.  Every piece, from the first pass or a
-  bisection, starts at the 7-node Kronrod rule K7, whose difference from
-  the Gauss rule G3 on 3 of its nodes is the error estimate (not a
-  bound); the worst are refined first, up the nested Patterson rules P15
-  and P31, each evaluating only the nodes it adds, and at P31 by
-  bisection.  A piece's cells go as runs of one count A, one integrand
-  each, but for those with a kink of F, where the zero of A - s t
-  crosses a cell edge: each is the one run of the sub-pieces cut at its
-  kinks, rows of the same pass made per group of pieces and run in
-  cache-sized blocks.  Everything is scaled by sup |local discrepancy|
-  so any large p stays in range.  A grid keeps its setup, and the
-  p-independent work below the top level on its first pieces once its
-  computes ask for more than those pieces, as the frozen row blocks a
-  fresh pass makes (``_Plan``), which ``_Plan.blocks`` gives a call
-  whole or taken to the pieces it refines.
+  bisection, starts at the 7-node Kronrod rule K7, in one pass with the
+  piece's two ends, where the convex F peaks, which bounds the piece.
+  K7's difference from the Gauss rule G3 on 3 of its nodes is the error
+  estimate (not a bound).  The worst are refined first, up the nested
+  Patterson rules P15 and P31, each evaluating only the nodes it adds,
+  and at P31 by bisection.  A piece's cells go as runs of one count A,
+  one integrand each, but for those with a kink of F, where the zero of
+  A - s t crosses a cell edge: each is the one run of the sub-pieces
+  cut at its kinks, rows of the same pass made per group of pieces and
+  run in cache-sized blocks.  Everything is scaled by sup |local
+  discrepancy| so any large p stays in range.  A grid keeps its setup,
+  its first pieces' masses and, once its computes ask for more than
+  those pieces, the p-independent work below the top level on them, as
+  the frozen row blocks a fresh pass makes (``_Plan``), which
+  ``_Plan.blocks`` gives a call whole or taken to the pieces it refines.
 """
 
 from __future__ import annotations
@@ -180,23 +181,24 @@ _HALF_WEIGHTS = (
      0.0042172828696605529, 0.023231446630878994, 0.042877960024995172, 0.054789210527962318,
      0.0012723903957809373, 0.0082230249271939056, 0.01797855165356466, 0.028489754747061679,
      0.038439810249501764, 0.046813554990632236, 0.052834946790117403, 0.05597843651047673))
-# The 31 nodes as the centre, then x and 1 - x, so that each rule's come
-# first; the weights (31, 4), a column per rule, 0 off its nodes.
-_NODES = np.append(0.5, np.stack([_HALF_NODES[1:], np.subtract(1.0, _HALF_NODES[1:])], axis=1))
+# The ends 0 and 1, then the 31 nodes as the centre and x and 1 - x, so
+# that each rule's come first; the weights (33, 4), a column per rule, 0
+# off its nodes, so 0 at the ends.
+_NODES = np.append([0.0, 1.0, 0.5], np.stack([_HALF_NODES[1:], np.subtract(1, _HALF_NODES[1:])], 1))
 _WEIGHTS = np.stack([np.pad(np.append(w[0], np.repeat(w[1:], 2)),
-                            (0, _NODES.size + 1 - 2 * len(w))) for w in _HALF_WEIGHTS], axis=1)
+                            (2, _NODES.size - 1 - 2 * len(w))) for w in _HALF_WEIGHTS], axis=1)
 # A piece at level l takes rule l + 1 as its value and the difference
 # from rule l as its error; below the top level it is refined by the
-# next rule, at the top by bisection.  Rule l + 1 has _ENDS[l] nodes, the
-# _SPANS[l] of them new.
-_ENDS = tuple(2 * len(w) - 1 for w in _HALF_WEIGHTS[1:])
-_SPANS = tuple(slice(a, b) for a, b in zip((0, *_ENDS), _ENDS))
-_MAX_LEVEL = len(_ENDS) - 1
+# next rule, at the top by bisection.  Level l evaluates the _SPANS[l]
+# of the nodes: the ends and K7's at level 0, above it those its rule adds.
+_STOPS = (0, *(2 * len(w) + 1 for w in _HALF_WEIGHTS[1:]))
+_SPANS = tuple(map(slice, _STOPS[:-1], _STOPS[1:]))
+_MAX_LEVEL = len(_SPANS) - 1
 
 
 def _gauss_nodes(lo, hi, level):
-    """The nodes (P, k) on [lo, hi] that the ladder's rule at ``level``
-    adds to the level below, and the pieces' lengths (P, 1)."""
+    """The nodes (P, k) on [lo, hi] that ``level`` evaluates, its
+    ``_SPANS`` of the ladder, and the pieces' lengths (P, 1)."""
     h = (hi - lo)[:, None]
     return lo[:, None] + h * _NODES[_SPANS[level]], h
 
@@ -259,13 +261,16 @@ def _rows(col, lo, hi, stack):
 
 
 def _main_prep(col, lo, hi, stack, level, runs):
-    """The rows' ``_gauss_nodes`` at ``level``, the rows' lengths times the
-    product law there, and the ``_stack_prep`` of the ``runs`` (row, count,
-    first and last cell) at their row's nodes."""
+    """The rows' ``_gauss_nodes`` at ``level``; their weights, the rows'
+    lengths times the product law there but 1 at the ends, so that the
+    ends' sums are F there; and the ``_stack_prep`` of the ``runs`` (row,
+    count, first and last cell) at their row's nodes."""
     a_cols, t_lo, t_hi, corners, scale = stack
     q, h = _gauss_nodes(lo, hi, level)
     # the law first: its temporaries outsize the prep
     law = h * _product_law(q, corners[col])
+    if level == 0:
+        law[:, :2] = 1.0
     row, a, first, last = runs
     return q, law, _stack_prep(q[row], a[:, None], t_lo[first][:, None, None],
                                t_hi[last][:, None, None], scale)
@@ -282,15 +287,14 @@ def _blocks(off, per_run):
         s = t
 
 
-def _ends_blocks(col, lo, hi, stack):
-    """Per row block of the pieces: its slice, the pieces' masses, their
-    endpoints and the ``_stack_prep`` there."""
-    a_cols, t_lo, t_hi, corners, scale = stack
-    step = max(1, _BLOCK_ELEMENTS // (2 * a_cols.shape[1]))
+def _masses(col, lo, hi, corners):
+    """The product law's measure of each piece, in blocks of pieces."""
+    mass = np.empty(col.size)
+    step = max(1, _BLOCK_ELEMENTS // corners.shape[1])
     for s in (slice(i, i + step) for i in range(0, col.size, step)):
-        ends = np.stack([lo[s], hi[s]], axis=1)
-        yield (s, np.diff(_product_law(ends, corners[col[s]], cumulative=True), axis=1)[:, 0], ends,
-               _stack_prep(ends, a_cols[col[s]], t_lo, t_hi, scale))
+        law = _product_law(np.stack([lo[s], hi[s]], axis=1), corners[col[s]], cumulative=True)
+        mass[s] = law[:, 1] - law[:, 0]
+    return mass
 
 
 def _level_blocks(col, lo, hi, stack, level):
@@ -341,19 +345,20 @@ def _take(block, place):
 class _Plan:
     """What one grid keeps for its adaptive computes, across p.
 
-    Made at the grid's first compute: the stack, the outer axes' cell
-    bounds, the occupied columns and the first-pass pieces (col, lo, hi).
-    Where the first pass (``cost``) is within ``_PLAN_ELEMENTS``, also the
-    p-independent work on those pieces, as the blocks a fresh pass makes:
-    ``"ends"`` (``_ends_blocks``) and per level ``_level_blocks`` of the
-    nodes the level adds to the one below: K7's 7 at level 0 and P15's 8
-    new ones at level 1.  P31's 16 at the top level are not kept: few
-    pieces reach it, taking them is no faster than making them, and it
-    would be the largest work.  A work is kept once the pieces asked of
-    it, over all computes, exceed the pieces it holds, so that it costs
-    no more than the evaluations it replaces and a single-p call keeps
-    none.  It is made block by block, its ``big`` and ``lg`` frozen for
-    ``_stack_apply``, and dropped once the plan would pass the cap.
+    Made at the grid's first compute, unless the first pass (``cost``)
+    passes ``MAX_EVAL_ELEMENTS``: the stack, the outer axes' cell bounds,
+    the occupied columns, the first-pass pieces (col, lo, hi) and their
+    masses.  Where the first pass is within ``_PLAN_ELEMENTS``, also the
+    p-independent work on those pieces, as the ``_level_blocks`` a fresh
+    pass makes of the nodes each level adds to the one below: the ends
+    and K7's 7 at level 0 and P15's 8 new ones at level 1.  P31's 16 at
+    the top level are not kept: few pieces reach it, taking them is no
+    faster than making them, and it would be the largest work.  A work is
+    kept once the pieces asked of it, over all computes, exceed the
+    pieces it holds, so that it costs no more than the evaluations it
+    replaces and a single-p call keeps none.  It is made block by block,
+    its ``big`` and ``lg`` frozen for ``_stack_apply``, and dropped once
+    the plan would pass the cap.
     """
 
     def __init__(self, grid):
@@ -369,37 +374,38 @@ class _Plan:
         self.pieces = (np.repeat(np.nonzero(self.occupied)[0], brk.shape[1] - 1),
                        brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1))
         self.stack = a_cols, grid.cell_lo(d - 1), grid.cell_hi(d - 1), corners, grid.sup_abs
-        # the first pass evaluates each piece at its two ends and level 0's nodes
-        self.cost = self.pieces[0].size * (2 + _ENDS[0]) * a_cols.shape[1]
+        self.cost = self.pieces[0].size * _SPANS[0].stop * a_cols.shape[1]
+        if self.cost > MAX_EVAL_ELEMENTS:
+            raise ValueError(f"adaptive Lp integration pass needs {self.cost} evaluations (limit "
+                             f"{MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale")
+        self.mass = _masses(*self.pieces, corners)
         self.elements, self.work, self.asked = 0, {}, {}
 
-    def blocks(self, key, asked=None):
-        """The kept blocks of the work ``key`` ("ends" or a level) as a
-        list, or with ``asked`` (sorted indices of pieces) a generator of
-        them taken to those pieces, each renumbered to its place in
-        ``asked``; None if the work is not kept, or if ``asked`` holds a
-        piece the plan does not, a bisected half."""
+    def blocks(self, level, asked=None):
+        """The kept blocks of the work at ``level`` as a list, or with
+        ``asked`` (sorted indices of pieces) a generator of them taken to
+        those pieces, each renumbered to its place in ``asked``; None if
+        the work is not kept, or if ``asked`` holds a piece the plan does
+        not, a bisected half."""
         col, lo, hi = self.pieces
-        if (self.cost > _PLAN_ELEMENTS or key == _MAX_LEVEL
+        if (self.cost > _PLAN_ELEMENTS or level == _MAX_LEVEL
                 or asked is not None and asked.size and asked[-1] >= col.size):
             return None
-        if key not in self.work:
-            self.asked[key] = self.asked.get(key, 0) + (col.size if asked is None else asked.size)
-            if self.asked[key] <= col.size:
+        if level not in self.work:
+            self.asked[level] = self.asked.get(level, 0) + len(col if asked is None else asked)
+            if self.asked[level] <= col.size:
                 return None
-            self.work[key] = None
-            blocks = (_ends_blocks(col, lo, hi, self.stack) if key == "ends"
-                      else _level_blocks(col, lo, hi, self.stack, key))
+            self.work[level] = None
             work, size = [], self.elements
-            for block in blocks:
+            for block in _level_blocks(col, lo, hi, self.stack, level):
                 size += block[-1][0].size
                 if size > _PLAN_ELEMENTS:
                     break
                 block[-1][0].flags.writeable = block[-1][1].flags.writeable = False
                 work.append(block)
             else:
-                self.work[key], self.elements = work, size
-        work = self.work[key]
+                self.work[level], self.elements = work, size
+        work = self.work[level]
         if work is None or asked is None:
             return work
         place = np.full(col.size, -1)
@@ -407,63 +413,47 @@ class _Plan:
         return filter(None, (_take(block, place) for block in work))
 
 
-def _new_pieces(col, lo, hi, stack, p, skip_tol=0.0, plan=None):
+def _new_pieces(col, lo, hi, stack, p, plan=None):
     """Value, error, sup bound, level (0, at K7) and the sums (P, 2) of
     their nodes under P15's and P31's weights of new pieces; elements used.
 
-    Each cell's integral is convex in s, so its max over a piece sits at
-    an endpoint, and the summed max times the piece's mass bounds the
-    piece.  With ``skip_tol`` (the first pass) the summed endpoint min is
-    a cheap, non-rigorous size hint; a piece whose bound is a negligible
-    share of it is a placeholder at level -1, carrying half its bound as
-    value and as error, which keeps the truth within the error.  Together
-    these placeholders stay a few percent of the target, and carry no
-    sums.  Given the grid's ``plan``, the pieces are its first-pass pieces;
-    a bisection's halves come without one.
+    Each cell's integral is convex in s, so a piece's F peaks at an end,
+    and the larger end sum, which a kink sub-piece's inner end only adds
+    to, times the piece's mass bounds it.  Given the grid's ``plan``, the
+    pieces are its first-pass pieces; a bisection's halves come without.
     """
-    ends = plan.blocks("ends") if plan else None
-    bounds, low = np.empty(col.size), np.empty(col.size)
-    for s, mass, q, cells in ends or _ends_blocks(col, lo, hi, stack):
-        per_cell = _stack_apply(q, cells, p, stack[-1])
-        bounds[s] = per_cell.max(axis=1).sum(axis=1) * mass
-        low[s] = per_cell.min(axis=1).sum(axis=1) * mass
-    hint = float(low.sum())
-    go = bounds > 0.04 * skip_tol * hint / max(col.size, 1)
-    vals, errs, levels = 0.5 * bounds, 0.5 * bounds, np.where(go, 0, -1)
-    carry = np.zeros((col.size, 2))
-    asked = None if go.all() else np.flatnonzero(go)
-    vals[go], errs[go], rules, used = _eval_pieces(col[go], lo[go], hi[go], stack, p, 0, None,
-                                                   plan.blocks(0, asked) if plan else None)
-    carry[go] = rules[:, 2:]
-    return vals, errs, bounds, levels, carry, 2 * col.size * stack[0].shape[1] + used
+    kept, mass = (plan.blocks(0), plan.mass) if plan else (None, _masses(col, lo, hi, stack[3]))
+    val, err, rules, nodes, used = _eval_pieces(col, lo, hi, stack, p, 0, None, kept)
+    return val, err, nodes[:, :2].max(axis=1) * mass, np.zeros(col.size, int), rules[:, 2:], used
 
 
 def _eval_pieces(col, lo, hi, stack, p, level, acc=None, kept=None):
     """Every piece's value at ``level``, the sum of the level's rule; its
     error, the difference from the rule below; the sums (P, 4) of all four
-    rules over the nodes evaluated; and the elements used.  Only the nodes
-    the level adds are evaluated, their sums added to ``acc``, those over
-    the nodes of the levels below (None at level 0).  The ``_level_blocks``
+    rules over the nodes evaluated; the sums (P, k) of its k weighted
+    nodes at the level; and the elements used.  Only the nodes the level
+    adds are evaluated, their rule sums added to ``acc``, those over the
+    nodes of the levels below (None at level 0).  The ``_level_blocks``
     run in turn, and each kink sub-piece's nodes are added to its piece's.
     Given ``kept``, the ``_Plan.blocks`` of these pieces, those run instead.
     """
     span = _SPANS[level]
     blocks = _level_blocks(col, lo, hi, stack, level) if kept is None else kept
     k, used = _NODES[span].size, 0
-    nodes = np.zeros(col.size * k)
+    nodes = np.zeros((col.size, k))
     for piece, off, row, q, law, cells in blocks:
         f = _stack_apply(q, cells, p, stack[-1], row)
         # each piece's node sums, added row by row in order, so that no block
         # size changes them; a sub-piece's row is its one run
-        np.add.at(nodes, (piece[:, None] * k + np.arange(k)).reshape(-1),
+        np.add.at(nodes.reshape(-1), (piece[:, None] * k + np.arange(k)).reshape(-1),
                   (_piece_sums(f[:, :, 0], off) * law).reshape(-1))
         used += f.size
         del cells, f  # before the next block is made
     # the rules in one contraction of fixed order, as BLAS's depends on sizes
-    rules = np.einsum("pk,kr->pr", nodes.reshape(col.size, k), _WEIGHTS[span])
+    rules = np.einsum("pk,kr->pr", nodes, _WEIGHTS[span])
     if acc is not None:
         rules += acc
-    return rules[:, level + 1], np.abs(rules[:, level + 1] - rules[:, level]), rules, used
+    return rules[:, level + 1], np.abs(rules[:, level + 1] - rules[:, level]), rules, nodes, used
 
 
 # Pieces picked per refinement round, at most.
@@ -507,11 +497,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         log_closed = log_closed - d * math.log(q1) - p * math.log(scale)
     closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
 
-    if plan.cost > MAX_EVAL_ELEMENTS:
-        raise ValueError(f"adaptive Lp integration pass needs {plan.cost} evaluations (limit "
-                         f"{MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale")
-
-    val, err, bnd, lvl, carry, elements = _new_pieces(col, lo, hi, stack, p, rel_tol, plan)
+    val, err, bnd, lvl, carry, elements = _new_pieces(col, lo, hi, stack, p, plan)
     # every piece made stays in the store; a bisected one holds zeros
     while True:
         target = rel_tol * max(closed + float(val.sum()), 1e-300)
@@ -541,16 +527,15 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         if par.size == 0:
             break
         # a piece below the top level moves one level up in place, adding
-        # the next rule's nodes to the higher rules' sums it carries (a
-        # placeholder goes to level 0); one at the top level is bisected
-        # into two new pieces at level 0
+        # the next rule's nodes to the higher rules' sums it carries; one
+        # at the top level is bisected into two new pieces at level 0
         up, par = par[lvl[par] < _MAX_LEVEL], par[lvl[par] == _MAX_LEVEL]
         for level in np.unique(lvl[up]).tolist():
             g = np.sort(up[lvl[up] == level])
             # the rule sums so far: the value is K7's at level 0 and P15's
             # at level 1, where the carried sum holds it too
-            acc = None if level < 0 else np.column_stack([np.zeros(g.size), val[g], carry[g]])
-            val[g], err[g], acc, used = _eval_pieces(
+            acc = np.column_stack([np.zeros(g.size), val[g], carry[g]])
+            val[g], err[g], acc, _, used = _eval_pieces(
                 col[g], lo[g], hi[g], stack, p, level + 1, acc, plan.blocks(level + 1, g))
             carry[g] = acc[:, 2:]
             lvl[g] += 1

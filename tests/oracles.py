@@ -7,6 +7,8 @@ Orlicz modular, ``luxemburg_norm_piecewise`` solves the Luxemburg
 norm of a piecewise-constant function, whose modular is an exact sum,
 ``lp_mpmath`` computes L_p norms in d = 1, 2 in extended precision,
 ``count_in_box`` and ``local_discrepancy`` count points directly,
+``star_discrepancy_lower_mc`` bounds the star discrepancy from below
+at random anchors,
 ``young_eval`` sums the Young series pointwise, ``_inner_stack`` runs
 the adaptive engine's kernel on whole cell stacks, ``cell_stack_sums``
 sums those stacks cell by cell, and ``patterson_ladder`` derives the
@@ -49,6 +51,26 @@ def count_in_box(ps: PointSet, t) -> int:
 def local_discrepancy(ps: PointSet, t) -> float:
     """count([0,t))/N - Vol([0,t)); for N = 0 this is -Vol([0,t))."""
     return count_in_box(ps, t) / max(ps.n_points, 1) - float(np.prod(t))
+
+
+def star_discrepancy_lower_mc(points: PointSet, samples: int = 100_000,
+                              seed: int = 0) -> float:
+    """Monte Carlo lower bound: max |local discrepancy| over random anchors."""
+    d = points.dim
+    n = points.n_points
+    rng = np.random.Generator(np.random.PCG64(seed))
+    best = 0.0
+    chunk = max(1, min(samples, 4_000_000 // max(n, 1)))
+    left = samples
+    coords = points.coords
+    while left > 0:
+        b = min(chunk, left)
+        t = rng.random((b, d))
+        cnt = (coords[None, :, :] < t[:, None, :]).all(axis=2).sum(axis=1)
+        disc = np.abs(cnt / max(n, 1) - t.prod(axis=1))
+        best = max(best, float(disc.max()))
+        left -= b
+    return best
 
 
 def young_eval(spec: OrliczSpec, x):

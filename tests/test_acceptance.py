@@ -27,8 +27,8 @@ from discnorm.bounds import (
 from discnorm.lp import LpCache, lp_discrepancy, warnock_l2
 from discnorm.orlicz import OrliczSpec, WeightFn, luxemburg_norm
 from discnorm.pointset import PointSet, empty_pointset, generate_uniform
-from discnorm.star import star_discrepancy_exact, star_discrepancy_lower_mc
-from oracles import luxemburg_norm_piecewise
+from discnorm.star import star_discrepancy_exact
+from oracles import luxemburg_norm_piecewise, star_discrepancy_lower_mc
 
 
 @pytest.fixture

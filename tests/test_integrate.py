@@ -1,6 +1,6 @@
 """The quadrature ladder and the inner-stack kernel of the adaptive L_p
-engine, its error estimate, its evaluation in row blocks, and the reuse
-of its p-independent work across p on one grid."""
+engine, its error estimate and sup bound, its evaluation in row blocks,
+and the reuse of its p-independent work across p on one grid."""
 
 import functools
 import tracemalloc
@@ -19,15 +19,20 @@ from oracles import _inner_stack, cell_stack_sums, patterson_ladder
 
 
 def test_quadrature_ladder():
-    # G3 < K7 < P15 < P31 on [0, 1]: each rule's nodes come first, so the
-    # sets are nested, and its weights are positive on them, 0 elsewhere
+    # the ends 0 and 1, weight 0 in every rule, then G3 < K7 < P15 < P31 on
+    # [0, 1]: each rule's nodes come first, so the sets are nested, and its
+    # weights are positive on them, 0 elsewhere
     nodes, weights = integrate._NODES, integrate._WEIGHTS
+    assert nodes.shape == (33,) and weights.shape == (33, 4)
+    assert nodes[:2].tolist() == [0.0, 1.0] and (weights[:2] == 0.0).all()
+    nodes, weights = nodes[2:], weights[2:]
     sizes, degrees = (3, 7, 15, 31), (5, 11, 23, 47)
-    assert nodes.shape == (31,) and weights.shape == (31, 4)
     assert np.unique(nodes).size == 31 and ((nodes > 0.0) & (nodes < 1.0)).all()
     for r, n in enumerate(sizes):
         assert (weights[:n, r] > 0.0).all() and (weights[n:, r] == 0.0).all()
-    assert integrate._ENDS == sizes[1:]
+    # level 0 evaluates the ends and K7's nodes, each level above the nodes
+    # its rule adds
+    assert [(s.start, s.stop) for s in integrate._SPANS] == [(0, 9), (9, 17), (17, 33)]
     # exact on x^k up to each rule's degree, and G3, K7 not one further
     with mpmath.workdps(40):
         x = [mpmath.mpf(float(v)) for v in nodes]
@@ -66,11 +71,11 @@ def test_error_estimate_covers_tight_rerun_at_every_level(monkeypatch):
             climbed.add((level, acc is None))
         return eval_pieces(col, lo, hi, stack, p, level, acc, *args)
 
-    def new_spy(col, lo, hi, stack, p, skip_tol=0.0, plan=None):
+    def new_spy(col, lo, hi, stack, p, plan=None):
         # a bisection's halves are made without the grid's plan
         if plan is None:
             halves.update(zip(lo.tolist(), hi.tolist()))
-        return new_pieces(col, lo, hi, stack, p, skip_tol, plan)
+        return new_pieces(col, lo, hi, stack, p, plan)
 
     monkeypatch.setattr(integrate, "_eval_pieces", eval_spy)
     monkeypatch.setattr(integrate, "_new_pieces", new_spy)
@@ -83,6 +88,42 @@ def test_error_estimate_covers_tight_rerun_at_every_level(monkeypatch):
                 got, _, err, _ = lp_adaptive_integral(build_cell_grid(pts), p, tol)
                 assert abs(got - want) <= err + err_tight, (pts.dim, p, tol, got, want, err)
     assert levels == climbed == {(0, True), (1, False), (2, False)}
+
+
+SUP_SETS = [generate_uniform(8, 3, seed=2), generate_uniform(6, 4, seed=1),
+            generate_uniform(12, 2, seed=5), generate_uniform(10, 3, seed=3),
+            generate_halton(16, 2)]
+
+
+def test_sup_bound_holds_on_every_first_pass_piece():
+    # a piece's bound, its mass times the larger of its two end sums,
+    # against its integral by composite 40-point Gauss-Legendre cut at
+    # every kink of its cells, on every first-pass piece: 1,393 pieces,
+    # 378 of them with kinks, whose kink sub-pieces' ends the bound needs
+    x, w = np.polynomial.legendre.leggauss(40)
+    kinked = 0
+    for pts in SUP_SETS:
+        plan = integrate._Plan(build_cell_grid(pts))
+        a_cols, t_lo, t_hi, corners, scale = plan.stack
+        col, lo, hi = plan.pieces
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kinks = np.concatenate([a_cols[col] / t_hi, a_cols[col] / t_lo], axis=1)
+        inside = (kinks > lo[:, None]) & (kinks < hi[:, None])
+        kinked += int(inside.any(axis=1).sum())
+        # the intervals [a, b] of each piece between its ends and kinks
+        cuts = [np.unique(np.concatenate([[lo[i], hi[i]], kinks[i, inside[i]]]))
+                for i in range(col.size)]
+        piece = np.repeat(np.arange(col.size), [c.size - 1 for c in cuts])
+        a = np.concatenate([c[:-1] for c in cuts])
+        b = np.concatenate([c[1:] for c in cuts])
+        s = (a + b)[:, None] / 2 + (b - a)[:, None] / 2 * x
+        weight = (b - a)[:, None] / 2 * w * integrate._product_law(s, corners[col[piece]])
+        for p in (1.0, 2.5, 20.0, 150.0):
+            f = _inner_stack(s, a_cols[col[piece]], t_lo, t_hi, p, scale)
+            want = np.bincount(piece, (f * weight).sum(axis=1), minlength=col.size)
+            bound = integrate._new_pieces(col, lo, hi, plan.stack, p, plan)[2]
+            assert (want <= bound).all(), (pts.dim, p, np.max(want / bound))
+    assert kinked == 378
 
 
 def _inner_stack_masked(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
@@ -122,9 +163,9 @@ def _kernel_inputs(pts):
     """Kernel arguments of the first pass over every column, at every level.
 
     Each piece between two consecutive corner products of a column gives
-    a row of its two endpoints and its Gauss nodes of all levels.  The
-    origin column's lower endpoint is the product 0, which makes its cells
-    thin; d = 1 has the single q = 1 row.
+    a row of its nodes of all levels, its two ends among them.  The origin
+    column's lower end is the product 0, which makes its cells thin; d = 1
+    has the single q = 1 row.
     """
     grid = build_cell_grid(pts)
     d = grid.dim
@@ -139,8 +180,7 @@ def _kernel_inputs(pts):
         for j in range(1 << (d - 1))], axis=1)
     brk = np.sort(corners, axis=1)
     lo, hi = brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1)
-    nodes = [_gauss_nodes(lo, hi, level)[0] for level in range(_MAX_LEVEL + 1)]
-    q = np.concatenate([lo[:, None], hi[:, None], *nodes], axis=1)
+    q = np.concatenate([_gauss_nodes(lo, hi, level)[0] for level in range(_MAX_LEVEL + 1)], axis=1)
     return q, np.repeat(a, brk.shape[1] - 1, axis=0), t_lo, t_hi, grid.sup_abs_discrepancy()
 
 
@@ -245,15 +285,14 @@ def _ladder_matches_fresh_grids(pts):
 
 @pytest.mark.parametrize("name", PLAN_SETS)
 def test_plan_reuse_is_bit_identical(name, monkeypatch):
-    # which first-pass placeholders and bisections the ladder meets; a
-    # bisection's halves are made without the grid's plan
+    # whether the ladder meets bisections, whose halves are made without
+    # the grid's plan
     made = []
     new_pieces = integrate._new_pieces
 
-    def spy(col, lo, hi, stack, p, skip_tol=0.0, plan=None):
-        out = new_pieces(col, lo, hi, stack, p, skip_tol, plan)
-        made.append((plan is None, bool((out[3] < 0).any()) and skip_tol > 0.0))
-        return out
+    def spy(col, lo, hi, stack, p, plan=None):
+        made.append(plan is None)
+        return new_pieces(col, lo, hi, stack, p, plan)
 
     monkeypatch.setattr(integrate, "_new_pieces", spy)
     pts = PLAN_SETS[name]
@@ -261,10 +300,9 @@ def test_plan_reuse_is_bit_identical(name, monkeypatch):
     # a level's work is kept once the pieces asked of it, over all
     # computes, exceed the pieces it holds, and the top level's never
     plan = shared.memo["plan"]
-    assert [key for key, work in plan.work.items() if work] == ["ends", 0, 1]
+    assert [key for key, work in plan.work.items() if work] == [0, 1]
     assert plan.elements <= integrate._PLAN_ELEMENTS
-    assert any(placeholders for _, placeholders in made)
-    assert any(bisected for bisected, _ in made)
+    assert any(made)
     # the same through one cache, largest p first, against single-p calls
     for tol in (1e-6, 1e-12):
         cache = LpCache(pts, tol)
@@ -272,7 +310,7 @@ def test_plan_reuse_is_bit_identical(name, monkeypatch):
             got, want = cache.norm(p), lp_discrepancy(pts, p, tol)
             assert (got.value, got.abs_error_estimate, got.diagnostics) == (
                 want.value, want.abs_error_estimate, want.diagnostics), (tol, p)
-        assert cache.grid.memo["plan"].work["ends"] is not None
+        assert cache.grid.memo["plan"].work[0] is not None
 
 
 def _fresh_ladder(pts):
@@ -285,9 +323,9 @@ def _fresh_ladder(pts):
 def test_plan_stays_within_plan_elements(name, cap, monkeypatch):
     # a grid whose first pass is above the cap keeps no work: 14,580
     # elements on the d = 3 set, 1,404 on d2 and 9,504 on h2; 15,000 hold
-    # d3's first pass and level 0 (10,506 with the endpoints) but not
-    # level 1 (18,810).  The cap sizes only what a grid keeps, so every
-    # rung, shared or fresh, is bit for bit the one at the default cap
+    # d3's first pass and level 0 (9,342) but not level 1 (17,646).  The
+    # cap sizes only what a grid keeps, so every rung, shared or fresh, is
+    # bit for bit the one at the default cap
     pts = PLAN_SETS[name]
     want = _fresh_ladder(pts)
     monkeypatch.setattr(integrate, "_PLAN_ELEMENTS", cap)
@@ -355,7 +393,7 @@ def test_kept_blocks_are_frozen(name):
     for p in LADDER:
         lp_adaptive_integral(grid, p, p * 1e-6)
     work = grid.memo["plan"].work
-    assert work["ends"] and work[0]
+    assert work[0]
     arrays = [a for blocks in work.values() if blocks for block in blocks for a in block[-1][:2]]
     assert not any(a.flags.writeable for a in arrays)
     before = [a.tobytes() for a in arrays]
@@ -363,45 +401,10 @@ def test_kept_blocks_are_frozen(name):
     assert [a.tobytes() for a in arrays] == before
 
 
-@pytest.mark.parametrize("n, d, seed", [(32, 3, 8), (16, 3, 0), (16, 4, 1)])
-def test_placeholders_are_raised_to_level_zero(n, d, seed, monkeypatch):
-    # a first pass at 1e4 times its skip tolerance leaves pieces as
-    # placeholders (level -1) that the error budget then needs, which no
-    # benchmark input does: refinement evaluates them at level 0, the
-    # result stays within its error, and the grid's plan serves its second
-    # compute bit for bit, its level 0 taken to the pieces it raises
-    placeholders, raised = set(), set()
-    eval_pieces, new_pieces = integrate._eval_pieces, integrate._new_pieces
-
-    def new_spy(col, lo, hi, stack, p, skip_tol=0.0, plan=None):
-        out = new_pieces(col, lo, hi, stack, p, 1e4 * skip_tol, plan)
-        low = out[3] < 0
-        placeholders.update(zip(col[low].tolist(), lo[low].tolist(), hi[low].tolist()))
-        return out
-
-    def eval_spy(col, lo, hi, stack, p, level, *args):
-        if level == 0:
-            raised.update(placeholders & set(zip(col.tolist(), lo.tolist(), hi.tolist())))
-        return eval_pieces(col, lo, hi, stack, p, level, *args)
-
-    monkeypatch.setattr(integrate, "_new_pieces", new_spy)
-    monkeypatch.setattr(integrate, "_eval_pieces", eval_spy)
-    pts = generate_uniform(n, d, seed)
-    shared = build_cell_grid(pts)
-    for p in (2.5, 20.0):
-        placeholders.clear(), raised.clear()
-        got = lp_adaptive_integral(shared, p, 1e-6)
-        assert raised, p
-        want, _, err_tight, _ = lp_adaptive_integral(build_cell_grid(pts), p, 1e-12)
-        assert abs(got[0] - want) <= got[2] + err_tight, (p, got, want)
-        assert _bits(got) == _bits(lp_adaptive_integral(build_cell_grid(pts), p, 1e-6)), p
-    assert shared.memo["plan"].work["ends"] and shared.memo["plan"].work[0]
-
-
 def test_single_p_peak_memory():
     # the kernel runs in row blocks, so a single-p call holds no whole pass;
     # on the (16,4) set most of that pass is kink sub-pieces
-    for (n, d), tol, bound in [((32, 3), 1e-9, 13e6), ((16, 4), 1e-6, 20e6)]:
+    for (n, d), tol, bound in [((32, 3), 1e-9, 6e6), ((16, 4), 1e-6, 16e6)]:
         pts = generate_uniform(n, d, 0)
         tracemalloc.start()
         try:
@@ -427,7 +430,7 @@ def test_plan_ladder_peak_memory():
     finally:
         tracemalloc.stop()
     assert cache.grid.memo["plan"].work[0] is not None
-    assert peak <= 18.5e6, peak
+    assert peak <= 14e6, peak
 
 
 def test_luxemburg_plan_peak_memory():

@@ -290,13 +290,10 @@ def test_astronomical_p_reaches_the_sup(pts, capfd):
 def test_sup_in_an_empty_column_leaves_no_piece_to_evaluate(monkeypatch):
     # the sup 0.7 is reached only at (0.7, 1) on the empty column x < 0.7;
     # every occupied cell stays below 0.47, so at p = 1e4 each first-pass
-    # piece's bound underflows to 0 and no piece is evaluated: no rows are
-    # made of any piece
+    # piece's value and bound underflow to 0 and no piece is refined
     pts = PointSet(np.array([[0.7, 0.1], [0.8, 0.5], [0.9, 0.9]]))
-    pieces, asked = [], []
-    make_rows, take = integrate._rows, integrate._take
-    monkeypatch.setattr(integrate, "_rows",
-                        lambda col, *args: pieces.append(col.size) or make_rows(col, *args))
+    asked = []
+    take = integrate._take
     monkeypatch.setattr(integrate, "_take",
                         lambda block, place: asked.append(int((place >= 0).sum()))
                         or take(block, place))
@@ -305,7 +302,6 @@ def test_sup_in_an_empty_column_leaves_no_piece_to_evaluate(monkeypatch):
     res = lp_discrepancy(pts, p)
     assert star_discrepancy_exact(pts) == 0.7
     assert res.value == pytest.approx(closed, rel=1e-12)
-    assert sum(pieces) == 0
     # the same through a grid's plan, whose level 0 two smaller p made
     cache = LpCache(pts)
     for q in (1.0, 3.0, p):
@@ -314,8 +310,8 @@ def test_sup_in_an_empty_column_leaves_no_piece_to_evaluate(monkeypatch):
         assert (got.value, got.abs_error_estimate, got.diagnostics) == (
             want.value, want.abs_error_estimate, want.diagnostics)
     assert cache.grid.memo["plan"].work[0] is not None
-    # at p the kept level 0 is taken to no piece
-    assert asked and sum(asked) == 0
+    # at p the kept level 0 is read whole and no level above it is asked
+    assert asked == []
 
 
 def test_tolerance_below_double_rounding_is_floored():
