@@ -15,10 +15,12 @@ Two routes, used by the norm modules:
   bisection, starts at the 7-node Kronrod rule K7, in one pass with the
   piece's two ends, where the convex F peaks, which bounds the piece.
   K7's difference from the Gauss rule G3 on 3 of its nodes is the error
-  estimate (not a bound).  The worst are refined first, up the nested
-  Patterson rules P15 and P31, each evaluating only the nodes it adds,
-  and at P31 by bisection.  A piece's cells go as runs of one count A,
-  one integrand each, but for those with a kink of F, where the zero of
+  estimate (not a bound).  A piece keeps its sums of all four rules, and
+  its level picks its value and error from them.  Each round refines
+  every piece the worst-first rule selects, up the nested Patterson
+  rules P15 and P31, each evaluating only the nodes it adds, and at P31
+  by bisection.  A piece's cells go as runs of one count A, one
+  integrand each, but for those with a kink of F, where the zero of
   A - s t crosses a cell edge: each is the one run of the sub-pieces
   cut at its kinks, rows of the same pass made per group of pieces and
   run in cache-sized blocks.  Everything is scaled by sup |local
@@ -414,8 +416,8 @@ class _Plan:
 
 
 def _new_pieces(col, lo, hi, stack, p, plan=None):
-    """Value, error, sup bound, level (0, at K7) and the sums (P, 2) of
-    their nodes under P15's and P31's weights of new pieces; elements used.
+    """The sums (P, 4) of the four rules over the K7 nodes of new pieces,
+    which start at level 0; their sup bounds; and the elements used.
 
     Each cell's integral is convex in s, so a piece's F peaks at an end,
     and the larger end sum, which a kink sub-piece's inner end only adds
@@ -423,19 +425,17 @@ def _new_pieces(col, lo, hi, stack, p, plan=None):
     pieces are its first-pass pieces; a bisection's halves come without.
     """
     kept, mass = (plan.blocks(0), plan.mass) if plan else (None, _masses(col, lo, hi, stack[3]))
-    val, err, rules, nodes, used = _eval_pieces(col, lo, hi, stack, p, 0, None, kept)
-    return val, err, nodes[:, :2].max(axis=1) * mass, np.zeros(col.size, int), rules[:, 2:], used
+    rules, nodes, used = _eval_pieces(col, lo, hi, stack, p, 0, None, kept)
+    return rules, nodes[:, :2].max(axis=1) * mass, used
 
 
 def _eval_pieces(col, lo, hi, stack, p, level, acc=None, kept=None):
-    """Every piece's value at ``level``, the sum of the level's rule; its
-    error, the difference from the rule below; the sums (P, 4) of all four
-    rules over the nodes evaluated; the sums (P, k) of its k weighted
-    nodes at the level; and the elements used.  Only the nodes the level
-    adds are evaluated, their rule sums added to ``acc``, those over the
-    nodes of the levels below (None at level 0).  The ``_level_blocks``
-    run in turn, and each kink sub-piece's nodes are added to its piece's.
-    Given ``kept``, the ``_Plan.blocks`` of these pieces, those run instead.
+    """The sums (P, 4) of all four rules over every piece's nodes up to
+    ``level``, the sums (P, k) of its k weighted nodes at the level, and
+    the elements used.  Only the nodes the level adds are evaluated, their
+    rule sums added to ``acc``, those of the levels below (None at level
+    0).  The ``_level_blocks``, or given ``kept`` the ``_Plan.blocks`` of
+    these pieces, run in turn; a kink sub-piece's nodes add to its piece's.
     """
     span = _SPANS[level]
     blocks = _level_blocks(col, lo, hi, stack, level) if kept is None else kept
@@ -453,12 +453,10 @@ def _eval_pieces(col, lo, hi, stack, p, level, acc=None, kept=None):
     rules = np.einsum("pk,kr->pr", nodes, _WEIGHTS[span])
     if acc is not None:
         rules += acc
-    return rules[:, level + 1], np.abs(rules[:, level + 1] - rules[:, level]), rules, nodes, used
+    return rules, nodes, used
 
 
-# Pieces picked per refinement round, at most.
-_ROUND_PIECES = 128
-# Pieces the adaptive refinement may make, at most.
+# Pieces a compute may hold, at most: bisection stops short of it.
 PIECE_BUDGET = 1 << 22
 
 
@@ -469,11 +467,12 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     exact, and so is every column whose counts are all zero.  The other
     columns start as one piece between each two consecutive corner
     products, refined worst-first until the summed error estimate meets
-    ``rel_tol`` times the integral, until ``PIECE_BUDGET`` pieces
-    (``boxes`` in the diagnostics) have been made, or until no piece can
-    be refined; running out of budget is reported through the
-    diagnostics, never silently.  ``elements`` counts the inner-stack
-    elements evaluated, one per node and run on the pieces' own stacks.
+    ``rel_tol`` times the integral or no piece can be refined.  A round
+    bisects no more pieces than keep the total (``boxes`` in the
+    diagnostics) within ``PIECE_BUDGET``; where the first pass or the
+    bisections would pass it, ``budget_exceeded`` says so, never
+    silently.  ``elements`` counts the inner-stack elements evaluated,
+    one per node and run on the pieces' own stacks.
     """
     d = grid.dim
     diag = {"engine": "adaptive", "boxes": 0, "elements": 0, "budget_exceeded": False}
@@ -497,9 +496,15 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         log_closed = log_closed - d * math.log(q1) - p * math.log(scale)
     closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
 
-    val, err, bnd, lvl, carry, elements = _new_pieces(col, lo, hi, stack, p, plan)
+    sums, bnd, elements = _new_pieces(col, lo, hi, stack, p, plan)
+    lvl = np.zeros(col.size, int)
+    diag["budget_exceeded"] = col.size > PIECE_BUDGET
     # every piece made stays in the store; a bisected one holds zeros
     while True:
+        # each piece's value and error from its sums, by its level
+        at = np.arange(lvl.size)
+        val = sums[at, lvl + 1]
+        err = np.abs(val - sums[at, lvl])
         target = rel_tol * max(closed + float(val.sum()), 1e-300)
         # a near-zero value against a sizable sup bound means the nodes may
         # have missed a narrow peak, and rules that differ by more than half
@@ -508,47 +513,42 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         eff = np.where(missed, np.maximum(err, 0.5 * bnd), err)
         if float(eff.sum()) <= target:
             break
-        if val.size >= PIECE_BUDGET:
-            diag["budget_exceeded"] = True
-            break
-        # the worst pieces in (-eff, slot) order, each taken while the
-        # error from it on, over all pieces, exceeds half the target.
-        # Summing what is left, not what is taken, keeps the choice exact
-        # when half the target is below the rounding unit of the total.
-        # A top-level piece whose midpoint rounds to an end cannot be
-        # bisected, so it is never taken and its error stays in the sum.
+        # the pieces in (-eff, slot) order, each taken while the error from
+        # it on, over all pieces, exceeds half the target.  Summing what is
+        # left, not what is taken, keeps the choice exact when half the
+        # target is below the rounding unit of the total.  A top-level piece
+        # whose midpoint rounds to an end cannot be bisected, so it is never
+        # taken and its error stays in the sum.
         mid = 0.5 * (lo + hi)
         pick = np.where((lvl == _MAX_LEVEL) & ((mid == lo) | (mid == hi)), 0.0, eff)
-        k = min(_ROUND_PIECES, val.size)
-        order = np.argpartition(-pick, k - 1)
-        top = order[:k][np.lexsort((order[:k], -pick[order[:k]]))]
-        left = np.cumsum(pick[top][::-1])[::-1] + float(np.sum(pick[order[k:]]))
-        par = top[(left > 0.5 * target) & (pick[top] > 0.0)]
-        if par.size == 0:
-            break
+        order = np.argsort(-pick, kind="stable")
+        left = np.cumsum(pick[order][::-1])[::-1]
+        par = order[(left > 0.5 * target) & (pick[order] > 0.0)]
         # a piece below the top level moves one level up in place, adding
-        # the next rule's nodes to the higher rules' sums it carries; one
-        # at the top level is bisected into two new pieces at level 0
+        # the next rule's nodes to its sums; one at the top level is
+        # bisected into two new pieces at level 0, the worst first while
+        # the halves fit in the budget
         up, par = par[lvl[par] < _MAX_LEVEL], par[lvl[par] == _MAX_LEVEL]
+        room = max(0, (PIECE_BUDGET - col.size) // 2)
+        if par.size > room:
+            diag["budget_exceeded"], par = True, par[:room]
+        if up.size + par.size == 0:
+            break
         for level in np.unique(lvl[up]).tolist():
             g = np.sort(up[lvl[up] == level])
-            # the rule sums so far: the value is K7's at level 0 and P15's
-            # at level 1, where the carried sum holds it too
-            acc = np.column_stack([np.zeros(g.size), val[g], carry[g]])
-            val[g], err[g], acc, _, used = _eval_pieces(
-                col[g], lo[g], hi[g], stack, p, level + 1, acc, plan.blocks(level + 1, g))
-            carry[g] = acc[:, 2:]
+            sums[g], _, used = _eval_pieces(col[g], lo[g], hi[g], stack, p, level + 1, sums[g],
+                                            plan.blocks(level + 1, g))
             lvl[g] += 1
             elements += used
         if par.size:
             new = np.tile(col[par], 2), np.append(lo[par], mid[par]), np.append(mid[par], hi[par])
-            val[par] = err[par] = bnd[par] = 0.0
+            sums[par], bnd[par] = 0.0, 0.0
             *made, used = _new_pieces(*new, stack, p)
-            col, lo, hi, val, err, bnd, lvl, carry = (np.concatenate(x) for x in zip(
-                (col, lo, hi, val, err, bnd, lvl, carry), (*new, *made)))
+            col, lo, hi, sums, bnd, lvl = (np.concatenate(x) for x in zip(
+                (col, lo, hi, sums, bnd, lvl), (*new, *made, np.zeros(new[0].size, int))))
             elements += used
 
-    diag.update(boxes=val.size, elements=elements)
+    diag.update(boxes=col.size, elements=elements)
     # a floor of four rounding units of the sums, as converged rules can
     # agree below them
     err_j = math.fsum(eff) + 4 * 2.0 ** -52 * (math.fsum(np.abs(val)) + closed)

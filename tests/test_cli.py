@@ -164,6 +164,14 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ["disc", "--in", str(f), "--norm", "lp", "--p", "2", "--alpha", "3"],
         ["sweep", "--norm", "alpha-norm", "--alpha", "2", "--phi", '{"kind":"power","C":1,"r":0.5}',
          "--d-range", "1:1", "--n-range", "2:2"],
+        # a negative seed, whichever command and ranges carry it
+        ["gen", "--kind", "uniform", "--n", "4", "--d", "2", "--seed", "-1"],
+        ["verify", "--suite", "hnww", "--seed", "-1"],
+        ["verify", "--suite", "stirling", "--seed", "-1"],
+        ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "4:4", "--trials", "1",
+         "--seed", "-7000"],
+        ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "4:4", "--trials", "1",
+         "--seed", "-40000"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)
@@ -171,6 +179,8 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "Traceback" not in err, argv
+        if "--seed" in argv:
+            assert "--seed" in err, (argv, err)
 
 
 def test_first_pass_size_guard_exits_one(capsys, tmp_path, monkeypatch):

@@ -90,6 +90,21 @@ def test_error_estimate_covers_tight_rerun_at_every_level(monkeypatch):
     assert levels == climbed == {(0, True), (1, False), (2, False)}
 
 
+def test_piece_budget_is_a_hard_bound(monkeypatch):
+    # 8 first-pass pieces and room for 2 more: a round bisects at most one
+    # piece, and the raises go on without the budget
+    monkeypatch.setattr(integrate, "PIECE_BUDGET", 10)
+    pts = generate_uniform(8, 2, seed=0)
+    short = []
+    for p in (150.0, 2.5):
+        value, _, err, diag = lp_adaptive_integral(build_cell_grid(pts), p, 1e-12)
+        assert diag["boxes"] <= integrate.PIECE_BUDGET, (p, diag)
+        if err > 1e-12 * value:
+            assert diag["budget_exceeded"] is True, (p, err / value, diag)
+        short.append(diag["budget_exceeded"])
+    assert short == [True, False]
+
+
 SUP_SETS = [generate_uniform(8, 3, seed=2), generate_uniform(6, 4, seed=1),
             generate_uniform(12, 2, seed=5), generate_uniform(10, 3, seed=3),
             generate_halton(16, 2)]
@@ -121,7 +136,7 @@ def test_sup_bound_holds_on_every_first_pass_piece():
         for p in (1.0, 2.5, 20.0, 150.0):
             f = _inner_stack(s, a_cols[col[piece]], t_lo, t_hi, p, scale)
             want = np.bincount(piece, (f * weight).sum(axis=1), minlength=col.size)
-            bound = integrate._new_pieces(col, lo, hi, plan.stack, p, plan)[2]
+            bound = integrate._new_pieces(col, lo, hi, plan.stack, p, plan)[1]
             assert (want <= bound).all(), (pts.dim, p, np.max(want / bound))
     assert kinked == 378
 

@@ -195,6 +195,16 @@ def test_large_p_estimates_cover_tight_rerun(n, d, seed):
             assert abs(got.value - want.value) <= got.abs_error_estimate, (p, tol, got, want)
 
 
+@pytest.mark.parametrize("n, d, p", [(32, 3, 2.5), (32, 3, 7.0), (32, 3, 20.0), (16, 3, 20.0)])
+def test_one_large_round_estimate_covers_tight_rerun(n, d, p):
+    # the first round raises 142 to 667 pieces at once here
+    pts = generate_uniform(n, d, seed=0)
+    want = lp_discrepancy(pts, p, rel_tol=1e-12)
+    got = lp_discrepancy(pts, p, rel_tol=1e-9)
+    assert abs(got.value - want.value) <= 1e-9 * want.value, (got, want)
+    assert abs(got.value - want.value) <= got.abs_error_estimate, (got, want)
+
+
 def test_luxemburg_ladder_reaches_top_level(monkeypatch):
     # the p ladder a Luxemburg series reads; the refinement doubles some
     # pieces up to the top Gauss level, and every rung matches a tight rerun
