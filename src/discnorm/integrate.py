@@ -80,27 +80,25 @@ def lp_moment_integral(grid: CellGrid, p: int):
 
 
 def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
-    """The p-independent work of int_{t_lo[k]}^{t_hi[k]} (|A_k - q t| /
-    scale)^p dt at nodes q (B, S) on cells of counting terms a_cnt (B, m)
-    and bounds t_lo/t_hi (m,), or (B, 1, m) for bounds that differ per
-    row, as the tuple that ``_stack_apply`` reads.
+    """The p-independent work of int_{t_lo}^{t_hi} (|A - q t| / scale)^p dt
+    on runs of count a_cnt and bounds t_lo/t_hi, each (U, 1), at their
+    nodes q (U, S), as the tuple that ``_stack_apply`` reads.
 
-    Per cell: the endpoint value |v| of larger magnitude, floored at
-    1e-300, and log1p(-delta/|v|); the straddle cells, where the sign
-    changes inside the cell, with their two endpoint magnitudes; and the
-    thin cells, whose length is below rounding of |v|, with their lengths
-    and midpoint values.  Those two sets are flat indices, None when
-    empty.  The floor leaves |v|^(p+1) at 0, as p >= 1.
+    Per element: the endpoint value |v| of larger magnitude, floored at
+    1e-300, and log1p(-delta/|v|); the straddle elements, where the sign
+    changes inside the run, with their two endpoint magnitudes; and the
+    thin elements, whose length is below rounding of |v|, with their
+    lengths and midpoint values.  Those two sets are flat indices into the
+    (U, S) block, None when empty.  The floor leaves |v|^(p+1) at 0, as
+    p >= 1.
     """
-    qe = q[:, :, None]
-    ae = a_cnt[:, None, :]
     tlen = t_hi - t_lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         # -delta, so that log1p(-delta/|v|) needs no negation pass
-        ndelta = np.multiply(qe, -tlen)
+        ndelta = np.multiply(q, -tlen)
         ndelta /= scale
-        vhi = np.multiply(qe, t_lo)
-        np.subtract(ae, vhi, out=vhi)
+        vhi = np.multiply(q, t_lo)
+        np.subtract(a_cnt, vhi, out=vhi)
         vhi /= scale
         vlo = np.add(vhi, ndelta)
         straddle = vhi > 0.0
@@ -110,7 +108,7 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
             idx = np.flatnonzero(straddle)
             cross = (idx, np.maximum(vhi.reshape(-1)[idx], 0.0),
                      np.maximum(-vlo.reshape(-1)[idx], 0.0))
-        # the endpoint value of larger magnitude off the straddle cells, in
+        # the endpoint value of larger magnitude off the straddle elements, in
         # place of vlo so that no fourth block is held; -vlo is exactly
         # delta - vhi under IEEE rounding
         big = np.negative(vlo, out=vlo)
@@ -124,41 +122,39 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
         flat = None
         if thin.any():
             idx = np.flatnonzero(thin)
-            b, s, k = np.unravel_index(idx, thin.shape)
-            t_mid = np.broadcast_to(t_lo + t_hi, thin.shape)[b, s, k]
-            mid = np.abs(a_cnt[b, k] - q[b, s] * t_mid * 0.5) / scale
-            flat = idx, np.broadcast_to(tlen, thin.shape)[b, s, k], mid
+            r = idx // q.shape[1]
+            mid = np.abs(a_cnt[r, 0] - q.reshape(-1)[idx] * (t_lo + t_hi)[r, 0] * 0.5) / scale
+            flat = idx, tlen[r, 0], mid
     return big, lg, cross, flat
 
 
 def _stack_apply(q, cells, p, scale, row=None):
-    """The per-cell integrals (B, S, m) from the ``_stack_prep`` ``cells``
-    at nodes ``q``, or with ``row`` at nodes ``q[row]``; it overwrites
+    """The runs' integrals (U, S) from their ``_stack_prep`` ``cells`` at
+    nodes ``q`` (U, S), or with ``row`` at nodes ``q[row]``; it overwrites
     those of the cells' arrays that are writable."""
     big, lg, cross, flat = cells
     q1 = p + 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         # capped so that inf * 0 cannot make a NaN: when q * q1 underflows,
-        # a cell that is not thin has |v| below 1e-296, whose powers are 0
+        # an element that is not thin has |v| below 1e-296, whose powers are 0
         inv = np.minimum(scale / (q * q1), _DBL_MAX)
         if row is not None:
             inv = inv[row]
-        # the common case: the cell sits entirely on one side of the zero
+        # the common case: the run sits entirely on one side of the zero
         # crossing, so the power antiderivative nearly cancels between the
         # endpoints and goes through log1p/expm1 for accuracy.  It runs on
-        # the whole block; the few straddle and thin cells are overwritten
-        # afterwards.
+        # the whole block; the few straddle and thin elements are
+        # overwritten afterwards.
         ratio = np.multiply(lg, q1, out=lg if lg.flags.writeable else None)
         np.expm1(ratio, out=ratio)
         np.negative(ratio, out=ratio)
         out = np.power(big, q1, out=big if big.flags.writeable else None)
-        out *= inv[:, :, None]
+        out *= inv
         out *= ratio
         flat_out = out.reshape(-1)
         if cross is not None:
             idx, vhi, vlo = cross
-            flat_out[idx] = inv.reshape(-1)[idx // out.shape[2]] * (
-                np.power(vhi, q1) + np.power(vlo, q1))
+            flat_out[idx] = inv.reshape(-1)[idx] * (np.power(vhi, q1) + np.power(vlo, q1))
         if flat is not None:
             idx, tlen, mid = flat
             flat_out[idx] = tlen * np.power(mid, p)
@@ -216,7 +212,7 @@ def _product_law(s, corners, cumulative=False):
     n = corners.shape[1].bit_length() - 1
     # [log(C/s)]_+ from two logs, so that no quotient overflows; s = 0 (the
     # end of a piece at a zero lower corner) is clamped to keep its log finite
-    s, c = np.maximum(s, 5e-324)[:, :, None], corners[:, None, :]
+    s, c = np.maximum(s, 5e-324)[..., None], corners[:, None, :]
     with np.errstate(divide="ignore"):
         lg = np.maximum(np.log(c) - np.log(s), 0.0)
     if cumulative:
@@ -274,8 +270,8 @@ def _main_prep(col, lo, hi, stack, level, runs):
     if level == 0:
         law[:, :2] = 1.0
     row, a, first, last = runs
-    return q, law, _stack_prep(q[row], a[:, None], t_lo[first][:, None, None],
-                               t_hi[last][:, None, None], scale)
+    return q, law, _stack_prep(q[row], a[:, None], t_lo[first][:, None], t_hi[last][:, None],
+                               scale)
 
 
 def _blocks(off, per_run):
@@ -446,7 +442,7 @@ def _eval_pieces(col, lo, hi, stack, p, level, acc=None, kept=None):
         # each piece's node sums, added row by row in order, so that no block
         # size changes them; a sub-piece's row is its one run
         np.add.at(nodes.reshape(-1), (piece[:, None] * k + np.arange(k)).reshape(-1),
-                  (_piece_sums(f[:, :, 0], off) * law).reshape(-1))
+                  (_piece_sums(f, off) * law).reshape(-1))
         used += f.size
         del cells, f  # before the next block is made
     # the rules in one contraction of fixed order, as BLAS's depends on sizes
@@ -478,10 +474,12 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     diag = {"engine": "adaptive", "boxes": 0, "elements": 0, "budget_exceeded": False}
     scale = grid.sup_abs
     if d == 1:
-        a, q = grid.count_fractions()[None], np.ones((1, 1))
-        f = _stack_apply(q, _stack_prep(q, a, grid.cell_lo(0), grid.cell_hi(0), scale), p, scale)
+        # each cell a run of one node at q = 1
+        a, lo, hi = (v[:, None] for v in (grid.count_fractions(), grid.cell_lo(0), grid.cell_hi(0)))
+        q = np.ones_like(a)
+        f = _stack_apply(q, _stack_prep(q, a, lo, hi, scale), p, scale)
         diag.update(engine="exact-1d", boxes=1, elements=a.size)
-        return float(f[0, 0].sum()), scale, 0.0, diag
+        return float(f.sum()), scale, 0.0, diag
 
     plan = grid.memo["plan"] = grid.memo.get("plan") or _Plan(grid)
     stack, (col, lo, hi) = plan.stack, plan.pieces

@@ -215,6 +215,9 @@ def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float):
     partial = 0.0
     for ell in range(1, _ELL_CAP + 1):
         p = spec.alpha * ell
+        if p == math.inf:
+            raise ValueError(f"alpha = {spec.alpha!r} is too large: the series exponent "
+                             f"alpha * {ell} is beyond a double")
         logden = spec.log_denom(ell)
         norm = lp_at(p)
         if norm <= 0.0:
@@ -372,6 +375,9 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
 
     tail_margin = max(0.0, tail - best)
     err = best * max(rel_tol, 1e-3) + tail_margin
+    if not (math.isfinite(best) and math.isfinite(err)):
+        raise NumericalError(f"the ratio L_p / phi(p) or its error is beyond a double "
+                             f"(best {best!r} at p = {2.0 ** x_star:g})")
     return NormResult(
         value=best,
         abs_error_estimate=err,

@@ -66,16 +66,6 @@ def generate_uniform(n: int, dim: int, seed: int) -> PointSet:
     return PointSet(rng.random((n, dim)))
 
 
-def _radical_inverse(index: int, base: int) -> float:
-    f = 1.0
-    r = 0.0
-    while index > 0:
-        f /= base
-        r += f * (index % base)
-        index //= base
-    return r
-
-
 def generate_halton(n: int, dim: int) -> PointSet:
     """First n Halton points (prime bases, index starting at 1).
 
@@ -86,10 +76,14 @@ def generate_halton(n: int, dim: int) -> PointSet:
         raise ValueError("n must be nonnegative")
     if not 1 <= dim <= len(_HALTON_PRIMES):
         raise ValueError(f"halton generator supports 1 <= dim <= {len(_HALTON_PRIMES)}")
-    pts = np.empty((n, dim))
-    for j in range(n):
-        for i in range(dim):
-            pts[j, i] = _radical_inverse(j + 1, _HALTON_PRIMES[i])
+    pts = np.zeros((n, dim))
+    for x, base in zip(pts.T, _HALTON_PRIMES):
+        # the radical inverse of every index at once, digit by digit
+        i, f = np.arange(1, n + 1), 1.0
+        while i.any():
+            f /= base
+            x += f * (i % base)
+            i //= base
     return PointSet(pts)
 
 

@@ -327,11 +327,15 @@ def lp_mpmath(points: PointSet, p: float, dps: int = 30) -> float:
 def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
     """sum_k int_{t_lo[k]}^{t_hi[k]} (|A_k - q t| / scale)^p dt by the
     engine's kernel, at nodes q (B, S) on cells of counting terms a_cnt
-    (B, m) and bounds t_lo/t_hi (m,), or (B, 1, m) for bounds that differ
-    per row.  With ``reduce=False`` the per-cell integrals (B, S, m) are
-    returned unsummed.
+    (B, m) and bounds t_lo/t_hi (m,), each cell laid out as a run of its
+    row's nodes.  With ``reduce=False`` the per-cell integrals (B, S, m)
+    are returned unsummed.
     """
-    f = _stack_apply(q, _stack_prep(q, a_cnt, t_lo, t_hi, scale), p, scale)
+    (b, s), m = q.shape, a_cnt.shape[1]
+    lo, hi = (np.tile(t, b)[:, None] for t in (t_lo, t_hi))
+    runs = np.repeat(q, m, axis=0)
+    f = _stack_apply(runs, _stack_prep(runs, a_cnt.reshape(-1, 1), lo, hi, scale), p, scale)
+    f = np.ascontiguousarray(f.reshape(b, m, s).transpose(0, 2, 1))
     return f.sum(axis=2) if reduce else f
 
 

@@ -172,6 +172,8 @@ def test_usage_errors_exit_one(capsys, tmp_path):
          "--seed", "-7000"],
         ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "4:4", "--trials", "1",
          "--seed", "-40000"],
+        # the series exponent alpha * l overflows at l = 2
+        ["disc", "--in", str(f), "--norm", "psi-alpha", "--alpha", "1e308"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)
@@ -181,6 +183,39 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         assert "Traceback" not in err, argv
         if "--seed" in argv:
             assert "--seed" in err, (argv, err)
+        if "1e308" in argv:
+            assert "alpha" in err and " p " not in err, err
+
+
+def test_phi_ratio_beyond_a_double_exits_two(capsys, tmp_path):
+    # phi(p) below a double's range makes L_p / phi(p) overflow
+    f = tmp_path / "p.csv"
+    cli.main(["gen", "--kind", "uniform", "--n", "4", "--d", "2", "--seed", "1", "--out", str(f)])
+    capsys.readouterr()
+    for weight in ('{"kind":"power","C":1e-310,"r":0.5}',
+                   '{"kind":"tabulated","knots":[[1,1.0],[64,5e-324]]}'):
+        for extra in ([], ["--json"]):
+            code, out, err = run_cli(["disc", "--in", str(f), "--norm", "phi", "--phi", weight,
+                                      *extra], capsys)
+            assert code == 2 and out == "", (weight, out)
+            assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
+
+def test_disc_json_is_strict_for_every_norm(capsys, tmp_path):
+    # no NaN or Infinity, which are not JSON, in any kind's output
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    f = tmp_path / "p.csv"
+    cli.main(["gen", "--kind", "uniform", "--n", "8", "--d", "2", "--seed", "3", "--out", str(f)])
+    capsys.readouterr()
+    flags = {"lp": ["--p", "2.5"], "star": [], "psi-alpha": ["--alpha", "2"],
+             "phi": ["--phi", '{"kind":"power","C":1,"r":0.5}'], "alpha-norm": ["--alpha", "2"]}
+    assert sorted(flags) == sorted(bounds._NORM_FIELDS)
+    for norm, extra in flags.items():
+        code, out, _ = run_cli(["disc", "--in", str(f), "--norm", norm, *extra, "--json"], capsys)
+        assert code == 0, norm
+        assert math.isfinite(json.loads(out, parse_constant=reject)["value"]), norm
 
 
 def test_first_pass_size_guard_exits_one(capsys, tmp_path, monkeypatch):

@@ -70,6 +70,23 @@ def test_halton_base3_second_axis():
     assert np.allclose(ps.coords[:, 1], expected, rtol=0, atol=1e-15)
 
 
+def test_halton_matches_scalar_radical_inverse():
+    # every axis at once, bit for bit against one point and axis at a time
+    def radical_inverse(index, base):
+        f, r = 1.0, 0.0
+        while index > 0:
+            f /= base
+            r += f * (index % base)
+            index //= base
+        return r
+
+    for n, d in [(0, 3), (1, 1), (400, 16)]:
+        got = generate_halton(n, d).coords
+        want = [[radical_inverse(j + 1, b) for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                                                      41, 43, 47, 53)[:d]] for j in range(n)]
+        assert got.shape == (n, d) and got.tolist() == want, (n, d)
+
+
 def test_halton_dim_limit():
     assert generate_halton(2, 16).dim == 16
     with pytest.raises(ValueError):
