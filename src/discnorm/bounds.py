@@ -9,7 +9,7 @@ deterministic in CI even though the underlying claim is probabilistic.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -35,8 +35,6 @@ MIN_CONST_D_MAX = 1_000_000
 # Integer ceiling returned when a bound formula overflows doubles.
 NBOUND_SATURATION = 10 ** 308
 
-# Relative slack, against the Luxemburg norm, of the sandwich comparisons.
-SANDWICH_REL_SLACK = 1e-6
 # e^(11/12) / sqrt(2*pi), the base of the lower sandwich constant.
 SANDWICH_LOWER_BASE = math.exp(11.0 / 12.0) / math.sqrt(2.0 * math.pi)
 
@@ -188,10 +186,12 @@ def nbound1(eps: float, d: int, phi: WeightFn) -> int:
     The sup is 1/phi(1)^2 for the nondecreasing kinds; tabulated weights
     scan their knots.  phi enters only through phi(d) / inf phi, taken
     from logs so that a phi beyond a double's range, large or small, does
-    not change the bound.  phi is read only once eps and d are checked.
+    not change the bound, and read at C = 1 for a power weight, whose
+    scale C cancels from it.  phi is read only once eps and d are checked.
     """
     def over_eps2(eps2):
-        ratio = math.exp(phi.log_phi(float(d)) - math.log(phi.min_phi_from(1.0)))
+        unit = replace(phi, C=1.0) if phi.kind == "power" else phi
+        ratio = math.exp(unit.log_phi(float(d)) - math.log(unit.min_phi_from(1.0)))
         return C_PT_DEFAULT ** 2 * d * (d + 1.0) ** 2 * (ratio * ratio) / eps2
 
     return _n_bound(eps, d, over_eps2)
@@ -272,8 +272,10 @@ def lemma1_sandwich_check(points: PointSet, alpha: float,
     With ``phi=None``: (e^(11/12)/sqrt(2 pi))^(1/a) * ||f||_a <= ||f||_psi_a
     <= (2 e a)^(1/a) * ||f||_a.  With a weight: the lower constant is
     inf_p phi(p)/max(phi(alpha), phi(p)) and the upper is 2^(1/alpha),
-    against the phi norm.  Both sides may miss by ``SANDWICH_REL_SLACK``
-    times the Luxemburg norm.
+    against the phi norm.  ``margin`` is the smaller gap of the two sides
+    as computed, while ``holds`` allows each side the two norms' reported
+    errors, that of the Luxemburg norm plus the upper constant times that
+    of the base norm, as both values are reads within those errors.
     """
     spec = OrliczSpec(alpha, phi)
     if cache is None:
@@ -291,7 +293,7 @@ def lemma1_sandwich_check(points: PointSet, alpha: float,
     lux = luxemburg_norm(points, spec, cache=cache)
     lhs = lo_c * base.value
     rhs = hi_c * base.value
-    slack = SANDWICH_REL_SLACK * lux.value
+    slack = lux.abs_error_estimate + hi_c * base.abs_error_estimate
     holds = (lhs <= lux.value + slack) and (lux.value <= rhs + slack)
     margin = min(lux.value - lhs, rhs - lux.value)
     params = {

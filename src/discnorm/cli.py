@@ -238,7 +238,8 @@ def cmd_sweep(args) -> int:
             ratio = best / initial
             if spec.kind == "star":
                 bound = repr(10.0 * math.sqrt(d / n))
-            elif spec.kind == "psi-alpha":
+            elif spec.kind == "psi-alpha" and spec.weight is None:
+                # Theorem 2 is for the exponential psi_alpha only
                 bound = repr(theorem2_n_bound(spec.alpha, 0.5, d))
             else:
                 bound = ""

@@ -26,9 +26,9 @@ Two routes, used by the norm modules:
   run in cache-sized blocks.  Everything is scaled by sup |local
   discrepancy| so any large p stays in range.  A grid keeps its setup,
   its first pieces' masses and, once its computes ask for more than
-  those pieces, the p-independent work below the top level on them, as
-  the frozen row blocks a fresh pass makes (``_Plan``), which
-  ``_Plan.blocks`` gives a call whole or taken to the pieces it refines.
+  those pieces, the p-independent work below the top level on them
+  (``_Plan``); ``_Plan.blocks`` hands every evaluation its row blocks,
+  that work whole or taken to the pieces refined, or a fresh pass.
 """
 
 from __future__ import annotations
@@ -379,66 +379,48 @@ class _Plan:
         self.mass = _masses(*self.pieces, corners)
         self.elements, self.work, self.asked = 0, {}, {}
 
-    def blocks(self, level, asked=None):
-        """The kept blocks of the work at ``level`` as a list, or with
-        ``asked`` (sorted indices of pieces) a generator of them taken to
-        those pieces, each renumbered to its place in ``asked``; None if
-        the work is not kept, or if ``asked`` holds a piece the plan does
-        not, a bisected half."""
-        col, lo, hi = self.pieces
-        if (self.cost > _PLAN_ELEMENTS or level == _MAX_LEVEL
-                or asked is not None and asked.size and asked[-1] >= col.size):
-            return None
-        if level not in self.work:
-            self.asked[level] = self.asked.get(level, 0) + len(col if asked is None else asked)
-            if self.asked[level] <= col.size:
-                return None
-            self.work[level] = None
-            work, size = [], self.elements
-            for block in _level_blocks(col, lo, hi, self.stack, level):
-                size += block[-1][0].size
-                if size > _PLAN_ELEMENTS:
-                    break
-                block[-1][0].flags.writeable = block[-1][1].flags.writeable = False
-                work.append(block)
-            else:
-                self.work[level], self.elements = work, size
-        work = self.work[level]
-        if work is None or asked is None:
+    def blocks(self, level, pieces, asked=None):
+        """The row blocks at ``level`` of a compute's ``pieces`` (col, lo,
+        hi), which start with the plan's own, or of those at the sorted
+        indices ``asked``, each block's pieces renumbered to their place in
+        ``asked``: the kept work, whole or taken to ``asked``, or a fresh
+        ``_level_blocks`` pass where the work is not kept or the pieces
+        include one the plan does not hold, a bisected half."""
+        col, n = self.pieces[0], pieces[0].size if asked is None else asked.size
+        own = (n if asked is None else asked[-1] + 1) <= col.size
+        if own and level not in self.work and self.cost <= _PLAN_ELEMENTS and level < _MAX_LEVEL:
+            self.asked[level] = self.asked.get(level, 0) + n
+            if self.asked[level] > col.size:
+                self.work[level], work, size = None, [], self.elements
+                for block in _level_blocks(*self.pieces, self.stack, level):
+                    size += block[-1][0].size
+                    if size > _PLAN_ELEMENTS:
+                        break
+                    block[-1][0].flags.writeable = block[-1][1].flags.writeable = False
+                    work.append(block)
+                else:
+                    self.work[level], self.elements = work, size
+        work = self.work.get(level) if own else None
+        if work is None:
+            return _level_blocks(*(v if asked is None else v[asked] for v in pieces), self.stack,
+                                 level)
+        if asked is None:
             return work
         place = np.full(col.size, -1)
         place[asked] = np.arange(asked.size)
         return filter(None, (_take(block, place) for block in work))
 
 
-def _new_pieces(col, lo, hi, stack, p, plan=None):
-    """The sums (P, 4) of the four rules over the K7 nodes of new pieces,
-    which start at level 0; their sup bounds; and the elements used.
-
-    Each cell's integral is convex in s, so a piece's F peaks at an end,
-    and the larger end sum, which a kink sub-piece's inner end only adds
-    to, times the piece's mass bounds it.  Given the grid's ``plan``, the
-    pieces are its first-pass pieces; a bisection's halves come without.
-    """
-    kept, mass = (plan.blocks(0), plan.mass) if plan else (None, _masses(col, lo, hi, stack[3]))
-    rules, nodes, used = _eval_pieces(col, lo, hi, stack, p, 0, None, kept)
-    return rules, nodes[:, :2].max(axis=1) * mass, used
-
-
-def _eval_pieces(col, lo, hi, stack, p, level, acc=None, kept=None):
-    """The sums (P, 4) of all four rules over every piece's nodes up to
-    ``level``, the sums (P, k) of its k weighted nodes at the level, and
-    the elements used.  Only the nodes the level adds are evaluated, their
-    rule sums added to ``acc``, those of the levels below (None at level
-    0).  The ``_level_blocks``, or given ``kept`` the ``_Plan.blocks`` of
-    these pieces, run in turn; a kink sub-piece's nodes add to its piece's.
-    """
+def _eval_pieces(blocks, n, p, level, scale):
+    """The sums (n, 4) that the k nodes ``level`` adds give the four rules
+    on each of n pieces, to be added to those of the levels below, the
+    sums (n, k) of its weighted nodes, and the elements used, from the
+    pieces' row ``blocks`` in turn; a kink sub-piece's add to its piece's."""
     span = _SPANS[level]
-    blocks = _level_blocks(col, lo, hi, stack, level) if kept is None else kept
     k, used = _NODES[span].size, 0
-    nodes = np.zeros((col.size, k))
+    nodes = np.zeros((n, k))
     for piece, off, row, q, law, cells in blocks:
-        f = _stack_apply(q, cells, p, stack[-1], row)
+        f = _stack_apply(q, cells, p, scale, row)
         # each piece's node sums, added row by row in order, so that no block
         # size changes them; a sub-piece's row is its one run
         np.add.at(nodes.reshape(-1), (piece[:, None] * k + np.arange(k)).reshape(-1),
@@ -446,10 +428,15 @@ def _eval_pieces(col, lo, hi, stack, p, level, acc=None, kept=None):
         used += f.size
         del cells, f  # before the next block is made
     # the rules in one contraction of fixed order, as BLAS's depends on sizes
-    rules = np.einsum("pk,kr->pr", nodes, _WEIGHTS[span])
-    if acc is not None:
-        rules += acc
-    return rules, nodes, used
+    return np.einsum("pk,kr->pr", nodes, _WEIGHTS[span]), nodes, used
+
+
+def _sup_bound(nodes, mass):
+    """New pieces' sup bounds from their level-0 node sums: each cell's
+    integral is convex in s, so a piece's F peaks at an end, and the larger
+    end sum, which a kink sub-piece's inner end only adds to, times the
+    piece's ``mass`` bounds it."""
+    return nodes[:, :2].max(axis=1) * mass
 
 
 # Pieces a compute may hold, at most: bisection stops short of it.
@@ -482,7 +469,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         return float(f.sum()), scale, 0.0, diag
 
     plan = grid.memo["plan"] = grid.memo.get("plan") or _Plan(grid)
-    stack, (col, lo, hi) = plan.stack, plan.pieces
+    col, lo, hi = plan.pieces
     # a column with no point below it integrates (prod t / scale)^p, a
     # product of one-axis powers; in logs, as large p underflows them.  A
     # NaN from -inf - -inf near p = 1e308 is a term below q1^-d, so 0
@@ -494,7 +481,9 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         log_closed = log_closed - d * math.log(q1) - p * math.log(scale)
     closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
 
-    sums, bnd, elements = _new_pieces(col, lo, hi, stack, p, plan)
+    sums, nodes, elements = _eval_pieces(plan.blocks(0, plan.pieces), col.size, p, 0, scale)
+    bnd = _sup_bound(nodes, plan.mass)
+    del nodes  # (P, 9), more than the store holds per piece
     lvl = np.zeros(col.size, int)
     diag["budget_exceeded"] = col.size > PIECE_BUDGET
     # every piece made stays in the store; a bisected one holds zeros
@@ -534,16 +523,19 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
             break
         for level in np.unique(lvl[up]).tolist():
             g = np.sort(up[lvl[up] == level])
-            sums[g], _, used = _eval_pieces(col[g], lo[g], hi[g], stack, p, level + 1, sums[g],
-                                            plan.blocks(level + 1, g))
+            add, _, used = _eval_pieces(plan.blocks(level + 1, (col, lo, hi), g), g.size, p,
+                                        level + 1, scale)
+            sums[g] += add
             lvl[g] += 1
             elements += used
         if par.size:
-            new = np.tile(col[par], 2), np.append(lo[par], mid[par]), np.append(mid[par], hi[par])
-            sums[par], bnd[par] = 0.0, 0.0
-            *made, used = _new_pieces(*new, stack, p)
-            col, lo, hi, sums, bnd, lvl = (np.concatenate(x) for x in zip(
-                (col, lo, hi, sums, bnd, lvl), (*new, *made, np.zeros(new[0].size, int))))
+            n, sums[par], bnd[par] = col.size, 0.0, 0.0
+            col, lo, hi = (np.concatenate(x) for x in zip((col, lo, hi), (
+                np.tile(col[par], 2), np.append(lo[par], mid[par]), np.append(mid[par], hi[par]))))
+            made, nodes, used = _eval_pieces(plan.blocks(0, (col, lo, hi), np.arange(n, col.size)),
+                                             col.size - n, p, 0, scale)
+            bnd = np.append(bnd, _sup_bound(nodes, _masses(col[n:], lo[n:], hi[n:], plan.stack[3])))
+            sums, lvl = np.concatenate([sums, made]), np.append(lvl, np.zeros(col.size - n, int))
             elements += used
 
     diag.update(boxes=col.size, elements=elements)

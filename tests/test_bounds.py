@@ -23,8 +23,8 @@ from discnorm.bounds import (
     theorem2_n_bound,
     _general_lower_const,
 )
-from discnorm.lp import LpCache, initial_lp
-from discnorm.orlicz import WeightFn, alpha_norm, phi_norm
+from discnorm.lp import LpCache, NormResult, initial_lp
+from discnorm.orlicz import OrliczSpec, WeightFn, alpha_norm, phi_norm
 from discnorm.pointset import empty_pointset, generate_uniform
 
 
@@ -113,6 +113,15 @@ def test_nbound1_depends_on_phi_only_through_its_ratio():
     for r, want in ((0.0, 461), (1.0, 1842), (2.0, 7367)):
         for c in (1e-300, 1e-200, 1e-3, 1.0, 7.0, 1e200, 1e300):
             assert nbound1(0.5, 2, WeightFn.power(c, r)) == want, (c, r)
+    # nor by one unit where the bound is an exact integer, 2.5287^2 * 2 *
+    # 3^2 * 2 / 1e-8, or anywhere on a grid of eps, d and r
+    for c in (0.5, 2.0, 3.0, 7.0, 1e-3, 1e3):
+        assert nbound1(1e-4, 2, WeightFn.power(c, 0.5)) == 23019565284, c
+        for eps in (1e-4, 3e-3, 0.1, 0.5):
+            for d in (1, 2, 3, 5, 10, 50):
+                for r in (0.0, 0.25, 0.5, 1.0, 2.0):
+                    want = nbound1(eps, d, WeightFn.power(1.0, r))
+                    assert nbound1(eps, d, WeightFn.power(c, r)) == want, (c, eps, d, r)
 
 
 def test_nbound1_scaling_slope_matches_power_exponent():
@@ -184,6 +193,32 @@ def test_lemma1_sandwich_small_sets():
             assert rep.lhs <= rep.params["luxemburg"] <= rep.rhs
         rep = lemma1_sandwich_check(pts, 2.0, phi=WeightFn.power(1.0, 0.5), cache=cache)
         assert rep.holds
+
+
+def test_lemma1_sandwich_allows_the_reported_errors():
+    # at alpha = 1000 the alpha-norm walk stops at its p = 4096 cap with
+    # its tail open, and the Luxemburg norm lies 3e-4 above the upper
+    # side, inside the base norm's reported error of 1.5e-3
+    rep = lemma1_sandwich_check(generate_uniform(8, 2, seed=1), 1000.0)
+    assert rep.margin < 0.0 and rep.holds
+
+
+def test_lemma1_sandwich_rejects_a_value_beyond_its_errors(monkeypatch):
+    # a Luxemburg value moved out of either side by more than the two
+    # norms' errors, the Luxemburg one plus the upper constant times the
+    # base one, fails; one moved by less holds
+    pts = generate_uniform(8, 2, seed=1)
+    cache = LpCache(pts)
+    base = alpha_norm(pts, 2.0, cache=cache)
+    lux = bounds.luxemburg_norm(pts, OrliczSpec(2.0), cache=cache)
+    rep = lemma1_sandwich_check(pts, 2.0, cache=cache)
+    assert rep.holds and rep.margin > 0.0
+    slack = lux.abs_error_estimate + rep.params["upper_const"] * base.abs_error_estimate
+    for value, holds in ((rep.rhs + 1.01 * slack, False), (rep.rhs + 0.99 * slack, True),
+                         (rep.lhs - 1.01 * slack, False), (rep.lhs - 0.99 * slack, True)):
+        moved = NormResult(value, lux.abs_error_estimate, lux.diagnostics)
+        monkeypatch.setattr(bounds, "luxemburg_norm", lambda *args, **kwargs: moved)
+        assert lemma1_sandwich_check(pts, 2.0, cache=cache).holds is holds, (value, slack)
 
 
 def test_lemma1_sandwich_rejects_bounded_weight_before_any_norm(monkeypatch):

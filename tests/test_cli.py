@@ -307,6 +307,18 @@ def test_sweep_schema_and_determinism(capsys, tmp_path):
         assert float(bound) == 10.0 * (int(d) / int(n)) ** 0.5
 
 
+def test_sweep_prints_theorem2_bound_for_exponential_psi_only(capsys):
+    # Theorem 2's constant is built from the exponential Lemma-1 constant,
+    # so a weighted psi gets an empty bound cell, as lp and phi do
+    argv = ["sweep", "--norm", "psi-alpha", "--alpha", "2", "--d-range", "1:2",
+            "--n-range", "2:2", "--trials", "1"]
+    for extra, want in (([], ["14456", "45824"]),
+                        (["--phi", '{"kind":"power","C":1,"r":0.5}'], ["", ""])):
+        code, out, _ = run_cli(argv + extra, capsys)
+        assert code == 0, extra
+        assert [row.split(",")[-1] for row in out.splitlines()[1:]] == want, extra
+
+
 def test_sweep_star_infeasible_rejected(capsys):
     code, _, err = run_cli(["sweep", "--norm", "star", "--d-range", "6:6",
                             "--n-range", "64:64"], capsys)

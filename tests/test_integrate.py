@@ -58,36 +58,30 @@ ESTIMATE_SETS = [generate_uniform(n, d, seed=seed) for n, d in ((8, 2), (6, 3), 
 
 def test_error_estimate_covers_tight_rerun_at_every_level(monkeypatch):
     # every level's estimate, |K7 - G3|, |P15 - K7| or |P31 - P15|, against
-    # reruns at 1e-12 on small sets at d = 2..5.  Only level 0 is evaluated
-    # afresh: first-pass pieces and bisected halves alike reach levels 1
-    # and 2 by adding nodes to their sums
-    levels, halves, climbed = set(), set(), set()
-    eval_pieces, new_pieces = integrate._eval_pieces, integrate._new_pieces
+    # reruns at 1e-12 on small sets at d = 2..5.  Every evaluation asks the
+    # grid's plan for its pieces' blocks, and a piece is asked each level
+    # once, in order: first-pass pieces and bisected halves alike start at
+    # level 0 and reach levels 1 and 2 by adding nodes to their sums
+    reached, last = set(), {}
+    blocks = integrate._Plan.blocks
 
-    def eval_spy(col, lo, hi, stack, p, level, acc=None, *args):
-        assert acc is not None or level == 0, level
-        levels.add((level, acc is None))
-        if halves & set(zip(lo.tolist(), hi.tolist())):
-            climbed.add((level, acc is None))
-        return eval_pieces(col, lo, hi, stack, p, level, acc, *args)
+    def spy(plan, level, pieces, asked=None):
+        at = np.arange(pieces[0].size) if asked is None else asked
+        if asked is None:
+            last.clear()  # a compute's first pass
+        assert all(last.get(i, -1) == level - 1 for i in at.tolist()), level
+        last.update(dict.fromkeys(at.tolist(), level))
+        reached.update((level, bool(half)) for half in np.unique(at >= plan.pieces[0].size))
+        return blocks(plan, level, pieces, asked)
 
-    def new_spy(col, lo, hi, stack, p, plan=None):
-        # a bisection's halves are made without the grid's plan
-        if plan is None:
-            halves.update(zip(lo.tolist(), hi.tolist()))
-        return new_pieces(col, lo, hi, stack, p, plan)
-
-    monkeypatch.setattr(integrate, "_eval_pieces", eval_spy)
-    monkeypatch.setattr(integrate, "_new_pieces", new_spy)
+    monkeypatch.setattr(integrate._Plan, "blocks", spy)
     for pts in ESTIMATE_SETS:
         for p in (2.5, 20.0, 150.0):
-            halves.clear()
             want, _, err_tight, _ = lp_adaptive_integral(build_cell_grid(pts), p, 1e-12)
             for tol in (1e-3, 1e-6):
-                halves.clear()
                 got, _, err, _ = lp_adaptive_integral(build_cell_grid(pts), p, tol)
                 assert abs(got - want) <= err + err_tight, (pts.dim, p, tol, got, want, err)
-    assert levels == climbed == {(0, True), (1, False), (2, False)}
+    assert reached == {(level, half) for level in range(_MAX_LEVEL + 1) for half in (False, True)}
 
 
 def test_piece_budget_is_a_hard_bound(monkeypatch):
@@ -110,21 +104,28 @@ SUP_SETS = [generate_uniform(8, 3, seed=2), generate_uniform(6, 4, seed=1),
             generate_halton(16, 2)]
 
 
-def test_sup_bound_holds_on_every_first_pass_piece():
-    # a piece's bound, its mass times the larger of its two end sums,
-    # against its integral by composite 40-point Gauss-Legendre cut at
-    # every kink of its cells, on every first-pass piece: 1,393 pieces,
-    # 378 of them with kinks, whose kink sub-pieces' ends the bound needs
+def test_sup_bound_holds_on_every_first_pass_piece(monkeypatch):
+    # a piece's bound, its mass times the larger of its two end sums, as
+    # a compute makes it, against its integral by composite 40-point
+    # Gauss-Legendre cut at every kink of its cells, on every first-pass
+    # piece: 1,393 pieces, 378 of them with kinks, whose kink sub-pieces'
+    # ends the bound needs
     x, w = np.polynomial.legendre.leggauss(40)
-    kinked = 0
+    kinked, total, made = 0, 0, []
+    sup_bound = integrate._sup_bound
+    # the engine gets a copy, as it zeroes a bisected piece's bound
+    monkeypatch.setattr(integrate, "_sup_bound",
+                        lambda *a: made.append(sup_bound(*a)) or made[-1].copy())
     for pts in SUP_SETS:
-        plan = integrate._Plan(build_cell_grid(pts))
+        grid = build_cell_grid(pts)
+        lp_adaptive_integral(grid, 2.0, 1e-3)
+        plan = grid.memo["plan"]
         a_cols, t_lo, t_hi, corners, scale = plan.stack
         col, lo, hi = plan.pieces
         with np.errstate(divide="ignore", invalid="ignore"):
             kinks = np.concatenate([a_cols[col] / t_hi, a_cols[col] / t_lo], axis=1)
         inside = (kinks > lo[:, None]) & (kinks < hi[:, None])
-        kinked += int(inside.any(axis=1).sum())
+        kinked, total = kinked + int(inside.any(axis=1).sum()), total + col.size
         # the intervals [a, b] of each piece between its ends and kinks
         cuts = [np.unique(np.concatenate([[lo[i], hi[i]], kinks[i, inside[i]]]))
                 for i in range(col.size)]
@@ -136,9 +137,12 @@ def test_sup_bound_holds_on_every_first_pass_piece():
         for p in (1.0, 2.5, 20.0, 150.0):
             f = _inner_stack(s, a_cols[col[piece]], t_lo, t_hi, p, scale)
             want = np.bincount(piece, (f * weight).sum(axis=1), minlength=col.size)
-            bound = integrate._new_pieces(col, lo, hi, plan.stack, p, plan)[1]
+            # the first bounds of a compute are its first-pass pieces'
+            made.clear()
+            lp_adaptive_integral(grid, p, 1e-3)
+            bound = made[0]
             assert (want <= bound).all(), (pts.dim, p, np.max(want / bound))
-    assert kinked == 378
+    assert (total, kinked) == (1393, 378)
 
 
 def _inner_stack_masked(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
@@ -298,16 +302,16 @@ def _ladder_matches_fresh_grids(pts):
 
 @pytest.mark.parametrize("name", PLAN_SETS)
 def test_plan_reuse_is_bit_identical(name, monkeypatch):
-    # whether the ladder meets bisections, whose halves are made without
-    # the grid's plan
+    # whether the ladder meets bisections, whose halves the plan does not
+    # hold, so that it hands them a fresh pass
     made = []
-    new_pieces = integrate._new_pieces
+    blocks = integrate._Plan.blocks
 
-    def spy(col, lo, hi, stack, p, plan=None):
-        made.append(plan is None)
-        return new_pieces(col, lo, hi, stack, p, plan)
+    def spy(plan, level, pieces, asked=None):
+        made.append(asked is not None and asked[-1] >= plan.pieces[0].size)
+        return blocks(plan, level, pieces, asked)
 
-    monkeypatch.setattr(integrate, "_new_pieces", spy)
+    monkeypatch.setattr(integrate._Plan, "blocks", spy)
     pts = PLAN_SETS[name]
     shared = _ladder_matches_fresh_grids(pts)
     # a level's work is kept once the pieces asked of it, over all

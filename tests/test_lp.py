@@ -211,9 +211,9 @@ def test_luxemburg_ladder_reaches_top_level(monkeypatch):
     levels = set()
     eval_pieces = integrate._eval_pieces
 
-    def spy(col, lo, hi, stack, p, level, *args):
+    def spy(blocks, n, p, level, scale):
         levels.add(level)
-        return eval_pieces(col, lo, hi, stack, p, level, *args)
+        return eval_pieces(blocks, n, p, level, scale)
 
     monkeypatch.setattr(integrate, "_eval_pieces", spy)
     grid = build_cell_grid(generate_halton(64, 2))
