@@ -1,9 +1,11 @@
 """Explicit constants, inequalities, and tractability bounds.
 
 Every check returns a ``BoundReport`` so the CLI can emit JSON lines and
-the tests can assert ``holds``.  Factorial-sized quantities are compared
-in log domain; statistical checks take fixed seeds so they stay
-deterministic in CI even though the underlying claim is probabilistic.
+the tests can assert ``holds``; ``SUITES`` holds every ``verify`` suite
+and ``sweep_bound`` the bound column of a sweep.  Factorial-sized
+quantities are compared in log domain; statistical checks take fixed
+seeds so they stay deterministic in CI even though the underlying claim
+is probabilistic.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ class BoundReport:
 
 def stirling_check(p: int) -> BoundReport:
     """sqrt(2 pi p)(p/e)^p <= p! <= same * e^(1/(12p)), in log domain."""
-    if p not in range(1, 171):
+    if isinstance(p, bool) or p not in range(1, 171):
         raise ValueError("p must be an integer in [1, 170]")
     log_lo = 0.5 * math.log(2.0 * math.pi * p) + p * (math.log(p) - 1.0)
     log_hi = log_lo + 1.0 / (12.0 * p)
@@ -330,7 +332,7 @@ def hnww_empirical_check(d: int, n: int, k_trials: int, seed: int) -> BoundRepor
         lds.append(lp_discrepancy(pts, float(d), rel_tol=1e-7).value)
     min_star = min(stars)
     mean_ld = sum(lds) / len(lds)
-    star_bound = 10.0 * math.sqrt(d / n)
+    star_bound = sweep_bound(NormSpec("star"), d, n)
     ld_bound = 2.0 ** 1.25 * 3.0 ** -0.75 / math.sqrt(n)
     holds = min_star <= star_bound and mean_ld <= ld_bound
     return BoundReport(
@@ -343,6 +345,18 @@ def hnww_empirical_check(d: int, n: int, k_trials: int, seed: int) -> BoundRepor
                 "min_star": min_star, "mean_ld": mean_ld, "ld_bound": ld_bound},
         note="statistical check, fixed seed",
     )
+
+
+def sweep_bound(spec: NormSpec, d: int, n: int) -> float | int | None:
+    """The bound a sweep prints beside its (d, N) row, or None for none:
+    10 sqrt(d/N) on the random-set star discrepancy, and Theorem 2's N
+    at eps = 0.5 for the exponential psi_alpha."""
+    if spec.kind == "star":
+        return 10.0 * math.sqrt(d / n)
+    if spec.kind == "psi-alpha" and spec.weight is None:
+        # Theorem 2 is for the exponential psi_alpha only
+        return theorem2_n_bound(spec.alpha, 0.5, d)
+    return None
 
 
 def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
@@ -358,6 +372,8 @@ def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    if k_trials < 0:
+        raise ValueError("k_trials must be >= 0")
     if d > 16 and k_trials < 1:
         raise ValueError("no candidate sets: d > 16 has no Halton set, so k_trials must be >= 1")
     spec = NormSpec.from_json(norm)
@@ -389,3 +405,98 @@ def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
         else:
             lo = mid
     return hi
+
+
+def _construction_reports() -> list[BoundReport]:
+    base = construction_constants_check(12.75)
+    a_sq = 16.0 * 12.75 ** 2
+    exact = BoundReport(
+        name="construction_a_value",
+        lhs=a_sq,
+        rhs=2601.0,
+        holds=a_sq == 2601.0,
+        margin=0.0,
+        params={"a": 12.75},
+        note="16 a^2 must equal 2601 exactly",
+    )
+    return [base, exact, construction_constants_check(100.0)]
+
+
+def _theorem2_reports() -> list[BoundReport]:
+    reports = []
+    c_lim = theorem2_constant(1e6)
+    rel = abs(c_lim - 2601.0) / 2601.0
+    reports.append(BoundReport(
+        name="theorem2_constant_limit", lhs=rel, rhs=1e-3, holds=rel <= 1e-3,
+        margin=1e-3 - rel, params={"alpha": 1e6, "value": c_lim},
+        note="relative deviation from the large-alpha limit 2601",
+    ))
+    nb = theorem2_n_bound(2.0, 0.5, 1)
+    reports.append(BoundReport(
+        name="theorem2_n_bound_value", lhs=float(nb), rhs=14456.0,
+        holds=nb == 14456, margin=0.0,
+        params={"alpha": 2.0, "eps": 0.5, "d": 1},
+        note="frozen reference value",
+    ))
+    b_loose = theorem2_n_bound(2.0, 0.9, 3)
+    b_tight = theorem2_n_bound(2.0, 0.1, 3)
+    reports.append(BoundReport(
+        name="theorem2_eps_monotone", lhs=float(b_loose), rhs=float(b_tight),
+        holds=b_loose < b_tight, margin=float(b_tight - b_loose),
+        params={"alpha": 2.0, "d": 3},
+    ))
+    for alpha in (1.0, 2.0):
+        seq = [theorem2_n_bound(alpha, 0.5, d) for d in range(1, 11)]
+        ok = all(b <= c for b, c in zip(seq, seq[1:]))
+        reports.append(BoundReport(
+            name="theorem2_d_monotone", lhs=float(seq[0]), rhs=float(seq[-1]),
+            holds=ok, margin=float(seq[-1] - seq[0]), params={"alpha": alpha},
+        ))
+    return reports
+
+
+def _initial_reports() -> list[BoundReport]:
+    reports = []
+    w = WeightFn.power(1.0, 1.0)
+    for d in range(1, 9):
+        val = phi_norm(empty_pointset(d), w).value
+        lb = initial_phi_lower(d, w)
+        reports.append(BoundReport(
+            name="initial_phi_lower", lhs=lb, rhs=val, holds=val >= lb,
+            margin=val - lb, params={"d": d, "weight": w.to_json()},
+        ))
+    for d in (2, 5, 10, 20):
+        for alpha in (1.0, 2.0):
+            val = alpha_norm(empty_pointset(d), alpha).value
+            lb = initial_alpha_lower(d, alpha)
+            reports.append(BoundReport(
+                name="initial_alpha_lower", lhs=lb, rhs=val, holds=val >= lb,
+                margin=val - lb, params={"d": d, "alpha": alpha},
+            ))
+    return reports
+
+
+def _lemma1_reports(seed: int) -> list[BoundReport]:
+    reports = []
+    for i, (n, d) in enumerate([(8, 1), (16, 1), (8, 2), (16, 2)]):
+        pts = generate_uniform(n, d, seed + i)
+        cache = LpCache(pts)
+        for alpha in (1.0, 2.0):
+            reports.append(lemma1_sandwich_check(pts, alpha, cache=cache))
+        reports.append(lemma1_sandwich_check(
+            pts, 2.0, phi=WeightFn.power(1.0, 0.5), cache=cache))
+    return reports
+
+
+# Every ``discnorm verify`` suite by name: a callable from the seed to its
+# reports.  Only lemma1 and hnww draw random sets from the seed.
+SUITES = {
+    "stirling": lambda seed: [stirling_check(p) for p in range(1, 171)],
+    "lemma1": _lemma1_reports,
+    "initial": lambda seed: _initial_reports(),
+    "theorem2": lambda seed: _theorem2_reports(),
+    "minconst": lambda seed: [min_const_check()],
+    "construction": lambda seed: _construction_reports(),
+    "hnww": lambda seed: [hnww_empirical_check(1, 16, 32, seed),
+                          hnww_empirical_check(2, 64, 32, seed)],
+}

@@ -15,30 +15,10 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .bounds import (
-    _NORM_FIELDS,
-    BoundReport,
-    NormSpec,
-    construction_constants_check,
-    hnww_empirical_check,
-    initial_alpha_lower,
-    initial_phi_lower,
-    lemma1_sandwich_check,
-    min_const_check,
-    stirling_check,
-    theorem2_constant,
-    theorem2_n_bound,
-)
+from .bounds import _NORM_FIELDS, SUITES, NormSpec, sweep_bound
 from .integrate import NumericalError
-from .lp import LpCache
-from .orlicz import WeightFn, alpha_norm, phi_norm
-from .pointset import (
-    empty_pointset,
-    generate_halton,
-    generate_uniform,
-    load_pointset,
-    save_pointset,
-)
+from .orlicz import WeightFn
+from .pointset import generate_halton, generate_uniform, load_pointset, save_pointset
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,115 +66,8 @@ def cmd_disc(args) -> int:
     return 0
 
 
-def _suite_stirling(seed: int) -> list[BoundReport]:
-    return [stirling_check(p) for p in range(1, 171)]
-
-
-def _suite_minconst(seed: int) -> list[BoundReport]:
-    return [min_const_check()]
-
-
-def _suite_construction(seed: int) -> list[BoundReport]:
-    base = construction_constants_check(12.75)
-    a_sq = 16.0 * 12.75 ** 2
-    exact = BoundReport(
-        name="construction_a_value",
-        lhs=a_sq,
-        rhs=2601.0,
-        holds=a_sq == 2601.0,
-        margin=0.0,
-        params={"a": 12.75},
-        note="16 a^2 must equal 2601 exactly",
-    )
-    return [base, exact, construction_constants_check(100.0)]
-
-
-def _suite_theorem2(seed: int) -> list[BoundReport]:
-    reports = []
-    c_lim = theorem2_constant(1e6)
-    rel = abs(c_lim - 2601.0) / 2601.0
-    reports.append(BoundReport(
-        name="theorem2_constant_limit", lhs=rel, rhs=1e-3, holds=rel <= 1e-3,
-        margin=1e-3 - rel, params={"alpha": 1e6, "value": c_lim},
-        note="relative deviation from the large-alpha limit 2601",
-    ))
-    nb = theorem2_n_bound(2.0, 0.5, 1)
-    reports.append(BoundReport(
-        name="theorem2_n_bound_value", lhs=float(nb), rhs=14456.0,
-        holds=nb == 14456, margin=0.0,
-        params={"alpha": 2.0, "eps": 0.5, "d": 1},
-        note="frozen reference value",
-    ))
-    b_loose = theorem2_n_bound(2.0, 0.9, 3)
-    b_tight = theorem2_n_bound(2.0, 0.1, 3)
-    reports.append(BoundReport(
-        name="theorem2_eps_monotone", lhs=float(b_loose), rhs=float(b_tight),
-        holds=b_loose < b_tight, margin=float(b_tight - b_loose),
-        params={"alpha": 2.0, "d": 3},
-    ))
-    for alpha in (1.0, 2.0):
-        seq = [theorem2_n_bound(alpha, 0.5, d) for d in range(1, 11)]
-        ok = all(b <= c for b, c in zip(seq, seq[1:]))
-        reports.append(BoundReport(
-            name="theorem2_d_monotone", lhs=float(seq[0]), rhs=float(seq[-1]),
-            holds=ok, margin=float(seq[-1] - seq[0]), params={"alpha": alpha},
-        ))
-    return reports
-
-
-def _suite_initial(seed: int) -> list[BoundReport]:
-    reports = []
-    w = WeightFn.power(1.0, 1.0)
-    for d in range(1, 9):
-        val = phi_norm(empty_pointset(d), w).value
-        lb = initial_phi_lower(d, w)
-        reports.append(BoundReport(
-            name="initial_phi_lower", lhs=lb, rhs=val, holds=val >= lb,
-            margin=val - lb, params={"d": d, "weight": w.to_json()},
-        ))
-    for d in (2, 5, 10, 20):
-        for alpha in (1.0, 2.0):
-            val = alpha_norm(empty_pointset(d), alpha).value
-            lb = initial_alpha_lower(d, alpha)
-            reports.append(BoundReport(
-                name="initial_alpha_lower", lhs=lb, rhs=val, holds=val >= lb,
-                margin=val - lb, params={"d": d, "alpha": alpha},
-            ))
-    return reports
-
-
-def _suite_lemma1(seed: int) -> list[BoundReport]:
-    reports = []
-    for i, (n, d) in enumerate([(8, 1), (16, 1), (8, 2), (16, 2)]):
-        pts = generate_uniform(n, d, seed + i)
-        cache = LpCache(pts)
-        for alpha in (1.0, 2.0):
-            reports.append(lemma1_sandwich_check(pts, alpha, cache=cache))
-        reports.append(lemma1_sandwich_check(
-            pts, 2.0, phi=WeightFn.power(1.0, 0.5), cache=cache))
-    return reports
-
-
-def _suite_hnww(seed: int) -> list[BoundReport]:
-    return [
-        hnww_empirical_check(1, 16, 32, seed),
-        hnww_empirical_check(2, 64, 32, seed),
-    ]
-
-
-_SUITES = {
-    "stirling": _suite_stirling,
-    "lemma1": _suite_lemma1,
-    "initial": _suite_initial,
-    "theorem2": _suite_theorem2,
-    "minconst": _suite_minconst,
-    "construction": _suite_construction,
-    "hnww": _suite_hnww,
-}
-
-
 def cmd_verify(args) -> int:
-    reports = _SUITES[args.suite](args.seed)
+    reports = SUITES[args.suite](args.seed)
     for rep in reports:
         print(json.dumps(rep.to_json()))
     return 0 if all(r.holds for r in reports) else 3
@@ -236,14 +109,9 @@ def cmd_sweep(args) -> int:
                 pts = generate_uniform(n, d, args.seed + 7919 * n + 97 * d + t)
                 best = min(best, spec.compute(pts).value)
             ratio = best / initial
-            if spec.kind == "star":
-                bound = repr(10.0 * math.sqrt(d / n))
-            elif spec.kind == "psi-alpha" and spec.weight is None:
-                # Theorem 2 is for the exponential psi_alpha only
-                bound = repr(theorem2_n_bound(spec.alpha, 0.5, d))
-            else:
-                bound = ""
-            lines.append(f"{d},{n},{best!r},{initial!r},{ratio!r},{bound}")
+            bound = sweep_bound(spec, d, n)
+            cell = "" if bound is None else repr(bound)
+            lines.append(f"{d},{n},{best!r},{initial!r},{ratio!r},{cell}")
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -278,7 +146,7 @@ def build_parser() -> _Parser:
     c.set_defaults(func=cmd_disc)
 
     v = sub.add_parser("verify", help="run a bound-verification suite")
-    v.add_argument("--suite", required=True, choices=sorted(_SUITES))
+    v.add_argument("--suite", required=True, choices=sorted(SUITES))
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
 

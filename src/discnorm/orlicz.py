@@ -281,11 +281,13 @@ def _luxemburg_root(modular, hi: float, rel_tol: float):
 
 def _lp_reader(points: PointSet, cache: LpCache | None, rel_tol: float):
     """The opening of an Orlicz norm: the checked ``rel_tol``, a p -> L_p
-    value function on ``cache`` (by default one at ``rel_tol``), the
-    results it has read, and sup|f| for its tail bounds."""
+    value function on ``cache`` (by default one at ``rel_tol``; never one on
+    other points), the results it has read, and sup|f| for its tail bounds."""
     rel_tol = check_rel_tol(rel_tol)
     if cache is None:
         cache = LpCache(points, rel_tol)
+    elif cache.points is not points and not np.array_equal(cache.points.coords, points.coords):
+        raise ValueError("the cache was built on another point set")
     read: dict[float, NormResult] = {}
 
     def lp_at(p):

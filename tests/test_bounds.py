@@ -25,7 +25,7 @@ from discnorm.bounds import (
 )
 from discnorm.lp import LpCache, NormResult, initial_lp
 from discnorm.orlicz import OrliczSpec, WeightFn, alpha_norm, phi_norm
-from discnorm.pointset import empty_pointset, generate_uniform
+from discnorm.pointset import PointSet, empty_pointset, generate_uniform
 
 
 def test_stirling_holds_everywhere_in_domain():
@@ -84,6 +84,8 @@ _REJECTED = {theorem2_constant: "alpha must be a finite number >= 1",
     (theorem2_n_bound, (math.inf, 0.5, 3)),
     (initial_alpha_lower, (3, math.nan)),
     (stirling_check, (2.5,)),
+    # a bool is no integer p, though True lies in range(1, 171)
+    (stirling_check, (True,)),
     # d is checked before phi is read at d
     (nbound1, (0.5, 0, WeightFn.power(1.0, 1.0))),
     (construction_constants_check, (math.nan,)),
@@ -96,6 +98,14 @@ _REJECTED = {theorem2_constant: "alpha must be a finite number >= 1",
 def test_bound_helpers_reject_nan_infinite_alpha_and_fractional_p(fn, args):
     with pytest.raises(ValueError, match=_REJECTED[fn]):
         fn(*args)
+
+
+def test_inverse_discrepancy_rejects_negative_trials_at_every_d():
+    for d in (2, 17):
+        with pytest.raises(ValueError, match="k_trials must be >= 0"):
+            empirical_inverse_discrepancy({"norm": "star"}, 0.5, d, k_trials=-5)
+    # at d <= 16 the Halton set alone is a candidate
+    assert empirical_inverse_discrepancy({"norm": "star"}, 0.5, 2, k_trials=0) == 3
 
 
 def test_initial_alpha_lower_infinite_alpha_is_the_limit():
@@ -230,6 +240,19 @@ def test_lemma1_sandwich_rejects_bounded_weight_before_any_norm(monkeypatch):
     w = WeightFn.tabulated(((1.0, 1.0), (10.0, 3.0)))
     with pytest.raises(ValueError, match="unbounded weight"):
         lemma1_sandwich_check(generate_uniform(8, 2, seed=0), 2.0, phi=w)
+
+
+def test_lemma1_sandwich_rejects_a_cache_of_another_point_set():
+    pts = generate_uniform(8, 2, seed=1)
+    for other in (generate_uniform(16, 2, seed=2), generate_uniform(8, 2, seed=2)):
+        cache = LpCache(other)
+        for phi in (None, WeightFn.power(1.0, 0.5)):
+            with pytest.raises(ValueError, match="another point set"):
+                lemma1_sandwich_check(pts, 2.0, phi=phi, cache=cache)
+        assert cache._grid is None and not cache._values  # no L_p work was done
+    # the same object or an equal copy reads the cache
+    want = lemma1_sandwich_check(pts, 2.0, cache=LpCache(pts))
+    assert lemma1_sandwich_check(PointSet(pts.coords), 2.0, cache=LpCache(pts)) == want
 
 
 def test_lemma1_sandwich_empty_set():

@@ -284,10 +284,22 @@ def test_verify_failing_suite_exits_three(capsys, monkeypatch):
     def fake(seed):
         return [BoundReport(name="fake", lhs=1.0, rhs=0.0, holds=False, margin=-1.0)]
 
-    monkeypatch.setitem(cli._SUITES, "minconst", fake)
+    monkeypatch.setitem(bounds.SUITES, "minconst", fake)
     code, out, _ = run_cli(["verify", "--suite", "minconst"], capsys)
     assert code == 3
     assert json.loads(out.splitlines()[0])["holds"] is False
+
+
+@pytest.mark.parametrize("cmd", ["gen-uniform", "gen-halton", "verify-theorem2", "verify-initial",
+                                 "verify-lemma1", "verify-hnww", "sweep-star"])
+def test_stdout_matches_the_benchmark_golden(cmd, tmp_path, monkeypatch):
+    # the benchmark's frozen outputs, checked in process by its own rule:
+    # exit code, every verdict, and stdout word for word, numbers to its tolerance
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    res = workloads.run_cli_inprocess(workloads.cli_argv(cmd, tmp_path))
+    assert workloads.cli_failure(cmd, res, workloads.load_refs("cli")[cmd]) is None
 
 
 def test_sweep_schema_and_determinism(capsys, tmp_path):

@@ -24,6 +24,13 @@ from oracles import luxemburg_norm_piecewise, modular_by_quadrature, young_eval
 # discrepancy |f(t)| = t on [0, 1] under psi_1; frozen from brentq.
 EMPTY_D1_ALPHA1 = 0.7959050946318331
 
+# Each Orlicz norm of a point set, read through a given cache.
+CACHED_NORMS = {
+    "luxemburg": lambda pts, cache: luxemburg_norm(pts, OrliczSpec(2.0), cache=cache),
+    "phi": lambda pts, cache: phi_norm(pts, WeightFn.power(1.0, 0.5), cache=cache),
+    "alpha": lambda pts, cache: alpha_norm(pts, 2.0, cache=cache),
+}
+
 # One weight of each kind.
 ALL_KINDS = [
     WeightFn.factorial(2.0),
@@ -376,3 +383,17 @@ class TestPhiNorm:
         for alpha in (0.5, math.inf):
             with pytest.raises(ValueError):
                 alpha_norm(generate_uniform(4, 1, seed=0), alpha)
+
+
+@pytest.mark.parametrize("norm", sorted(CACHED_NORMS))
+def test_cache_of_another_point_set_is_rejected_before_any_lp_work(norm):
+    call = CACHED_NORMS[norm]
+    pts = generate_uniform(8, 2, seed=1)
+    for other in (generate_uniform(16, 2, seed=2), generate_uniform(8, 2, seed=2)):
+        cache = LpCache(other)
+        with pytest.raises(ValueError, match="another point set"):
+            call(pts, cache)
+        assert cache._grid is None and not cache._values
+    # the same object or an equal copy reads the cache
+    want = call(pts, LpCache(pts))
+    assert call(PointSet(pts.coords), LpCache(pts)) == want
