@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .integrate import NumericalError
-from .lp import LpCache, NormResult, check_p, lp_discrepancy
+from .lp import LpCache, NormResult, check_int, check_p, lp_discrepancy
 from .orlicz import (
     OrliczSpec,
     WeightFn,
@@ -36,6 +36,8 @@ C_PT_DEFAULT = 2.5287
 MIN_CONST_D_MAX = 1_000_000
 # Integer ceiling returned when a bound formula overflows doubles.
 NBOUND_SATURATION = 10 ** 308
+# Largest N that ``empirical_inverse_discrepancy`` doubles to.
+INVERSE_N_CAP = 4096
 
 # e^(11/12) / sqrt(2*pi), the base of the lower sandwich constant.
 SANDWICH_LOWER_BASE = math.exp(11.0 / 12.0) / math.sqrt(2.0 * math.pi)
@@ -131,6 +133,7 @@ def stirling_check(p: int) -> BoundReport:
     """sqrt(2 pi p)(p/e)^p <= p! <= same * e^(1/(12p)), in log domain."""
     if isinstance(p, bool) or p not in range(1, 171):
         raise ValueError("p must be an integer in [1, 170]")
+    p = check_int(p, "p")
     log_lo = 0.5 * math.log(2.0 * math.pi * p) + p * (math.log(p) - 1.0)
     log_hi = log_lo + 1.0 / (12.0 * p)
     log_fact = math.lgamma(p + 1.0)
@@ -161,7 +164,7 @@ def _n_bound(eps: float, d: int, over_eps2) -> int:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if d < 1:
+    if check_int(d, "d") < 1:
         raise ValueError("d must be >= 1")
     eps2 = eps * eps
     if eps2 == 0.0:
@@ -201,14 +204,14 @@ def nbound1(eps: float, d: int, phi: WeightFn) -> int:
 
 def initial_phi_lower(d: int, phi: WeightFn) -> float:
     """1 / ((d+1) phi(d)): lower bound for the empty-set phi norm."""
-    if d < 1:
+    if check_int(d, "d") < 1:
         raise ValueError("d must be >= 1")
     return 1.0 / ((d + 1.0) * phi.phi(float(d)))
 
 
 def initial_alpha_lower(d: int, alpha: float) -> float:
     """1 / (4 (d log(d+1))^(1/alpha)): empty-set alpha-norm lower bound."""
-    if d < 2:
+    if check_int(d, "d") < 2:
         raise ValueError("d must be >= 2 so the attaining p stays >= 1")
     if not alpha >= 1.0:
         raise ValueError("alpha must be >= 1")
@@ -324,12 +327,11 @@ def hnww_empirical_check(d: int, n: int, k_trials: int, seed: int) -> BoundRepor
         raise ValueError("empirical check is desk-scale: d <= 3, n <= 128")
     if n < 1 or k_trials < 1:
         raise ValueError("n and k_trials must be >= 1")
-    stars = []
-    lds = []
+    stars, lds = [], []
     for i in range(k_trials):
-        pts = generate_uniform(n, d, seed + i)
-        stars.append(star_discrepancy_exact(pts))
-        lds.append(lp_discrepancy(pts, float(d), rel_tol=1e-7).value)
+        cache = LpCache(generate_uniform(n, d, seed + i), 1e-7)
+        stars.append(cache.grid.sup_abs)
+        lds.append(cache.norm(float(d)).value)
     min_star = min(stars)
     mean_ld = sum(lds) / len(lds)
     star_bound = sweep_bound(NormSpec("star"), d, n)
@@ -360,8 +362,7 @@ def sweep_bound(spec: NormSpec, d: int, n: int) -> float | int | None:
 
 
 def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
-                                  k_trials: int = 16, seed: int = 0,
-                                  n_cap: int = 4096) -> int:
+                                  k_trials: int = 16, seed: int = 0) -> int:
     """Smallest N (doubling then bisection) whose best-of-k candidate set
     reaches eps times the initial discrepancy.
 
@@ -391,12 +392,9 @@ def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
     n = 1
     while best_disc(n) > threshold:
         n *= 2
-        if n > n_cap:
+        if n > INVERSE_N_CAP:
             raise NumericalError(
-                f"inverse-discrepancy search exceeded the cap n = {n_cap}"
-            )
-    if n == 1:
-        return 1
+                f"inverse-discrepancy search exceeded the cap n = {INVERSE_N_CAP}")
     lo, hi = n // 2, n
     while lo + 1 < hi:
         mid = (lo + hi) // 2

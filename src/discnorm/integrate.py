@@ -128,18 +128,16 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
     return big, lg, cross, flat
 
 
-def _stack_apply(q, cells, p, scale, row=None):
+def _stack_apply(q, cells, p, scale, row):
     """The runs' integrals (U, S) from their ``_stack_prep`` ``cells`` at
-    nodes ``q`` (U, S), or with ``row`` at nodes ``q[row]``; it overwrites
-    those of the cells' arrays that are writable."""
+    nodes ``q[row]``, run i on row row[i] of ``q``; it overwrites those of
+    the cells' arrays that are writable."""
     big, lg, cross, flat = cells
     q1 = p + 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         # capped so that inf * 0 cannot make a NaN: when q * q1 underflows,
         # an element that is not thin has |v| below 1e-296, whose powers are 0
-        inv = np.minimum(scale / (q * q1), _DBL_MAX)
-        if row is not None:
-            inv = inv[row]
+        inv = np.minimum(scale / (q * q1), _DBL_MAX)[row]
         # the common case: the run sits entirely on one side of the zero
         # crossing, so the power antiderivative nearly cancels between the
         # endpoints and goes through log1p/expm1 for accuracy.  It runs on
@@ -464,7 +462,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         # each cell a run of one node at q = 1
         a, lo, hi = (v[:, None] for v in (grid.count_fractions(), grid.cell_lo(0), grid.cell_hi(0)))
         q = np.ones_like(a)
-        f = _stack_apply(q, _stack_prep(q, a, lo, hi, scale), p, scale)
+        f = _stack_apply(q, _stack_prep(q, a, lo, hi, scale), p, scale, np.arange(a.size))
         diag.update(engine="exact-1d", boxes=1, elements=a.size)
         return float(f.sum()), scale, 0.0, diag
 

@@ -46,7 +46,7 @@ def check_rel_tol(rel_tol: float) -> float:
     A zero, negative or NaN tolerance would keep the adaptive refinement
     running until its budget, or end it at once with a meaningless error.
     """
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+    if isinstance(rel_tol, bool) or not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be a finite number > 0, got {rel_tol!r}")
     return max(rel_tol, REL_TOL_FLOOR)
 
@@ -54,15 +54,23 @@ def check_rel_tol(rel_tol: float) -> float:
 def check_p(p: float, name: str = "p") -> float:
     """``p`` itself if it is a finite number >= 1, else a ValueError that
     calls it ``name``."""
-    if not (math.isfinite(p) and p >= 1.0):
+    if isinstance(p, bool) or not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"{name} must be a finite number >= 1, got {p!r}")
     return p
+
+
+def check_int(n, name: str) -> int:
+    """``n`` as a Python int if it is an integer, else a ValueError that
+    calls it ``name``.  A bool is none, nor is a float of integer value."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    return int(n)
 
 
 def initial_lp(p: float, dim: int) -> float:
     """L_p norm of the discrepancy of the empty point set: (p+1)^(-d/p)."""
     check_p(p)
-    if dim < 1:
+    if check_int(dim, "dim") < 1:
         raise ValueError("dim must be >= 1")
     return math.exp(-dim / p * math.log(p + 1.0))
 
@@ -109,31 +117,26 @@ class LpCache:
             self._grid = build_cell_grid(self.points)
         return self._grid
 
-    @property
-    def sup_abs(self) -> float:
-        """sup over the cube of |local discrepancy| (exact)."""
-        return self.grid.sup_abs
-
     def norm(self, p: float, rel_tol: float | None = None) -> NormResult:
         """The L_p norm at ``p``, computed to ``rel_tol`` (default: the
-        cache's own) unless a value at least that tight is stored."""
+        cache's own) unless a value at least that tight is stored; its error
+        is at least four rounding units of its value, as every route rounds."""
         check_p(p)
         tol = self.rel_tol if rel_tol is None else check_rel_tol(rel_tol)
         key = float(p)
         hit = self._values.get(key)
         if hit is not None and hit.diagnostics.get("rel_tol", 1.0) <= tol:
             return hit
-        res = self._values[key] = self._compute(p, tol)
+        res = self._compute(p, tol)
+        res = self._values[key] = NormResult(
+            res.value, max(res.abs_error_estimate, 4 * 2.0 ** -52 * res.value), res.diagnostics)
         return res
 
     def _compute(self, p: float, rel_tol: float) -> NormResult:
         if self.points.n_points == 0:
             # |disc| = prod t, so the integral of the p-th power is (p+1)^(-d)
-            return NormResult(
-                value=initial_lp(p, self.points.dim),
-                abs_error_estimate=0.0,
-                diagnostics={"engine": "empty-exact", "rel_tol": 0.0},
-            )
+            return NormResult(initial_lp(p, self.points.dim), 0.0,
+                              {"engine": "empty-exact", "rel_tol": 0.0})
         pi = int(round(p))
         if pi == p and pi % 2 == 0 and 2 <= pi <= MOMENT_P_MAX:
             integral, amp = lp_moment_integral(self.grid, pi)

@@ -12,7 +12,7 @@ search entirely: each new series term is one cached L_p computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -280,10 +280,9 @@ def _luxemburg_root(modular, hi: float, rel_tol: float):
 
 
 def _lp_reader(points: PointSet, cache: LpCache | None, rel_tol: float):
-    """The opening of an Orlicz norm: the checked ``rel_tol``, a p -> L_p
-    value function on ``cache`` (by default one at ``rel_tol``; never one on
-    other points), the results it has read, and sup|f| for its tail bounds."""
-    rel_tol = check_rel_tol(rel_tol)
+    """The opening of an Orlicz norm: ``cache`` (by default one at
+    ``rel_tol``; never one on other points), a p -> L_p value function on
+    it, and the results that function has read."""
     if cache is None:
         cache = LpCache(points, rel_tol)
     elif cache.points is not points and not np.array_equal(cache.points.coords, points.coords):
@@ -294,7 +293,7 @@ def _lp_reader(points: PointSet, cache: LpCache | None, rel_tol: float):
         res = read[float(p)] = cache.norm(p)
         return res.value
 
-    return rel_tol, cache, lp_at, read, cache.sup_abs
+    return cache, lp_at, read
 
 
 def _lp_summary(read: dict) -> dict:
@@ -321,7 +320,9 @@ def luxemburg_norm(points: PointSet, spec: OrliczSpec, rel_tol: float = 1e-8,
     error is half the final bracket plus ``value * cache.rel_tol``.
     Without a ``cache`` the L_p values are computed at ``rel_tol``.
     """
-    rel_tol, cache, lp_at, read, sup = _lp_reader(points, cache, rel_tol)
+    rel_tol = check_rel_tol(rel_tol)
+    cache, lp_at, read = _lp_reader(points, cache, rel_tol)
+    sup = cache.grid.sup_abs
     x1 = (math.log(2.0) ** (1.0 / spec.alpha) if spec.weight is None
           else spec.weight.phi(spec.alpha))
     if not sup / x1 > 0.0:
@@ -349,10 +350,10 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
     lies on one lattice, so calls sharing a ``cache`` reuse them.  If phi
     grows too slowly to close the tail by p = 4096, the gap is reported
     in the error estimate rather than hidden.  Without a ``cache`` the
-    L_p values are computed at ``rel_tol``; the reported error is never
-    below 1e-3 of the value.
+    L_p values are computed at ``rel_tol``; their share of the error is
+    ``cache.rel_tol`` of the value, never below 1e-3.
     """
-    rel_tol, _, lp_at, read, sup = _lp_reader(points, cache, rel_tol)
+    cache, lp_at, read = _lp_reader(points, cache, check_rel_tol(rel_tol))
 
     def g(x):
         p = 2.0 ** x
@@ -363,7 +364,7 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
         v = g(x_last)
         if v > best:
             best, x_star = v, float(x_last)
-        tail = sup / weight.min_phi_from(2.0 ** x_last)
+        tail = cache.grid.sup_abs / weight.min_phi_from(2.0 ** x_last)
         tail_closed = tail <= best
         if tail_closed:
             break
@@ -376,7 +377,7 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
                     best, x_star = v, x
 
     tail_margin = max(0.0, tail - best)
-    err = best * max(rel_tol, 1e-3) + tail_margin
+    err = best * max(cache.rel_tol, 1e-3) + tail_margin
     if not (math.isfinite(best) and math.isfinite(err)):
         raise NumericalError(f"the ratio L_p / phi(p) or its error is beyond a double "
                              f"(best {best!r} at p = {2.0 ** x_star:g})")
@@ -395,6 +396,4 @@ def alpha_norm(points: PointSet, alpha: float, rel_tol: float = 1e-6,
     check_p(alpha, "alpha")
     res = phi_norm(points, WeightFn.power(1.0, 1.0 / alpha),
                    rel_tol=rel_tol, cache=cache)
-    diag = dict(res.diagnostics)
-    diag["alpha"] = alpha
-    return NormResult(res.value, res.abs_error_estimate, diag)
+    return replace(res, diagnostics={**res.diagnostics, "alpha": alpha})

@@ -334,7 +334,8 @@ def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
     (b, s), m = q.shape, a_cnt.shape[1]
     lo, hi = (np.tile(t, b)[:, None] for t in (t_lo, t_hi))
     runs = np.repeat(q, m, axis=0)
-    f = _stack_apply(runs, _stack_prep(runs, a_cnt.reshape(-1, 1), lo, hi, scale), p, scale)
+    f = _stack_apply(runs, _stack_prep(runs, a_cnt.reshape(-1, 1), lo, hi, scale), p, scale,
+                     np.arange(runs.shape[0]))
     f = np.ascontiguousarray(f.reshape(b, m, s).transpose(0, 2, 1))
     return f.sum(axis=2) if reduce else f
 

@@ -1,5 +1,6 @@
 """Constants, inequalities, and tractability bound checks."""
 
+import json
 import math
 
 import numpy as np
@@ -60,43 +61,62 @@ def test_theorem2_n_bound_frozen_and_saturation():
         theorem2_n_bound(2.0, 1.0, 1)
     with pytest.raises(ValueError):
         theorem2_n_bound(2.0, 0.5, 0)
+    # a finite bound past the saturation integer saturates too
+    assert theorem2_n_bound(1.0, 1e-150, 10 ** 150) == 10 ** 308
     # nonincreasing in eps, nondecreasing in d
     assert theorem2_n_bound(2.0, 0.9, 3) < theorem2_n_bound(2.0, 0.1, 3)
     seq = [theorem2_n_bound(1.5, 0.5, d) for d in range(1, 9)]
     assert all(a <= b for a, b in zip(seq, seq[1:]))
 
 
-# The one-line error each helper gives for an input it rejects.
+# The one-line error each helper gives for an input it rejects, and the
+# one every integer argument gives for a float or a bool.
 _REJECTED = {theorem2_constant: "alpha must be a finite number >= 1",
              theorem2_n_bound: "alpha must be a finite number >= 1",
              initial_alpha_lower: "alpha must be >= 1",
              stirling_check: r"p must be an integer in \[1, 170\]",
              nbound1: "d must be >= 1",
+             initial_phi_lower: "d must be >= 1",
              construction_constants_check: "a must be a finite number > 0",
              hnww_empirical_check: "n and k_trials must be >= 1",
              empirical_inverse_discrepancy: "no candidate sets"}
+_NOT_INT = "must be an integer, got"
 
 
-@pytest.mark.parametrize("fn, args", [
-    (theorem2_constant, (math.nan,)),
-    (theorem2_constant, (math.inf,)),
-    (theorem2_n_bound, (math.nan, 0.5, 3)),
-    (theorem2_n_bound, (math.inf, 0.5, 3)),
-    (initial_alpha_lower, (3, math.nan)),
-    (stirling_check, (2.5,)),
+def _rejected(fn, args, message=None):
+    return pytest.param(fn, args, message or _REJECTED[fn], id=f"{fn.__name__}-{args!r}")
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    _rejected(theorem2_constant, (math.nan,)),
+    _rejected(theorem2_constant, (math.inf,)),
+    _rejected(theorem2_n_bound, (math.nan, 0.5, 3)),
+    _rejected(theorem2_n_bound, (math.inf, 0.5, 3)),
+    _rejected(initial_alpha_lower, (3, math.nan)),
+    _rejected(stirling_check, (2.5,)),
     # a bool is no integer p, though True lies in range(1, 171)
-    (stirling_check, (True,)),
+    _rejected(stirling_check, (True,)),
     # d is checked before phi is read at d
-    (nbound1, (0.5, 0, WeightFn.power(1.0, 1.0))),
-    (construction_constants_check, (math.nan,)),
-    (construction_constants_check, (math.inf,)),
-    (hnww_empirical_check, (1, 0, 2, 0)),
-    (hnww_empirical_check, (1, 16, 0, 0)),
+    _rejected(nbound1, (0.5, 0, WeightFn.power(1.0, 1.0))),
+    _rejected(initial_phi_lower, (0, WeightFn.power(1.0, 1.0))),
+    _rejected(construction_constants_check, (math.nan,)),
+    _rejected(construction_constants_check, (math.inf,)),
+    _rejected(hnww_empirical_check, (1, 0, 2, 0)),
+    _rejected(hnww_empirical_check, (1, 16, 0, 0)),
     # above d = 16 there is no Halton set, so no candidate without trials
-    (empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 17, 0)),
-], ids=lambda v: getattr(v, "__name__", repr(v)))
-def test_bound_helpers_reject_nan_infinite_alpha_and_fractional_p(fn, args):
-    with pytest.raises(ValueError, match=_REJECTED[fn]):
+    _rejected(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 17, 0)),
+    _rejected(empirical_inverse_discrepancy, ({"norm": "star"}, 1.5, 1), r"eps must lie in \(0, 1\)"),
+    # an integer argument takes no float, even one of integer value, and no bool
+    _rejected(stirling_check, (3.0,), _NOT_INT),
+    _rejected(theorem2_n_bound, (2.0, 0.5, 1.5), _NOT_INT),
+    _rejected(theorem2_n_bound, (2.0, 0.5, True), _NOT_INT),
+    _rejected(nbound1, (0.5, 2.5, WeightFn.power(1.0, 0.5)), _NOT_INT),
+    _rejected(initial_phi_lower, (2.5, WeightFn.power(1.0, 1.0)), _NOT_INT),
+    _rejected(initial_alpha_lower, (2.5, 2.0), _NOT_INT),
+    _rejected(initial_lp, (2.0, 1.5), _NOT_INT),
+])
+def test_bound_helpers_reject_nan_infinite_alpha_and_fractional_p(fn, args, message):
+    with pytest.raises(ValueError, match=message):
         fn(*args)
 
 
@@ -282,6 +302,10 @@ def test_initial_of_norm_specs():
                         ({"norm": "alpha-norm", "alpha": False}, "alpha")):
         with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
             NormSpec.from_json(norm)
+    with pytest.raises(ValueError, match="^unknown norm 'bogus'$"):
+        NormSpec("bogus")
+    with pytest.raises(ValueError, match="^a norm spec must be a JSON object"):
+        NormSpec.from_json([1])
     # a parameter the kind does not read, and a key no kind reads
     power = {"kind": "power", "C": 1.0, "r": 0.5}
     for norm, message in (({"norm": "lp", "p": 2, "alpha": 3}, "--norm lp takes no --alpha"),
@@ -308,10 +332,10 @@ def test_empirical_inverse_monotone_in_eps():
     assert loose <= tight
 
 
-def test_empirical_inverse_cap_raises():
-    with pytest.raises(RuntimeError):
-        empirical_inverse_discrepancy({"norm": "star"}, 1e-3, 2, seed=0,
-                                      k_trials=1, n_cap=8)
+def test_empirical_inverse_cap_raises(monkeypatch):
+    monkeypatch.setattr(bounds, "INVERSE_N_CAP", 8)
+    with pytest.raises(RuntimeError, match="exceeded the cap n = 8"):
+        empirical_inverse_discrepancy({"norm": "star"}, 1e-3, 2, seed=0, k_trials=1)
 
 
 def test_bound_report_json():
@@ -320,3 +344,6 @@ def test_bound_report_json():
     assert set(data) == {"name", "lhs", "rhs", "holds", "margin", "params", "note"}
     assert list(data) == ["name", "lhs", "rhs", "holds", "margin", "params", "note"]
     assert data["holds"] is True
+    # a numpy integer p is read as a Python int, so the report is JSON
+    data = json.loads(json.dumps(stirling_check(np.int64(3)).to_json()))
+    assert data == stirling_check(3).to_json() and type(data["params"]["p"]) is int

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -43,12 +44,15 @@ FROZEN_LP = {
 
 def test_empty_set_closed_form():
     for d in (1, 2, 3, 5):
-        for p in (1.0, 2.0, 3.5, 11.0):
+        for p in (1.0, 2.0, 3.5, 7.3, 11.0):
             want = (p + 1.0) ** (-d / p)
             assert abs(initial_lp(p, d) - want) < 1e-15
             got = lp_discrepancy(empty_pointset(d), p)
             assert abs(got.value - want) < 1e-14
-            assert got.abs_error_estimate == 0.0
+            # the closed form is rounded, so its error must cover that
+            with mpmath.workdps(40):
+                exact = (mpmath.mpf(p) + 1) ** (-mpmath.mpf(d) / mpmath.mpf(p))
+                assert abs(got.value - exact) <= got.abs_error_estimate, (d, p)
 
 
 def test_initial_lp_validation():
@@ -60,9 +64,9 @@ def test_initial_lp_validation():
         lp_discrepancy(generate_uniform(4, 2, seed=0), 0.9)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf, True])
 @pytest.mark.parametrize("entry", ["lp_discrepancy", "cache", "cache_norm",
-                                   "luxemburg_norm", "phi_norm"])
+                                   "luxemburg_norm", "phi_norm", "phi_norm_cache"])
 def test_bad_tolerance_rejected(entry, tol):
     pts = generate_uniform(8, 2, seed=0)
     calls = {
@@ -71,12 +75,15 @@ def test_bad_tolerance_rejected(entry, tol):
         "cache_norm": lambda: LpCache(pts).norm(3.0, rel_tol=tol),
         "luxemburg_norm": lambda: luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=tol),
         "phi_norm": lambda: phi_norm(pts, WeightFn.power(1.0, 0.5), rel_tol=tol),
+        # checked, though a given cache's tolerance is the one used
+        "phi_norm_cache": lambda: phi_norm(pts, WeightFn.power(1.0, 0.5), rel_tol=tol,
+                                           cache=LpCache(pts)),
     }
     with pytest.raises(ValueError, match="rel_tol"):
         calls[entry]()
 
 
-@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5, True])
 @pytest.mark.parametrize("entry", ["lp_discrepancy", "cache_norm", "initial_lp"])
 def test_bad_p_rejected(entry, p):
     pts = generate_uniform(8, 2, seed=0)
@@ -102,26 +109,25 @@ def test_warnock_against_both_engines():
         assert abs(forced - w) / w < 1e-9
 
 
-# (N, d, seed, requested rel_tol): seeded sets with N <= 8, among them
+# (N, d, seed, requested rel_tol): seeded sets with N <= 16, among them
 # sets whose integrand kinks inside a column, where an order-difference
 # estimate that does not cut at the kinks falls short of the true error
-MPMATH_CASES = [(5, 1, 1, 1e-9), (8, 1, 2, 1e-9), (6, 2, 3, 1e-8), (8, 2, 4, 1e-8),
-                (4, 2, 136, 1e-3), (6, 2, 213, 1e-6), (6, 2, 213, 1e-12),
+MPMATH_CASES = [(5, 1, 1, 1e-9), (8, 1, 2, 1e-9), (16, 1, 5, 1e-9), (6, 2, 3, 1e-8),
+                (8, 2, 4, 1e-8), (4, 2, 136, 1e-3), (6, 2, 213, 1e-6), (6, 2, 213, 1e-12),
                 (8, 2, 203, 1e-6), (8, 2, 209, 1e-3)]
 
 
 @pytest.mark.parametrize("n, d, seed, tol", MPMATH_CASES)
 def test_against_mpmath_oracle(n, d, seed, tol):
     pts = generate_uniform(n, d, seed=seed)
-    # d = 1 is closed form per cell in both routes; d = 2 must meet rel_tol,
-    # and its error estimate must cover the true error
+    # d = 1 is closed form per cell in both routes; d = 2 must meet rel_tol.
+    # Either way the error estimate must cover the true error, rounding too
     bound = 1e-12 if d == 1 else tol
     for p in (1.0, 1.7, 2.5, 7.0):
         want = lp_mpmath(pts, p, dps=30 if d == 1 else 20)
         got = lp_discrepancy(pts, p, rel_tol=tol)
         assert abs(got.value - want) <= bound * want, (p, got.value, want)
-        if d == 2:
-            assert abs(got.value - want) <= got.abs_error_estimate, (p, got, want)
+        assert abs(got.value - want) <= got.abs_error_estimate, (p, got, want)
 
 
 def test_warnock_empty_set():
@@ -262,7 +268,7 @@ def test_norm_nondecreasing_in_p_and_below_sup():
     for n, d, seed in [(10, 1, 40), (12, 2, 41), (8, 3, 42)]:
         pts = generate_uniform(n, d, seed=seed)
         cache = LpCache(pts, rel_tol=1e-8)
-        sup = cache.sup_abs
+        sup = cache.grid.sup_abs
         prev = 0.0
         for p in (1.0, 1.5, 2.0, 3.0, 5.0, 9.0, 17.0, 65.0, 257.0):
             v = cache.norm(p).value
@@ -277,7 +283,7 @@ def test_extreme_p_sup_limit_engine():
     pts = generate_uniform(6, 2, seed=50)
     cache = LpCache(pts)
     res = cache.norm(2.0 ** 21)
-    assert res.value == pytest.approx(cache.sup_abs, rel=1e-3)
+    assert res.value == pytest.approx(cache.grid.sup_abs, rel=1e-3)
     assert res.abs_error_estimate < 1e-2 * res.value
 
 

@@ -103,6 +103,10 @@ class TestWeightFn:
                 WeightFn.from_json({"kind": "tabulated", "knots": knots})
         with pytest.raises(ValueError, match=r"^knots must be a list of \[p, value\] pairs"):
             WeightFn.from_json({"kind": "tabulated"})
+        for knots, message in (([], "at least one knot"), ([[1.0, 2.0], [math.inf, 3.0]], "finite p"),
+                               ([[1.0, 2.0], [1.0, 3.0]], "strictly increasing p")):
+            with pytest.raises(ValueError, match=message):
+                WeightFn.from_json({"kind": "tabulated", "knots": knots})
         # a JSON boolean is not a number, though float() reads it as 0 or 1
         for data, field in (({"kind": "power", "C": True, "r": 1}, "C"),
                             ({"kind": "power", "C": 1, "r": False}, "r"),
@@ -356,6 +360,10 @@ class TestPhiNorm:
         for tol in (1e-6, 1e-4):
             own = alpha_norm(pts, 2.0, rel_tol=tol)
             assert own == alpha_norm(pts, 2.0, rel_tol=tol, cache=LpCache(pts, tol))
+        # a given cache's tolerance is the L_p share of the error, above 1e-3 too
+        for res in (alpha_norm(pts, 2.0, cache=LpCache(pts, 1e-2)),
+                    phi_norm(pts, WeightFn.power(1.0, 0.5), cache=LpCache(pts, 1e-2))):
+            assert res.abs_error_estimate >= 1e-2 * res.value
 
     def test_error_estimate_brackets_tight_rerun(self):
         pts = generate_uniform(12, 2, seed=58)

@@ -91,6 +91,8 @@ def test_halton_dim_limit():
     assert generate_halton(2, 16).dim == 16
     with pytest.raises(ValueError):
         generate_halton(2, 17)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        generate_halton(-1, 2)
 
 
 def test_csv_round_trip_exact():
@@ -100,6 +102,8 @@ def test_csv_round_trip_exact():
     assert np.array_equal(ps.coords, back.coords)
     # serialization is deterministic, so the text round-trips byte for byte
     assert save_pointset(back) == text
+    # a blank line between rows is skipped
+    assert load_pointset("0.1,0.2\n\n0.3,0.4\n").coords.tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
 
 def test_csv_empty_needs_dim():
