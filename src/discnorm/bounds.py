@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .integrate import NumericalError
-from .lp import LpCache, NormResult, check_int, check_p, lp_discrepancy
+from .lp import LpCache, NormResult, check_p, lp_discrepancy
 from .orlicz import (
     OrliczSpec,
     WeightFn,
@@ -25,7 +25,7 @@ from .orlicz import (
     luxemburg_norm,
     phi_norm,
 )
-from .pointset import PointSet, empty_pointset, generate_halton, generate_uniform
+from .pointset import PointSet, check_int, empty_pointset, generate_halton, generate_uniform
 from .star import star_discrepancy_exact
 
 # Log-domain comparison slack for inequality checks.
@@ -131,9 +131,7 @@ class BoundReport:
 
 def stirling_check(p: int) -> BoundReport:
     """sqrt(2 pi p)(p/e)^p <= p! <= same * e^(1/(12p)), in log domain."""
-    if isinstance(p, bool) or p not in range(1, 171):
-        raise ValueError("p must be an integer in [1, 170]")
-    p = check_int(p, "p")
+    p = check_int(p, "p", 1, 170)
     log_lo = 0.5 * math.log(2.0 * math.pi * p) + p * (math.log(p) - 1.0)
     log_hi = log_lo + 1.0 / (12.0 * p)
     log_fact = math.lgamma(p + 1.0)
@@ -164,8 +162,7 @@ def _n_bound(eps: float, d: int, over_eps2) -> int:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if check_int(d, "d") < 1:
-        raise ValueError("d must be >= 1")
+    check_int(d, "d", 1)
     eps2 = eps * eps
     if eps2 == 0.0:
         return NBOUND_SATURATION
@@ -204,16 +201,15 @@ def nbound1(eps: float, d: int, phi: WeightFn) -> int:
 
 def initial_phi_lower(d: int, phi: WeightFn) -> float:
     """1 / ((d+1) phi(d)): lower bound for the empty-set phi norm."""
-    if check_int(d, "d") < 1:
-        raise ValueError("d must be >= 1")
+    check_int(d, "d", 1)
     return 1.0 / ((d + 1.0) * phi.phi(float(d)))
 
 
 def initial_alpha_lower(d: int, alpha: float) -> float:
     """1 / (4 (d log(d+1))^(1/alpha)): empty-set alpha-norm lower bound."""
-    if check_int(d, "d") < 2:
-        raise ValueError("d must be >= 2 so the attaining p stays >= 1")
-    if not alpha >= 1.0:
+    # d >= 2 so the attaining p stays >= 1
+    check_int(d, "d", 2)
+    if isinstance(alpha, bool) or not alpha >= 1.0:
         raise ValueError("alpha must be >= 1")
     return 1.0 / (4.0 * (d * math.log(d + 1.0)) ** (1.0 / alpha))
 
@@ -244,7 +240,7 @@ def min_const_check() -> BoundReport:
 
 def construction_constants_check(a: float) -> BoundReport:
     """2^(5/4)/(3^(3/4) a) + exp(4.9 - (a/5.7)^2) < 1, with 16 a^2 echoed."""
-    if not (math.isfinite(a) and a > 0):
+    if isinstance(a, bool) or not (math.isfinite(a) and a > 0):
         raise ValueError(f"a must be a finite number > 0, got {a!r}")
     value = 2.0 ** 1.25 / (3.0 ** 0.75 * a) + math.exp(4.9 - (a / 5.7) ** 2)
     return BoundReport(
@@ -323,10 +319,10 @@ def hnww_empirical_check(d: int, n: int, k_trials: int, seed: int) -> BoundRepor
     against 2^(5/4) 3^(-3/4) n^(-1/2).  Statistical claim made
     deterministic by the fixed seed.
     """
+    d, n = check_int(d, "d", 1), check_int(n, "n", 1)
+    k_trials = check_int(k_trials, "k_trials", 1)
     if d > 3 or n > 128:
         raise ValueError("empirical check is desk-scale: d <= 3, n <= 128")
-    if n < 1 or k_trials < 1:
-        raise ValueError("n and k_trials must be >= 1")
     stars, lds = [], []
     for i in range(k_trials):
         cache = LpCache(generate_uniform(n, d, seed + i), 1e-7)
@@ -373,8 +369,7 @@ def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if k_trials < 0:
-        raise ValueError("k_trials must be >= 0")
+    d, k_trials = check_int(d, "d", 1), check_int(k_trials, "k_trials", 0)
     if d > 16 and k_trials < 1:
         raise ValueError("no candidate sets: d > 16 has no Halton set, so k_trials must be >= 1")
     spec = NormSpec.from_json(norm)

@@ -169,7 +169,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

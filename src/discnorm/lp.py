@@ -16,7 +16,7 @@ import numpy as np
 
 from .cells import CellGrid, build_cell_grid
 from .integrate import lp_adaptive_integral, lp_moment_integral
-from .pointset import PointSet
+from .pointset import PointSet, check_int
 
 # Largest even p routed to the exact moment expansion before trying the
 # adaptive engine; beyond this the alternating sum cancels too hard.
@@ -59,19 +59,10 @@ def check_p(p: float, name: str = "p") -> float:
     return p
 
 
-def check_int(n, name: str) -> int:
-    """``n`` as a Python int if it is an integer, else a ValueError that
-    calls it ``name``.  A bool is none, nor is a float of integer value."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    return int(n)
-
-
 def initial_lp(p: float, dim: int) -> float:
     """L_p norm of the discrepancy of the empty point set: (p+1)^(-d/p)."""
     check_p(p)
-    if check_int(dim, "dim") < 1:
-        raise ValueError("dim must be >= 1")
+    dim = check_int(dim, "dim", 1)
     return math.exp(-dim / p * math.log(p + 1.0))
 
 

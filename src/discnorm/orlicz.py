@@ -79,6 +79,10 @@ class WeightFn:
         for name in ("alpha", "C", "r", "tau", "knots"):
             if getattr(self, name) is not None and name not in _WEIGHT_FIELDS[self.kind]:
                 raise ValueError(f"a {self.kind} weight takes no field {name!r}")
+        for name, value in (("C", self.C), ("r", self.r), ("tau", self.tau)):
+            # the range tests below would read a bool as 0 or 1
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.kind == "factorial":
             check_p(math.nan if self.alpha is None else self.alpha, "alpha")
         elif self.kind == "power":

@@ -45,11 +45,22 @@ class PointSet:
         return self.coords.shape[1]
 
 
+def check_int(n, name: str, lo: int, hi: int | None = None) -> int:
+    """``n`` as a Python int if it is an integer in [lo, hi], else a
+    ValueError that calls it ``name``.  A bool is no integer, nor is a
+    float of integer value; ``hi=None`` leaves it unbounded above."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if hi is not None and not lo <= n <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {n!r}")
+    if n < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {n!r}")
+    return int(n)
+
+
 def empty_pointset(dim: int) -> PointSet:
     """The N = 0 point set in dimension ``dim``."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    return PointSet(np.empty((0, dim)))
+    return PointSet(np.empty((0, check_int(dim, "dim", 1))))
 
 
 def generate_uniform(n: int, dim: int, seed: int) -> PointSet:
@@ -58,11 +69,8 @@ def generate_uniform(n: int, dim: int, seed: int) -> PointSet:
     The same (n, dim, seed) always yields bit-identical coordinates, so
     seeded fixtures are reproducible across runs and platforms.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    n, dim = check_int(n, "n", 0), check_int(dim, "dim", 1)
+    rng = np.random.Generator(np.random.PCG64(check_int(seed, "seed", 0)))
     return PointSet(rng.random((n, dim)))
 
 
@@ -72,10 +80,7 @@ def generate_halton(n: int, dim: int) -> PointSet:
     Axis i uses the i-th prime, so the first point in d = 1 is 1/2 and
     the base-2 axis runs 1/2, 1/4, 3/4, 1/8, ...  Supports dim <= 16.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 1 <= dim <= len(_HALTON_PRIMES):
-        raise ValueError(f"halton generator supports 1 <= dim <= {len(_HALTON_PRIMES)}")
+    n, dim = check_int(n, "n", 0), check_int(dim, "dim", 1, len(_HALTON_PRIMES))
     pts = np.zeros((n, dim))
     for x, base in zip(pts.T, _HALTON_PRIMES):
         # the radical inverse of every index at once, digit by digit
@@ -100,6 +105,8 @@ def load_pointset(text: str, dim: int | None = None) -> PointSet:
     inferred, so ``dim`` is required in that case.  Rejects malformed
     lines, coordinates outside [0, 1), and inconsistent row lengths.
     """
+    if dim is not None:
+        dim = check_int(dim, "dim", 1)
     rows: list[list[float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

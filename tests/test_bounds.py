@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from discnorm.bounds import (
 )
 from discnorm.lp import LpCache, NormResult, initial_lp
 from discnorm.orlicz import OrliczSpec, WeightFn, alpha_norm, phi_norm
-from discnorm.pointset import PointSet, empty_pointset, generate_uniform
+from discnorm.pointset import (
+    PointSet,
+    empty_pointset,
+    generate_halton,
+    generate_uniform,
+    load_pointset,
+)
 
 
 def test_stirling_holds_everywhere_in_domain():
@@ -69,22 +76,29 @@ def test_theorem2_n_bound_frozen_and_saturation():
     assert all(a <= b for a, b in zip(seq, seq[1:]))
 
 
-# The one-line error each helper gives for an input it rejects, and the
-# one every integer argument gives for a float or a bool.
+# The one-line error each helper gives for an input it rejects.
 _REJECTED = {theorem2_constant: "alpha must be a finite number >= 1",
              theorem2_n_bound: "alpha must be a finite number >= 1",
              initial_alpha_lower: "alpha must be >= 1",
-             stirling_check: r"p must be an integer in \[1, 170\]",
+             stirling_check: r"p must lie in \[1, 170\]",
              nbound1: "d must be >= 1",
-             initial_phi_lower: "d must be >= 1",
              construction_constants_check: "a must be a finite number > 0",
-             hnww_empirical_check: "n and k_trials must be >= 1",
              empirical_inverse_discrepancy: "no candidate sets"}
-_NOT_INT = "must be an integer, got"
 
 
 def _rejected(fn, args, message=None):
     return pytest.param(fn, args, message or _REJECTED[fn], id=f"{fn.__name__}-{args!r}")
+
+
+def _count(fn, args, i, name, lo, hi=None):
+    """The cases that break the integer rule for count argument ``i`` of
+    ``fn(*args)``: a float, even one of integer value, a bool, and a value
+    below its range, and above it where it has a cap."""
+    in_range = f"must be >= {lo}" if hi is None else f"must lie in [{lo}, {hi}]"
+    bad = [(v, "must be an integer") for v in (2.5, 3.0, True)]
+    bad += [(v, in_range) for v in ([lo - 1] if hi is None else [lo - 1, hi + 1])]
+    return [_rejected(fn, args[:i] + (v,) + args[i + 1:],
+                      "^" + re.escape(f"{name} {rule}, got {v!r}") + "$") for v, rule in bad]
 
 
 @pytest.mark.parametrize("fn, args, message", [
@@ -93,27 +107,35 @@ def _rejected(fn, args, message=None):
     _rejected(theorem2_n_bound, (math.nan, 0.5, 3)),
     _rejected(theorem2_n_bound, (math.inf, 0.5, 3)),
     _rejected(initial_alpha_lower, (3, math.nan)),
-    _rejected(stirling_check, (2.5,)),
-    # a bool is no integer p, though True lies in range(1, 171)
-    _rejected(stirling_check, (True,)),
     # d is checked before phi is read at d
     _rejected(nbound1, (0.5, 0, WeightFn.power(1.0, 1.0))),
-    _rejected(initial_phi_lower, (0, WeightFn.power(1.0, 1.0))),
     _rejected(construction_constants_check, (math.nan,)),
     _rejected(construction_constants_check, (math.inf,)),
-    _rejected(hnww_empirical_check, (1, 0, 2, 0)),
-    _rejected(hnww_empirical_check, (1, 16, 0, 0)),
+    # a bool is no real argument, though float() reads it as 1
+    _rejected(construction_constants_check, (True,)),
+    _rejected(initial_alpha_lower, (2, True)),
     # above d = 16 there is no Halton set, so no candidate without trials
     _rejected(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 17, 0)),
     _rejected(empirical_inverse_discrepancy, ({"norm": "star"}, 1.5, 1), r"eps must lie in \(0, 1\)"),
-    # an integer argument takes no float, even one of integer value, and no bool
-    _rejected(stirling_check, (3.0,), _NOT_INT),
-    _rejected(theorem2_n_bound, (2.0, 0.5, 1.5), _NOT_INT),
-    _rejected(theorem2_n_bound, (2.0, 0.5, True), _NOT_INT),
-    _rejected(nbound1, (0.5, 2.5, WeightFn.power(1.0, 0.5)), _NOT_INT),
-    _rejected(initial_phi_lower, (2.5, WeightFn.power(1.0, 1.0)), _NOT_INT),
-    _rejected(initial_alpha_lower, (2.5, 2.0), _NOT_INT),
-    _rejected(initial_lp, (2.0, 1.5), _NOT_INT),
+    # every count argument takes only an integer in its range
+    *_count(empty_pointset, (2,), 0, "dim", 1),
+    *_count(generate_uniform, (3, 2, 0), 0, "n", 0),
+    *_count(generate_uniform, (3, 2, 0), 1, "dim", 1),
+    *_count(generate_uniform, (3, 2, 0), 2, "seed", 0),
+    *_count(generate_halton, (3, 2), 0, "n", 0),
+    *_count(generate_halton, (3, 2), 1, "dim", 1, 16),
+    *_count(load_pointset, ("0.5\n", 1), 1, "dim", 1),
+    *_count(initial_lp, (2.0, 2), 1, "dim", 1),
+    *_count(stirling_check, (3,), 0, "p", 1, 170),
+    *_count(theorem2_n_bound, (2.0, 0.5, 2), 2, "d", 1),
+    *_count(nbound1, (0.5, 2, WeightFn.power(1.0, 0.5)), 1, "d", 1),
+    *_count(initial_phi_lower, (2, WeightFn.power(1.0, 1.0)), 0, "d", 1),
+    *_count(initial_alpha_lower, (2, 2.0), 0, "d", 2),
+    *_count(hnww_empirical_check, (1, 16, 2, 0), 0, "d", 1),
+    *_count(hnww_empirical_check, (1, 16, 2, 0), 1, "n", 1),
+    *_count(hnww_empirical_check, (1, 16, 2, 0), 2, "k_trials", 1),
+    *_count(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 2, 1), 2, "d", 1),
+    *_count(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 2, 1), 3, "k_trials", 0),
 ])
 def test_bound_helpers_reject_nan_infinite_alpha_and_fractional_p(fn, args, message):
     with pytest.raises(ValueError, match=message):

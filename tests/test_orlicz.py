@@ -107,13 +107,16 @@ class TestWeightFn:
                                ([[1.0, 2.0], [1.0, 3.0]], "strictly increasing p")):
             with pytest.raises(ValueError, match=message):
                 WeightFn.from_json({"kind": "tabulated", "knots": knots})
-        # a JSON boolean is not a number, though float() reads it as 0 or 1
+        # a boolean is not a number, though float() reads it as 0 or 1,
+        # whether it comes from JSON or to the constructor
         for data, field in (({"kind": "power", "C": True, "r": 1}, "C"),
                             ({"kind": "power", "C": 1, "r": False}, "r"),
+                            ({"kind": "power", "C": 1, "r": True}, "r"),
                             ({"kind": "factorial", "alpha": True}, "alpha"),
                             ({"kind": "subexp", "tau": True}, "tau")):
-            with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
-                WeightFn.from_json(data)
+            for make in (WeightFn.from_json, lambda data: WeightFn(**data)):
+                with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+                    make(data)
 
     def test_json_round_trip_all_kinds(self):
         weights = [

@@ -91,7 +91,7 @@ def test_halton_dim_limit():
     assert generate_halton(2, 16).dim == 16
     with pytest.raises(ValueError):
         generate_halton(2, 17)
-    with pytest.raises(ValueError, match="n must be nonnegative"):
+    with pytest.raises(ValueError, match="n must be >= 0"):
         generate_halton(-1, 2)
 
 

@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from discnorm import bounds, cells, integrate, lp, orlicz
+from discnorm import bounds, cells, integrate, lp, orlicz, pointset
 
 README = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
 _WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten")
@@ -24,6 +24,7 @@ FIGURES = [
     (r"rigorously by `p = (\d+)`", int, lambda: 2 ** orlicz._PHI_X_CAP),
     (r"halve the step (\w+) times", _WORDS.index, lambda: orlicz._PHI_HALVINGS),
     (r"saturate at `1e(\d+)`", lambda g: 10 ** int(g), lambda: bounds.NBOUND_SATURATION),
+    (r"at most (\d+) for `generate_halton`", int, lambda: len(pointset._HALTON_PRIMES)),
 ]
 
 
