@@ -17,15 +17,9 @@ import numpy as np
 
 from .integrate import NumericalError
 from .lp import LpCache, NormResult, check_p, lp_discrepancy
-from .orlicz import (
-    OrliczSpec,
-    WeightFn,
-    _json_number,
-    alpha_norm,
-    luxemburg_norm,
-    phi_norm,
-)
-from .pointset import PointSet, check_int, empty_pointset, generate_halton, generate_uniform
+from .orlicz import OrliczSpec, WeightFn, alpha_norm, luxemburg_norm, phi_norm
+from .pointset import (PointSet, check_int, check_real, empty_pointset, generate_halton,
+                       generate_uniform)
 from .star import star_discrepancy_exact
 
 # Log-domain comparison slack for inequality checks.
@@ -73,9 +67,9 @@ class NormSpec:
                 raise ValueError(f"--{flag} is required for --norm {self.kind}")
             if name not in fields and getattr(self, name) is not None:
                 raise ValueError(f"--norm {self.kind} takes no --{flag}")
-        for name, value in (("p", self.p), ("alpha", self.alpha)):
-            if value is not None:
-                check_p(value, name)
+        for name in ("p", "alpha"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_p(getattr(self, name), name))
 
     @classmethod
     def from_json(cls, data: dict) -> "NormSpec":
@@ -86,8 +80,8 @@ class NormSpec:
                 raise ValueError(f"a norm spec takes no field {key!r}")
         return cls(
             kind=data.get("norm"),
-            p=_json_number(data, "p") if "p" in data else None,
-            alpha=_json_number(data, "alpha") if "alpha" in data else None,
+            p=data.get("p"),
+            alpha=data.get("alpha"),
             weight=WeightFn.from_json(data["weight"]) if "weight" in data else None,
         )
 
@@ -156,12 +150,11 @@ def theorem2_constant(alpha: float) -> float:
 
 
 def _n_bound(eps: float, d: int, over_eps2) -> int:
-    """ceil(over_eps2(eps^2)), called once eps lies in (0, 1) and d >= 1.
+    """ceil(over_eps2(eps^2)), read once eps lies in (0, 1) and d >= 1.
 
     An eps^2 that underflows, or a bound that overflows, saturates.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    eps = check_real(eps, "eps", 0, 1)
     check_int(d, "d", 1)
     eps2 = eps * eps
     if eps2 == 0.0:
@@ -209,8 +202,7 @@ def initial_alpha_lower(d: int, alpha: float) -> float:
     """1 / (4 (d log(d+1))^(1/alpha)): empty-set alpha-norm lower bound."""
     # d >= 2 so the attaining p stays >= 1
     check_int(d, "d", 2)
-    if isinstance(alpha, bool) or not alpha >= 1.0:
-        raise ValueError("alpha must be >= 1")
+    alpha = check_real(alpha, "alpha", 1, math.inf, "[]")
     return 1.0 / (4.0 * (d * math.log(d + 1.0)) ** (1.0 / alpha))
 
 
@@ -240,8 +232,7 @@ def min_const_check() -> BoundReport:
 
 def construction_constants_check(a: float) -> BoundReport:
     """2^(5/4)/(3^(3/4) a) + exp(4.9 - (a/5.7)^2) < 1, with 16 a^2 echoed."""
-    if isinstance(a, bool) or not (math.isfinite(a) and a > 0):
-        raise ValueError(f"a must be a finite number > 0, got {a!r}")
+    a = check_real(a, "a", 0)
     value = 2.0 ** 1.25 / (3.0 ** 0.75 * a) + math.exp(4.9 - (a / 5.7) ** 2)
     return BoundReport(
         name="construction_constants",
@@ -320,7 +311,7 @@ def hnww_empirical_check(d: int, n: int, k_trials: int, seed: int) -> BoundRepor
     deterministic by the fixed seed.
     """
     d, n = check_int(d, "d", 1), check_int(n, "n", 1)
-    k_trials = check_int(k_trials, "k_trials", 1)
+    k_trials, seed = check_int(k_trials, "k_trials", 1), check_int(seed, "seed", 0)
     if d > 3 or n > 128:
         raise ValueError("empirical check is desk-scale: d <= 3, n <= 128")
     stars, lds = [], []
@@ -367,9 +358,9 @@ def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
     values are cached, making the result deterministic and nonincreasing
     in eps for a fixed seed.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    eps = check_real(eps, "eps", 0, 1)
     d, k_trials = check_int(d, "d", 1), check_int(k_trials, "k_trials", 0)
+    seed = check_int(seed, "seed", 0)
     if d > 16 and k_trials < 1:
         raise ValueError("no candidate sets: d > 16 has no Halton set, so k_trials must be >= 1")
     spec = NormSpec.from_json(norm)

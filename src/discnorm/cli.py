@@ -18,7 +18,8 @@ from pathlib import Path
 from .bounds import _NORM_FIELDS, SUITES, NormSpec, sweep_bound
 from .integrate import NumericalError
 from .orlicz import WeightFn
-from .pointset import generate_halton, generate_uniform, load_pointset, save_pointset
+from .pointset import (check_int, check_real, generate_halton, generate_uniform, load_pointset,
+                       save_pointset)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,8 +54,8 @@ def _norm_spec(args) -> NormSpec:
 def cmd_disc(args) -> int:
     points = load_pointset(Path(args.infile).read_text(), dim=args.d)
     spec = _norm_spec(args)
-    if args.tol is not None and not 0.0 < args.tol <= 1e-2:
-        raise ValueError("--tol must lie in (0, 1e-2]")
+    if args.tol is not None:
+        check_real(args.tol, "--tol", 0, 1e-2, "(]")
     res = spec.compute(points, rel_tol=args.tol)
     if args.json:
         print(json.dumps(asdict(res)))
@@ -94,8 +95,7 @@ def _parse_range(text: str):
 
 def cmd_sweep(args) -> int:
     spec = _norm_spec(args)
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
+    check_int(args.trials, "--trials", 1)
     d_values = _parse_range(args.d_range)
     n_values = _parse_range(args.n_range)
     if any(n < 1 for n in n_values):
@@ -166,8 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # numpy rejects a negative seed only where one reaches it
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        check_int(getattr(args, "seed", 0), "--seed", 0)
         return args.func(args)
     except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

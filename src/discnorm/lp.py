@@ -16,7 +16,7 @@ import numpy as np
 
 from .cells import CellGrid, build_cell_grid
 from .integrate import lp_adaptive_integral, lp_moment_integral
-from .pointset import PointSet, check_int
+from .pointset import PointSet, check_int, check_real
 
 # Largest even p routed to the exact moment expansion before trying the
 # adaptive engine; beyond this the alternating sum cancels too hard.
@@ -40,23 +40,19 @@ class NormResult:
 
 
 def check_rel_tol(rel_tol: float) -> float:
-    """``rel_tol`` raised to ``REL_TOL_FLOOR`` if it is a finite number > 0,
-    else a ValueError.
+    """``rel_tol`` as a float raised to ``REL_TOL_FLOOR`` if it is a finite
+    number > 0, else a ValueError.
 
     A zero, negative or NaN tolerance would keep the adaptive refinement
     running until its budget, or end it at once with a meaningless error.
     """
-    if isinstance(rel_tol, bool) or not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be a finite number > 0, got {rel_tol!r}")
-    return max(rel_tol, REL_TOL_FLOOR)
+    return max(check_real(rel_tol, "rel_tol", 0), REL_TOL_FLOOR)
 
 
 def check_p(p: float, name: str = "p") -> float:
-    """``p`` itself if it is a finite number >= 1, else a ValueError that
-    calls it ``name``."""
-    if isinstance(p, bool) or not (math.isfinite(p) and p >= 1.0):
-        raise ValueError(f"{name} must be a finite number >= 1, got {p!r}")
-    return p
+    """``p`` as a float if it is a finite number >= 1, else a ValueError
+    that calls it ``name``."""
+    return check_real(p, name, 1, ends="[)")
 
 
 def initial_lp(p: float, dim: int) -> float:

@@ -18,11 +18,13 @@ import numpy as np
 
 from .integrate import NumericalError
 from .lp import LpCache, NormResult, check_p, check_rel_tol
-from .pointset import PointSet
+from .pointset import PointSet, check_real
 
-# The fields each weight kind reads.
-_WEIGHT_FIELDS = {"factorial": ("alpha",), "power": ("C", "r"), "subexp": ("tau",),
-                  "tabulated": ("knots",)}
+# The fields each weight kind reads, each real one with its range as
+# check_real's (lo, hi, ends).
+_WEIGHT_FIELDS = {"factorial": {"alpha": (1, math.inf, "[)")},
+                  "power": {"C": (0, math.inf, "()"), "r": (0, math.inf, "[)")},
+                  "subexp": {"tau": (0, 1, "()")}, "tabulated": {"knots": None}}
 # Series caps; hitting one raises instead of returning a quietly wrong value.
 _ELL_CAP = 2048
 # Halvings or doublings to bracket a Luxemburg root, and bisection steps
@@ -31,23 +33,6 @@ _ROOT_STEP_CAP = 200
 # Largest log2 p on the phi-norm walk, and the step halvings around its best point.
 _PHI_X_CAP = 12
 _PHI_HALVINGS = 7
-
-def _real(x) -> float:
-    """float(x), but a bool, which float() would read as 0 or 1, is a TypeError."""
-    if isinstance(x, bool):
-        raise TypeError(f"{x!r} is not a number")
-    return float(x)
-
-
-def _json_number(data: dict, key: str) -> float:
-    """data[key] as a finite float; anything else is a ValueError."""
-    try:
-        value = _real(data[key])
-    except (TypeError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"{key} must be a finite number, got {data[key]!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -79,48 +64,36 @@ class WeightFn:
         for name in ("alpha", "C", "r", "tau", "knots"):
             if getattr(self, name) is not None and name not in _WEIGHT_FIELDS[self.kind]:
                 raise ValueError(f"a {self.kind} weight takes no field {name!r}")
-        for name, value in (("C", self.C), ("r", self.r), ("tau", self.tau)):
-            # the range tests below would read a bool as 0 or 1
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.kind == "factorial":
-            check_p(math.nan if self.alpha is None else self.alpha, "alpha")
-        elif self.kind == "power":
-            if not (self.C is not None and self.r is not None
-                    and 0.0 < self.C < math.inf and 0.0 <= self.r < math.inf):
-                raise ValueError("power weight needs finite C > 0 and r >= 0")
-        elif self.kind == "subexp":
-            if self.tau is None or not 0.0 < self.tau < 1.0:
-                raise ValueError("subexp weight needs 0 < tau < 1")
-        else:
-            if not self.knots:
-                raise ValueError("tabulated weight needs at least one knot")
-            ps, vs = zip(*self.knots)
-            if not all(0.0 < v < math.inf for v in vs):
-                raise ValueError("tabulated weight values must be positive and finite")
-            if not all(math.isfinite(p) for p in ps):
-                raise ValueError("tabulated knots must have finite p")
-            if any(b <= a for a, b in zip(ps, ps[1:])):
-                raise ValueError("tabulated knots must have strictly increasing p")
+        if self.kind != "tabulated":
+            for name, rule in _WEIGHT_FIELDS[self.kind].items():
+                object.__setattr__(self, name, check_real(getattr(self, name), name, *rule))
+            return
+        try:
+            pairs = [(p, v) for p, v in self.knots]
+        except (TypeError, ValueError):
+            raise ValueError("knots must be a list of [p, value] pairs") from None
+        if not pairs:
+            raise ValueError("tabulated weight needs at least one knot")
+        knots = tuple((check_real(p, f"knot {i} p"), check_real(v, f"knot {i} value", 0))
+                      for i, (p, v) in enumerate(pairs))
+        if any(b[0] <= a[0] for a, b in zip(knots, knots[1:])):
+            raise ValueError("tabulated knots must have strictly increasing p")
+        object.__setattr__(self, "knots", knots)
 
     @classmethod
     def factorial(cls, alpha: float) -> "WeightFn":
-        return cls(kind="factorial", alpha=float(alpha))
+        return cls(kind="factorial", alpha=alpha)
 
     @classmethod
     def power(cls, C: float = 1.0, r: float = 0.5) -> "WeightFn":
-        return cls(kind="power", C=float(C), r=float(r))
+        return cls(kind="power", C=C, r=r)
 
     @classmethod
     def subexp(cls, tau: float) -> "WeightFn":
-        return cls(kind="subexp", tau=float(tau))
+        return cls(kind="subexp", tau=tau)
 
     @classmethod
     def tabulated(cls, knots) -> "WeightFn":
-        try:
-            knots = tuple((_real(p), _real(v)) for p, v in knots)
-        except (TypeError, ValueError):
-            raise ValueError("knots must be a list of [p, value] pairs") from None
         return cls(kind="tabulated", knots=knots)
 
     def log_phi(self, p: float) -> float:
@@ -172,10 +145,8 @@ class WeightFn:
         for key in data:
             if key != "kind" and key not in _WEIGHT_FIELDS.get(kind, (key,)):
                 raise ValueError(f"a {kind} weight takes no field {key!r}")
-        if kind == "tabulated":
-            return cls.tabulated(data.get("knots"))
-        kwargs = {k: _json_number(data, k) for k in ("alpha", "C", "r", "tau") if k in data}
-        return cls(kind=kind, **kwargs)
+        # an unknown kind takes no field, so its own error comes first
+        return cls(kind=kind, **{k: data[k] for k in _WEIGHT_FIELDS.get(kind, ()) if k in data})
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,17 @@ construction and on load.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 # First 16 primes: Halton bases for up to 16 axes.
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+# The types check_real takes, and the largest int it turns into a float.
+_REALS = (int, float, np.integer, np.floating)
+_DOUBLE_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,23 @@ def check_int(n, name: str, lo: int, hi: int | None = None) -> int:
     if n < lo:
         raise ValueError(f"{name} must be >= {lo}, got {n!r}")
     return int(n)
+
+
+def check_real(x, name: str, lo: float = -math.inf, hi: float = math.inf,
+               ends: str = "()") -> float:
+    """``x`` as a float if it is a real number between ``lo`` and ``hi``,
+    each end open or closed as ``ends`` ("()", "[)", "(]" or "[]") says,
+    else a ValueError that calls it ``name``.  A bool is no real number,
+    nor is a string, nor an int beyond a double."""
+    if (isinstance(x, _REALS) and not isinstance(x, bool)
+            and (lo < x if ends[0] == "(" else lo <= x)
+            and (x < hi if ends[1] == ")" else x <= hi)
+            and (type(x) is not int or -_DOUBLE_MAX <= x <= _DOUBLE_MAX)):
+        return float(x)
+    if hi == math.inf and ends[1] == ")":
+        bound = "" if lo == -math.inf else f" {'>' if ends[0] == '(' else '>='} {lo:g}"
+        raise ValueError(f"{name} must be a finite number{bound}, got {x!r}")
+    raise ValueError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {x!r}")
 
 
 def empty_pointset(dim: int) -> PointSet:

@@ -25,8 +25,8 @@ from discnorm.bounds import (
     theorem2_n_bound,
     _general_lower_const,
 )
-from discnorm.lp import LpCache, NormResult, initial_lp
-from discnorm.orlicz import OrliczSpec, WeightFn, alpha_norm, phi_norm
+from discnorm.lp import LpCache, NormResult, initial_lp, lp_discrepancy
+from discnorm.orlicz import OrliczSpec, WeightFn, alpha_norm, luxemburg_norm, phi_norm
 from discnorm.pointset import (
     PointSet,
     empty_pointset,
@@ -79,7 +79,7 @@ def test_theorem2_n_bound_frozen_and_saturation():
 # The one-line error each helper gives for an input it rejects.
 _REJECTED = {theorem2_constant: "alpha must be a finite number >= 1",
              theorem2_n_bound: "alpha must be a finite number >= 1",
-             initial_alpha_lower: "alpha must be >= 1",
+             initial_alpha_lower: r"alpha must lie in \[1, inf\]",
              stirling_check: r"p must lie in \[1, 170\]",
              nbound1: "d must be >= 1",
              construction_constants_check: "a must be a finite number > 0",
@@ -99,6 +99,73 @@ def _count(fn, args, i, name, lo, hi=None):
     bad += [(v, in_range) for v in ([lo - 1] if hi is None else [lo - 1, hi + 1])]
     return [_rejected(fn, args[:i] + (v,) + args[i + 1:],
                       "^" + re.escape(f"{name} {rule}, got {v!r}") + "$") for v, rule in bad]
+
+
+def _real(fn, args, i, rule, *past):
+    """The cases that break the real rule for argument ``i`` of ``fn(*args)``:
+    NaN, a bool, a string and each value in ``past``, one past an end of
+    its range, each matched in full against ``rule``, the message up to
+    its ", got" part."""
+    return [pytest.param(fn, args[:i] + (v,) + args[i + 1:],
+                         "^" + re.escape(f"{rule}, got {v!r}") + "$",
+                         id=f"{fn.__qualname__}-{rule.split(' must')[0]}-{v!r:.12}")
+            for v in (math.nan, True, "x", *past)]
+
+
+def _norm_json(base, name, value):
+    return NormSpec.from_json({**base, name: value})
+
+
+def _weight_json(base, name, value):
+    return WeightFn.from_json({**base, name: value})
+
+
+def _knot(p, value):
+    return WeightFn.tabulated([(p, value)])
+
+
+_PTS = generate_uniform(4, 2, 0)
+_P = "must be a finite number >= 1"
+_TOL = "rel_tol must be a finite number > 0"
+_EPS = "eps must lie in (0, 1)"
+_HUGE = 10 ** 400  # an int beyond a double
+# Every real argument, through each routine that checks it.
+_REAL_CASES = [
+    *_real(initial_lp, (2.0, 2), 0, "p " + _P, 0.5, math.inf, _HUGE),
+    *_real(lp_discrepancy, (_PTS, 2.0), 1, "p " + _P, 0.5, math.inf),
+    *_real(LpCache(_PTS).norm, (2.0,), 0, "p " + _P, 0.5, math.inf),
+    *_real(LpCache, (_PTS, 1e-6), 1, _TOL, 0.0, -1.0, math.inf, _HUGE),
+    *_real(lp_discrepancy, (_PTS, 2.0, 1e-6), 2, _TOL, 0.0, math.inf),
+    *_real(LpCache(_PTS).norm, (2.0, 1e-6), 1, _TOL, 0.0, math.inf),
+    *_real(luxemburg_norm, (_PTS, OrliczSpec(2.0), 1e-6), 2, _TOL, 0.0, math.inf),
+    *_real(phi_norm, (_PTS, WeightFn.power(1.0, 0.5), 1e-6), 2, _TOL, 0.0, math.inf),
+    *_real(alpha_norm, (_PTS, 2.0, 1e-6), 2, _TOL, 0.0, math.inf),
+    *_real(alpha_norm, (_PTS, 2.0), 1, "alpha " + _P, 0.5, math.inf),
+    *_real(OrliczSpec, (2.0,), 0, "alpha " + _P, 0.5, math.inf),
+    *_real(WeightFn.factorial, (2.0,), 0, "alpha " + _P, 0.5, math.inf),
+    *_real(WeightFn.power, (1.0, 0.5), 0, "C must be a finite number > 0", 0.0, math.inf),
+    *_real(WeightFn.power, (1.0, 0.5), 1, "r must be a finite number >= 0", -0.5, math.inf),
+    *_real(WeightFn.subexp, (0.5,), 0, "tau must lie in (0, 1)", 0.0, 1.0),
+    *_real(_weight_json, ({"kind": "factorial"}, "alpha", 2.0), 2, "alpha " + _P, 0.5),
+    *_real(_weight_json, ({"kind": "power", "r": 0.5}, "C", 1.0), 2,
+           "C must be a finite number > 0", 0.0),
+    *_real(_weight_json, ({"kind": "power", "C": 1.0}, "r", 0.5), 2,
+           "r must be a finite number >= 0", -0.5),
+    *_real(_weight_json, ({"kind": "subexp"}, "tau", 0.5), 2, "tau must lie in (0, 1)", 1.0),
+    *_real(_knot, (1.0, 2.0), 0, "knot 0 p must be a finite number", -math.inf, math.inf),
+    *_real(_knot, (1.0, 2.0), 1, "knot 0 value must be a finite number > 0", 0.0, math.inf),
+    *_real(NormSpec, ("lp", 2.0), 1, "p " + _P, 0.5, math.inf),
+    *_real(NormSpec, ("alpha-norm", None, 2.0), 2, "alpha " + _P, 0.5, math.inf),
+    *_real(_norm_json, ({"norm": "lp"}, "p", 2.0), 2, "p " + _P, 0.5),
+    *_real(_norm_json, ({"norm": "psi-alpha"}, "alpha", 2.0), 2, "alpha " + _P, 0.5),
+    *_real(theorem2_constant, (2.0,), 0, "alpha " + _P, 0.5, math.inf),
+    *_real(theorem2_n_bound, (2.0, 0.5, 2), 1, _EPS, 0.0, 1.0),
+    *_real(nbound1, (0.5, 2, WeightFn.power(1.0, 0.5)), 0, _EPS, 0.0, 1.0),
+    *_real(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 2, 1), 1, _EPS, 0.0, 1.0),
+    *_real(construction_constants_check, (12.75,), 0, "a must be a finite number > 0",
+           0.0, math.inf, _HUGE),
+    *_real(initial_alpha_lower, (2, 2.0), 1, "alpha must lie in [1, inf]", 0.5, -math.inf),
+]
 
 
 @pytest.mark.parametrize("fn, args, message", [
@@ -136,6 +203,10 @@ def _count(fn, args, i, name, lo, hi=None):
     *_count(hnww_empirical_check, (1, 16, 2, 0), 2, "k_trials", 1),
     *_count(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 2, 1), 2, "d", 1),
     *_count(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 2, 1), 3, "k_trials", 0),
+    *_count(hnww_empirical_check, (1, 16, 2, 0), 3, "seed", 0),
+    *_count(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 2, 1, 0), 4, "seed", 0),
+    # every real argument takes only a real number in its range
+    *_REAL_CASES,
 ])
 def test_bound_helpers_reject_nan_infinite_alpha_and_fractional_p(fn, args, message):
     with pytest.raises(ValueError, match=message):

@@ -130,6 +130,8 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     cases = [
         ["disc", "--in", str(f), "--norm", "lp"],                      # missing --p
         ["disc", "--in", str(f), "--norm", "lp", "--p", "2", "--tol", "0.5"],
+        ["disc", "--in", str(f), "--norm", "lp", "--p", "2", "--tol", "0"],
+        ["disc", "--in", str(f), "--norm", "lp", "--p", "2", "--tol", "nan"],
         ["disc", "--in", str(tmp_path / "nope.csv"), "--norm", "star"],
         ["disc", "--in", str(f), "--norm", "phi"],                     # missing --phi
         ["disc", "--in", str(f), "--norm", "phi", "--phi", "{bad json"],
@@ -139,6 +141,7 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ["disc", "--in", str(f), "--norm", "phi", "--phi", "[1,2]"],
         ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"power","C":"x","r":1}'],
         ["sweep", "--norm", "star", "--d-range", "1:2", "--n-range", "4:8", "--trials", "0"],
+        ["sweep", "--norm", "star", "--d-range", "1:2", "--n-range", "4:8", "--trials", "-2"],
         ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "0:2"],
         ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "0:8:geometric"],
         ["sweep", "--norm", "star", "--d-range", "0:2:geometric", "--n-range", "2:4"],
@@ -181,10 +184,17 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "Traceback" not in err, argv
-        if "--seed" in argv:
-            assert "--seed" in err, (argv, err)
+        # a bad --seed, --tol or --trials value is named by its flag; where
+        # a case carries more than one, the first of these is the bad one
+        flag = next((flag for flag in ("--seed", "--tol", "--trials") if flag in argv), None)
+        if flag is not None:
+            assert err.startswith(f"error: {flag} must "), (argv, err)
         if "1e308" in argv:
             assert "alpha" in err and " p " not in err, err
+    # the top of the --tol range is still a tolerance
+    code, out, _ = run_cli(["disc", "--in", str(f), "--norm", "lp", "--p", "2", "--tol", "1e-2"],
+                           capsys)
+    assert code == 0 and out.startswith("value="), out
 
 
 def test_phi_ratio_beyond_a_double_exits_two(capsys, tmp_path):

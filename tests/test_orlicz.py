@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,25 +99,31 @@ class TestWeightFn:
                      lambda: WeightFn.power(math.inf, 0.5)):
             with pytest.raises(ValueError):
                 make()
-        for knots in ([[1.0]], [[1.0, 2.0, 3.0]], [1.0], [[1.0, "x"]], [[1.0, True]]):
+        for knots in ([[1.0]], [[1.0, 2.0, 3.0]], [1.0]):
             with pytest.raises(ValueError, match=r"list of \[p, value\] pairs"):
                 WeightFn.from_json({"kind": "tabulated", "knots": knots})
         with pytest.raises(ValueError, match=r"^knots must be a list of \[p, value\] pairs"):
             WeightFn.from_json({"kind": "tabulated"})
-        for knots, message in (([], "at least one knot"), ([[1.0, 2.0], [math.inf, 3.0]], "finite p"),
+        for knots, message in (([], "at least one knot"),
+                               ([[1.0, 2.0], [math.inf, 3.0]], "knot 1 p must be a finite number"),
+                               ([[1.0, "x"]], "knot 0 value must be a finite number > 0"),
+                               ([[1.0, True]], "knot 0 value must be a finite number > 0"),
                                ([[1.0, 2.0], [1.0, 3.0]], "strictly increasing p")):
             with pytest.raises(ValueError, match=message):
                 WeightFn.from_json({"kind": "tabulated", "knots": knots})
         # a boolean is not a number, though float() reads it as 0 or 1,
-        # whether it comes from JSON or to the constructor
-        for data, field in (({"kind": "power", "C": True, "r": 1}, "C"),
-                            ({"kind": "power", "C": 1, "r": False}, "r"),
-                            ({"kind": "power", "C": 1, "r": True}, "r"),
-                            ({"kind": "factorial", "alpha": True}, "alpha"),
-                            ({"kind": "subexp", "tau": True}, "tau")):
-            for make in (WeightFn.from_json, lambda data: WeightFn(**data)):
-                with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
-                    make(data)
+        # whether it comes from JSON, to the constructor or to a maker
+        for kind, fields, message in (
+                ("power", {"C": True, "r": 1}, "C must be a finite number > 0, got True"),
+                ("power", {"C": 1, "r": False}, "r must be a finite number >= 0, got False"),
+                ("power", {"C": 1, "r": True}, "r must be a finite number >= 0, got True"),
+                ("factorial", {"alpha": True}, "alpha must be a finite number >= 1, got True"),
+                ("subexp", {"tau": True}, "tau must lie in (0, 1), got True")):
+            for make in (lambda: WeightFn.from_json({"kind": kind, **fields}),
+                         lambda: WeightFn(kind, **fields),
+                         lambda: getattr(WeightFn, kind)(**fields)):
+                with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                    make()
 
     def test_json_round_trip_all_kinds(self):
         weights = [
