@@ -58,7 +58,7 @@ class NormSpec:
     weight: WeightFn | None = None
 
     def __post_init__(self):
-        if self.kind not in _NORM_FIELDS:
+        if not isinstance(self.kind, str) or self.kind not in _NORM_FIELDS:
             raise ValueError(f"unknown norm {self.kind!r}")
         fields = _NORM_FIELDS[self.kind]
         for name in ("p", "alpha", "weight"):
@@ -70,6 +70,8 @@ class NormSpec:
         for name in ("p", "alpha"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check_p(getattr(self, name), name))
+        if self.weight is not None and not isinstance(self.weight, WeightFn):
+            raise ValueError(f"weight must be a WeightFn, got {self.weight!r}")
 
     @classmethod
     def from_json(cls, data: dict) -> "NormSpec":
@@ -82,7 +84,7 @@ class NormSpec:
             kind=data.get("norm"),
             p=data.get("p"),
             alpha=data.get("alpha"),
-            weight=WeightFn.from_json(data["weight"]) if "weight" in data else None,
+            weight=None if data.get("weight") is None else WeightFn.from_json(data["weight"]),
         )
 
     def compute(self, points: PointSet, rel_tol: float | None = None) -> NormResult:
@@ -109,7 +111,8 @@ class NormSpec:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One verified inequality: lhs <= rhs expected when holds is True."""
+    """One verified inequality, lhs <= rhs or lhs <= value <= rhs, with
+    its verdict ``holds`` and its smallest gap as computed, ``margin``."""
 
     name: str
     lhs: float
@@ -118,6 +121,25 @@ class BoundReport:
     margin: float
     params: dict = field(default_factory=dict)
     note: str = ""
+
+    @classmethod
+    def check(cls, name: str, lhs: float, rhs: float, value: float | None = None,
+              slack: float = 0.0, strict: bool = False, params: dict | None = None,
+              note: str = "") -> "BoundReport":
+        """The report of one inequality, each side allowed ``slack``.
+
+        Without ``value``: lhs <= rhs, or lhs < rhs with ``strict``, and
+        margin rhs - lhs.  With it: lhs <= value <= rhs, and margin
+        min(value - lhs, rhs - value).  An equality x == ref is
+        ``check(name, x, x, value=ref)``, whose margin is -|x - ref|.
+        """
+        if value is None:
+            holds = lhs < rhs + slack if strict else lhs <= rhs + slack
+            margin = rhs - lhs
+        else:
+            holds = lhs <= value + slack and value <= rhs + slack
+            margin = min(value - lhs, rhs - value)
+        return cls(name, lhs, rhs, holds, margin, params or {}, note)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -129,17 +151,9 @@ def stirling_check(p: int) -> BoundReport:
     log_lo = 0.5 * math.log(2.0 * math.pi * p) + p * (math.log(p) - 1.0)
     log_hi = log_lo + 1.0 / (12.0 * p)
     log_fact = math.lgamma(p + 1.0)
-    holds = (log_lo - LOG_SLACK <= log_fact) and (log_fact <= log_hi + LOG_SLACK)
-    margin = min(log_fact - log_lo, log_hi - log_fact)
-    return BoundReport(
-        name="stirling",
-        lhs=log_lo,
-        rhs=log_hi,
-        holds=holds,
-        margin=margin,
-        params={"p": p, "log_factorial": log_fact},
-        note="log-domain two-sided check",
-    )
+    return BoundReport.check("stirling", log_lo, log_hi, value=log_fact, slack=LOG_SLACK,
+                             params={"p": p, "log_factorial": log_fact},
+                             note="log-domain two-sided check")
 
 
 def theorem2_constant(alpha: float) -> float:
@@ -234,15 +248,9 @@ def construction_constants_check(a: float) -> BoundReport:
     """2^(5/4)/(3^(3/4) a) + exp(4.9 - (a/5.7)^2) < 1, with 16 a^2 echoed."""
     a = check_real(a, "a", 0)
     value = 2.0 ** 1.25 / (3.0 ** 0.75 * a) + math.exp(4.9 - (a / 5.7) ** 2)
-    return BoundReport(
-        name="construction_constants",
-        lhs=value,
-        rhs=1.0,
-        holds=value < 1.0,
-        margin=1.0 - value,
-        params={"a": a, "sixteen_a_sq": 16.0 * a * a},
-        note="probabilistic-construction feasibility condition",
-    )
+    return BoundReport.check("construction_constants", value, 1.0, strict=True,
+                             params={"a": a, "sixteen_a_sq": 16.0 * a * a},
+                             note="probabilistic-construction feasibility condition")
 
 
 def _general_lower_const(phi: WeightFn, alpha: float) -> float:
@@ -283,11 +291,6 @@ def lemma1_sandwich_check(points: PointSet, alpha: float,
         base = phi_norm(points, phi, cache=cache)
         name = "lemma1_general"
     lux = luxemburg_norm(points, spec, cache=cache)
-    lhs = lo_c * base.value
-    rhs = hi_c * base.value
-    slack = lux.abs_error_estimate + hi_c * base.abs_error_estimate
-    holds = (lhs <= lux.value + slack) and (lux.value <= rhs + slack)
-    margin = min(lux.value - lhs, rhs - lux.value)
     params = {
         "alpha": alpha,
         "n_points": points.n_points,
@@ -299,8 +302,9 @@ def lemma1_sandwich_check(points: PointSet, alpha: float,
     }
     if phi is not None:
         params["weight"] = phi.to_json()
-    return BoundReport(name=name, lhs=lhs, rhs=rhs, holds=holds,
-                       margin=margin, params=params)
+    slack = lux.abs_error_estimate + hi_c * base.abs_error_estimate
+    return BoundReport.check(name, lo_c * base.value, hi_c * base.value, value=lux.value,
+                             slack=slack, params=params)
 
 
 def hnww_empirical_check(d: int, n: int, k_trials: int, seed: int) -> BoundReport:
@@ -392,43 +396,27 @@ def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
 
 
 def _construction_reports() -> list[BoundReport]:
-    base = construction_constants_check(12.75)
     a_sq = 16.0 * 12.75 ** 2
-    exact = BoundReport(
-        name="construction_a_value",
-        lhs=a_sq,
-        rhs=2601.0,
-        holds=a_sq == 2601.0,
-        margin=0.0,
-        params={"a": 12.75},
-        note="16 a^2 must equal 2601 exactly",
-    )
-    return [base, exact, construction_constants_check(100.0)]
+    return [construction_constants_check(12.75),
+            BoundReport.check("construction_a_value", a_sq, a_sq, value=2601.0,
+                              params={"a": 12.75}, note="16 a^2 must equal 2601 exactly"),
+            construction_constants_check(100.0)]
 
 
 def _theorem2_reports() -> list[BoundReport]:
-    reports = []
     c_lim = theorem2_constant(1e6)
-    rel = abs(c_lim - 2601.0) / 2601.0
-    reports.append(BoundReport(
-        name="theorem2_constant_limit", lhs=rel, rhs=1e-3, holds=rel <= 1e-3,
-        margin=1e-3 - rel, params={"alpha": 1e6, "value": c_lim},
-        note="relative deviation from the large-alpha limit 2601",
-    ))
-    nb = theorem2_n_bound(2.0, 0.5, 1)
-    reports.append(BoundReport(
-        name="theorem2_n_bound_value", lhs=float(nb), rhs=14456.0,
-        holds=nb == 14456, margin=0.0,
-        params={"alpha": 2.0, "eps": 0.5, "d": 1},
-        note="frozen reference value",
-    ))
-    b_loose = theorem2_n_bound(2.0, 0.9, 3)
-    b_tight = theorem2_n_bound(2.0, 0.1, 3)
-    reports.append(BoundReport(
-        name="theorem2_eps_monotone", lhs=float(b_loose), rhs=float(b_tight),
-        holds=b_loose < b_tight, margin=float(b_tight - b_loose),
-        params={"alpha": 2.0, "d": 3},
-    ))
+    nb = float(theorem2_n_bound(2.0, 0.5, 1))
+    reports = [
+        BoundReport.check("theorem2_constant_limit", abs(c_lim - 2601.0) / 2601.0, 1e-3,
+                          params={"alpha": 1e6, "value": c_lim},
+                          note="relative deviation from the large-alpha limit 2601"),
+        BoundReport.check("theorem2_n_bound_value", nb, nb, value=14456.0,
+                          params={"alpha": 2.0, "eps": 0.5, "d": 1},
+                          note="frozen reference value"),
+        BoundReport.check("theorem2_eps_monotone", float(theorem2_n_bound(2.0, 0.9, 3)),
+                          float(theorem2_n_bound(2.0, 0.1, 3)), strict=True,
+                          params={"alpha": 2.0, "d": 3}),
+    ]
     for alpha in (1.0, 2.0):
         seq = [theorem2_n_bound(alpha, 0.5, d) for d in range(1, 11)]
         ok = all(b <= c for b, c in zip(seq, seq[1:]))
@@ -440,24 +428,14 @@ def _theorem2_reports() -> list[BoundReport]:
 
 
 def _initial_reports() -> list[BoundReport]:
-    reports = []
     w = WeightFn.power(1.0, 1.0)
-    for d in range(1, 9):
-        val = phi_norm(empty_pointset(d), w).value
-        lb = initial_phi_lower(d, w)
-        reports.append(BoundReport(
-            name="initial_phi_lower", lhs=lb, rhs=val, holds=val >= lb,
-            margin=val - lb, params={"d": d, "weight": w.to_json()},
-        ))
-    for d in (2, 5, 10, 20):
-        for alpha in (1.0, 2.0):
-            val = alpha_norm(empty_pointset(d), alpha).value
-            lb = initial_alpha_lower(d, alpha)
-            reports.append(BoundReport(
-                name="initial_alpha_lower", lhs=lb, rhs=val, holds=val >= lb,
-                margin=val - lb, params={"d": d, "alpha": alpha},
-            ))
-    return reports
+    phi = [BoundReport.check("initial_phi_lower", initial_phi_lower(d, w),
+                             phi_norm(empty_pointset(d), w).value,
+                             params={"d": d, "weight": w.to_json()}) for d in range(1, 9)]
+    return phi + [BoundReport.check("initial_alpha_lower", initial_alpha_lower(d, alpha),
+                                    alpha_norm(empty_pointset(d), alpha).value,
+                                    params={"d": d, "alpha": alpha})
+                  for d in (2, 5, 10, 20) for alpha in (1.0, 2.0)]
 
 
 def _lemma1_reports(seed: int) -> list[BoundReport]:

@@ -35,6 +35,13 @@ _PHI_X_CAP = 12
 _PHI_HALVINGS = 7
 
 
+def _fields_of(kind) -> dict:
+    """The fields weight kind ``kind`` reads; any other kind is an error."""
+    if not isinstance(kind, str) or kind not in _WEIGHT_FIELDS:
+        raise ValueError(f"unknown weight kind {kind!r}")
+    return _WEIGHT_FIELDS[kind]
+
+
 @dataclass(frozen=True)
 class WeightFn:
     """Weight phi(p) on p >= 1, positive, with phi(p)^p convex in use.
@@ -59,13 +66,12 @@ class WeightFn:
     knots: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in _WEIGHT_FIELDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+        fields = _fields_of(self.kind)
         for name in ("alpha", "C", "r", "tau", "knots"):
-            if getattr(self, name) is not None and name not in _WEIGHT_FIELDS[self.kind]:
+            if getattr(self, name) is not None and name not in fields:
                 raise ValueError(f"a {self.kind} weight takes no field {name!r}")
         if self.kind != "tabulated":
-            for name, rule in _WEIGHT_FIELDS[self.kind].items():
+            for name, rule in fields.items():
                 object.__setattr__(self, name, check_real(getattr(self, name), name, *rule))
             return
         try:
@@ -142,11 +148,11 @@ class WeightFn:
         if not isinstance(data, dict):
             raise ValueError(f"a weight descriptor must be a JSON object, got {data!r}")
         kind = data.get("kind")
+        fields = _fields_of(kind)
         for key in data:
-            if key != "kind" and key not in _WEIGHT_FIELDS.get(kind, (key,)):
+            if key != "kind" and key not in fields:
                 raise ValueError(f"a {kind} weight takes no field {key!r}")
-        # an unknown kind takes no field, so its own error comes first
-        return cls(kind=kind, **{k: data[k] for k in _WEIGHT_FIELDS.get(kind, ()) if k in data})
+        return cls(kind=kind, **{k: data[k] for k in fields if k in data})
 
 
 @dataclass(frozen=True)
@@ -162,6 +168,8 @@ class OrliczSpec:
 
     def __post_init__(self):
         check_p(self.alpha, "alpha")
+        if self.weight is not None and not isinstance(self.weight, WeightFn):
+            raise ValueError(f"weight must be a WeightFn, got {self.weight!r}")
         if self.weight is not None and not self.weight.is_unbounded():
             raise ValueError(
                 "the Young-series construction needs an unbounded weight; "

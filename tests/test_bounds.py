@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -397,6 +398,12 @@ def test_initial_of_norm_specs():
             NormSpec.from_json(norm)
     with pytest.raises(ValueError, match="^unknown norm 'bogus'$"):
         NormSpec("bogus")
+    with pytest.raises(ValueError, match=r"^unknown norm \[1\]$"):
+        NormSpec.from_json({"norm": [1]})
+    # a weight is a WeightFn, not its JSON form
+    for kind, params in (("phi", {}), ("psi-alpha", {"alpha": 2.0})):
+        with pytest.raises(ValueError, match="^weight must be a WeightFn, got {'kind': 'power'}$"):
+            NormSpec(kind, weight={"kind": "power"}, **params)
     with pytest.raises(ValueError, match="^a norm spec must be a JSON object"):
         NormSpec.from_json([1])
     # a parameter the kind does not read, and a key no kind reads
@@ -410,8 +417,13 @@ def test_initial_of_norm_specs():
                           ({"norm": "lp", "P": 2}, "a norm spec takes no field 'P'")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             NormSpec.from_json(norm)
-    # the weight of a psi-alpha norm stays optional
+    # the weight of a psi-alpha norm stays optional, and a null weight is absent
     assert NormSpec.from_json({"norm": "psi-alpha", "alpha": 2, "weight": power}).weight
+    assert NormSpec.from_json({"norm": "psi-alpha", "alpha": 2, "weight": None}) == \
+        NormSpec("psi-alpha", alpha=2.0)
+    assert NormSpec.from_json({"norm": "lp", "p": 2, "weight": None}) == NormSpec("lp", 2.0)
+    with pytest.raises(ValueError, match="^--phi is required for --norm phi$"):
+        NormSpec.from_json({"norm": "phi", "weight": None})
 
 
 def test_empirical_inverse_star_d1():
@@ -429,6 +441,39 @@ def test_empirical_inverse_cap_raises(monkeypatch):
     monkeypatch.setattr(bounds, "INVERSE_N_CAP", 8)
     with pytest.raises(RuntimeError, match="exceeded the cap n = 8"):
         empirical_inverse_discrepancy({"norm": "star"}, 1e-3, 2, seed=0, k_trials=1)
+
+
+@pytest.mark.parametrize("kwargs, holds, margin", [
+    # one-sided: lhs <= rhs, margin rhs - lhs
+    (dict(lhs=1.0, rhs=2.0), True, 1.0),
+    (dict(lhs=1.0, rhs=1.0), True, 0.0),
+    (dict(lhs=2.0, rhs=1.0), False, -1.0),
+    # strict: lhs < rhs, so equality fails
+    (dict(lhs=1.0, rhs=1.0, strict=True), False, 0.0),
+    (dict(lhs=0.5, rhs=1.0, strict=True), True, 0.5),
+    # slack lets lhs pass rhs by less than it; the margin ignores it
+    (dict(lhs=1.25, rhs=1.0, slack=0.5), True, -0.25),
+    (dict(lhs=1.25, rhs=1.0, slack=0.5, strict=True), True, -0.25),
+    (dict(lhs=1.75, rhs=1.0, slack=0.5), False, -0.75),
+    # two-sided: lhs <= value <= rhs, margin the smaller gap
+    (dict(lhs=1.0, rhs=4.0, value=2.0), True, 1.0),
+    (dict(lhs=1.0, rhs=4.0, value=0.5), False, -0.5),
+    (dict(lhs=1.0, rhs=4.0, value=4.5), False, -0.5),
+    # slack on each side of the two-sided form
+    (dict(lhs=1.0, rhs=4.0, value=0.75, slack=0.5), True, -0.25),
+    (dict(lhs=1.0, rhs=4.0, value=0.25, slack=0.5), False, -0.75),
+    (dict(lhs=1.0, rhs=4.0, value=4.25, slack=0.5), True, -0.25),
+    (dict(lhs=1.0, rhs=4.0, value=4.75, slack=0.5), False, -0.75),
+    # an equality x == ref, as check(name, x, x, value=ref)
+    (dict(lhs=3.0, rhs=3.0, value=3.0), True, 0.0),
+    (dict(lhs=3.0, rhs=3.0, value=2.0), False, -1.0),
+    (dict(lhs=3.0, rhs=3.0, value=4.0), False, -1.0),
+])
+def test_bound_report_check(kwargs, holds, margin):
+    rep = BoundReport.check("t", **kwargs, params={"k": 1}, note="n")
+    assert rep.holds is holds and rep.margin == margin
+    assert rep == BoundReport("t", kwargs["lhs"], kwargs["rhs"], holds, margin, {"k": 1}, "n")
+    assert BoundReport.check("t", **kwargs) == replace(rep, params={}, note="")
 
 
 def test_bound_report_json():

@@ -156,6 +156,8 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ["disc", "--in", str(f), "--norm", "phi", "--phi",
          '{"kind":"tabulated","knots":[[1,2,3]]}'],
         ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"tabulated"}'],
+        # a kind that is no string, not even a hashable one
+        ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":[1]}'],
         ["disc", "--in", str(f), "--norm", "phi", "--phi", '{"kind":"power","C":true,"r":1}'],
         ["disc", "--in", str(f), "--norm", "psi-alpha", "--alpha", "2", "--phi",
          '{"kind":"power","C":1,"r":false}'],

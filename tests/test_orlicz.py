@@ -82,6 +82,10 @@ class TestWeightFn:
             WeightFn.factorial(0.5)
         with pytest.raises(ValueError):
             WeightFn(kind="nope")
+        # a kind that is no string, not even a hashable one
+        for make in (lambda: WeightFn(kind=[1]), lambda: WeightFn.from_json({"kind": [1]})):
+            with pytest.raises(ValueError, match=r"^unknown weight kind \[1\]$"):
+                make()
         # a field the kind does not read, or no field at all, is an error
         # that names it, not a weight that carries it
         for data, field in (({"kind": "factorial", "alpha": 2, "tau": 0.5, "C": 3}, "tau"),
@@ -183,6 +187,8 @@ class TestYoungFunction:
             OrliczSpec(0.5)
         with pytest.raises(ValueError, match="alpha must be a finite number"):
             OrliczSpec(math.inf)
+        with pytest.raises(ValueError, match="^weight must be a WeightFn, got {'kind': 'power'}$"):
+            OrliczSpec(2.0, {"kind": "power"})
 
     def test_log_denom_exact_kind_is_log_factorial(self):
         spec = OrliczSpec(2.0)
