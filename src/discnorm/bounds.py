@@ -38,8 +38,8 @@ SANDWICH_LOWER_BASE = math.exp(11.0 / 12.0) / math.sqrt(2.0 * math.pi)
 
 
 # The parameters each norm kind reads, by kind, the first of them required.
-_NORM_FIELDS = {"lp": ("p",), "star": (), "psi-alpha": ("alpha", "weight"), "phi": ("weight",),
-                "alpha-norm": ("alpha",)}
+NORM_FIELDS = {"lp": ("p",), "star": (), "psi-alpha": ("alpha", "weight"), "phi": ("weight",),
+               "alpha-norm": ("alpha",)}
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,6 @@ class NormSpec:
 
     Kinds: ``lp`` (p), ``star``, ``psi-alpha`` (alpha, optional weight),
     ``phi`` (weight) and ``alpha-norm`` (alpha); a kind takes no other.
-    The JSON form is ``{"norm": kind, "p": ..., "alpha": ..., "weight":
-    {...}}``, with no other key.
     """
 
     kind: str
@@ -58,9 +56,9 @@ class NormSpec:
     weight: WeightFn | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _NORM_FIELDS:
+        if not isinstance(self.kind, str) or self.kind not in NORM_FIELDS:
             raise ValueError(f"unknown norm {self.kind!r}")
-        fields = _NORM_FIELDS[self.kind]
+        fields = NORM_FIELDS[self.kind]
         for name in ("p", "alpha", "weight"):
             flag = "phi" if name == "weight" else name
             if name in fields[:1] and getattr(self, name) is None:
@@ -73,20 +71,6 @@ class NormSpec:
         if self.weight is not None and not isinstance(self.weight, WeightFn):
             raise ValueError(f"weight must be a WeightFn, got {self.weight!r}")
 
-    @classmethod
-    def from_json(cls, data: dict) -> "NormSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"a norm spec must be a JSON object, got {data!r}")
-        for key in data:
-            if key not in ("norm", "p", "alpha", "weight"):
-                raise ValueError(f"a norm spec takes no field {key!r}")
-        return cls(
-            kind=data.get("norm"),
-            p=data.get("p"),
-            alpha=data.get("alpha"),
-            weight=None if data.get("weight") is None else WeightFn.from_json(data["weight"]),
-        )
-
     def compute(self, points: PointSet, rel_tol: float | None = None) -> NormResult:
         """This norm of the local discrepancy of ``points``.
 
@@ -95,7 +79,9 @@ class NormSpec:
         """
         tol = {} if rel_tol is None else {"rel_tol": rel_tol}
         if self.kind == "star":
-            return NormResult(star_discrepancy_exact(points), 0.0, {"engine": "star-exact"})
+            # a sup over rounded counts and corner products, all in [0, 1]
+            return NormResult(star_discrepancy_exact(points), (points.dim + 1) * 2.0 ** -53,
+                              {"engine": "star-exact"})
         if self.kind == "lp":
             return lp_discrepancy(points, self.p, **tol)
         if self.kind == "psi-alpha":
@@ -352,10 +338,10 @@ def sweep_bound(spec: NormSpec, d: int, n: int) -> float | int | None:
     return None
 
 
-def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
+def empirical_inverse_discrepancy(spec: NormSpec, eps: float, d: int,
                                   k_trials: int = 16, seed: int = 0) -> int:
     """Smallest N (doubling then bisection) whose best-of-k candidate set
-    reaches eps times the initial discrepancy.
+    reaches eps times the initial discrepancy, both in the norm ``spec``.
 
     Candidates at each N are the Halton set plus k seeded uniform sets,
     so the estimate upper-bounds the true inverse discrepancy.  Per-N
@@ -367,7 +353,8 @@ def empirical_inverse_discrepancy(norm: dict, eps: float, d: int,
     seed = check_int(seed, "seed", 0)
     if d > 16 and k_trials < 1:
         raise ValueError("no candidate sets: d > 16 has no Halton set, so k_trials must be >= 1")
-    spec = NormSpec.from_json(norm)
+    if not isinstance(spec, NormSpec):
+        raise ValueError(f"spec must be a NormSpec, got {spec!r}")
     threshold = eps * spec.initial(d)
     cache: dict[int, float] = {}
 

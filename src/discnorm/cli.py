@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .bounds import _NORM_FIELDS, SUITES, NormSpec, sweep_bound
+from .bounds import NORM_FIELDS, SUITES, NormSpec, sweep_bound
 from .integrate import NumericalError
 from .orlicz import WeightFn
 from .pointset import (check_int, check_real, generate_halton, generate_uniform, load_pointset,
@@ -118,7 +118,7 @@ def cmd_sweep(args) -> int:
 
 def _add_norm_flags(parser: _Parser) -> None:
     """The --norm flag and the parameters its kinds take."""
-    parser.add_argument("--norm", required=True, choices=list(_NORM_FIELDS))
+    parser.add_argument("--norm", required=True, choices=list(NORM_FIELDS))
     parser.add_argument("--p", type=float, default=None)
     parser.add_argument("--alpha", type=float, default=None)
     parser.add_argument("--phi", default=None, help="weight JSON descriptor")

@@ -341,39 +341,47 @@ def _take(block, place):
 class _Plan:
     """What one grid keeps for its adaptive computes, across p.
 
-    Made at the grid's first compute, unless the first pass (``cost``)
-    passes ``MAX_EVAL_ELEMENTS``: the stack, the outer axes' cell bounds,
-    the occupied columns, the first-pass pieces (col, lo, hi) and their
-    masses.  Where the first pass is within ``_PLAN_ELEMENTS``, also the
-    p-independent work on those pieces, as the ``_level_blocks`` a fresh
-    pass makes of the nodes each level adds to the one below: the ends
-    and K7's 7 at level 0 and P15's 8 new ones at level 1.  P31's 16 at
-    the top level are not kept: few pieces reach it, taking them is no
-    faster than making them, and it would be the largest work.  A work is
-    kept once the pieces asked of it, over all computes, exceed the
-    pieces it holds, so that it costs no more than the evaluations it
-    replaces and a single-p call keeps none.  It is made block by block,
-    its ``big`` and ``lg`` frozen for ``_stack_apply``, and dropped once
-    the plan would pass the cap.
+    Made at the grid's first compute: the stack, with the counts and
+    corner products of the occupied columns only, the outer axes' cell
+    bounds, the occupied columns, the first-pass pieces (col, lo, hi), col
+    a row of the stack, and their masses.  Refused, before any corner
+    product is made, where the first pass passes ``MAX_EVAL_ELEMENTS``,
+    each node counting its column's m cells and 2^(d-1) product-law
+    terms.  Where the first pass (``cost``, m per node) is within
+    ``_PLAN_ELEMENTS``, the plan also keeps the p-independent work on
+    those pieces, as the ``_level_blocks`` a fresh pass makes of the nodes
+    each level adds to the one below: the ends and K7's 7 at level 0 and
+    P15's 8 new ones at level 1.  P31's 16 at the top level are not kept:
+    few pieces reach it, taking them is no faster than making them, and it
+    would be the largest work.  A work is kept once the pieces asked of it,
+    over all computes, exceed the pieces it holds, so that it costs no
+    more than the evaluations it replaces and a single-p call keeps
+    none.  It is made block by block, its ``big`` and ``lg`` frozen for
+    ``_stack_apply``, and dropped once the plan would pass the cap.
     """
 
     def __init__(self, grid):
-        d = grid.dim
+        d, k = grid.dim, 1 << (grid.dim - 1)
         a_cols = grid.count_fractions().reshape(-1, grid.counts.shape[-1])
         self.lo_axes, self.hi_axes = ([f(i) for i in range(d - 1)]
                                       for f in (grid.cell_lo, grid.cell_hi))
-        corners = np.stack([functools.reduce(np.multiply.outer, [
-            (self.lo_axes if j >> i & 1 else self.hi_axes)[i] for i in range(d - 1)]).reshape(-1)
-            for j in range(1 << (d - 1))], axis=1)
         self.occupied = a_cols.any(axis=1)
-        brk = np.sort(corners[self.occupied], axis=1)
-        self.pieces = (np.repeat(np.nonzero(self.occupied)[0], brk.shape[1] - 1),
-                       brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1))
-        self.stack = a_cols, grid.cell_lo(d - 1), grid.cell_hi(d - 1), corners, grid.sup_abs
-        self.cost = self.pieces[0].size * _SPANS[0].stop * a_cols.shape[1]
-        if self.cost > MAX_EVAL_ELEMENTS:
-            raise ValueError(f"adaptive Lp integration pass needs {self.cost} evaluations (limit "
-                             f"{MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale")
+        # each occupied column is the k - 1 pieces between its k corner products
+        cols, m = np.flatnonzero(self.occupied), a_cols.shape[1]
+        nodes = cols.size * (k - 1) * _SPANS[0].stop
+        if nodes * (m + k) > MAX_EVAL_ELEMENTS:
+            raise ValueError(f"adaptive Lp integration pass needs {nodes * (m + k)} evaluations "
+                             f"(limit {MAX_EVAL_ELEMENTS}); size is beyond the exact-engine scale")
+        at = np.unravel_index(cols, grid.counts.shape[:-1])
+        corners = np.stack([functools.reduce(np.multiply, [
+            (self.lo_axes if j >> i & 1 else self.hi_axes)[i][at[i]] for i in range(d - 1)])
+            for j in range(k)], axis=1)
+        brk = np.sort(corners, axis=1)
+        self.pieces = (np.repeat(np.arange(cols.size), k - 1), brk[:, :-1].reshape(-1),
+                       brk[:, 1:].reshape(-1))
+        self.stack = (a_cols[self.occupied], grid.cell_lo(d - 1), grid.cell_hi(d - 1), corners,
+                      grid.sup_abs)
+        self.cost = nodes * m
         self.mass = _masses(*self.pieces, corners)
         self.elements, self.work, self.asked = 0, {}, {}
 

@@ -135,12 +135,9 @@ class WeightFn:
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
-        for name in ("alpha", "C", "r", "tau"):
+        for name in _WEIGHT_FIELDS[self.kind]:
             v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        if self.knots is not None:
-            out["knots"] = [list(k) for k in self.knots]
+            out[name] = [list(k) for k in v] if name == "knots" else v
         return out
 
     @classmethod

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 
 from discnorm.bounds import (
     SANDWICH_LOWER_BASE,
+    NormSpec,
     construction_constants_check,
     empirical_inverse_discrepancy,
     hnww_empirical_check,
@@ -224,7 +225,7 @@ def test_11_inverse_discrepancy_vs_bound(report):
     t0 = time.perf_counter()
     eps = 0.5
     eps_prime = eps * SANDWICH_LOWER_BASE ** 0.5 / math.sqrt(2.0)
-    norm = {"norm": "psi-alpha", "alpha": 2.0}
+    norm = NormSpec("psi-alpha", alpha=2.0)
     ok = True
     parts = []
     for d in (1, 2):

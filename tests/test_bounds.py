@@ -113,10 +113,6 @@ def _real(fn, args, i, rule, *past):
             for v in (math.nan, True, "x", *past)]
 
 
-def _norm_json(base, name, value):
-    return NormSpec.from_json({**base, name: value})
-
-
 def _weight_json(base, name, value):
     return WeightFn.from_json({**base, name: value})
 
@@ -126,6 +122,7 @@ def _knot(p, value):
 
 
 _PTS = generate_uniform(4, 2, 0)
+_STAR = NormSpec("star")
 _P = "must be a finite number >= 1"
 _TOL = "rel_tol must be a finite number > 0"
 _EPS = "eps must lie in (0, 1)"
@@ -157,12 +154,10 @@ _REAL_CASES = [
     *_real(_knot, (1.0, 2.0), 1, "knot 0 value must be a finite number > 0", 0.0, math.inf),
     *_real(NormSpec, ("lp", 2.0), 1, "p " + _P, 0.5, math.inf),
     *_real(NormSpec, ("alpha-norm", None, 2.0), 2, "alpha " + _P, 0.5, math.inf),
-    *_real(_norm_json, ({"norm": "lp"}, "p", 2.0), 2, "p " + _P, 0.5),
-    *_real(_norm_json, ({"norm": "psi-alpha"}, "alpha", 2.0), 2, "alpha " + _P, 0.5),
     *_real(theorem2_constant, (2.0,), 0, "alpha " + _P, 0.5, math.inf),
     *_real(theorem2_n_bound, (2.0, 0.5, 2), 1, _EPS, 0.0, 1.0),
     *_real(nbound1, (0.5, 2, WeightFn.power(1.0, 0.5)), 0, _EPS, 0.0, 1.0),
-    *_real(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 2, 1), 1, _EPS, 0.0, 1.0),
+    *_real(empirical_inverse_discrepancy, (_STAR, 0.5, 2, 1), 1, _EPS, 0.0, 1.0),
     *_real(construction_constants_check, (12.75,), 0, "a must be a finite number > 0",
            0.0, math.inf, _HUGE),
     *_real(initial_alpha_lower, (2, 2.0), 1, "alpha must lie in [1, inf]", 0.5, -math.inf),
@@ -183,8 +178,12 @@ _REAL_CASES = [
     _rejected(construction_constants_check, (True,)),
     _rejected(initial_alpha_lower, (2, True)),
     # above d = 16 there is no Halton set, so no candidate without trials
-    _rejected(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 17, 0)),
-    _rejected(empirical_inverse_discrepancy, ({"norm": "star"}, 1.5, 1), r"eps must lie in \(0, 1\)"),
+    _rejected(empirical_inverse_discrepancy, (_STAR, 0.5, 17, 0)),
+    _rejected(empirical_inverse_discrepancy, (_STAR, 1.5, 1), r"eps must lie in \(0, 1\)"),
+    # a norm is a NormSpec, not a dict of its fields, read once the counts are checked
+    _rejected(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 1),
+              "^" + re.escape("spec must be a NormSpec, got {'norm': 'star'}") + "$"),
+    _rejected(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 0), "^d must be >= 1"),
     # every count argument takes only an integer in its range
     *_count(empty_pointset, (2,), 0, "dim", 1),
     *_count(generate_uniform, (3, 2, 0), 0, "n", 0),
@@ -202,10 +201,10 @@ _REAL_CASES = [
     *_count(hnww_empirical_check, (1, 16, 2, 0), 0, "d", 1),
     *_count(hnww_empirical_check, (1, 16, 2, 0), 1, "n", 1),
     *_count(hnww_empirical_check, (1, 16, 2, 0), 2, "k_trials", 1),
-    *_count(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 2, 1), 2, "d", 1),
-    *_count(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 2, 1), 3, "k_trials", 0),
+    *_count(empirical_inverse_discrepancy, (_STAR, 0.5, 2, 1), 2, "d", 1),
+    *_count(empirical_inverse_discrepancy, (_STAR, 0.5, 2, 1), 3, "k_trials", 0),
     *_count(hnww_empirical_check, (1, 16, 2, 0), 3, "seed", 0),
-    *_count(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 2, 1, 0), 4, "seed", 0),
+    *_count(empirical_inverse_discrepancy, (_STAR, 0.5, 2, 1, 0), 4, "seed", 0),
     # every real argument takes only a real number in its range
     *_REAL_CASES,
 ])
@@ -217,9 +216,9 @@ def test_bound_helpers_reject_nan_infinite_alpha_and_fractional_p(fn, args, mess
 def test_inverse_discrepancy_rejects_negative_trials_at_every_d():
     for d in (2, 17):
         with pytest.raises(ValueError, match="k_trials must be >= 0"):
-            empirical_inverse_discrepancy({"norm": "star"}, 0.5, d, k_trials=-5)
+            empirical_inverse_discrepancy(_STAR, 0.5, d, k_trials=-5)
     # at d <= 16 the Halton set alone is a candidate
-    assert empirical_inverse_discrepancy({"norm": "star"}, 0.5, 2, k_trials=0) == 3
+    assert empirical_inverse_discrepancy(_STAR, 0.5, 2, k_trials=0) == 3
 
 
 def test_initial_alpha_lower_infinite_alpha_is_the_limit():
@@ -385,62 +384,53 @@ def test_hnww_empirical():
 
 
 def test_initial_of_norm_specs():
-    def initial_of(norm, d):
-        return NormSpec.from_json(norm).initial(d)
-
-    assert initial_of({"norm": "star"}, 3) == 1.0
-    assert initial_of({"norm": "lp", "p": 2.0}, 2) == initial_lp(2.0, 2)
-    assert initial_of({"norm": "alpha-norm", "alpha": 2.0}, 2) > 0.0
-    # a JSON boolean is not a number
-    for norm, field in (({"norm": "lp", "p": True}, "p"),
-                        ({"norm": "alpha-norm", "alpha": False}, "alpha")):
+    assert NormSpec("star").initial(3) == 1.0
+    assert NormSpec("lp", 2.0).initial(2) == initial_lp(2.0, 2)
+    assert NormSpec("alpha-norm", alpha=2.0).initial(2) > 0.0
+    # a boolean is not a number
+    for kind, field, flag in (("lp", "p", True), ("alpha-norm", "alpha", False)):
         with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
-            NormSpec.from_json(norm)
+            NormSpec(kind, **{field: flag})
     with pytest.raises(ValueError, match="^unknown norm 'bogus'$"):
         NormSpec("bogus")
     with pytest.raises(ValueError, match=r"^unknown norm \[1\]$"):
-        NormSpec.from_json({"norm": [1]})
+        NormSpec([1])
     # a weight is a WeightFn, not its JSON form
     for kind, params in (("phi", {}), ("psi-alpha", {"alpha": 2.0})):
         with pytest.raises(ValueError, match="^weight must be a WeightFn, got {'kind': 'power'}$"):
             NormSpec(kind, weight={"kind": "power"}, **params)
-    with pytest.raises(ValueError, match="^a norm spec must be a JSON object"):
-        NormSpec.from_json([1])
-    # a parameter the kind does not read, and a key no kind reads
-    power = {"kind": "power", "C": 1.0, "r": 0.5}
-    for norm, message in (({"norm": "lp", "p": 2, "alpha": 3}, "--norm lp takes no --alpha"),
-                          ({"norm": "star", "p": 3}, "--norm star takes no --p"),
-                          ({"norm": "phi", "weight": power, "alpha": 2},
-                           "--norm phi takes no --alpha"),
-                          ({"norm": "alpha-norm", "alpha": 2, "weight": power},
-                           "--norm alpha-norm takes no --phi"),
-                          ({"norm": "lp", "P": 2}, "a norm spec takes no field 'P'")):
+    # a parameter the kind does not read
+    power = WeightFn.power(1.0, 0.5)
+    for kind, kwargs, message in (("lp", {"p": 2, "alpha": 3}, "--norm lp takes no --alpha"),
+                                  ("star", {"p": 3}, "--norm star takes no --p"),
+                                  ("phi", {"weight": power, "alpha": 2},
+                                   "--norm phi takes no --alpha"),
+                                  ("alpha-norm", {"alpha": 2, "weight": power},
+                                   "--norm alpha-norm takes no --phi")):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            NormSpec.from_json(norm)
-    # the weight of a psi-alpha norm stays optional, and a null weight is absent
-    assert NormSpec.from_json({"norm": "psi-alpha", "alpha": 2, "weight": power}).weight
-    assert NormSpec.from_json({"norm": "psi-alpha", "alpha": 2, "weight": None}) == \
-        NormSpec("psi-alpha", alpha=2.0)
-    assert NormSpec.from_json({"norm": "lp", "p": 2, "weight": None}) == NormSpec("lp", 2.0)
+            NormSpec(kind, **kwargs)
+    # the weight of a psi-alpha norm stays optional; that of a phi norm does not
+    assert NormSpec("psi-alpha", alpha=2, weight=power).weight == power
+    assert NormSpec("psi-alpha", alpha=2).weight is None
     with pytest.raises(ValueError, match="^--phi is required for --norm phi$"):
-        NormSpec.from_json({"norm": "phi", "weight": None})
+        NormSpec("phi")
 
 
 def test_empirical_inverse_star_d1():
     # the one-point Halton candidate {1/2} already achieves D* = 1/2
-    assert empirical_inverse_discrepancy({"norm": "star"}, 0.5, 1, seed=0) == 1
+    assert empirical_inverse_discrepancy(_STAR, 0.5, 1, seed=0) == 1
 
 
 def test_empirical_inverse_monotone_in_eps():
-    loose = empirical_inverse_discrepancy({"norm": "star"}, 0.6, 1, seed=3)
-    tight = empirical_inverse_discrepancy({"norm": "star"}, 0.2, 1, seed=3)
+    loose = empirical_inverse_discrepancy(_STAR, 0.6, 1, seed=3)
+    tight = empirical_inverse_discrepancy(_STAR, 0.2, 1, seed=3)
     assert loose <= tight
 
 
 def test_empirical_inverse_cap_raises(monkeypatch):
     monkeypatch.setattr(bounds, "INVERSE_N_CAP", 8)
     with pytest.raises(RuntimeError, match="exceeded the cap n = 8"):
-        empirical_inverse_discrepancy({"norm": "star"}, 1e-3, 2, seed=0, k_trials=1)
+        empirical_inverse_discrepancy(_STAR, 1e-3, 2, seed=0, k_trials=1)
 
 
 @pytest.mark.parametrize("kwargs, holds, margin", [

@@ -223,7 +223,7 @@ def test_disc_json_is_strict_for_every_norm(capsys, tmp_path):
     capsys.readouterr()
     flags = {"lp": ["--p", "2.5"], "star": [], "psi-alpha": ["--alpha", "2"],
              "phi": ["--phi", '{"kind":"power","C":1,"r":0.5}'], "alpha-norm": ["--alpha", "2"]}
-    assert sorted(flags) == sorted(bounds._NORM_FIELDS)
+    assert sorted(flags) == sorted(bounds.NORM_FIELDS)
     for norm, extra in flags.items():
         code, out, _ = run_cli(["disc", "--in", str(f), "--norm", norm, *extra, "--json"], capsys)
         assert code == 0, norm

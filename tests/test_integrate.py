@@ -99,6 +99,21 @@ def test_piece_budget_is_a_hard_bound(monkeypatch):
     assert short == [True, False]
 
 
+def test_first_pass_check_counts_corner_terms_before_any_corner_product(monkeypatch):
+    # one point in d = 10 has one occupied column of 2 cells, so 511 pieces
+    # of 9 nodes, each node 2 cells and 512 product-law terms
+    monkeypatch.setattr(integrate, "MAX_EVAL_ELEMENTS", 10 ** 6)
+    reduce = functools.reduce
+    made = []
+    monkeypatch.setattr(functools, "reduce", lambda *a: made.append(a) or reduce(*a))
+    pts = generate_uniform(1, 10, seed=0)
+    with pytest.raises(ValueError, match=r"^adaptive Lp integration pass needs 2363886 "
+                                         r"evaluations \(limit 1000000\); size is beyond the "
+                                         r"exact-engine scale$"):
+        lp_discrepancy(pts, 3.0)
+    assert made == []
+
+
 SUP_SETS = [generate_uniform(8, 3, seed=2), generate_uniform(6, 4, seed=1),
             generate_uniform(12, 2, seed=5), generate_uniform(10, 3, seed=3),
             generate_halton(16, 2)]

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from discnorm import integrate
+from discnorm import integrate, orlicz
 from discnorm.lp import LpCache, lp_discrepancy
 from discnorm.orlicz import (
     OrliczSpec,
@@ -140,6 +140,17 @@ class TestWeightFn:
             data = json.loads(json.dumps(w.to_json()))
             back = WeightFn.from_json(data)
             assert back == w
+
+    @pytest.mark.parametrize("w, text", [
+        (WeightFn.factorial(2.5), '{"kind": "factorial", "alpha": 2.5}'),
+        (WeightFn.power(3.0, 1.5), '{"kind": "power", "C": 3.0, "r": 1.5}'),
+        (WeightFn.subexp(0.25), '{"kind": "subexp", "tau": 0.25}'),
+        (WeightFn.tabulated(((1.0, 1.0), (8.0, 4.0))),
+         '{"kind": "tabulated", "knots": [[1.0, 1.0], [8.0, 4.0]]}'),
+    ], ids=["factorial", "power", "subexp", "tabulated"])
+    def test_json_writes_the_fields_its_kind_lists(self, w, text):
+        assert json.dumps(w.to_json()) == text
+        assert list(w.to_json())[1:] == list(orlicz._WEIGHT_FIELDS[w.kind])
 
     def test_min_phi_from_nonmonotone_tabulated(self):
         w = WeightFn.tabulated(((1.0, 5.0), (4.0, 1.0), (8.0, 3.0)))

@@ -19,6 +19,8 @@ FIGURES = [
      lambda: integrate._BLOCK_ELEMENTS),
     (r"above `2\^(\d+)` cells \(`cells\.MAX_CELLS_DEFAULT`\)", lambda g: 2 ** int(g),
      lambda: cells.MAX_CELLS_DEFAULT),
+    (r"more than `(\d+)M` evaluations \(`integrate\.MAX_EVAL_ELEMENTS`\)",
+     lambda g: int(g) * 10 ** 6, lambda: integrate.MAX_EVAL_ELEMENTS),
     (r"below `(\S+)` \(`lp\.REL_TOL_FLOOR`\)", float, lambda: lp.REL_TOL_FLOOR),
     (r"every even integer `p <= (\d+)`", int, lambda: lp.MOMENT_P_MAX),
     (r"rigorously by `p = (\d+)`", int, lambda: 2 ** orlicz._PHI_X_CAP),

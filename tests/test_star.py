@@ -1,8 +1,13 @@
 """Exact star discrepancy and its Monte Carlo lower bound."""
 
+from fractions import Fraction
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from discnorm.bounds import NormSpec
+from discnorm.cells import build_cell_grid
 from discnorm.pointset import PointSet, empty_pointset, generate_uniform
 from discnorm.star import star_discrepancy_exact
 from oracles import star_discrepancy_lower_mc
@@ -76,3 +81,28 @@ def test_duplicate_coordinates():
     mc = star_discrepancy_lower_mc(pts, samples=200_000, seed=3)
     assert mc <= val + 1e-12
     assert 0.0 < val <= 1.0
+
+
+def _star_fraction(pts):
+    """The star discrepancy as an exact rational: the sup over the cell grid
+    of |count / N - corner product| at each cell's two diagonal corners,
+    every coordinate read exactly."""
+    grid = build_cell_grid(pts)
+    a = np.vectorize(lambda c: Fraction(int(c), pts.n_points), otypes=[object])(grid.counts)
+    return max(max(abs(a - reduce(np.multiply.outer, [
+        np.array([Fraction(x) for x in ends(i)], dtype=object) for i in range(pts.dim)])).flat)
+        for ends in (grid.cell_lo, grid.cell_hi))
+
+
+@pytest.mark.parametrize("n, d", [(5, 2), (6, 3), (4, 4)])
+def test_star_error_covers_the_exact_rational_sup(n, d):
+    # the corner products are rounded, which moves most of these values off
+    # the exact sup by up to about one rounding unit
+    missed = 0
+    for seed in range(20):
+        pts = generate_uniform(n, d, seed)
+        res = NormSpec("star").compute(pts)
+        off = abs(Fraction(res.value) - _star_fraction(pts))
+        assert off <= res.abs_error_estimate, (seed, float(off))
+        missed += off > 0
+    assert missed > 10
