@@ -40,7 +40,7 @@ import numpy as np
 
 from .cells import CellGrid
 
-# Evaluation-cost guard for the adaptive engines (elements per full pass).
+# Work guard of the adaptive engine: first-pass cells and 2^(d-1) law terms per node.
 MAX_EVAL_ELEMENTS = 400_000_000
 # Stack elements a grid's plan keeps, at most; a larger first pass keeps none.
 _PLAN_ELEMENTS = 24_000_000
@@ -199,25 +199,26 @@ def _gauss_nodes(lo, hi, level):
     return lo[:, None] + h * _NODES[_SPANS[level]], h
 
 
-def _product_law(s, corners, cumulative=False):
+def _product_law(s, corners, col, cumulative=False):
     """Density at s (P, K) of the product of the n outer coordinates over
-    a column's box, or with ``cumulative`` the box's measure where it is
-    <= s.  On [0, c]^n with C = prod c these are log(C/s)^(n-1) / (n-1)!
-    and s sum_{k<n} log(C/s)^k / k! for s < C; the box is their signed
-    sum over its corner products (P, 2^n), corner j taking the lower
-    bound on the axes of the set bits of j (Dettmann and Georgiou 2009).
-    """
-    n = corners.shape[1].bit_length() - 1
+    column col[i]'s box on row i, or with ``cumulative`` the box's measure
+    where it is <= s.  On [0, c]^n with C = prod c these are log(C/s)^(n-1)
+    / (n-1)! and s sum_{k<n} log(C/s)^k / k! for s < C; the box is their
+    signed sum over its corner products corners[col], corner j taking the
+    lower bound on the axes of the set bits of j (Dettmann and Georgiou
+    2009), added one corner at a time in the order of j."""
+    n, s = corners.shape[1].bit_length() - 1, np.maximum(s, 5e-324)
     # [log(C/s)]_+ from two logs, so that no quotient overflows; s = 0 (the
     # end of a piece at a zero lower corner) is clamped to keep its log finite
-    s, c = np.maximum(s, 5e-324)[..., None], corners[:, None, :]
+    log_s, out = np.log(s), np.zeros(s.shape)
     with np.errstate(divide="ignore"):
-        lg = np.maximum(np.log(c) - np.log(s), 0.0)
-    if cumulative:
-        terms = np.minimum(s, c) * sum(lg ** k / math.factorial(k) for k in range(n))
-    else:
-        terms = (lg > 0.0) * lg ** (n - 1) / math.factorial(n - 1)
-    return terms @ [(-1.0) ** bin(j).count("1") for j in range(1 << n)]
+        for j in range(1 << n):
+            c = corners[col, j][:, None]
+            lg = np.maximum(np.log(c) - log_s, 0.0)
+            term = (np.minimum(s, c) * sum(lg ** k / math.factorial(k) for k in range(n))
+                    if cumulative else (lg > 0.0) * lg ** (n - 1) / math.factorial(n - 1))
+            (np.subtract if bin(j).count("1") % 2 else np.add)(out, term, out=out)
+    return out
 
 
 def _rows(col, lo, hi, stack):
@@ -263,8 +264,7 @@ def _main_prep(col, lo, hi, stack, level, runs):
     count, first and last cell) at their row's nodes."""
     a_cols, t_lo, t_hi, corners, scale = stack
     q, h = _gauss_nodes(lo, hi, level)
-    # the law first: its temporaries outsize the prep
-    law = h * _product_law(q, corners[col])
+    law = h * _product_law(q, corners, col)
     if level == 0:
         law[:, :2] = 1.0
     row, a, first, last = runs
@@ -285,10 +285,9 @@ def _blocks(off, per_run):
 
 def _masses(col, lo, hi, corners):
     """The product law's measure of each piece, in blocks of pieces."""
-    mass = np.empty(col.size)
-    step = max(1, _BLOCK_ELEMENTS // corners.shape[1])
+    mass, step = np.empty(col.size), max(1, _BLOCK_ELEMENTS // 2)
     for s in (slice(i, i + step) for i in range(0, col.size, step)):
-        law = _product_law(np.stack([lo[s], hi[s]], axis=1), corners[col[s]], cumulative=True)
+        law = _product_law(np.stack([lo[s], hi[s]], axis=1), corners, col[s], cumulative=True)
         mass[s] = law[:, 1] - law[:, 0]
     return mass
 
@@ -341,23 +340,24 @@ def _take(block, place):
 class _Plan:
     """What one grid keeps for its adaptive computes, across p.
 
-    Made at the grid's first compute: the stack, with the counts and
-    corner products of the occupied columns only, the outer axes' cell
-    bounds, the occupied columns, the first-pass pieces (col, lo, hi), col
-    a row of the stack, and their masses.  Refused, before any corner
-    product is made, where the first pass passes ``MAX_EVAL_ELEMENTS``,
-    each node counting its column's m cells and 2^(d-1) product-law
-    terms.  Where the first pass (``cost``, m per node) is within
-    ``_PLAN_ELEMENTS``, the plan also keeps the p-independent work on
-    those pieces, as the ``_level_blocks`` a fresh pass makes of the nodes
-    each level adds to the one below: the ends and K7's 7 at level 0 and
-    P15's 8 new ones at level 1.  P31's 16 at the top level are not kept:
-    few pieces reach it, taking them is no faster than making them, and it
-    would be the largest work.  A work is kept once the pieces asked of it,
-    over all computes, exceed the pieces it holds, so that it costs no
-    more than the evaluations it replaces and a single-p call keeps
-    none.  It is made block by block, its ``big`` and ``lg`` frozen for
-    ``_stack_apply``, and dropped once the plan would pass the cap.
+    Made at the grid's first compute: the stack, with the counts and corner
+    products of the occupied columns only, the outer axes' cell bounds, the
+    occupied columns, the first-pass pieces (col, lo, hi), col a row of the
+    stack, and their masses.  Refused, before any corner product is made,
+    where the first pass passes ``MAX_EVAL_ELEMENTS``, each node counting
+    its column's m cells and 2^(d-1) product-law terms, the terms as work,
+    not memory, as the law adds them one corner at a time.  Where the first
+    pass (``cost``, m per node) is within ``_PLAN_ELEMENTS``, the plan also
+    keeps the p-independent work on those pieces, as the ``_level_blocks``
+    a fresh pass makes of the nodes each level adds to the one below: the
+    ends and K7's 7 at level 0 and P15's 8 new ones at level 1.  P31's 16
+    at the top level are not kept: few pieces reach it, taking them is no
+    faster than making them, and it would be the largest work.  A work is
+    kept once the pieces asked of it, over all computes, exceed the pieces
+    it holds, so that it costs no more than the evaluations it replaces and
+    a single-p call keeps none.  It is made block by block, its ``big`` and
+    ``lg`` frozen for ``_stack_apply``, and dropped once the plan would
+    pass the cap.
     """
 
     def __init__(self, grid):

@@ -200,8 +200,6 @@ def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float):
                              f"alpha * {ell} is beyond a double")
         logden = spec.log_denom(ell)
         norm = lp_at(p)
-        if norm <= 0.0:
-            return partial, 0.0
         logterm = p * (math.log(norm) - logk) - logden
         if logterm > 709.0:
             return math.inf, 0.0

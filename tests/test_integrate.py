@@ -14,7 +14,7 @@ from discnorm.cells import build_cell_grid
 from discnorm.integrate import _MAX_LEVEL, _gauss_nodes, lp_adaptive_integral
 from discnorm.lp import LpCache, lp_discrepancy
 from discnorm.orlicz import OrliczSpec, luxemburg_norm
-from discnorm.pointset import generate_halton, generate_uniform
+from discnorm.pointset import PointSet, generate_halton, generate_uniform
 from oracles import _inner_stack, cell_stack_sums, patterson_ladder
 
 
@@ -119,6 +119,38 @@ SUP_SETS = [generate_uniform(8, 3, seed=2), generate_uniform(6, 4, seed=1),
             generate_halton(16, 2)]
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_product_law_against_box_volume_and_density(d):
+    # the law of the product of the d - 1 outer coordinates on four seeded
+    # boxes [a, b], one with a zero lower bound as a grid's first cell has,
+    # over a corner table laid out as the plan's: at and above the largest
+    # corner its measure is the box's volume, and on each first-pass piece,
+    # between two consecutive corners, it is the integral of the density by
+    # composite 20-point Gauss-Legendre on 8 equal parts.  The signed corner
+    # sum cancels, so both are held to rounding of prod (a + b)
+    n, rng = d - 1, np.random.default_rng(d)
+    a = rng.uniform(0.0, 0.6, (4, n))
+    a[0, 0] = 0.0
+    b = a + rng.uniform(0.02, 0.4, (4, n))
+    corners = np.stack([np.prod(np.where([j >> i & 1 for i in range(n)], a, b), axis=1)
+                        for j in range(1 << n)], axis=1)
+    col, size = np.arange(4), np.prod(a + b, axis=1)
+    top = integrate._product_law(corners.max(axis=1)[:, None] * [1.0, 1.5, 3.0], corners, col,
+                                 cumulative=True)
+    assert (np.abs(top - np.prod(b - a, axis=1)[:, None]) <= 1e-15 * size[:, None]).all()
+    brk = np.sort(corners, axis=1)
+    col = np.repeat(col, (1 << n) - 1)
+    lo, hi = brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1)
+    mass = np.diff(integrate._product_law(np.stack([lo, hi], axis=1), corners, col,
+                                          cumulative=True))[:, 0]
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = lo[:, None, None] + (hi - lo)[:, None, None] * np.linspace(0.0, 1.0, 9)[:, None]
+    mid, half = (edges[:, 1:] + edges[:, :-1]) / 2, (edges[:, 1:] - edges[:, :-1]) / 2
+    s = (mid + half * x).reshape(lo.size, -1)
+    want = (integrate._product_law(s, corners, col) * (half * w).reshape(lo.size, -1)).sum(axis=1)
+    assert (np.abs(mass - want) <= 2e-15 * size[col]).all(), d
+
+
 def test_sup_bound_holds_on_every_first_pass_piece(monkeypatch):
     # a piece's bound, its mass times the larger of its two end sums, as
     # a compute makes it, against its integral by composite 40-point
@@ -148,7 +180,7 @@ def test_sup_bound_holds_on_every_first_pass_piece(monkeypatch):
         a = np.concatenate([c[:-1] for c in cuts])
         b = np.concatenate([c[1:] for c in cuts])
         s = (a + b)[:, None] / 2 + (b - a)[:, None] / 2 * x
-        weight = (b - a)[:, None] / 2 * w * integrate._product_law(s, corners[col[piece]])
+        weight = (b - a)[:, None] / 2 * w * integrate._product_law(s, corners, col[piece])
         for p in (1.0, 2.5, 20.0, 150.0):
             f = _inner_stack(s, a_cols[col[piece]], t_lo, t_hi, p, scale)
             want = np.bincount(piece, (f * weight).sum(axis=1), minlength=col.size)
@@ -435,16 +467,20 @@ def test_kept_blocks_are_frozen(name):
 
 def test_single_p_peak_memory():
     # the kernel runs in row blocks, so a single-p call holds no whole pass;
-    # on the (16,4) set most of that pass is kink sub-pieces
-    for (n, d), tol, bound in [((32, 3), 1e-9, 6e6), ((16, 4), 1e-6, 16e6)]:
-        pts = generate_uniform(n, d, 0)
+    # on the (16,4) set most of that pass is kink sub-pieces.  The product
+    # law adds its 2^(d-1) corners one at a time, so a few points in high d
+    # hold no (rows, nodes, corners) array either
+    for pts, tol, bound in [(generate_uniform(32, 3, 0), 1e-9, 6e6),
+                            (generate_uniform(16, 4, 0), 1e-6, 16e6),
+                            (PointSet(np.full((1, 11), 0.5)), 1e-9, 8e6),
+                            (generate_uniform(2, 9, 0), 1e-9, 16e6)]:
         tracemalloc.start()
         try:
             lp_discrepancy(pts, 2.5, rel_tol=tol)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound, (n, d, peak)
+        assert peak <= bound, (pts.coords.shape, peak)
 
 
 def test_plan_ladder_peak_memory():
