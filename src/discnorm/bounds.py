@@ -152,20 +152,16 @@ def theorem2_constant(alpha: float) -> float:
 def _n_bound(eps: float, d: int, over_eps2) -> int:
     """ceil(over_eps2(eps^2)), read once eps lies in (0, 1) and d >= 1.
 
-    An eps^2 that underflows, or a bound that overflows, saturates.
+    A bound that is not below ``NBOUND_SATURATION``, or that overflows or
+    divides by an eps^2 that underflows, saturates.
     """
     eps = check_real(eps, "eps", 0, 1)
     check_int(d, "d", 1)
-    eps2 = eps * eps
-    if eps2 == 0.0:
-        return NBOUND_SATURATION
     try:
-        x = over_eps2(eps2)
-    except OverflowError:
+        x = over_eps2(eps * eps)
+    except (OverflowError, ZeroDivisionError):
         return NBOUND_SATURATION
-    if not math.isfinite(x) or x >= NBOUND_SATURATION:
-        return NBOUND_SATURATION
-    return int(math.ceil(x))
+    return int(math.ceil(x)) if x < NBOUND_SATURATION else NBOUND_SATURATION
 
 
 def theorem2_n_bound(alpha: float, eps: float, d: int) -> int:
@@ -218,7 +214,7 @@ def min_const_check() -> BoundReport:
     j = int(np.argmin(g))
     gmin = float(g[j])
     argmin = j + 1
-    holds = argmin == 20 and abs(gmin - 0.257944) <= 1e-6 and bool(np.all(g >= 0.25))
+    holds = argmin == 20 and abs(gmin - 0.257944) <= 1e-6 and gmin >= 0.25
     return BoundReport(
         name="min_const",
         lhs=0.25,

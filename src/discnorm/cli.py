@@ -74,18 +74,19 @@ def cmd_verify(args) -> int:
     return 0 if all(r.holds for r in reports) else 3
 
 
-def _parse_range(text: str):
+def _parse_range(text: str, flag: str):
+    """The integers a..b of ``a:b``, or the doubling a, 2a, ... <= b of
+    ``a:b:geometric``, for integers 1 <= a <= b."""
     parts = text.split(":")
-    if len(parts) not in (2, 3) or parts[2:] not in ([], ["geometric"]):
-        raise ValueError(f"bad range {text!r}; expected a:b or a:b:geometric")
-    lo, hi = int(parts[0]), int(parts[1])
-    if lo > hi:
-        raise ValueError(f"range {text!r} is empty: {lo} > {hi}")
+    try:
+        lo, hi = map(int, parts[:2])
+        if parts[2:] not in ([], ["geometric"]) or not 1 <= lo <= hi:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{flag} must be a:b or a:b:geometric with integers 1 <= a <= b, "
+                         f"got {text!r}") from None
     if len(parts) == 2:
         return list(range(lo, hi + 1))
-    if lo < 1:
-        # doubling from 0 or below never passes hi
-        raise ValueError(f"a geometric range must start at 1 or above, got {text!r}")
     out = []
     while lo <= hi:
         out.append(lo)
@@ -96,10 +97,8 @@ def _parse_range(text: str):
 def cmd_sweep(args) -> int:
     spec = _norm_spec(args)
     check_int(args.trials, "--trials", 1)
-    d_values = _parse_range(args.d_range)
-    n_values = _parse_range(args.n_range)
-    if any(n < 1 for n in n_values):
-        raise ValueError("--n-range values must be at least 1")
+    d_values = _parse_range(args.d_range, "--d-range")
+    n_values = _parse_range(args.n_range, "--n-range")
     lines = ["d,N,min_disc,initial_disc,ratio,bound"]
     for d in sorted(d_values):
         initial = spec.initial(d)

@@ -192,13 +192,6 @@ _SPANS = tuple(map(slice, _STOPS[:-1], _STOPS[1:]))
 _MAX_LEVEL = len(_SPANS) - 1
 
 
-def _gauss_nodes(lo, hi, level):
-    """The nodes (P, k) on [lo, hi] that ``level`` evaluates, its
-    ``_SPANS`` of the ladder, and the pieces' lengths (P, 1)."""
-    h = (hi - lo)[:, None]
-    return lo[:, None] + h * _NODES[_SPANS[level]], h
-
-
 def _product_law(s, corners, col, cumulative=False):
     """Density at s (P, K) of the product of the n outer coordinates over
     column col[i]'s box on row i, or with ``cumulative`` the box's measure
@@ -206,7 +199,7 @@ def _product_law(s, corners, col, cumulative=False):
     / (n-1)! and s sum_{k<n} log(C/s)^k / k! for s < C; the box is their
     signed sum over its corner products corners[col], corner j taking the
     lower bound on the axes of the set bits of j (Dettmann and Georgiou
-    2009), added one corner at a time in the order of j."""
+    2009), added one corner at a time in the order of j, the sum by Horner."""
     n, s = corners.shape[1].bit_length() - 1, np.maximum(s, 5e-324)
     # [log(C/s)]_+ from two logs, so that no quotient overflows; s = 0 (the
     # end of a piece at a zero lower corner) is clamped to keep its log finite
@@ -215,7 +208,8 @@ def _product_law(s, corners, col, cumulative=False):
         for j in range(1 << n):
             c = corners[col, j][:, None]
             lg = np.maximum(np.log(c) - log_s, 0.0)
-            term = (np.minimum(s, c) * sum(lg ** k / math.factorial(k) for k in range(n))
+            term = (np.minimum(s, c) * functools.reduce(lambda acc, k: 1.0 + acc * lg / k,
+                                                        range(n - 1, 0, -1), 1.0)
                     if cumulative else (lg > 0.0) * lg ** (n - 1) / math.factorial(n - 1))
             (np.subtract if bin(j).count("1") % 2 else np.add)(out, term, out=out)
     return out
@@ -257,21 +251,6 @@ def _rows(col, lo, hi, stack):
             np.append(last % m, c3), r3)
 
 
-def _main_prep(col, lo, hi, stack, level, runs):
-    """The rows' ``_gauss_nodes`` at ``level``; their weights, the rows'
-    lengths times the product law there but 1 at the ends, so that the
-    ends' sums are F there; and the ``_stack_prep`` of the ``runs`` (row,
-    count, first and last cell) at their row's nodes."""
-    a_cols, t_lo, t_hi, corners, scale = stack
-    q, h = _gauss_nodes(lo, hi, level)
-    law = h * _product_law(q, corners, col)
-    if level == 0:
-        law[:, :2] = 1.0
-    row, a, first, last = runs
-    return q, law, _stack_prep(q[row], a[:, None], t_lo[first][:, None], t_hi[last][:, None],
-                               scale)
-
-
 def _blocks(off, per_run):
     """Slices of rows, row i having runs off[i]:off[i + 1] of ``per_run``
     elements, of about ``_BLOCK_ELEMENTS``, one row at least; each with
@@ -295,17 +274,28 @@ def _masses(col, lo, hi, corners):
 def _level_blocks(col, lo, hi, stack, level):
     """The work on the pieces' rows at ``level`` in row blocks: per block
     each row's piece, the offsets of its rows into their runs, each run's
-    row, and their ``_main_prep``.  The ``_rows`` are made per group of
-    about ``_BLOCK_ELEMENTS`` cells, a piece's sub-pieces in its group."""
-    group = max(1, _BLOCK_ELEMENTS // stack[0].shape[1])
+    row, the rows' nodes, the ladder's ``_SPANS[level]`` on [lo, hi], their
+    weights, the rows' lengths times the product law there but 1 at the
+    ends, so that the ends' sums are F there, and the runs' ``_stack_prep``
+    at their row's nodes.  The ``_rows`` are made per group of about
+    ``_BLOCK_ELEMENTS`` cells, a piece's sub-pieces in its group."""
+    a_cols, t_lo, t_hi, corners, scale = stack
+    x = _NODES[_SPANS[level]]
+    group = max(1, _BLOCK_ELEMENTS // a_cols.shape[1])
     for g in range(0, col.size, group):
         (c, l, h), off, *runs, r3 = _rows(*(v[g:g + group] for v in (col, lo, hi)), stack)
         piece = g + np.append(np.arange(off.size - 1 - r3.size), r3)
-        for s, r, row in _blocks(off, _NODES[_SPANS[level]].size):
-            # made in the yield, so that the generator holds no block while
-            # the next one is made
-            yield (piece[s], off[s.start:s.stop + 1] - r.start, row, *_main_prep(
-                c[s], l[s], h[s], stack, level, (row, *(v[r] for v in runs))))
+        for s, r, row in _blocks(off, x.size):
+            length = (h[s] - l[s])[:, None]
+            q = l[s, None] + length * x
+            law = length * _product_law(q, corners, c[s])
+            if level == 0:
+                law[:, :2] = 1.0
+            a, first, last = (v[r] for v in runs)
+            # the prep made in the yield, so that the generator holds none
+            # while the next block is made
+            yield (piece[s], off[s.start:s.stop + 1] - r.start, row, q, law, _stack_prep(
+                q[row], a[:, None], t_lo[first][:, None], t_hi[last][:, None], scale))
 
 
 def _piece_sums(f, off):

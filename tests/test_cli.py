@@ -147,6 +147,9 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ["sweep", "--norm", "star", "--d-range", "0:2:geometric", "--n-range", "2:4"],
         ["sweep", "--norm", "star", "--d-range", "3:1", "--n-range", "2:2"],             # empty
         ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "8:4:geometric"],   # empty
+        ["sweep", "--norm", "star", "--d-range", "0:2", "--n-range", "2:2"],
+        ["sweep", "--norm", "star", "--d-range", "a:b", "--n-range", "2:2"],
+        ["sweep", "--norm", "star", "--d-range", "1:1", "--n-range", "a:b"],
         ["disc", "--in", str(f), "--norm", "phi", "--phi",
          '{"kind":"tabulated","knots":[[1,"nan"]]}'],
         # phi(alpha) beyond a double leaves the Luxemburg root no start
@@ -180,17 +183,21 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         # the series exponent alpha * l overflows at l = 2
         ["disc", "--in", str(f), "--norm", "psi-alpha", "--alpha", "1e308"],
     ]
+    bad_ranges = {"bogus", "0:2", "a:b", "0:8:geometric", "0:2:geometric", "3:1", "8:4:geometric"}
     for argv in cases:
         code, out, err = run_cli(argv, capsys)
         assert code == 1, argv
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "Traceback" not in err, argv
-        # a bad --seed, --tol or --trials value is named by its flag; where
-        # a case carries more than one, the first of these is the bad one
-        flag = next((flag for flag in ("--seed", "--tol", "--trials") if flag in argv), None)
-        if flag is not None:
-            assert err.startswith(f"error: {flag} must "), (argv, err)
+        # a bad --seed, --tol or --trials value is named by its flag, and so
+        # is a range in bad_ranges; where a case carries more than one, the
+        # first of these is the bad one
+        flags = [flag for flag in ("--seed", "--tol", "--trials") if flag in argv]
+        flags += [flag for flag in ("--d-range", "--n-range")
+                  if flag in argv and argv[argv.index(flag) + 1] in bad_ranges]
+        if flags:
+            assert err.startswith(f"error: {flags[0]} must "), (argv, err)
         if "1e308" in argv:
             assert "alpha" in err and " p " not in err, err
     # the top of the --tol range is still a tolerance

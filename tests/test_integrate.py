@@ -11,7 +11,7 @@ import pytest
 
 from discnorm import integrate
 from discnorm.cells import build_cell_grid
-from discnorm.integrate import _MAX_LEVEL, _gauss_nodes, lp_adaptive_integral
+from discnorm.integrate import _MAX_LEVEL, _NODES, _SPANS, lp_adaptive_integral
 from discnorm.lp import LpCache, lp_discrepancy
 from discnorm.orlicz import OrliczSpec, luxemburg_norm
 from discnorm.pointset import PointSet, generate_halton, generate_uniform
@@ -119,7 +119,7 @@ SUP_SETS = [generate_uniform(8, 3, seed=2), generate_uniform(6, 4, seed=1),
             generate_halton(16, 2)]
 
 
-@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("d", range(2, 14))
 def test_product_law_against_box_volume_and_density(d):
     # the law of the product of the d - 1 outer coordinates on four seeded
     # boxes [a, b], one with a zero lower bound as a grid's first cell has,
@@ -127,7 +127,10 @@ def test_product_law_against_box_volume_and_density(d):
     # corner its measure is the box's volume, and on each first-pass piece,
     # between two consecutive corners, it is the integral of the density by
     # composite 20-point Gauss-Legendre on 8 equal parts.  The signed corner
-    # sum cancels, so both are held to rounding of prod (a + b)
+    # sum cancels, so both are held to rounding of prod (a + b).  Up to d = 9
+    # every piece is read, then every step-th from the first, at the zero
+    # corner, so that at most 2^18 piece-corner pairs are; d > 8 reads the
+    # cumulative law's terms lg^k / k! above k = 6
     n, rng = d - 1, np.random.default_rng(d)
     a = rng.uniform(0.0, 0.6, (4, n))
     a[0, 0] = 0.0
@@ -141,6 +144,8 @@ def test_product_law_against_box_volume_and_density(d):
     brk = np.sort(corners, axis=1)
     col = np.repeat(col, (1 << n) - 1)
     lo, hi = brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1)
+    step = -(-lo.size * corners.shape[1] // (1 << 18))
+    col, lo, hi = col[::step], lo[::step], hi[::step]
     mass = np.diff(integrate._product_law(np.stack([lo, hi], axis=1), corners, col,
                                           cumulative=True))[:, 0]
     x, w = np.polynomial.legendre.leggauss(20)
@@ -246,7 +251,7 @@ def _kernel_inputs(pts):
         for j in range(1 << (d - 1))], axis=1)
     brk = np.sort(corners, axis=1)
     lo, hi = brk[:, :-1].reshape(-1), brk[:, 1:].reshape(-1)
-    q = np.concatenate([_gauss_nodes(lo, hi, level)[0] for level in range(_MAX_LEVEL + 1)], axis=1)
+    q = lo[:, None] + (hi - lo)[:, None] * _NODES
     return q, np.repeat(a, brk.shape[1] - 1, axis=0), t_lo, t_hi, grid.sup_abs_discrepancy()
 
 
@@ -288,14 +293,17 @@ def _run_sums_match_cells(stack, col, lo, hi):
     off = off[:col.size + 1]
     runs = [v[:off[-1]] for v in runs]
     piece = np.repeat(np.arange(col.size), np.diff(off))
+    a_cols, t_lo, t_hi, _, scale = stack
+    a, first, last = runs
     for level in range(_MAX_LEVEL + 1):
-        q, _, prep = integrate._main_prep(col, lo, hi, stack, level, (piece, *runs))
+        q = lo[:, None] + (hi - lo)[:, None] * _NODES[_SPANS[level]]
+        prep = integrate._stack_prep(q[piece], a[:, None], t_lo[first][:, None],
+                                     t_hi[last][:, None], scale)
         # frozen, as a plan freezes what it keeps, so that every p reads it
         prep[0].flags.writeable = prep[1].flags.writeable = False
         for p in (1.0, 2.5, 33.0):
             f = integrate._stack_apply(q, prep, p, stack[-1], piece)
             got = integrate._piece_sums(f, off)
-            a_cols, t_lo, t_hi, _, scale = stack
             want = cell_stack_sums(q, a_cols[col], t_lo, t_hi, lo, hi, p, scale)
             assert (np.abs(got - want) <= 1e-13 * want).all(), (level, p)
     return off, runs[0], prep
