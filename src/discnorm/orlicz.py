@@ -156,8 +156,10 @@ class WeightFn:
 class OrliczSpec:
     """Young function psi(x) = sum_{l>=1} (x / phi(alpha l))^(alpha l).
 
-    With ``weight=None`` the factorial weight is implied analytically and
-    psi(x) = exp(x^alpha) - 1 is evaluated in closed form.
+    With ``weight=None`` the factorial weight is implied, so psi(x) =
+    exp(x^alpha) - 1: the series denominators are log l!, and the
+    Luxemburg search starts at sup / log(2)^(1/alpha), where the modular
+    is at most 1.
     """
 
     alpha: float
@@ -181,14 +183,14 @@ class OrliczSpec:
         return p * self.weight.log_phi(p)
 
 
-def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float):
+def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float) -> float:
     """The modular sum_l (||f||_{alpha l} / (k phi(alpha l)))^(alpha l).
 
     lp_at(p) must return the L_p norm of f; sup is an upper bound for all
     of them (the sup norm), which gives a rigorous geometric tail bound.
-    Returns (value, tail_bound); value is inf on overflow, and the sum may
-    stop early once it is provably above or provably at most 1, the level
-    the root search compares it with.
+    Returns the partial sum once it passes 1, inf on overflow, and else the
+    partial sum plus its tail bound once that is at most 1 or the tail is
+    below 1e-14 of the sum: above 1 exactly when k is below the root.
     """
     logk = math.log(k)
     logsup = math.log(sup)
@@ -202,10 +204,10 @@ def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float):
         norm = lp_at(p)
         logterm = p * (math.log(norm) - logk) - logden
         if logterm > 709.0:
-            return math.inf, 0.0
+            return math.inf
         partial += math.exp(logterm)
         if partial > 1.0:
-            return partial, 0.0
+            return partial
         # tail from the sup bound: tau_l decays at least geometrically
         # once consecutive log-taus decrease
         lt1 = spec.alpha * (ell + 1) * (logsup - logk) - spec.log_denom(ell + 1)
@@ -216,45 +218,34 @@ def _modular_series(lp_at, sup: float, spec: OrliczSpec, k: float):
             if q < 1.0:
                 tail = tau1 / (1.0 - q)
                 if tail <= 1e-14 * max(partial, 1e-300) or partial + tail <= 1.0:
-                    return partial, tail
+                    return partial + tail
     raise NumericalError("modular series needs more than the term cap allows")
 
 
 def _luxemburg_root(modular, hi: float, rel_tol: float):
-    """Bracket and bisect the K where modular(K) crosses 1.
+    """Bracket and bisect the K where the decreasing ``modular(K)`` crosses 1.
 
-    ``modular(K)`` returns (value, tail bound) and decreases in K.  K is
-    halved from ``hi`` until the value is above 1; if that takes a
-    single halving, ``hi`` itself is tested and doubled while its value
-    is above 1.  The bracket is then bisected until
-    hi - lo <= rel_tol * hi; K counts as below the root while value +
-    tail is above 1.  Returns (lo, hi, bisection steps).
+    K counts as below the root exactly when modular(K) > 1.  If the first
+    halving of ``hi`` is below, ``hi`` doubles until it is not; else K
+    halves on until it is, and the bracket's upper end stays ``hi``.
+    Bisection then closes it to hi - lo <= rel_tol * hi.  Returns (lo,
+    hi, bisection steps).
     """
-    lo = hi
+    up = modular(hi / 2.0) > 1.0
+    k = hi if up else hi / 4.0
     for _ in range(_ROOT_STEP_CAP):
-        lo = lo / 2.0
-        if modular(lo)[0] > 1.0:
+        if (modular(k) > 1.0) != up:
             break
+        k = 2.0 * k if up else k / 2.0
     else:
-        raise NumericalError("could not bracket the Luxemburg norm from below")
-    for _ in range(_ROOT_STEP_CAP):
-        if 2.0 * lo < hi or modular(hi)[0] <= 1.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise NumericalError("could not bracket the Luxemburg norm from above")
-    iters = 0
-    while (hi - lo) > rel_tol * hi:
-        if iters == _ROOT_STEP_CAP:
-            raise NumericalError("Luxemburg bisection failed to converge")
+        raise NumericalError("could not bracket the Luxemburg norm")
+    lo, hi = (k / 2.0, k) if up else (k, hi)
+    for iters in range(_ROOT_STEP_CAP):
+        if hi - lo <= rel_tol * hi:
+            return lo, hi, iters
         mid = 0.5 * (lo + hi)
-        val, tail = modular(mid)
-        if val + tail > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    return lo, hi, iters
+        lo, hi = (mid, hi) if modular(mid) > 1.0 else (lo, mid)
+    raise NumericalError("Luxemburg bisection failed to converge")
 
 
 def _lp_reader(points: PointSet, cache: LpCache | None, rel_tol: float):
@@ -285,12 +276,12 @@ def luxemburg_norm(points: PointSet, spec: OrliczSpec, rel_tol: float = 1e-8,
                    cache: LpCache | None = None) -> NormResult:
     """Luxemburg norm of the local discrepancy of ``points`` under psi.
 
-    Root search on K for modular(K) = 1, started at K = sup|f| / x1.
-    For the closed-form kind x1 = psi^{-1}(1) = log(2)^(1/alpha), so
-    modular(K) <= 1 pointwise there; for a weighted kind x1 = phi(alpha),
-    where the first series term reaches 1, and the doubling branch of
-    the root search brackets from there.  The modular blows up as K -> 0,
-    so plain bisection is safe.
+    Root search on K for modular(K) = 1 from K = sup|f| / x1; K counts as
+    below the root exactly when the modular's partial sum plus tail bound
+    is above 1.  For the exact kind x1 = psi^{-1}(1) = log(2)^(1/alpha),
+    so modular(K) <= 1 pointwise there; for a weighted kind x1 =
+    phi(alpha), where the first series term reaches 1, and the search may
+    double K from there.  The modular blows up as K -> 0.
 
     Scaling every L_p value and K by 1 + eps leaves the modular
     unchanged, and the modular falls as K grows, so L_p values within

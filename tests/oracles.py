@@ -258,7 +258,7 @@ def luxemburg_norm_piecewise(volumes, values, spec: OrliczSpec,
 
     def modular(k):
         with np.errstate(over="ignore"):
-            return float(np.sum(volumes * young_eval(spec, values / k))), 0.0
+            return float(np.sum(volumes * young_eval(spec, values / k)))
 
     lo, hi, iters = _luxemburg_root(modular, vmax, rel_tol)
     value = 0.5 * (lo + hi)

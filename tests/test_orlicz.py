@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import logsumexp
 
 from discnorm import integrate, orlicz
 from discnorm.lp import LpCache, lp_discrepancy
@@ -239,6 +240,99 @@ class TestLuxemburgPiecewise:
             luxemburg_norm_piecewise([1.0, 0.5], [0.2], OrliczSpec(1.0))
         with pytest.raises(ValueError):
             luxemburg_norm_piecewise([1.0], [-0.2], OrliczSpec(1.0))
+
+
+def _recorded(modular):
+    """``modular`` and the list of every K it has been given, in order."""
+    seen = []
+
+    def rec(k):
+        seen.append(k)
+        return modular(k)
+
+    return rec, seen
+
+
+class TestLuxemburgRoot:
+    """The bracket and bisection of ``_luxemburg_root`` on the modular
+    (c / K)^2, whose root is c, started at K0 = 1."""
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_m_halvings_keep_the_start_as_upper_end(self, m):
+        # (c / K)^2 > 1 at K = 2^-j exactly when j >= m
+        modular, seen = _recorded(lambda k: (1.5 * 2.0 ** -m / k) ** 2)
+        assert orlicz._luxemburg_root(modular, 1.0, 1.0) == (2.0 ** -m, 1.0, 0)
+        assert seen == [2.0 ** -j for j in range(1, m + 1)]
+
+    def test_one_halving_tests_the_start(self):
+        modular, seen = _recorded(lambda k: (0.75 / k) ** 2)
+        assert orlicz._luxemburg_root(modular, 1.0, 1.0) == (0.5, 1.0, 0)
+        assert seen == [0.5, 1.0]
+
+    @pytest.mark.parametrize("j", [1, 2, 6])
+    def test_j_doublings_bracket_the_last_two(self, j):
+        modular, seen = _recorded(lambda k: (0.75 * 2.0 ** j / k) ** 2)
+        assert orlicz._luxemburg_root(modular, 1.0, 1.0) == (2.0 ** (j - 1), 2.0 ** j, 0)
+        assert seen == [0.5] + [2.0 ** i for i in range(j + 1)]
+
+    @pytest.mark.parametrize("c, bracket", [(0.2, (0.125, 1.0)), (0.75, (0.5, 1.0)),
+                                            (3.0, (2.0, 4.0))])
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-8, 1e-12])
+    def test_steps_are_the_halvings_the_bracket_needs(self, c, bracket, rel_tol):
+        modular, seen = _recorded(lambda k: (c / k) ** 2)
+        assert orlicz._luxemburg_root(modular, 1.0, 1.0) == (*bracket, 0)
+        evals = len(seen)
+        seen.clear()
+        lo, hi, iters = orlicz._luxemburg_root(modular, 1.0, rel_tol)
+        assert len(seen) == evals + iters
+        assert lo < c <= hi
+        # each step halves the bracket, and the last one first brings it
+        # within rel_tol of its upper end, which only falls
+        assert (hi - lo) * 2 ** iters == bracket[1] - bracket[0]
+        assert hi - lo <= rel_tol * hi < 2.0 * (hi - lo)
+
+    @pytest.mark.parametrize("value", [2.0, 0.5])
+    def test_a_modular_on_one_side_of_one_cannot_be_bracketed(self, value):
+        modular, seen = _recorded(lambda k: value)
+        with pytest.raises(integrate.NumericalError, match="^could not bracket"):
+            orlicz._luxemburg_root(modular, 1.0, 1e-8)
+        assert len(seen) == 1 + orlicz._ROOT_STEP_CAP
+
+    def test_a_bisection_that_cannot_close_stops_at_the_cap(self):
+        # at rel_tol = 0 the bracket would have to shrink to one double
+        modular, seen = _recorded(lambda k: (0.75 / k) ** 2)
+        with pytest.raises(integrate.NumericalError, match="^Luxemburg bisection failed"):
+            orlicz._luxemburg_root(modular, 1.0, 0.0)
+        assert len(seen) == 2 + orlicz._ROOT_STEP_CAP
+
+
+# A piecewise-constant |f|: values[i] on a set of measure volumes[i].
+PIECE_VOLUMES = np.array([0.25, 0.5, 0.25])
+PIECE_VALUES = np.array([0.1, 0.4, 0.9])
+
+
+def _piece_lp(p):
+    """||f||_p of the piecewise-constant |f|, in logs so no term underflows."""
+    return math.exp(logsumexp(p * np.log(PIECE_VALUES), b=PIECE_VOLUMES) / p)
+
+
+class TestModularSeries:
+    @pytest.mark.parametrize("spec", [OrliczSpec(2.0), OrliczSpec(2.0, WeightFn.power(1.0, 0.5)),
+                                      OrliczSpec(2.0, WeightFn.subexp(0.5))],
+                             ids=["exact", "power", "subexp"])
+    def test_one_value_is_above_one_exactly_below_the_root(self, spec):
+        root = luxemburg_norm_piecewise(PIECE_VOLUMES, PIECE_VALUES, spec).value
+        ks = [1e-200] + [root * 2.0 ** e for e in range(-8, 9)]
+        ks += [root * (1.0 + s * 10.0 ** -e) for e in (3, 6, 9, 12) for s in (-1, 1)]
+        got = {k: orlicz._modular_series(_piece_lp, PIECE_VALUES.max(), spec, k) for k in ks}
+        assert got[1e-200] == math.inf
+        assert {v > 1.0 for v in got.values()} == {True, False}
+        for k, value in got.items():
+            exact = float(np.sum(PIECE_VOLUMES * young_eval(spec, PIECE_VALUES / k)))
+            if value > 1.0:
+                assert exact > 1.0 - 1e-13, k
+            else:
+                assert exact <= 1.0 + 1e-13, k
 
 
 class TestLuxemburgNorm:

@@ -25,6 +25,7 @@ FIGURES = [
     (r"every even integer `p <= (\d+)`", int, lambda: lp.MOMENT_P_MAX),
     (r"rigorously by `p = (\d+)`", int, lambda: 2 ** orlicz._PHI_X_CAP),
     (r"halve the step (\w+) times", _WORDS.index, lambda: orlicz._PHI_HALVINGS),
+    (r"more than `(\d+)` series terms \(`orlicz\._ELL_CAP`\)", int, lambda: orlicz._ELL_CAP),
     (r"saturate at `1e(\d+)`", lambda g: 10 ** int(g), lambda: bounds.NBOUND_SATURATION),
     (r"at most (\d+) for `generate_halton`", int, lambda: len(pointset._HALTON_PRIMES)),
 ]
