@@ -125,7 +125,7 @@ class BoundReport:
         else:
             holds = lhs <= value + slack and value <= rhs + slack
             margin = min(value - lhs, rhs - value)
-        return cls(name, lhs, rhs, holds, margin, params or {}, note)
+        return cls(name, lhs, rhs, bool(holds), margin, params or {}, note)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -144,21 +144,20 @@ def stirling_check(p: int) -> BoundReport:
 
 def theorem2_constant(alpha: float) -> float:
     """2601 * alpha^(2/alpha) * (sqrt(2 pi) / e^(11/12))^(2/alpha)."""
-    check_p(alpha, "alpha")
+    alpha = check_p(alpha, "alpha")
     expo = (2.0 / alpha) * (math.log(alpha) - math.log(SANDWICH_LOWER_BASE))
     return 2601.0 * math.exp(expo)
 
 
 def _n_bound(eps: float, d: int, over_eps2) -> int:
-    """ceil(over_eps2(eps^2)), read once eps lies in (0, 1) and d >= 1.
+    """ceil(over_eps2(eps^2, d)), read once eps lies in (0, 1) and d >= 1.
 
     A bound that is not below ``NBOUND_SATURATION``, or that overflows or
     divides by an eps^2 that underflows, saturates.
     """
-    eps = check_real(eps, "eps", 0, 1)
-    check_int(d, "d", 1)
+    eps, d = check_real(eps, "eps", 0, 1), check_int(d, "d", 1)
     try:
-        x = over_eps2(eps * eps)
+        x = over_eps2(eps * eps, d)
     except (OverflowError, ZeroDivisionError):
         return NBOUND_SATURATION
     return int(math.ceil(x)) if x < NBOUND_SATURATION else NBOUND_SATURATION
@@ -166,8 +165,9 @@ def _n_bound(eps: float, d: int, over_eps2) -> int:
 
 def theorem2_n_bound(alpha: float, eps: float, d: int) -> int:
     """ceil(C_alpha * d^max(1, 2/alpha) * log(d+1)^(2/alpha) / eps^2)."""
+    alpha = check_p(alpha, "alpha")
     c = theorem2_constant(alpha)
-    return _n_bound(eps, d, lambda eps2: (
+    return _n_bound(eps, d, lambda eps2, d: (
         c * d ** max(1.0, 2.0 / alpha) * math.log(d + 1.0) ** (2.0 / alpha) / eps2))
 
 
@@ -180,7 +180,7 @@ def nbound1(eps: float, d: int, phi: WeightFn) -> int:
     not change the bound, and read at C = 1 for a power weight, whose
     scale C cancels from it.  phi is read only once eps and d are checked.
     """
-    def over_eps2(eps2):
+    def over_eps2(eps2, d):
         unit = replace(phi, C=1.0) if phi.kind == "power" else phi
         ratio = math.exp(unit.log_phi(float(d)) - math.log(unit.min_phi_from(1.0)))
         return C_PT_DEFAULT ** 2 * d * (d + 1.0) ** 2 * (ratio * ratio) / eps2
@@ -190,15 +190,14 @@ def nbound1(eps: float, d: int, phi: WeightFn) -> int:
 
 def initial_phi_lower(d: int, phi: WeightFn) -> float:
     """1 / ((d+1) phi(d)): lower bound for the empty-set phi norm."""
-    check_int(d, "d", 1)
+    d = check_int(d, "d", 1)
     return 1.0 / ((d + 1.0) * phi.phi(float(d)))
 
 
 def initial_alpha_lower(d: int, alpha: float) -> float:
     """1 / (4 (d log(d+1))^(1/alpha)): empty-set alpha-norm lower bound."""
     # d >= 2 so the attaining p stays >= 1
-    check_int(d, "d", 2)
-    alpha = check_real(alpha, "alpha", 1, math.inf, "[]")
+    d, alpha = check_int(d, "d", 2), check_real(alpha, "alpha", 1, math.inf, "[]")
     return 1.0 / (4.0 * (d * math.log(d + 1.0)) ** (1.0 / alpha))
 
 
@@ -260,6 +259,7 @@ def lemma1_sandwich_check(points: PointSet, alpha: float,
     of the base norm, as both values are reads within those errors.
     """
     spec = OrliczSpec(alpha, phi)
+    alpha = spec.alpha
     if cache is None:
         cache = LpCache(points)
     if phi is None:
@@ -304,7 +304,7 @@ def hnww_empirical_check(d: int, n: int, k_trials: int, seed: int) -> BoundRepor
     for i in range(k_trials):
         cache = LpCache(generate_uniform(n, d, seed + i), 1e-7)
         stars.append(cache.grid.sup_abs)
-        lds.append(cache.norm(float(d)).value)
+        lds.append(cache.norm(d).value)
     min_star = min(stars)
     mean_ld = sum(lds) / len(lds)
     star_bound = sweep_bound(NormSpec("star"), d, n)

@@ -54,9 +54,8 @@ def _norm_spec(args) -> NormSpec:
 def cmd_disc(args) -> int:
     points = load_pointset(Path(args.infile).read_text(), dim=args.d)
     spec = _norm_spec(args)
-    if args.tol is not None:
-        check_real(args.tol, "--tol", 0, 1e-2, "(]")
-    res = spec.compute(points, rel_tol=args.tol)
+    tol = None if args.tol is None else check_real(args.tol, "--tol", 0, 1e-2, "(]")
+    res = spec.compute(points, rel_tol=tol)
     if args.json:
         print(json.dumps(asdict(res)))
     else:
@@ -96,7 +95,7 @@ def _parse_range(text: str, flag: str):
 
 def cmd_sweep(args) -> int:
     spec = _norm_spec(args)
-    check_int(args.trials, "--trials", 1)
+    args.trials = check_int(args.trials, "--trials", 1)
     d_values = _parse_range(args.d_range, "--d-range")
     n_values = _parse_range(args.n_range, "--n-range")
     lines = ["d,N,min_disc,initial_disc,ratio,bound"]
@@ -165,7 +164,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # numpy rejects a negative seed only where one reaches it
-        check_int(getattr(args, "seed", 0), "--seed", 0)
+        args.seed = check_int(getattr(args, "seed", 0), "--seed", 0)
         return args.func(args)
     except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

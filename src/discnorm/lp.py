@@ -57,8 +57,7 @@ def check_p(p: float, name: str = "p") -> float:
 
 def initial_lp(p: float, dim: int) -> float:
     """L_p norm of the discrepancy of the empty point set: (p+1)^(-d/p)."""
-    check_p(p)
-    dim = check_int(dim, "dim", 1)
+    p, dim = check_p(p), check_int(dim, "dim", 1)
     return math.exp(-dim / p * math.log(p + 1.0))
 
 
@@ -108,14 +107,13 @@ class LpCache:
         """The L_p norm at ``p``, computed to ``rel_tol`` (default: the
         cache's own) unless a value at least that tight is stored; its error
         is at least four rounding units of its value, as every route rounds."""
-        check_p(p)
+        p = check_p(p)
         tol = self.rel_tol if rel_tol is None else check_rel_tol(rel_tol)
-        key = float(p)
-        hit = self._values.get(key)
+        hit = self._values.get(p)
         if hit is not None and hit.diagnostics.get("rel_tol", 1.0) <= tol:
             return hit
         res = self._compute(p, tol)
-        res = self._values[key] = NormResult(
+        res = self._values[p] = NormResult(
             res.value, max(res.abs_error_estimate, 4 * 2.0 ** -52 * res.value), res.diagnostics)
         return res
 

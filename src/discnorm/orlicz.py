@@ -166,7 +166,7 @@ class OrliczSpec:
     weight: WeightFn | None = None
 
     def __post_init__(self):
-        check_p(self.alpha, "alpha")
+        object.__setattr__(self, "alpha", check_p(self.alpha, "alpha"))
         if self.weight is not None and not isinstance(self.weight, WeightFn):
             raise ValueError(f"weight must be a WeightFn, got {self.weight!r}")
         if self.weight is not None and not self.weight.is_unbounded():
@@ -259,7 +259,7 @@ def _lp_reader(points: PointSet, cache: LpCache | None, rel_tol: float):
     read: dict[float, NormResult] = {}
 
     def lp_at(p):
-        res = read[float(p)] = cache.norm(p)
+        res = read[p] = cache.norm(p)
         return res.value
 
     return cache, lp_at, read
@@ -362,7 +362,7 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
 def alpha_norm(points: PointSet, alpha: float, rel_tol: float = 1e-6,
                cache: LpCache | None = None) -> NormResult:
     """sup over p >= 1 of ||local discrepancy||_{L_p} / p^(1/alpha)."""
-    check_p(alpha, "alpha")
+    alpha = check_p(alpha, "alpha")
     res = phi_norm(points, WeightFn.power(1.0, 1.0 / alpha),
                    rel_tol=rel_tol, cache=cache)
     return replace(res, diagnostics={**res.diagnostics, "alpha": alpha})

@@ -458,10 +458,13 @@ def test_empirical_inverse_cap_raises(monkeypatch):
     (dict(lhs=3.0, rhs=3.0, value=3.0), True, 0.0),
     (dict(lhs=3.0, rhs=3.0, value=2.0), False, -1.0),
     (dict(lhs=3.0, rhs=3.0, value=4.0), False, -1.0),
+    # a numpy side still gives a Python bool, so the report is JSON
+    (dict(lhs=np.float64(1.0), rhs=2.0), True, 1.0),
 ])
 def test_bound_report_check(kwargs, holds, margin):
     rep = BoundReport.check("t", **kwargs, params={"k": 1}, note="n")
     assert rep.holds is holds and rep.margin == margin
+    assert json.loads(json.dumps(rep.to_json()))["holds"] is holds
     assert rep == BoundReport("t", kwargs["lhs"], kwargs["rhs"], holds, margin, {"k": 1}, "n")
     assert BoundReport.check("t", **kwargs) == replace(rep, params={}, note="")
 

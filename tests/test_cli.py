@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discnorm
-from discnorm import bounds, cli, integrate
+from discnorm import bounds, cli, integrate, orlicz
 from discnorm.integrate import NumericalError
 from discnorm.lp import lp_discrepancy
 from discnorm.pointset import generate_uniform, load_pointset
@@ -218,6 +218,18 @@ def test_phi_ratio_beyond_a_double_exits_two(capsys, tmp_path):
                                       *extra], capsys)
             assert code == 2 and out == "", (weight, out)
             assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
+
+def test_series_past_the_term_cap_exits_two(capsys, tmp_path, monkeypatch):
+    # the cap is lowered so that a slowly growing weight reaches it at once
+    monkeypatch.setattr(orlicz, "_ELL_CAP", 64)
+    f = tmp_path / "p.csv"
+    cli.main(["gen", "--kind", "uniform", "--n", "8", "--d", "2", "--seed", "0", "--out", str(f)])
+    capsys.readouterr()
+    code, out, err = run_cli(["disc", "--in", str(f), "--norm", "psi-alpha", "--alpha", "1",
+                              "--phi", '{"kind":"power","C":1.0,"r":0.01}'], capsys)
+    assert code == 2 and out == ""
+    assert err == "numerical failure: modular series needs more than the term cap allows\n"
 
 
 def test_disc_json_is_strict_for_every_norm(capsys, tmp_path):

@@ -334,6 +334,16 @@ class TestModularSeries:
             else:
                 assert exact <= 1.0 + 1e-13, k
 
+    def test_a_series_past_the_term_cap_raises(self, monkeypatch):
+        # a weight growing as slowly as p^0.01 needs more terms than the
+        # cap allows; at the real cap it takes seconds, so the cap is lowered
+        monkeypatch.setattr(orlicz, "_ELL_CAP", 64)
+        pts = generate_uniform(8, 2, 0)
+        with pytest.raises(integrate.NumericalError, match="term cap"):
+            luxemburg_norm(pts, OrliczSpec(1.0, WeightFn.power(1.0, 0.01)))
+        lux = luxemburg_norm(pts, OrliczSpec(1.0, WeightFn.power(1.0, 0.5)))
+        assert lux.value == pytest.approx(0.202489, abs=1e-6)
+
 
 class TestLuxemburgNorm:
     def test_empty_set_d1_transcendental_root(self):
