@@ -17,7 +17,7 @@ import numpy as np
 
 from .integrate import NumericalError
 from .lp import LpCache, NormResult, check_p, lp_discrepancy
-from .orlicz import OrliczSpec, WeightFn, alpha_norm, luxemburg_norm, phi_norm
+from .orlicz import OrliczSpec, WeightFn, alpha_norm, check_weight, luxemburg_norm, phi_norm
 from .pointset import (PointSet, check_int, check_real, empty_pointset, generate_halton,
                        generate_uniform)
 from .star import star_discrepancy_exact
@@ -68,8 +68,8 @@ class NormSpec:
         for name in ("p", "alpha"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check_p(getattr(self, name), name))
-        if self.weight is not None and not isinstance(self.weight, WeightFn):
-            raise ValueError(f"weight must be a WeightFn, got {self.weight!r}")
+        if self.weight is not None:
+            check_weight(self.weight)
 
     def compute(self, points: PointSet, rel_tol: float | None = None) -> NormResult:
         """This norm of the local discrepancy of ``points``.
@@ -181,7 +181,7 @@ def nbound1(eps: float, d: int, phi: WeightFn) -> int:
     scale C cancels from it.  phi is read only once eps and d are checked.
     """
     def over_eps2(eps2, d):
-        unit = replace(phi, C=1.0) if phi.kind == "power" else phi
+        unit = replace(phi, C=1.0) if check_weight(phi).kind == "power" else phi
         ratio = math.exp(unit.log_phi(float(d)) - math.log(unit.min_phi_from(1.0)))
         return C_PT_DEFAULT ** 2 * d * (d + 1.0) ** 2 * (ratio * ratio) / eps2
 
@@ -191,7 +191,7 @@ def nbound1(eps: float, d: int, phi: WeightFn) -> int:
 def initial_phi_lower(d: int, phi: WeightFn) -> float:
     """1 / ((d+1) phi(d)): lower bound for the empty-set phi norm."""
     d = check_int(d, "d", 1)
-    return 1.0 / ((d + 1.0) * phi.phi(float(d)))
+    return 1.0 / ((d + 1.0) * check_weight(phi).phi(float(d)))
 
 
 def initial_alpha_lower(d: int, alpha: float) -> float:

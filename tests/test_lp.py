@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from discnorm import integrate
+from discnorm import integrate, lp
 from discnorm.cells import build_cell_grid
 from discnorm.integrate import lp_adaptive_integral, lp_moment_integral
 from discnorm.lp import (
@@ -168,6 +168,45 @@ def test_moment_route_only_within_tolerance():
     tight = cache.norm(8.0, rel_tol=1e-12)
     assert tight.diagnostics["engine"] == "adaptive"
     assert abs(loose.value - tight.value) <= loose.abs_error_estimate + tight.abs_error_estimate
+
+
+def test_moment_sum_stops_after_an_amplification_reject(monkeypatch):
+    # once the cancellation of the moment sum passes MOMENT_AMP_MAX, a
+    # cache sends every larger even p straight to the adaptive engine, with
+    # the value a fresh cache gives at that p
+    calls = []
+    moment = lp.lp_moment_integral
+
+    def spy(grid, p):
+        res = moment(grid, p)
+        calls.append((p, res[1]))
+        return res
+
+    monkeypatch.setattr(lp, "lp_moment_integral", spy)
+    pts = generate_halton(64, 2)
+    cache = LpCache(pts, 1e-8)
+    got = [cache.norm(float(p)) for p in range(2, MOMENT_P_MAX + 1, 2)]
+    assert [p for p, _ in calls] == [2, 4, 6]
+    assert calls[-1][1] == pytest.approx(5.7e9, rel=0.01)
+    for p, res in zip(range(2, MOMENT_P_MAX + 1, 2), got):
+        want = LpCache(pts, 1e-8).norm(float(p))
+        assert (res.value, res.abs_error_estimate, res.diagnostics) == (
+            want.value, want.abs_error_estimate, want.diagnostics), p
+    # a reject by tolerance alone stops nothing: (16,2) seed 5 at 1e-12
+    # rejects p = 6 (amp 3e4) for its tolerance, and p = 8 at 1e-6 still
+    # takes the moment sum
+    cache, calls[:] = LpCache(generate_uniform(16, 2, seed=5), 1e-12), []
+    assert cache.norm(6.0).diagnostics["engine"] == "adaptive"
+    assert cache.norm(8.0, rel_tol=1e-6).diagnostics["engine"] == "moment"
+    assert [p for p, _ in calls] == [6, 8]
+    # one by amplification stops only the larger p: (128,2) seed 0 rejects
+    # p = 8 at amp 2.1e8, and p = 4 still takes the moment sum
+    cache, calls[:] = LpCache(generate_uniform(128, 2, seed=0), 1e-8), []
+    assert cache.norm(8.0).diagnostics["engine"] == "adaptive"
+    assert calls[0][0] == 8 and calls[0][1] == pytest.approx(2.1e8, rel=0.05)
+    assert cache.norm(4.0).diagnostics["engine"] == "moment"
+    assert cache.norm(10.0).diagnostics["engine"] == "adaptive"
+    assert [p for p, _ in calls] == [8, 4]
 
 
 def test_adaptive_converges_in_d4():
