@@ -22,19 +22,22 @@ Two routes, used by the norm modules:
   by bisection.  A piece's cells go as runs of one count A, one
   integrand each, but for those with a kink of F, where the zero of
   A - s t crosses a cell edge: each is the one run of the sub-pieces
-  cut at its kinks, rows of the same pass made per group of pieces and
-  run in cache-sized blocks.  Everything is scaled by sup |local
-  discrepancy| so any large p stays in range.  A grid keeps its setup,
-  its first pieces' masses and, once its computes ask for more than
-  those pieces, the p-independent work below the top level on them
-  (``_Plan``); ``_Plan.blocks`` hands every evaluation its row blocks,
-  that work whole or taken to the pieces refined, or a fresh pass.
+  cut at its kinks, rows of the same pass made per group of pieces, each
+  right after its piece, and run in cache-sized blocks of whole pieces.
+  Each run and node has one p-independent weight, so a new p costs two
+  transcendental passes, one multiply and one segmented sum per piece.
+  Everything is scaled by sup |local discrepancy| so any large p stays in
+  range.  A grid keeps its setup, its first pieces' masses and, once its
+  computes ask for more than those pieces, the p-independent work below
+  the top level on them (``_Plan``), which ``_Plan.blocks`` hands out
+  whole to every evaluation it serves, or else a fresh pass.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -47,6 +50,9 @@ _PLAN_ELEMENTS = 24_000_000
 # Stack elements per block of the kernel, so no call holds a pass.
 _BLOCK_ELEMENTS = 1 << 16
 _DBL_MAX = np.finfo(float).max
+# Each thread's two arrays for the kernel on frozen blocks, kept across calls,
+# as fresh block-sized ones made every read of a plan's kept work page-fault
+_SCRATCH = threading.local()
 
 
 class NumericalError(RuntimeError):
@@ -79,27 +85,34 @@ def lp_moment_integral(grid: CellGrid, p: int):
     return total, amp
 
 
-def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
+def _stack_prep(q, a_cnt, t_lo, t_hi, scale, law, row):
     """The p-independent work of int_{t_lo}^{t_hi} (|A - q t| / scale)^p dt
-    on runs of count a_cnt and bounds t_lo/t_hi, each (U, 1), at their
-    nodes q (U, S), as the tuple that ``_stack_apply`` reads.
+    on runs of count a_cnt and bounds t_lo/t_hi, each (U, 1), run i at the
+    nodes q[row[i]] of rows q (R, S), each weighted by the row's ``law``
+    (R, S), as the tuple that ``_stack_apply`` reads.
 
     Per element: the log L of the endpoint value |v| of larger magnitude,
-    floored at 1e-300, and log1p(-delta/|v|); the straddle elements, where
-    the sign changes inside the run, with the logs of their two endpoint
-    magnitudes; and the thin elements, whose length is below rounding of
-    |v|, with their lengths and midpoint values.  Those two sets are flat
+    floored at 1e-300, log1p(-delta/|v|), and the weight law times
+    min(scale / q, DBL_MAX), the p-independent part of the closed form's
+    factor scale / (q (p+1)); the straddle elements, where the sign changes
+    inside the run, with the logs of their two endpoint magnitudes; and the
+    thin elements, whose length is below rounding of |v|, with their lengths
+    times the law and their midpoint values.  Those two sets are flat
     indices into the (U, S) block, None when empty.  The floor reads as
     L >= -690.8, so exp((p+1) L) underflows to 0 there, as p >= 1.
     """
     tlen = t_hi - t_lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        # -delta, so that log1p(-delta/|v|) needs no negation pass
-        ndelta = np.multiply(q, -tlen)
-        ndelta /= scale
-        vhi = np.multiply(q, t_lo)
+        # capped so that inf * 0 cannot make a NaN: where scale / q overflows,
+        # an element that is not thin has |v| below 1e-296, whose powers are 0
+        weight = (np.minimum(scale / q, _DBL_MAX) * law)[row]
+        # -delta, so that log1p(-delta/|v|) needs no negation; vhi in the nodes'
+        vhi = q[row]
+        ndelta = np.multiply(vhi, -tlen)
+        np.multiply(vhi, t_lo, out=vhi)
         np.subtract(a_cnt, vhi, out=vhi)
         vhi /= scale
+        ndelta /= scale
         vlo = np.add(vhi, ndelta)
         straddle = vhi > 0.0
         straddle &= vlo < 0.0
@@ -122,43 +135,46 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale):
         flat = None
         if thin.any():
             idx = np.flatnonzero(thin)
-            r = idx // q.shape[1]
-            mid = np.abs(a_cnt[r, 0] - q.reshape(-1)[idx] * (t_lo + t_hi)[r, 0] * 0.5) / scale
-            flat = idx, tlen[r, 0], mid
-    return big, lg, cross, flat
+            r, j = np.divmod(idx, q.shape[1])
+            mid = np.abs(a_cnt[r, 0] - q[row[r], j] * (t_lo + t_hi)[r, 0] * 0.5) / scale
+            flat = idx, tlen[r, 0] * law[row[r], j], mid
+    return big, lg, weight, cross, flat
 
 
-def _stack_apply(q, cells, p, scale, row):
-    """The runs' integrals (U, S) from their ``_stack_prep`` ``cells`` at
-    nodes ``q[row]``, run i on row row[i] of ``q``; it overwrites those of
-    the cells' arrays that are writable.  Every power but the thin
-    elements' is exp of p + 1 times a kept log, so that a later p of a
-    plan pays for no log."""
-    big, lg, cross, flat = cells
+def _stack_apply(cells, p):
+    """The runs' law-weighted integrals (U, S) times -(p + 1) from their
+    ``_stack_prep`` ``cells``, in place of ``big`` and ``lg`` if writable,
+    else in the thread's scratch, which its next call overwrites.  Every
+    power but a thin element's is exp of p + 1 times a kept log, so that a
+    later p of a plan pays for no log, and one multiply by the weight
+    stands for the factor scale / (q (p+1)) and the law."""
+    big, lg, weight, cross, flat = cells
     q1 = p + 1.0
+    out, ratio = big, lg
+    if not big.flags.writeable:
+        pair = getattr(_SCRATCH, "pair", None)
+        if pair is None or pair[0].size < big.size:
+            pair = _SCRATCH.pair = np.empty(big.size), np.empty(big.size)
+        out, ratio = (v[:big.size].reshape(big.shape) for v in pair)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        # capped so that inf * 0 cannot make a NaN: when q * q1 underflows,
-        # an element that is not thin has |v| below 1e-296, whose powers are 0
-        inv = np.minimum(scale / (q * q1), _DBL_MAX)[row]
         # the common case: the run sits entirely on one side of the zero
         # crossing, so the power antiderivative nearly cancels between the
         # endpoints and goes through log1p/expm1 for accuracy.  It runs on
         # the whole block; the few straddle and thin elements are
         # overwritten afterwards.
-        ratio = np.multiply(lg, q1, out=lg if lg.flags.writeable else None)
+        np.multiply(lg, q1, out=ratio)
         np.expm1(ratio, out=ratio)
-        np.negative(ratio, out=ratio)
-        out = np.multiply(big, q1, out=big if big.flags.writeable else None)
+        np.multiply(big, q1, out=out)
         np.exp(out, out=out)
-        out *= inv
+        out *= weight
         out *= ratio
         flat_out = out.reshape(-1)
         if cross is not None:
             idx, log_hi, log_lo = cross
-            flat_out[idx] = inv.reshape(-1)[idx] * (np.exp(q1 * log_hi) + np.exp(q1 * log_lo))
+            flat_out[idx] = -weight.reshape(-1)[idx] * (np.exp(q1 * log_hi) + np.exp(q1 * log_lo))
         if flat is not None:
             idx, tlen, mid = flat
-            flat_out[idx] = tlen * np.power(mid, p)
+            flat_out[idx] = tlen * np.power(mid, p) * -q1
     return out
 
 
@@ -210,30 +226,38 @@ def _product_law(s, corners, col, cumulative=False):
     with np.errstate(divide="ignore"):
         for j in range(1 << n):
             c = corners[col, j][:, None]
-            lg = np.maximum(np.log(c) - log_s, 0.0)
-            term = (np.minimum(s, c) * functools.reduce(lambda acc, k: 1.0 + acc * lg / k,
-                                                        range(n - 1, 0, -1), 1.0)
-                    if cumulative else (lg > 0.0) * lg ** (n - 1) / math.factorial(n - 1))
+            if n == 1 and not cumulative:
+                # the density log(C/s)^0 / 0! is the indicator of s < C
+                term = np.log(c) > log_s
+            else:
+                lg = np.maximum(np.log(c) - log_s, 0.0)
+                term = (np.minimum(s, c) * functools.reduce(lambda acc, k: 1.0 + acc * lg / k,
+                                                            range(n - 1, 0, -1), 1.0)
+                        if cumulative else (lg > 0.0) * lg ** (n - 1) / math.factorial(n - 1))
             (np.subtract if bin(j).count("1") % 2 else np.add)(out, term, out=out)
     return out
 
 
 def _rows(col, lo, hi, stack):
-    """The rows (col, lo, hi) of a group of pieces, then of their kink
-    sub-pieces; the rows' offsets into their runs (rows + 1); each run's
-    count and first and last cell; and each sub-piece's piece in the group.
-    A piece's runs are its maximal stretches of one count free of kink
-    cells, whose kink A/t_hi or A/t_lo lies inside it.  A kink cell is the
-    one run of each sub-piece cut at its kinks; one of zero width, where a
-    kink is clipped to an end, adds nothing and is left out."""
+    """The rows (col, lo, hi) of a group of pieces, each piece's kink
+    sub-pieces right after it; the rows' offsets into their runs (rows +
+    1) and the pieces' into their rows (pieces + 1); and each run's count
+    and first and last cell, so that a piece's runs, its sub-pieces'
+    included, are one stretch.  A piece's own runs are its maximal
+    stretches of one count free of kink cells, whose kink A/t_hi or A/t_lo
+    lies inside it.  A kink cell is the one run of each sub-piece cut at
+    its kinks; one of zero width, where a kink is clipped to an end, adds
+    nothing and is left out."""
     a_cols, t_lo, t_hi = stack[:3]
     a = a_cols[col]
     m = a.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kinks = np.stack([a / t_hi, a / t_lo], axis=2)
-    kink = ((kinks > lo[:, None, None]) & (kinks < hi[:, None, None])).any(axis=2)
+        k_hi, k_lo = a / t_hi, a / t_lo
+    kink = (k_hi > lo[:, None]) & (k_hi < hi[:, None])
+    kink |= (k_lo > lo[:, None]) & (k_lo < hi[:, None])
     k_rows, k_cells = np.nonzero(kink)
-    cuts = np.clip(kinks[k_rows, k_cells], lo[k_rows, None], hi[k_rows, None])
+    cuts = np.clip(np.stack([k_hi[k_rows, k_cells], k_lo[k_rows, k_cells]], axis=1),
+                   lo[k_rows, None], hi[k_rows, None])
     edges = np.concatenate([lo[k_rows, None], cuts, hi[k_rows, None]], axis=1)
     wide = np.flatnonzero(edges[:, 1:] > edges[:, :-1])
     r3, c3 = k_rows[wide // 3], k_cells[wide // 3]
@@ -247,21 +271,25 @@ def _rows(col, lo, hi, stack):
     keep = ~kink.reshape(-1)[first]
     first, last = first[keep], last[keep]
     off = np.searchsorted(first, np.arange(0, a.size + 1, m))
-    rows = (np.append(col, col[r3]), np.append(lo, edges[:, :-1].flat[wide]),
-            np.append(hi, edges[:, 1:].flat[wide]))
-    return (rows, np.append(off, off[-1] + 1 + np.arange(r3.size)),
-            np.append(a.reshape(-1)[first], a[r3, c3]), np.append(first % m, c3),
-            np.append(last % m, c3), r3)
+    # each sub-piece's row and run inserted before the next piece's
+    rows = tuple(np.insert(v, r3 + 1, new) for v, new in (
+        (col, col[r3]), (lo, edges[:, :-1].flat[wide]), (hi, edges[:, 1:].flat[wide])))
+    first, last = (np.insert(v, off[r3 + 1], r3 * m + c3) for v in (first, last))
+    at = np.arange(off.size)
+    return (rows, np.append(0, np.cumsum(np.insert(np.diff(off), r3 + 1, 1))),
+            at + np.searchsorted(r3, at), a.reshape(-1)[first], first % m, last % m)
 
 
-def _blocks(off, per_run):
-    """Slices of rows, row i having runs off[i]:off[i + 1] of ``per_run``
-    elements, of about ``_BLOCK_ELEMENTS``, one row at least; each with
-    the slice of its runs and each run's row in the block."""
-    s = 0
-    while s < off.size - 1:
-        t = max(s + 1, int(np.searchsorted(off, off[s] + _BLOCK_ELEMENTS // per_run, "right")) - 1)
-        yield slice(s, t), slice(off[s], off[t]), np.repeat(np.arange(t - s), np.diff(off[s:t + 1]))
+def _blocks(off, at, per_run):
+    """Slices of pieces, piece i with rows at[i]:at[i + 1], row j with runs
+    off[j]:off[j + 1] of ``per_run`` elements, of about ``_BLOCK_ELEMENTS``, one piece
+    at least: each with its rows, its runs, its pieces' offsets into them, each run's row."""
+    r, s = off[at], 0
+    while s < at.size - 1:
+        t = max(s + 1, int(np.searchsorted(r, r[s] + _BLOCK_ELEMENTS // per_run, "right")) - 1)
+        rows = slice(at[s], at[t])
+        yield (slice(s, t), rows, slice(r[s], r[t]), r[s:t + 1] - r[s],
+               np.repeat(np.arange(at[t] - at[s]), np.diff(off[rows.start:rows.stop + 1])))
         s = t
 
 
@@ -275,59 +303,29 @@ def _masses(col, lo, hi, corners):
 
 
 def _level_blocks(col, lo, hi, stack, level):
-    """The work on the pieces' rows at ``level`` in row blocks: per block
-    each row's piece, the offsets of its rows into their runs, each run's
-    row, the rows' nodes, the ladder's ``_SPANS[level]`` on [lo, hi], their
-    weights, the rows' lengths times the product law there but 1 at the
-    ends, so that the ends' sums are F there, and the runs' ``_stack_prep``
-    at their row's nodes.  The ``_rows`` are made per group of about
-    ``_BLOCK_ELEMENTS`` cells, a piece's sub-pieces in its group."""
+    """The work on the pieces' rows at ``level`` in blocks of whole pieces:
+    per block the slice of its pieces, their offsets into its runs, and the
+    runs' ``_stack_prep`` at their row's nodes, the ladder's
+    ``_SPANS[level]`` on [lo, hi], each node weighted by the row's length
+    times the product law there but 1 at the ends, so that the ends' sums
+    are F there.  The ``_rows`` are made per group of about
+    ``_BLOCK_ELEMENTS`` cells."""
     a_cols, t_lo, t_hi, corners, scale = stack
     x = _NODES[_SPANS[level]]
     group = max(1, _BLOCK_ELEMENTS // a_cols.shape[1])
     for g in range(0, col.size, group):
-        (c, l, h), off, *runs, r3 = _rows(*(v[g:g + group] for v in (col, lo, hi)), stack)
-        piece = g + np.append(np.arange(off.size - 1 - r3.size), r3)
-        for s, r, row in _blocks(off, x.size):
-            length = (h[s] - l[s])[:, None]
-            q = l[s, None] + length * x
-            law = length * _product_law(q, corners, c[s])
+        (c, l, h), off, at, *runs = _rows(*(v[g:g + group] for v in (col, lo, hi)), stack)
+        for s, rows, r, piece_off, row in _blocks(off, at, x.size):
+            length = (h[rows] - l[rows])[:, None]
+            q = l[rows, None] + length * x
+            law = length * _product_law(q, corners, c[rows])
             if level == 0:
                 law[:, :2] = 1.0
             a, first, last = (v[r] for v in runs)
             # the prep made in the yield, so that the generator holds none
             # while the next block is made
-            yield (piece[s], off[s.start:s.stop + 1] - r.start, row, q, law, _stack_prep(
-                q[row], a[:, None], t_lo[first][:, None], t_hi[last][:, None], scale))
-
-
-def _piece_sums(f, off):
-    """Per row i the sum of runs f[off[i]:off[i + 1]], in order, or 0."""
-    out = np.zeros((off.size - 1, f.shape[1]))
-    full = np.flatnonzero(off[1:] > off[:-1])
-    if full.size:
-        out[full] = np.add.reduceat(f, off[full], axis=0)
-    return out
-
-
-def _take(block, place):
-    """A kept ``_level_blocks`` block with only its rows of the pieces that
-    ``place`` (over the plan's pieces, -1 where not asked) puts somewhere,
-    each row's piece its place, and their runs; or None if it has none."""
-    piece, off, row, q, law, (big, lg, *cells) = block
-    place = place[piece]
-    keep = place >= 0
-    if not keep.any():
-        return None
-    runs = keep[row]
-    at, per_run = np.cumsum(runs) - 1, big.shape[1]
-    for i, c in enumerate(cells):
-        if c is not None:
-            r, rest = np.divmod(c[0], per_run)
-            k = np.flatnonzero(runs[r])
-            cells[i] = (at[r[k]] * per_run + rest[k], *(v[k] for v in c[1:])) if k.size else None
-    return (place[keep], np.append(0, np.cumsum(np.diff(off)[keep])),
-            (np.cumsum(keep) - 1)[row[runs]], q[keep], law[keep], (big[runs], lg[runs], *cells))
+            yield slice(g + s.start, g + s.stop), piece_off, _stack_prep(
+                q, a[:, None], t_lo[first][:, None], t_hi[last][:, None], scale, law, row)
 
 
 class _Plan:
@@ -344,13 +342,13 @@ class _Plan:
     keeps the p-independent work on those pieces, as the ``_level_blocks``
     a fresh pass makes of the nodes each level adds to the one below: the
     ends and K7's 7 at level 0 and P15's 8 new ones at level 1.  P31's 16
-    at the top level are not kept: few pieces reach it, taking them is no
-    faster than making them, and it would be the largest work.  A work is
-    kept once the pieces asked of it, over all computes, exceed the pieces
-    it holds, so that it costs no more than the evaluations it replaces and
-    a single-p call keeps none.  It is made block by block, its ``big`` and
-    ``lg`` frozen for ``_stack_apply``, and dropped once the plan would
-    pass the cap.
+    at the top level are not kept: few pieces reach it, reading them all is
+    no faster than making those few, and it would be the largest work.  A
+    work is kept once the pieces asked of it, over all computes, exceed the
+    pieces it holds, so that it costs no more than the evaluations it
+    replaces and a single-p call keeps none.  It is made block by block, its
+    ``big``, ``lg`` and weights frozen for ``_stack_apply``, dropped once
+    the plan would pass the cap, and read whole by every compute it serves.
     """
 
     def __init__(self, grid):
@@ -379,12 +377,12 @@ class _Plan:
         self.elements, self.work, self.asked = 0, {}, {}
 
     def blocks(self, level, pieces, asked=None):
-        """The row blocks at ``level`` of a compute's ``pieces`` (col, lo,
-        hi), which start with the plan's own, or of those at the sorted
-        indices ``asked``, each block's pieces renumbered to their place in
-        ``asked``: the kept work, whole or taken to ``asked``, or a fresh
-        ``_level_blocks`` pass where the work is not kept or the pieces
-        include one the plan does not hold, a bisected half."""
+        """The blocks at ``level`` for a compute's ``pieces`` (col, lo, hi),
+        which start with the plan's own, or for those at the sorted indices
+        ``asked``, with the count of pieces they hold and where the asked
+        ones lie among those: all the plan's in its kept work, else the
+        asked ones in a fresh ``_level_blocks`` pass, as where they include
+        a piece the plan does not hold, a bisected half."""
         col, n = self.pieces[0], pieces[0].size if asked is None else asked.size
         own = (n if asked is None else asked[-1] + 1) <= col.size
         if own and level not in self.work and self.cost <= _PLAN_ELEMENTS and level < _MAX_LEVEL:
@@ -395,37 +393,34 @@ class _Plan:
                     size += block[-1][0].size
                     if size > _PLAN_ELEMENTS:
                         break
-                    block[-1][0].flags.writeable = block[-1][1].flags.writeable = False
+                    for v in block[-1][:3]:
+                        v.flags.writeable = False
                     work.append(block)
                 else:
                     self.work[level], self.elements = work, size
         work = self.work.get(level) if own else None
         if work is None:
-            return _level_blocks(*(v if asked is None else v[asked] for v in pieces), self.stack,
-                                 level)
-        if asked is None:
-            return work
-        place = np.full(col.size, -1)
-        place[asked] = np.arange(asked.size)
-        return filter(None, (_take(block, place) for block in work))
+            return (_level_blocks(*(v if asked is None else v[asked] for v in pieces), self.stack,
+                                  level), n, slice(None))
+        return work, col.size, slice(None) if asked is None else asked
 
 
 def _eval_pieces(blocks, n, p, level, scale):
     """The sums (n, 4) that the k nodes ``level`` adds give the four rules
     on each of n pieces, to be added to those of the levels below, the
-    sums (n, k) of its weighted nodes, and the elements used, from the
-    pieces' row ``blocks`` in turn; a kink sub-piece's add to its piece's."""
+    sums (n, k) of its weighted nodes, and each piece's elements, from the
+    pieces' ``blocks`` in turn.  A piece's node sums are one segmented sum
+    over its runs, its kink sub-pieces' included, divided by -(p + 1);
+    ``scale`` is already in the blocks' weights."""
     span = _SPANS[level]
-    k, used = _NODES[span].size, 0
-    nodes = np.zeros((n, k))
-    for piece, off, row, q, law, cells in blocks:
-        f = _stack_apply(q, cells, p, scale, row)
-        # each piece's node sums, added row by row in order, so that no block
-        # size changes them; a sub-piece's row is its one run
-        np.add.at(nodes.reshape(-1), (piece[:, None] * k + np.arange(k)).reshape(-1),
-                  (_piece_sums(f, off) * law).reshape(-1))
-        used += f.size
-        del cells, f  # before the next block is made
+    nodes, used = np.zeros((n, _NODES[span].size)), np.zeros(n, int)
+    for s, off, cells in blocks:
+        # a piece lies in one block and sums its runs in order, so that no
+        # block size changes its sums
+        nodes[s] = np.add.reduceat(_stack_apply(cells, p), off[:-1], axis=0)
+        used[s] = np.diff(off) * nodes.shape[1]
+        del cells  # before the next block is made
+    nodes /= -(p + 1.0)
     # the rules in one contraction of fixed order, as BLAS's depends on sizes
     return np.einsum("pk,kr->pr", nodes, _WEIGHTS[span]), nodes, used
 
@@ -453,26 +448,27 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     bisects no more pieces than keep the total (``boxes`` in the
     diagnostics) within ``PIECE_BUDGET``; where the first pass or the
     bisections would pass it, ``budget_exceeded`` says so, never
-    silently.  ``elements`` counts the inner-stack elements evaluated,
-    one per node and run on the pieces' own stacks.
+    silently.  ``elements`` counts the inner-stack elements of the pieces
+    evaluated, one per node and run on each piece's own stack, as a fresh
+    grid would: what the plan's kept work, read whole, evaluates beyond
+    them is not counted.
     """
-    d = grid.dim
+    d, q1 = grid.dim, p + 1.0
     diag = {"engine": "adaptive", "boxes": 0, "elements": 0, "budget_exceeded": False}
     scale = grid.sup_abs
     if d == 1:
-        # each cell a run of one node at q = 1
+        # each cell a run of one node at q = 1, of law 1
         a, lo, hi = (v[:, None] for v in (grid.count_fractions(), grid.cell_lo(0), grid.cell_hi(0)))
         q = np.ones_like(a)
-        f = _stack_apply(q, _stack_prep(q, a, lo, hi, scale), p, scale, np.arange(a.size))
+        f = _stack_apply(_stack_prep(q, a, lo, hi, scale, q, np.arange(a.size)), p)
         diag.update(engine="exact-1d", boxes=1, elements=a.size)
-        return float(f.sum()), scale, 0.0, diag
+        return float(f.sum()) / -q1, scale, 0.0, diag
 
     plan = grid.memo["plan"] = grid.memo.get("plan") or _Plan(grid)
     col, lo, hi = plan.pieces
     # a column with no point below it integrates (prod t / scale)^p, a
     # product of one-axis powers; in logs, as large p underflows them.  A
     # NaN from -inf - -inf near p = 1e308 is a term below q1^-d, so 0
-    q1 = p + 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         logs = [q1 * np.log(h) + np.log(-np.expm1(q1 * np.log(low / h)))
                 for low, h in zip(plan.lo_axes, plan.hi_axes)]
@@ -480,7 +476,13 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         log_closed = log_closed - d * math.log(q1) - p * math.log(scale)
     closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
 
-    sums, nodes, elements = _eval_pieces(plan.blocks(0, plan.pieces), col.size, p, 0, scale)
+    def evaluate(level, pieces, asked=None):
+        # the rule sums, node sums and elements of the pieces asked
+        blocks, n, at = plan.blocks(level, pieces, asked)
+        sums, nodes, used = _eval_pieces(blocks, n, p, level, scale)
+        return sums[at], nodes[at], int(used[at].sum())
+
+    sums, nodes, elements = evaluate(0, plan.pieces)
     bnd = _sup_bound(nodes, plan.mass)
     del nodes  # (P, 9), more than the store holds per piece
     lvl = np.zeros(col.size, int)
@@ -522,8 +524,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
             break
         for level in np.unique(lvl[up]).tolist():
             g = np.sort(up[lvl[up] == level])
-            add, _, used = _eval_pieces(plan.blocks(level + 1, (col, lo, hi), g), g.size, p,
-                                        level + 1, scale)
+            add, _, used = evaluate(level + 1, (col, lo, hi), g)
             sums[g] += add
             lvl[g] += 1
             elements += used
@@ -531,8 +532,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
             n, sums[par], bnd[par] = col.size, 0.0, 0.0
             col, lo, hi = (np.concatenate(x) for x in zip((col, lo, hi), (
                 np.tile(col[par], 2), np.append(lo[par], mid[par]), np.append(mid[par], hi[par]))))
-            made, nodes, used = _eval_pieces(plan.blocks(0, (col, lo, hi), np.arange(n, col.size)),
-                                             col.size - n, p, 0, scale)
+            made, nodes, used = evaluate(0, (col, lo, hi), np.arange(n, col.size))
             bnd = np.append(bnd, _sup_bound(nodes, _masses(col[n:], lo[n:], hi[n:], plan.stack[3])))
             sums, lvl = np.concatenate([sums, made]), np.append(lvl, np.zeros(col.size - n, int))
             elements += used

@@ -328,15 +328,15 @@ def _inner_stack(q, a_cnt, t_lo, t_hi, p, scale, reduce=True):
     """sum_k int_{t_lo[k]}^{t_hi[k]} (|A_k - q t| / scale)^p dt by the
     engine's kernel, at nodes q (B, S) on cells of counting terms a_cnt
     (B, m) and bounds t_lo/t_hi (m,), each cell laid out as a run of its
-    row's nodes.  With ``reduce=False`` the per-cell integrals (B, S, m)
-    are returned unsummed.
+    row's nodes with law 1, and the kernel's output over -(p + 1).  With
+    ``reduce=False`` the per-cell integrals (B, S, m) are returned unsummed.
     """
     (b, s), m = q.shape, a_cnt.shape[1]
     lo, hi = (np.tile(t, b)[:, None] for t in (t_lo, t_hi))
     runs = np.repeat(q, m, axis=0)
-    f = _stack_apply(runs, _stack_prep(runs, a_cnt.reshape(-1, 1), lo, hi, scale), p, scale,
-                     np.arange(runs.shape[0]))
-    f = np.ascontiguousarray(f.reshape(b, m, s).transpose(0, 2, 1))
+    f = _stack_apply(_stack_prep(runs, a_cnt.reshape(-1, 1), lo, hi, scale, np.ones_like(runs),
+                                 np.arange(b * m)), p)
+    f = np.ascontiguousarray((f / -(p + 1.0)).reshape(b, m, s).transpose(0, 2, 1))
     return f.sum(axis=2) if reduce else f
 
 

@@ -3,6 +3,8 @@ engine, its error estimate and sup bound, its evaluation in row blocks,
 and the reuse of its p-independent work across p on one grid."""
 
 import functools
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -202,13 +204,15 @@ def _exp_log_power(x, y):
     return np.exp(y * np.log(x))
 
 
-def _inner_stack_masked(q, a_cnt, t_lo, t_hi, p, scale, reduce=True, power=_exp_log_power):
+def _masked_kernel(q, a_cnt, t_lo, t_hi, p, scale, law, power):
     """The kernel as it was before it ran in place: every branch gathers
     its own cells through a boolean mask and scatters them back.  Kept as
-    a frozen oracle; the in-place kernel must match it bit for bit.  The
-    main and straddle branches take their (p+1)-th powers by ``power``:
-    the kernel's exp-of-log form, or ``np.power`` as the kernel did before
-    it kept logs."""
+    a frozen oracle; the in-place kernel must match it bit for bit.  Like
+    the kernel it gives each cell's integral times -(p + 1) and ``law``,
+    ``law`` (B, S) on all the cells of a row and node.  The main and
+    straddle branches take their (p+1)-th powers by ``power``: the
+    kernel's exp-of-log form, or ``np.power`` as the kernel did before it
+    kept logs."""
     q1 = p + 1.0
     qe = q[:, :, None]
     ae = a_cnt[:, None, :]
@@ -222,19 +226,28 @@ def _inner_stack_masked(q, a_cnt, t_lo, t_hi, p, scale, reduce=True, power=_exp_
         big = np.where(vlo >= 0.0, vhi, delta - vhi)
         thin = (delta <= 1e-12 * np.maximum(big, 1e-300)) & ~straddle
         out = np.empty(vlo.shape)
-        inv = np.broadcast_to(scale / (qe * q1), vlo.shape)
+        weight = np.broadcast_to(np.minimum(scale / qe, np.finfo(float).max) * law[:, :, None],
+                                 vlo.shape)
         one = ~(straddle | thin)
         big_o = big[one]
         ratio = np.clip(delta[one] / np.maximum(big_o, 1e-300), 0.0, 1.0)
-        out[one] = inv[one] * power(big_o, q1) * (-np.expm1(q1 * np.log1p(-ratio)))
+        out[one] = power(big_o, q1) * weight[one] * np.expm1(q1 * np.log1p(-ratio))
         if straddle.any():
-            out[straddle] = inv[straddle] * (
+            out[straddle] = -weight[straddle] * (
                 power(np.maximum(vhi[straddle], 0.0), q1)
                 + power(np.maximum(-vlo[straddle], 0.0), q1)
             )
         if thin.any():
             mid = np.broadcast_to(np.abs(ae - qe * (t_lo + t_hi) * 0.5) / scale, vlo.shape)
-            out[thin] = np.broadcast_to(tlen, vlo.shape)[thin] * np.power(mid[thin], p)
+            tlaw = tlen * np.broadcast_to(law[:, :, None], vlo.shape)
+            out[thin] = tlaw[thin] * np.power(mid[thin], p) * -q1
+    return out
+
+
+def _inner_stack_masked(q, a_cnt, t_lo, t_hi, p, scale, reduce=True, power=_exp_log_power):
+    """The masked kernel's integrals with law 1, as ``_inner_stack`` reads
+    the kernel's."""
+    out = _masked_kernel(q, a_cnt, t_lo, t_hi, p, scale, np.ones(q.shape), power) / -(p + 1.0)
     return out.sum(axis=2) if reduce else out
 
 
@@ -325,10 +338,10 @@ def test_power_form_moves_a_tight_integral_within_the_rounding_floor(monkeypatch
     # row of one cell: the two take the same pieces and differ by less
     # than the floor of four rounding units in err_j, which therefore
     # covers the kernel's exp-of-log rounding without widening
-    def power_apply(q, cells, p, scale, row):
-        q, a, t_lo, t_hi, scale = cells
-        return _inner_stack_masked(q, a, t_lo[:, :, None], t_hi[:, :, None], p, scale,
-                                   power=np.power)
+    def power_apply(cells, p):
+        q, a, t_lo, t_hi, scale, law, row = cells
+        return _masked_kernel(q[row], a, t_lo[:, :, None], t_hi[:, :, None], p, scale, law[row],
+                              np.power)[:, :, 0]
 
     for pts, _ in POWER_SETS:
         for p in POWER_LADDER:
@@ -346,25 +359,30 @@ def test_power_form_moves_a_tight_integral_within_the_rounding_floor(monkeypatch
 def _run_sums_match_cells(stack, col, lo, hi):
     """Per piece and node, the sum of each piece's runs against the cell-by-
     cell stack with its kink cells zeroed, at the nodes each level adds;
-    returns the pieces' run offsets, counts and stack prep at the top
+    returns the pieces' own run offsets, counts and stack prep at the top
     level's nodes."""
-    _, off, *runs, _ = integrate._rows(col, lo, hi, stack)
-    # each kink sub-piece's row, after the pieces' rows, is one run
-    assert (np.diff(off[col.size:]) == 1).all()
-    off = off[:col.size + 1]
-    runs = [v[:off[-1]] for v in runs]
+    rows, off, at, *runs = integrate._rows(col, lo, hi, stack)
+    # each piece's row comes first among its rows, and each of its kink
+    # sub-pieces' rows, right after it, is one run
+    sub = np.ones(off.size - 1, bool)
+    sub[at[:-1]] = False
+    assert (rows[0][at[:-1]] == col).all() and (np.diff(off)[sub] == 1).all()
+    own = np.concatenate([np.arange(off[i], off[i + 1]) for i in at[:-1]]).astype(int)
+    off = np.append(0, np.cumsum(np.diff(off)[at[:-1]]))
+    runs = [v[own] for v in runs]
     piece = np.repeat(np.arange(col.size), np.diff(off))
     a_cols, t_lo, t_hi, _, scale = stack
     a, first, last = runs
     for level in range(_MAX_LEVEL + 1):
         q = lo[:, None] + (hi - lo)[:, None] * _NODES[_SPANS[level]]
-        prep = integrate._stack_prep(q[piece], a[:, None], t_lo[first][:, None],
-                                     t_hi[last][:, None], scale)
+        prep = integrate._stack_prep(q, a[:, None], t_lo[first][:, None], t_hi[last][:, None],
+                                     scale, np.ones(q.shape), piece)
         # frozen, as a plan freezes what it keeps, so that every p reads it
-        prep[0].flags.writeable = prep[1].flags.writeable = False
+        for v in prep[:3]:
+            v.flags.writeable = False
         for p in (1.0, 2.5, 33.0):
-            f = integrate._stack_apply(q, prep, p, stack[-1], piece)
-            got = integrate._piece_sums(f, off)
+            got = np.zeros(q.shape)
+            np.add.at(got, piece, integrate._stack_apply(prep, p) / -(p + 1.0))
             want = cell_stack_sums(q, a_cols[col], t_lo, t_hi, lo, hi, p, scale)
             assert (np.abs(got - want) <= 1e-13 * want).all(), (level, p)
     return off, runs[0], prep
@@ -379,7 +397,7 @@ def test_run_sums_match_cell_sums():
         plan = grid.memo["plan"]
         off, counts, prep = _run_sums_match_cells(plan.stack, *plan.pieces)
         piece = np.repeat(np.arange(off.size - 1), np.diff(off))
-        found.add((pts.dim, "straddle", prep[2] is not None))
+        found.add((pts.dim, "straddle", prep[3] is not None))
         # two runs of one piece with one count have kink cells between them
         found.add((pts.dim, "split", bool(((np.diff(piece) == 0) & (np.diff(counts) == 0)).any())))
     assert all(hit for *_, hit in found), sorted(found)
@@ -391,7 +409,7 @@ def test_run_sums_match_cell_sums():
     off, _, prep = _run_sums_match_cells(stack, np.zeros(3, dtype=int), np.array([0.45, 0.05, 0.7]),
                                          np.array([0.9, 0.1, 0.8]))
     assert off.tolist() == [0, 0, 1, 2]
-    assert np.unique(prep[2][0] // prep[0].shape[1]).tolist() == [1]
+    assert np.unique(prep[3][0] // prep[0].shape[1]).tolist() == [1]
 
 
 LADDER = (1.0, 2.5, 20.0, 150.0, 2.0 ** 21)
@@ -480,23 +498,26 @@ def _single_and_shared(pts, tol):
 
 @pytest.mark.parametrize("name", PLAN_SETS)
 def test_row_blocks_do_not_change_results(name, monkeypatch):
-    # one row per block against the default blocks: values, errors and
+    # one piece per block against the default blocks: values, errors and
     # work counts bit for bit, on fresh grids and on a grid's plan, whose
-    # blocks are read whole or taken to a p-dependent subset of its rows
+    # blocks are read whole, also where a round asks a p-dependent subset
+    # of its pieces
     taken = set()
-    take, stack_apply = integrate._take, integrate._stack_apply
+    blocks, stack_apply = integrate._Plan.blocks, integrate._stack_apply
 
-    def take_spy(*args, **kwargs):
-        taken.add(True)
-        return take(*args, **kwargs)
+    def blocks_spy(plan, level, pieces, asked=None):
+        out = blocks(plan, level, pieces, asked)
+        if not isinstance(out[2], slice):
+            taken.add(True)
+        return out
 
-    def apply_spy(*args, **kwargs):
+    def apply_spy(cells, p):
         # only a plan's own blocks are frozen, so read without overwriting
-        if not args[1][0].flags.writeable:
+        if not cells[0].flags.writeable:
             taken.add(False)
-        return stack_apply(*args, **kwargs)
+        return stack_apply(cells, p)
 
-    monkeypatch.setattr(integrate, "_take", take_spy)
+    monkeypatch.setattr(integrate._Plan, "blocks", blocks_spy)
     monkeypatch.setattr(integrate, "_stack_apply", apply_spy)
     pts = PLAN_SETS[name]
     want = [_single_and_shared(pts, tol) for tol in (1e-6, 1e-12)]
@@ -505,6 +526,67 @@ def test_row_blocks_do_not_change_results(name, monkeypatch):
     assert taken == {False, True}
     # some rung bisects: it makes more pieces than the first pass
     assert any(diag["boxes"] > first for single, _, first in want for *_, diag in single)
+
+
+@pytest.mark.parametrize("name", PLAN_SETS)
+def test_one_piece_blocks_give_the_default_node_sums(name, monkeypatch):
+    # blocks are cut at piece boundaries: at _BLOCK_ELEMENTS = 1 each holds
+    # exactly one piece with all its runs, its kink sub-pieces' included,
+    # and every level's node sums equal the default blocks' bit for bit
+    grid = build_cell_grid(PLAN_SETS[name])
+    lp_adaptive_integral(grid, 2.5, 1e-3)
+    pieces, stack = grid.memo["plan"].pieces, grid.memo["plan"].stack
+    n = pieces[0].size
+    _, off, at, *_ = integrate._rows(*pieces, stack)
+    # each piece's runs, its own and one per kink sub-piece, which some have
+    runs = off[at[1:]] - off[at[:-1]]
+    assert (np.diff(at) > 1).any()
+
+    def node_sums(level, p):
+        blocks = integrate._level_blocks(*pieces, stack, level)
+        return integrate._eval_pieces(blocks, n, p, level, stack[-1])[1]
+
+    ladder = [(level, p) for level in range(_MAX_LEVEL + 1) for p in (1.0, 20.0)]
+    want = [node_sums(level, p) for level, p in ladder]
+    monkeypatch.setattr(integrate, "_BLOCK_ELEMENTS", 1)
+    for level in range(_MAX_LEVEL + 1):
+        blocks = list(integrate._level_blocks(*pieces, stack, level))
+        assert [b[0] for b in blocks] == [slice(i, i + 1) for i in range(n)]
+        assert [b[1].tolist() for b in blocks] == [[0, r] for r in runs.tolist()]
+    for (level, p), nodes in zip(ladder, want):
+        assert np.array_equal(node_sums(level, p).view(np.int64), nodes.view(np.int64)), (level, p)
+
+
+def test_threads_read_kept_work_into_their_own_scratch():
+    # the kernel works on a plan's frozen blocks in scratch arrays kept per
+    # thread, so two threads reading kept work at once, each its own grid
+    # of one set at different p, give the values one thread gives; with one
+    # scratch shared by both, most rounds here read wrong values
+    pts = generate_halton(64, 2)
+    ladders = [[1.0 + 0.5 * i for i in range(16)], [9.25 - 0.5 * i for i in range(16)]]
+
+    def run(ladder, out):
+        cache = LpCache(pts, 1e-9)
+        out.extend(cache.norm(p).value for p in ladder)
+
+    want = [[], []]
+    for ladder, out in zip(ladders, want):
+        run(ladder, out)
+    # switch threads often, so that one's kernel runs between the other's
+    # kernel and its sums
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = [[], []]
+            threads = [threading.Thread(target=run, args=args) for args in zip(ladders, got)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_single_p_call_keeps_no_work():

@@ -271,22 +271,33 @@ def test_luxemburg_ladder_reaches_top_level(monkeypatch):
 
 
 def test_elements_count_kernel_work(monkeypatch):
+    # a fresh grid's kernel evaluates exactly the elements counted; a kept
+    # plan, read whole, may evaluate more, but counts those of the pieces
+    # asked, as a fresh grid does
     counted = []
     stack_apply = integrate._stack_apply
 
-    def spy(*args, **kwargs):
-        cells = args[1]
+    def spy(cells, p):
         counted.append(math.prod(cells[0].shape))
-        return stack_apply(*args, **kwargs)
+        return stack_apply(cells, p)
 
     monkeypatch.setattr(integrate, "_stack_apply", spy)
+    beyond = []
     for n, d, seed, p in [(9, 1, 3, 2.5), (16, 2, 5, 1.0), (8, 3, 2, 40.0)]:
-        grid = build_cell_grid(generate_uniform(n, d, seed=seed))
-        # the second p on a grid runs on the grid's kept plan
-        for q in (p, p + 1.5):
+        pts = generate_uniform(n, d, seed=seed)
+        grid = build_cell_grid(pts)
+        # the later p on a grid run on the grid's kept plan
+        for q in (p, p + 1.5, p + 3.0, p + 4.5):
             counted.clear()
-            _, _, _, diag = lp_adaptive_integral(grid, q, 1e-10)
-            assert diag["elements"] == sum(counted) > 0, (n, d, q)
+            diag = lp_adaptive_integral(grid, q, 1e-10)[3]
+            work = sum(counted)
+            if q == p:
+                assert diag["elements"] == work > 0, (n, d, q)
+            fresh = lp_adaptive_integral(build_cell_grid(pts), q, 1e-10)[3]
+            assert diag["elements"] == fresh["elements"] <= work, (n, d, q)
+            beyond.append(diag["elements"] < work)
+    # (16, 2) seed 5 keeps its level 1 at p = 5.5 and reads it whole
+    assert any(beyond)
 
 
 def test_moment_engine_rejects_odd_p():
@@ -348,10 +359,16 @@ def test_sup_in_an_empty_column_leaves_no_piece_to_evaluate(monkeypatch):
     # piece's value and bound underflow to 0 and no piece is refined
     pts = PointSet(np.array([[0.7, 0.1], [0.8, 0.5], [0.9, 0.9]]))
     asked = []
-    take = integrate._take
-    monkeypatch.setattr(integrate, "_take",
-                        lambda block, place: asked.append(int((place >= 0).sum()))
-                        or take(block, place))
+    blocks = integrate._Plan.blocks
+
+    def spy(plan, level, pieces, ask=None):
+        # the pieces asked of the kept work where a round asks a subset
+        out = blocks(plan, level, pieces, ask)
+        if not isinstance(out[2], slice):
+            asked.append(int(ask.size))
+        return out
+
+    monkeypatch.setattr(integrate._Plan, "blocks", spy)
     p = 1e4
     closed = 0.7 * (0.7 / (p + 1.0) ** 2) ** (1.0 / p)
     res = lp_discrepancy(pts, p)
