@@ -27,10 +27,11 @@ Two routes, used by the norm modules:
   Each run and node has one p-independent weight, so a new p costs two
   transcendental passes, one multiply and one segmented sum per piece.
   Everything is scaled by sup |local discrepancy| so any large p stays in
-  range.  A grid keeps its setup, its first pieces' masses and, once its
-  computes ask for more than those pieces, the p-independent work below
-  the top level on them (``_Plan``), which ``_Plan.blocks`` hands out
-  whole to every evaluation it serves, or else a fresh pass.
+  range.  A grid keeps its setup and its first pieces' masses and, from
+  its second compute on, their rows and, below the top level, the
+  p-independent work of each piece asked (``_Plan``), which
+  ``_Plan.blocks`` hands out whole, for a compute to read once, or else a
+  fresh pass.
 """
 
 from __future__ import annotations
@@ -266,18 +267,27 @@ def _rows(col, lo, hi, stack):
     start[:, 1:] |= a[:, 1:] != a[:, :-1]
     start[:, 1:] |= kink[:, :-1]
     first = np.flatnonzero(start)
-    last = np.roll(first, -1) - 1
-    last[-1:] = start.size - 1
+    last = np.append(first[1:], start.size) - 1
     keep = ~kink.reshape(-1)[first]
     first, last = first[keep], last[keep]
     off = np.searchsorted(first, np.arange(0, a.size + 1, m))
-    # each sub-piece's row and run inserted before the next piece's
-    rows = tuple(np.insert(v, r3 + 1, new) for v, new in (
+    # a piece's row and runs move up by the sub-pieces before it, and
+    # sub-piece j's go right after its piece's, one destination per family
+    at, j, u = np.arange(off.size), np.arange(r3.size), np.arange(first.size)
+    at += np.searchsorted(r3, at)
+    row_to = np.append(at[:-1], r3 + 1 + j)
+    run_to = np.append(u + np.searchsorted(off[r3 + 1], u, "right"), off[r3 + 1] + j)
+
+    def place(to, own, new):
+        out = np.empty(to.size, own.dtype)
+        out[to[:own.size]], out[to[own.size:]] = own, new
+        return out
+
+    rows = tuple(place(row_to, v, new) for v, new in (
         (col, col[r3]), (lo, edges[:, :-1].flat[wide]), (hi, edges[:, 1:].flat[wide])))
-    first, last = (np.insert(v, off[r3 + 1], r3 * m + c3) for v in (first, last))
-    at = np.arange(off.size)
-    return (rows, np.append(0, np.cumsum(np.insert(np.diff(off), r3 + 1, 1))),
-            at + np.searchsorted(r3, at), a.reshape(-1)[first], first % m, last % m)
+    first, last = (place(run_to, v, r3 * m + c3) for v in (first, last))
+    return (rows, np.append(0, np.cumsum(place(row_to, np.diff(off), np.ones_like(r3)))),
+            at, a.reshape(-1)[first], first % m, last % m)
 
 
 def _blocks(off, at, per_run):
@@ -302,30 +312,57 @@ def _masses(col, lo, hi, corners):
     return mass
 
 
-def _level_blocks(col, lo, hi, stack, level):
-    """The work on the pieces' rows at ``level`` in blocks of whole pieces:
-    per block the slice of its pieces, their offsets into its runs, and the
-    runs' ``_stack_prep`` at their row's nodes, the ladder's
-    ``_SPANS[level]`` on [lo, hi], each node weighted by the row's length
-    times the product law there but 1 at the ends, so that the ends' sums
-    are F there.  The ``_rows`` are made per group of about
-    ``_BLOCK_ELEMENTS`` cells."""
-    a_cols, t_lo, t_hi, corners, scale = stack
+def _row_blocks(rows, stack, level, base=0):
+    """The work on ``rows``, a ``_rows`` output, at ``level`` in blocks of
+    whole pieces: per block the slice of its pieces, counted from ``base``,
+    their offsets into its runs, and the runs' ``_stack_prep`` at their
+    row's nodes, the ladder's ``_SPANS[level]`` on [lo, hi], each node
+    weighted by the row's length times the product law there but 1 at the
+    ends, so that the ends' sums are F there."""
+    (c, l, h), off, at, *runs = rows
+    t_lo, t_hi, corners, scale = stack[1:]
     x = _NODES[_SPANS[level]]
-    group = max(1, _BLOCK_ELEMENTS // a_cols.shape[1])
+    for s, rows, r, piece_off, row in _blocks(off, at, x.size):
+        length = (h[rows] - l[rows])[:, None]
+        q = l[rows, None] + length * x
+        law = length * _product_law(q, corners, c[rows])
+        if level == 0:
+            law[:, :2] = 1.0
+        a, first, last = (v[r] for v in runs)
+        # the prep made in the yield, so that the generator holds none
+        # while the next block is made
+        yield slice(base + s.start, base + s.stop), piece_off, _stack_prep(
+            q, a[:, None], t_lo[first][:, None], t_hi[last][:, None], scale, law, row)
+
+
+def _group_rows(col, lo, hi, stack):
+    """The pieces' ``_rows`` per group of about ``_BLOCK_ELEMENTS`` cells,
+    each after the index of its first piece."""
+    group = max(1, _BLOCK_ELEMENTS // stack[0].shape[1])
     for g in range(0, col.size, group):
-        (c, l, h), off, at, *runs = _rows(*(v[g:g + group] for v in (col, lo, hi)), stack)
-        for s, rows, r, piece_off, row in _blocks(off, at, x.size):
-            length = (h[rows] - l[rows])[:, None]
-            q = l[rows, None] + length * x
-            law = length * _product_law(q, corners, c[rows])
-            if level == 0:
-                law[:, :2] = 1.0
-            a, first, last = (v[r] for v in runs)
-            # the prep made in the yield, so that the generator holds none
-            # while the next block is made
-            yield slice(g + s.start, g + s.stop), piece_off, _stack_prep(
-                q, a[:, None], t_lo[first][:, None], t_hi[last][:, None], scale, law, row)
+        yield g, _rows(*(v[g:g + group] for v in (col, lo, hi)), stack)
+
+
+def _level_blocks(col, lo, hi, stack, level):
+    """The pieces' ``_row_blocks`` at ``level``, from their ``_group_rows``."""
+    for g, rows in _group_rows(col, lo, hi, stack):
+        yield from _row_blocks(rows, stack, level, g)
+
+
+def _ranges(start, stop):
+    """The indices start[i]:stop[i], for each i in turn."""
+    n = stop - start
+    return np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum())
+
+
+def _merge(a, b):
+    """Block ``b``'s pieces after block ``a``'s, as one block."""
+    (s, off, cells), (t, off_b, cells_b) = a, b
+    moved = [y and (y[0] + cells[0].size, *y[1:]) for y in cells_b[3:]]
+    sparse = [x if y is None else y if x is None else tuple(map(np.concatenate, zip(x, y)))
+              for x, y in zip(cells[3:], moved)]
+    return (slice(s.start, t.stop), np.append(off, off_b[1:] + off[-1]),
+            (*map(np.concatenate, zip(cells[:3], cells_b[:3])), *sparse))
 
 
 class _Plan:
@@ -338,17 +375,21 @@ class _Plan:
     where the first pass passes ``MAX_EVAL_ELEMENTS``, each node counting
     its column's m cells and 2^(d-1) product-law terms, the terms as work,
     not memory, as the law adds them one corner at a time.  Where the first
-    pass (``cost``, m per node) is within ``_PLAN_ELEMENTS``, the plan also
-    keeps the p-independent work on those pieces, as the ``_level_blocks``
-    a fresh pass makes of the nodes each level adds to the one below: the
-    ends and K7's 7 at level 0 and P15's 8 new ones at level 1.  P31's 16
-    at the top level are not kept: few pieces reach it, reading them all is
-    no faster than making those few, and it would be the largest work.  A
-    work is kept once the pieces asked of it, over all computes, exceed the
-    pieces it holds, so that it costs no more than the evaluations it
-    replaces and a single-p call keeps none.  It is made block by block, its
-    ``big``, ``lg`` and weights frozen for ``_stack_apply``, dropped once
-    the plan would pass the cap, and read whole by every compute it serves.
+    pass (``cost``, m per node) is within ``_PLAN_ELEMENTS``, the plan
+    keeps, from the grid's second compute on, the ``_rows`` of all its
+    pieces (``rows``), from which every later block of its own pieces is
+    gathered, and per level below the top the p-independent work of
+    exactly the pieces asked of it (``work``, with each piece's place in it
+    or -1 in ``place``), as the ``_row_blocks`` of the nodes the level adds to
+    the one below: the ends and K7's 7 at level 0, which every compute asks
+    whole, and P15's 8 at level 1.  P31's 16 at the top level are not kept:
+    few pieces reach it, and it would be the largest work.  A piece asked
+    anew joins its level's work, its blocks merged onto the last one while
+    that stays within ``_BLOCK_ELEMENTS``, so that a level is read in few
+    blocks; its ``big``, ``lg`` and weights are frozen for ``_stack_apply``.
+    ``elements`` counts what is kept, the rows at 24 bytes an element, and
+    an add that would pass the cap is refused and served a fresh pass.  A
+    single-p call keeps nothing, nor does a bisected half join any work.
     """
 
     def __init__(self, grid):
@@ -374,35 +415,65 @@ class _Plan:
                       grid.sup_abs)
         self.cost = nodes * m
         self.mass = _masses(*self.pieces, corners)
-        self.elements, self.work, self.asked = 0, {}, {}
+        self.elements, self.computes, self.rows, self.work, self.place = 0, 0, None, {}, {}
 
     def blocks(self, level, pieces, asked=None):
         """The blocks at ``level`` for a compute's ``pieces`` (col, lo, hi),
         which start with the plan's own, or for those at the sorted indices
         ``asked``, with the count of pieces they hold and where the asked
-        ones lie among those: all the plan's in its kept work, else the
-        asked ones in a fresh ``_level_blocks`` pass, as where they include
-        a piece the plan does not hold, a bisected half."""
-        col, n = self.pieces[0], pieces[0].size if asked is None else asked.size
-        own = (n if asked is None else asked[-1] + 1) <= col.size
-        if own and level not in self.work and self.cost <= _PLAN_ELEMENTS and level < _MAX_LEVEL:
-            self.asked[level] = self.asked.get(level, 0) + n
-            if self.asked[level] > col.size:
-                self.work[level], work, size = None, [], self.elements
-                for block in _level_blocks(*self.pieces, self.stack, level):
-                    size += block[-1][0].size
-                    if size > _PLAN_ELEMENTS:
-                        break
-                    for v in block[-1][:3]:
-                        v.flags.writeable = False
-                    work.append(block)
-                else:
-                    self.work[level], self.elements = work, size
-        work = self.work.get(level) if own else None
-        if work is None:
+        ones lie among those: the level's kept work, a list that a compute
+        reads whole, once the asked pieces have joined it, else the asked
+        ones in a fresh pass, gathered from ``rows`` where they are the
+        plan's own.
+        A call without ``asked`` is a compute's first pass."""
+        n = pieces[0].size if asked is None else asked.size
+        self.computes += asked is None
+        own = (n if asked is None else asked[-1] + 1) <= self.pieces[0].size
+        if not own or self.computes < 2 or not 0 < self.cost <= _PLAN_ELEMENTS:
             return (_level_blocks(*(v if asked is None else v[asked] for v in pieces), self.stack,
                                   level), n, slice(None))
-        return work, col.size, slice(None) if asked is None else asked
+        if self.rows is None:
+            rows, *offs, a, first, last = zip(*(r for _, r in _group_rows(*self.pieces, self.stack)))
+            # each group's offsets chained after the group before it
+            offs = [np.append(0, np.cumsum(np.concatenate([np.diff(v) for v in o]))) for o in offs]
+            self.rows = (tuple(map(np.concatenate, zip(*rows))), *offs,
+                         *map(np.concatenate, (a, first, last)))
+            self.elements = sum(v.nbytes for v in (*self.rows[0], *self.rows[1:])) // 24
+        g = np.arange(n) if asked is None else asked
+        if level < _MAX_LEVEL and self._join(level, g):
+            work, place = self.work[level], self.place[level]
+            return work, work[-1][0].stop, slice(None) if asked is None else place[asked]
+        return _row_blocks(self._gather(g), self.stack, level), n, slice(None)
+
+    def _gather(self, g):
+        """The kept ``rows`` of the plan's pieces g, as ``_rows`` gives them."""
+        if g.size == self.pieces[0].size:
+            return self.rows
+        (c, l, h), off, at, *runs = self.rows
+        r, u = _ranges(at[g], at[g + 1]), _ranges(off[at[g]], off[at[g + 1]])
+        return ((c[r], l[r], h[r]), np.append(0, np.cumsum(off[r + 1] - off[r])),
+                np.append(0, np.cumsum(at[g + 1] - at[g])), *(v[u] for v in runs))
+
+    def _join(self, level, g):
+        """Whether the plan's pieces g are in the work at ``level``, after
+        those not yet in it join it where the cap allows."""
+        place = self.place.setdefault(level, np.full(self.pieces[0].size, -1))
+        (_, off, at, *_), new = self.rows, g[place[g] < 0]
+        size = int((off[at[new + 1]] - off[at[new]]).sum()) * _NODES[_SPANS[level]].size
+        if self.elements + size > _PLAN_ELEMENTS:
+            return False
+        if new.size:
+            work = self.work.setdefault(level, [])
+            base = work[-1][0].stop if work else 0
+            place[new] = np.arange(base, base + new.size)
+            for block in _row_blocks(self._gather(new), self.stack, level, base):
+                if work and work[-1][-1][0].size + block[-1][0].size <= _BLOCK_ELEMENTS:
+                    block = _merge(work.pop(), block)
+                for v in block[-1][:3]:
+                    v.flags.writeable = False
+                work.append(block)
+            self.elements += size
+        return True
 
 
 def _eval_pieces(blocks, n, p, level, scale):
@@ -451,7 +522,8 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     silently.  ``elements`` counts the inner-stack elements of the pieces
     evaluated, one per node and run on each piece's own stack, as a fresh
     grid would: what the plan's kept work, read whole, evaluates beyond
-    them is not counted.
+    them is not counted, and a kept level read once serves every later ask
+    at that level in the compute until new pieces join it.
     """
     d, q1 = grid.dim, p + 1.0
     diag = {"engine": "adaptive", "boxes": 0, "elements": 0, "budget_exceeded": False}
@@ -476,10 +548,19 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         log_closed = log_closed - d * math.log(q1) - p * math.log(scale)
     closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
 
+    read = {}
+
     def evaluate(level, pieces, asked=None):
-        # the rule sums, node sums and elements of the pieces asked
+        # the rule sums, node sums and elements of the pieces asked; a kept
+        # level above 0, the only kind a compute asks more than once, is read
+        # once per compute, again only once new pieces joined it
         blocks, n, at = plan.blocks(level, pieces, asked)
-        sums, nodes, used = _eval_pieces(blocks, n, p, level, scale)
+        if level and isinstance(blocks, list):
+            if read.get(level, (None,))[0] != n:
+                read[level] = n, *_eval_pieces(blocks, n, p, level, scale)
+            _, sums, nodes, used = read[level]
+        else:
+            sums, nodes, used = _eval_pieces(blocks, n, p, level, scale)
         return sums[at], nodes[at], int(used[at].sum())
 
     sums, nodes, elements = evaluate(0, plan.pieces)

@@ -448,8 +448,9 @@ def test_plan_reuse_is_bit_identical(name, monkeypatch):
     monkeypatch.setattr(integrate._Plan, "blocks", spy)
     pts = PLAN_SETS[name]
     shared = _ladder_matches_fresh_grids(pts)
-    # a level's work is kept once the pieces asked of it, over all
-    # computes, exceed the pieces it holds, and the top level's never
+    # from the grid's second compute each level below the top keeps the
+    # work of exactly the pieces asked of it, level 0 all of them, and the
+    # top level's is never kept
     plan = shared.memo["plan"]
     assert [key for key, work in plan.work.items() if work] == [0, 1]
     assert plan.elements <= integrate._PLAN_ELEMENTS
@@ -474,18 +475,160 @@ def _fresh_ladder(pts):
 def test_plan_stays_within_plan_elements(name, cap, monkeypatch):
     # a grid whose first pass is above the cap keeps no work: 14,580
     # elements on the d = 3 set, 1,404 on d2 and 9,504 on h2; 15,000 hold
-    # d3's first pass and level 0 (9,342) but not level 1 (17,646).  The
-    # cap sizes only what a grid keeps, so every rung, shared or fresh, is
-    # bit for bit the one at the default cap
+    # d3's first pass, its rows (1,818) and level 0 (9,342) but not all of
+    # level 1 (17,646), so that an add of the pieces a round asks there is
+    # refused and served a fresh pass.  The cap sizes only what a grid
+    # keeps, so every rung, shared or fresh, is bit for bit the one at the
+    # default cap
+    served = []
+    blocks = integrate._Plan.blocks
+
+    def spy(plan, level, pieces, asked=None):
+        out = blocks(plan, level, pieces, asked)
+        own = asked is None or asked[-1] < plan.pieces[0].size
+        if plan.rows is not None and level < _MAX_LEVEL and own:
+            served.append(isinstance(out[0], list))
+        return out
+
     pts = PLAN_SETS[name]
     want = _fresh_ladder(pts)
     monkeypatch.setattr(integrate, "_PLAN_ELEMENTS", cap)
+    monkeypatch.setattr(integrate._Plan, "blocks", spy)
     plan = _ladder_matches_fresh_grids(pts).memo["plan"]
     assert _fresh_ladder(pts) == want
     if cap == 15_000:
-        assert plan.elements <= cap and None in plan.work.values()
+        assert plan.elements <= cap and list(plan.work) == [0, 1]
+        assert True in served and False in served
     else:
-        assert not plan.work
+        assert not plan.work and plan.rows is None
+
+
+LUX_SETS = {"u128x2": generate_uniform(128, 2, 0), "h64x2": generate_halton(64, 2)}
+
+
+@pytest.mark.parametrize("name", LUX_SETS)
+def test_a_luxemburg_norm_makes_its_pieces_rows_once(name, monkeypatch):
+    # the plan keeps the rows of all its pieces at the grid's second
+    # compute and gathers every later block of its own pieces from them,
+    # kept adds and top-level raises alike: past the first compute, _rows
+    # runs on the plan's pieces only to make that table, once per group
+    pts = LUX_SETS[name]
+    calls, rows = [], integrate._rows
+
+    def spy(col, lo, hi, stack):
+        plan = cache.grid.memo["plan"]
+        own = set(zip(*(v.tolist() for v in plan.pieces)))
+        calls.append((plan.computes, col.size,
+                      all(row in own for row in zip(col.tolist(), lo.tolist(), hi.tolist()))))
+        return rows(col, lo, hi, stack)
+
+    cache = LpCache(pts, 1e-9)
+    monkeypatch.setattr(integrate, "_rows", spy)
+    luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=1e-8, cache=cache)
+    plan = cache.grid.memo["plan"]
+    later = [call for call in calls if call[0] > 1]
+    assert plan.computes > 10 and plan.rows is not None
+    assert later == [(2, plan.pieces[0].size, True)], later
+    assert all(own for *_, own in calls)
+
+
+def test_a_kept_level_is_read_once_per_compute(monkeypatch):
+    # a whole read of a kept level gives node sums for every piece it
+    # holds, so a later ask at that level in the same compute takes its
+    # pieces from them, unless new pieces joined it in between
+    asks, reads, state = [], [], {}
+    blocks, eval_pieces = integrate._Plan.blocks, integrate._eval_pieces
+
+    def blocks_spy(plan, level, pieces, asked=None):
+        out = blocks(plan, level, pieces, asked)
+        state["at"] = plan.computes, level, out[1]
+        if isinstance(out[0], list):
+            asks.append(state["at"])
+        return out
+
+    def eval_spy(blocks, n, p, level, scale):
+        if isinstance(blocks, list):
+            reads.append(state["at"])
+        return eval_pieces(blocks, n, p, level, scale)
+
+    monkeypatch.setattr(integrate._Plan, "blocks", blocks_spy)
+    monkeypatch.setattr(integrate, "_eval_pieces", eval_spy)
+    pts, cache = LUX_SETS["h64x2"], LpCache(LUX_SETS["h64x2"], 1e-9)
+    luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=1e-8, cache=cache)
+    assert len(set(reads)) == len(reads) and set(reads) == set(asks)
+    # some level-1 asks, in a later round, were served without a read
+    assert len(reads) < len(asks) and any(level == 1 for _, level, _ in asks)
+    assert cache.grid.memo["plan"].computes > 10
+
+
+def _kept_node_sums(plan, p):
+    """Each kept level's node sums at p from its kept blocks, and from a
+    fresh pass's default blocks over the same pieces in the same order."""
+    out = []
+    for level, work in plan.work.items():
+        place = plan.place[level]
+        held = np.argsort(place)[np.count_nonzero(place < 0):]
+        fresh = integrate._level_blocks(*(v[held] for v in plan.pieces), plan.stack, level)
+        out.append([integrate._eval_pieces(b, held.size, p, level, plan.stack[-1])[1]
+                    for b in (work, fresh)])
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_merged_kept_blocks_give_the_default_node_sums(block, monkeypatch):
+    # on a ladder whose level-1 work grows over many computes, the pieces
+    # that join it are merged onto its last block (at the default size; at
+    # one element per block each block keeps one piece), and every kept
+    # level gives the node sums of a fresh pass bit for bit, as every rung
+    # gives a fresh grid's results
+    if block:
+        monkeypatch.setattr(integrate, "_BLOCK_ELEMENTS", block)
+    pts = PLAN_SETS["d3"]
+    shared, held = build_cell_grid(pts), []
+    for p in (1.0 + 0.5 * i for i in range(20)):
+        got = lp_adaptive_integral(shared, p, p * 1e-8)
+        assert _bits(got) == _bits(lp_adaptive_integral(build_cell_grid(pts), p, p * 1e-8)), p
+        work = shared.memo["plan"].work.get(1)
+        held.append(work[-1][0].stop if work else 0)
+    plan = shared.memo["plan"]
+    grew = np.count_nonzero(np.diff(held) > 0)
+    assert grew >= 8 and list(plan.work) == [0, 1], held
+    sizes = [b[0].stop - b[0].start for b in plan.work[1]]
+    assert (sizes == [1] * held[-1]) if block else (len(sizes) < grew), sizes
+    for p in (1.0, 13.0, 150.0):
+        for kept, fresh in _kept_node_sums(plan, p):
+            assert np.array_equal(kept.view(np.int64), fresh.view(np.int64)), p
+
+
+def _frozen(block):
+    for v in block[-1][:3]:
+        v.flags.writeable = False
+    return block
+
+
+def test_merged_blocks_give_their_node_sums(monkeypatch):
+    # _merge puts one block's pieces after another's, shifting its run
+    # offsets and the flat indices of its straddle and thin elements.  One
+    # piece per block, with thin elements (its end at s = 0), a straddle or
+    # neither: every fold of the blocks gives their node sums bit for bit
+    stack = (np.full((1, 3), 0.25), np.array([0.3, 0.4, 0.5]), np.array([0.4, 0.5, 0.6]),
+             np.array([[1.0, 0.0]]), 1.0)
+    pieces = (np.zeros(5, int), np.array([0.05, 0.0, 0.7, 0.72, 0.0]),
+              np.array([0.1, 0.05, 0.8, 0.78, 0.02]))
+    monkeypatch.setattr(integrate, "_BLOCK_ELEMENTS", 1)
+    seen = set()
+    for level in range(_MAX_LEVEL + 1):
+        blocks = [_frozen(b) for b in integrate._level_blocks(*pieces, stack, level)]
+        merged = blocks[:1]
+        for k in range(1, 5):
+            seen.update((i, merged[0][-1][i] is None, blocks[k][-1][i] is None) for i in (3, 4))
+            merged = [_frozen(integrate._merge(merged[0], blocks[k])), *blocks[k + 1:]]
+            for p in (1.0, 2.5, 40.0):
+                want, got = (integrate._eval_pieces(b, 5, p, level, 1.0)[1] for b in (blocks, merged))
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (level, k, p)
+    # each set was merged empty onto full, full onto empty and full onto full
+    assert {(i, x, y) for i in (3, 4) for x, y in [(True, False), (False, True), (False, False)]
+            } <= seen, seen
 
 
 def _single_and_shared(pts, tol):
