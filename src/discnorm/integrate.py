@@ -29,9 +29,9 @@ Two routes, used by the norm modules:
   Everything is scaled by sup |local discrepancy| so any large p stays in
   range.  A grid keeps its setup and its first pieces' masses and, from
   its second compute on, their rows and, below the top level, the
-  p-independent work of each piece asked (``_Plan``), which
-  ``_Plan.blocks`` hands out whole, for a compute to read once, or else a
-  fresh pass.
+  p-independent work of each piece asked (``_Plan``).  Every evaluation
+  asks the plan for its pieces' sums, which it reads from that work, once
+  per compute, or from a fresh pass.
 """
 
 from __future__ import annotations
@@ -375,7 +375,7 @@ class _Plan:
     where the first pass passes ``MAX_EVAL_ELEMENTS``, each node counting
     its column's m cells and 2^(d-1) product-law terms, the terms as work,
     not memory, as the law adds them one corner at a time.  Where the first
-    pass (``cost``, m per node) is within ``_PLAN_ELEMENTS``, the plan
+    pass, m per node, is within ``_PLAN_ELEMENTS`` (``keeps``), the plan
     keeps, from the grid's second compute on, the ``_rows`` of all its
     pieces (``rows``), from which every later block of its own pieces is
     gathered, and per level below the top the p-independent work of
@@ -390,6 +390,7 @@ class _Plan:
     ``elements`` counts what is kept, the rows at 24 bytes an element, and
     an add that would pass the cap is refused and served a fresh pass.  A
     single-p call keeps nothing, nor does a bisected half join any work.
+    Evaluations ask ``sums``, which applies these rules and reads a kept level once per compute.
     """
 
     def __init__(self, grid):
@@ -413,37 +414,43 @@ class _Plan:
                        brk[:, 1:].reshape(-1))
         self.stack = (a_cols[self.occupied], grid.cell_lo(d - 1), grid.cell_hi(d - 1), corners,
                       grid.sup_abs)
-        self.cost = nodes * m
+        self.keeps = 0 < nodes * m <= _PLAN_ELEMENTS
         self.mass = _masses(*self.pieces, corners)
-        self.elements, self.computes, self.rows, self.work, self.place = 0, 0, None, {}, {}
+        self.elements, self.computes, self.rows = 0, 0, None
+        self.work, self.place, self.read = {}, {}, {}
 
-    def blocks(self, level, pieces, asked=None):
-        """The blocks at ``level`` for a compute's ``pieces`` (col, lo, hi),
-        which start with the plan's own, or for those at the sorted indices
-        ``asked``, with the count of pieces they hold and where the asked
-        ones lie among those: the level's kept work, a list that a compute
-        reads whole, once the asked pieces have joined it, else the asked
-        ones in a fresh pass, gathered from ``rows`` where they are the
-        plan's own.
-        A call without ``asked`` is a compute's first pass."""
-        n = pieces[0].size if asked is None else asked.size
-        self.computes += asked is None
-        own = (n if asked is None else asked[-1] + 1) <= self.pieces[0].size
-        if not own or self.computes < 2 or not 0 < self.cost <= _PLAN_ELEMENTS:
-            return (_level_blocks(*(v if asked is None else v[asked] for v in pieces), self.stack,
-                                  level), n, slice(None))
-        if self.rows is None:
-            rows, *offs, a, first, last = zip(*(r for _, r in _group_rows(*self.pieces, self.stack)))
-            # each group's offsets chained after the group before it
-            offs = [np.append(0, np.cumsum(np.concatenate([np.diff(v) for v in o]))) for o in offs]
-            self.rows = (tuple(map(np.concatenate, zip(*rows))), *offs,
-                         *map(np.concatenate, (a, first, last)))
-            self.elements = sum(v.nbytes for v in (*self.rows[0], *self.rows[1:])) // 24
-        g = np.arange(n) if asked is None else asked
-        if level < _MAX_LEVEL and self._join(level, g):
-            work, place = self.work[level], self.place[level]
-            return work, work[-1][0].stop, slice(None) if asked is None else place[asked]
-        return _row_blocks(self._gather(g), self.stack, level), n, slice(None)
+    def sums(self, level, pieces, p, g=None):
+        """The ``_eval_pieces`` at ``level`` and p of a compute's ``pieces``
+        (col, lo, hi), which start with the plan's own, at the sorted indices
+        g or of them all, their elements summed: from the level's kept work,
+        read whole, above level 0 once per compute and again once new pieces
+        have joined it, else from a fresh pass."""
+        mine = np.arange(pieces[0].size) if g is None else g
+        if (mine[-1:] >= self.pieces[0].size).any() or self.computes < 2 or not self.keeps:
+            blocks = _level_blocks(*(v if g is None else v[g] for v in pieces), self.stack, level)
+        else:
+            if self.rows is None:
+                self._keep_rows()
+            if level < _MAX_LEVEL and self._join(level, mine):
+                key = self.computes, self.work[level][-1][0].stop
+                memo = self.read if level else {}  # level 0's node sums, (P, 9), are not kept
+                if memo.get(level, (None,))[0] != key:
+                    memo[level] = key, _eval_pieces(self.work[level], key[1], p, level)
+                sums, nodes, used = memo[level][1]
+                at = slice(None) if g is None else self.place[level][g]
+                return sums[at], nodes[at], int(used[at].sum())
+            blocks = _row_blocks(self._gather(mine), self.stack, level)
+        sums, nodes, used = _eval_pieces(blocks, mine.size, p, level)
+        return sums, nodes, int(used.sum())
+
+    def _keep_rows(self):
+        """Keeps its pieces' ``_rows`` as one table, ``rows``, in a frame freeing each group's."""
+        rows, *offs, a, first, last = zip(*(r for _, r in _group_rows(*self.pieces, self.stack)))
+        # each group's offsets chained after the group before it
+        offs = [np.append(0, np.cumsum(np.concatenate([np.diff(v) for v in o]))) for o in offs]
+        self.rows = (tuple(map(np.concatenate, zip(*rows))), *offs,
+                     *map(np.concatenate, (a, first, last)))
+        self.elements = sum(v.nbytes for v in (*self.rows[0], *self.rows[1:])) // 24
 
     def _gather(self, g):
         """The kept ``rows`` of the plan's pieces g, as ``_rows`` gives them."""
@@ -476,13 +483,12 @@ class _Plan:
         return True
 
 
-def _eval_pieces(blocks, n, p, level, scale):
+def _eval_pieces(blocks, n, p, level):
     """The sums (n, 4) that the k nodes ``level`` adds give the four rules
     on each of n pieces, to be added to those of the levels below, the
     sums (n, k) of its weighted nodes, and each piece's elements, from the
     pieces' ``blocks`` in turn.  A piece's node sums are one segmented sum
-    over its runs, its kink sub-pieces' included, divided by -(p + 1);
-    ``scale`` is already in the blocks' weights."""
+    over its runs, its kink sub-pieces' included, divided by -(p + 1)."""
     span = _SPANS[level]
     nodes, used = np.zeros((n, _NODES[span].size)), np.zeros(n, int)
     for s, off, cells in blocks:
@@ -519,11 +525,11 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     bisects no more pieces than keep the total (``boxes`` in the
     diagnostics) within ``PIECE_BUDGET``; where the first pass or the
     bisections would pass it, ``budget_exceeded`` says so, never
-    silently.  ``elements`` counts the inner-stack elements of the pieces
-    evaluated, one per node and run on each piece's own stack, as a fresh
-    grid would: what the plan's kept work, read whole, evaluates beyond
-    them is not counted, and a kept level read once serves every later ask
-    at that level in the compute until new pieces join it.
+    silently.  Each evaluation, of the first pass, a raise or a bisection's
+    halves, asks the grid's plan for its pieces' sums (``_Plan.sums``).
+    ``elements`` counts the inner-stack elements of the pieces evaluated,
+    one per node and run on each piece's own stack, as a fresh grid would,
+    not what the plan's kept work, read whole, evaluates beyond them.
     """
     d, q1 = grid.dim, p + 1.0
     diag = {"engine": "adaptive", "boxes": 0, "elements": 0, "budget_exceeded": False}
@@ -537,6 +543,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         return float(f.sum()) / -q1, scale, 0.0, diag
 
     plan = grid.memo["plan"] = grid.memo.get("plan") or _Plan(grid)
+    plan.computes += 1
     col, lo, hi = plan.pieces
     # a column with no point below it integrates (prod t / scale)^p, a
     # product of one-axis powers; in logs, as large p underflows them.  A
@@ -548,22 +555,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
         log_closed = log_closed - d * math.log(q1) - p * math.log(scale)
     closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
 
-    read = {}
-
-    def evaluate(level, pieces, asked=None):
-        # the rule sums, node sums and elements of the pieces asked; a kept
-        # level above 0, the only kind a compute asks more than once, is read
-        # once per compute, again only once new pieces joined it
-        blocks, n, at = plan.blocks(level, pieces, asked)
-        if level and isinstance(blocks, list):
-            if read.get(level, (None,))[0] != n:
-                read[level] = n, *_eval_pieces(blocks, n, p, level, scale)
-            _, sums, nodes, used = read[level]
-        else:
-            sums, nodes, used = _eval_pieces(blocks, n, p, level, scale)
-        return sums[at], nodes[at], int(used[at].sum())
-
-    sums, nodes, elements = evaluate(0, plan.pieces)
+    sums, nodes, elements = plan.sums(0, plan.pieces, p)
     bnd = _sup_bound(nodes, plan.mass)
     del nodes  # (P, 9), more than the store holds per piece
     lvl = np.zeros(col.size, int)
@@ -605,7 +597,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
             break
         for level in np.unique(lvl[up]).tolist():
             g = np.sort(up[lvl[up] == level])
-            add, _, used = evaluate(level + 1, (col, lo, hi), g)
+            add, _, used = plan.sums(level + 1, (col, lo, hi), p, g)
             sums[g] += add
             lvl[g] += 1
             elements += used
@@ -613,7 +605,7 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
             n, sums[par], bnd[par] = col.size, 0.0, 0.0
             col, lo, hi = (np.concatenate(x) for x in zip((col, lo, hi), (
                 np.tile(col[par], 2), np.append(lo[par], mid[par]), np.append(mid[par], hi[par]))))
-            made, nodes, used = evaluate(0, (col, lo, hi), np.arange(n, col.size))
+            made, nodes, used = plan.sums(0, (col, lo, hi), p, np.arange(n, col.size))
             bnd = np.append(bnd, _sup_bound(nodes, _masses(col[n:], lo[n:], hi[n:], plan.stack[3])))
             sums, lvl = np.concatenate([sums, made]), np.append(lvl, np.zeros(col.size - n, int))
             elements += used

@@ -16,7 +16,7 @@ from discnorm.cells import build_cell_grid
 from discnorm.integrate import _MAX_LEVEL, _NODES, _SPANS, lp_adaptive_integral
 from discnorm.lp import LpCache, lp_discrepancy
 from discnorm.orlicz import OrliczSpec, luxemburg_norm
-from discnorm.pointset import PointSet, generate_halton, generate_uniform
+from discnorm.pointset import PointSet, empty_pointset, generate_halton, generate_uniform
 from oracles import _inner_stack, cell_stack_sums, patterson_ladder
 
 
@@ -61,22 +61,22 @@ ESTIMATE_SETS = [generate_uniform(n, d, seed=seed) for n, d in ((8, 2), (6, 3), 
 def test_error_estimate_covers_tight_rerun_at_every_level(monkeypatch):
     # every level's estimate, |K7 - G3|, |P15 - K7| or |P31 - P15|, against
     # reruns at 1e-12 on small sets at d = 2..5.  Every evaluation asks the
-    # grid's plan for its pieces' blocks, and a piece is asked each level
+    # grid's plan for its pieces' sums, and a piece is asked each level
     # once, in order: first-pass pieces and bisected halves alike start at
     # level 0 and reach levels 1 and 2 by adding nodes to their sums
     reached, last = set(), {}
-    blocks = integrate._Plan.blocks
+    sums = integrate._Plan.sums
 
-    def spy(plan, level, pieces, asked=None):
-        at = np.arange(pieces[0].size) if asked is None else asked
-        if asked is None:
+    def spy(plan, level, pieces, p, g=None):
+        at = np.arange(pieces[0].size) if g is None else g
+        if g is None:
             last.clear()  # a compute's first pass
         assert all(last.get(i, -1) == level - 1 for i in at.tolist()), level
         last.update(dict.fromkeys(at.tolist(), level))
         reached.update((level, bool(half)) for half in np.unique(at >= plan.pieces[0].size))
-        return blocks(plan, level, pieces, asked)
+        return sums(plan, level, pieces, p, g)
 
-    monkeypatch.setattr(integrate._Plan, "blocks", spy)
+    monkeypatch.setattr(integrate._Plan, "sums", spy)
     for pts in ESTIMATE_SETS:
         for p in (2.5, 20.0, 150.0):
             want, _, err_tight, _ = lp_adaptive_integral(build_cell_grid(pts), p, 1e-12)
@@ -439,13 +439,13 @@ def test_plan_reuse_is_bit_identical(name, monkeypatch):
     # whether the ladder meets bisections, whose halves the plan does not
     # hold, so that it hands them a fresh pass
     made = []
-    blocks = integrate._Plan.blocks
+    sums = integrate._Plan.sums
 
-    def spy(plan, level, pieces, asked=None):
-        made.append(asked is not None and asked[-1] >= plan.pieces[0].size)
-        return blocks(plan, level, pieces, asked)
+    def spy(plan, level, pieces, p, g=None):
+        made.append(g is not None and g[-1] >= plan.pieces[0].size)
+        return sums(plan, level, pieces, p, g)
 
-    monkeypatch.setattr(integrate._Plan, "blocks", spy)
+    monkeypatch.setattr(integrate._Plan, "sums", spy)
     pts = PLAN_SETS[name]
     shared = _ladder_matches_fresh_grids(pts)
     # from the grid's second compute each level below the top keeps the
@@ -471,6 +471,35 @@ def _fresh_ladder(pts):
             for tol in (1e-6, 1e-12) for p in LADDER]
 
 
+def _spy_on_asks(monkeypatch):
+    """Records each ask of a plan's sums, in order: the plan's computes, the
+    level, g, whether the asked pieces are the plan's own and its rows were
+    kept, the pieces the level's kept work holds after it, the kept work's
+    whole reads it made (the pieces each read) and its fresh passes; an ask
+    that made none was served by the level's kept work."""
+    asks, sums, eval_pieces = [], integrate._Plan.sums, integrate._eval_pieces
+
+    def sums_spy(plan, level, pieces, p, g=None):
+        ask = {"computes": plan.computes, "level": level, "g": g, "reads": [], "fresh": 0,
+               "own": g is None or g[-1] < plan.pieces[0].size}
+        asks.append(ask)
+        out = sums(plan, level, pieces, p, g)
+        work = plan.work.get(level)
+        ask.update(rows=plan.rows is not None, held=work[-1][0].stop if work else 0)
+        return out
+
+    def eval_spy(blocks, n, p, level):
+        if isinstance(blocks, list):
+            asks[-1]["reads"].append(n)
+        else:
+            asks[-1]["fresh"] += 1
+        return eval_pieces(blocks, n, p, level)
+
+    monkeypatch.setattr(integrate._Plan, "sums", sums_spy)
+    monkeypatch.setattr(integrate, "_eval_pieces", eval_spy)
+    return asks
+
+
 @pytest.mark.parametrize("name, cap", [("d3", 5_000), ("d3", 15_000), ("d2", 200), ("h2", 1_000)])
 def test_plan_stays_within_plan_elements(name, cap, monkeypatch):
     # a grid whose first pass is above the cap keeps no work: 14,580
@@ -480,22 +509,15 @@ def test_plan_stays_within_plan_elements(name, cap, monkeypatch):
     # refused and served a fresh pass.  The cap sizes only what a grid
     # keeps, so every rung, shared or fresh, is bit for bit the one at the
     # default cap
-    served = []
-    blocks = integrate._Plan.blocks
-
-    def spy(plan, level, pieces, asked=None):
-        out = blocks(plan, level, pieces, asked)
-        own = asked is None or asked[-1] < plan.pieces[0].size
-        if plan.rows is not None and level < _MAX_LEVEL and own:
-            served.append(isinstance(out[0], list))
-        return out
-
     pts = PLAN_SETS[name]
     want = _fresh_ladder(pts)
     monkeypatch.setattr(integrate, "_PLAN_ELEMENTS", cap)
-    monkeypatch.setattr(integrate._Plan, "blocks", spy)
+    asks = _spy_on_asks(monkeypatch)
     plan = _ladder_matches_fresh_grids(pts).memo["plan"]
     assert _fresh_ladder(pts) == want
+    # each ask of the plan's own pieces below the top, once the rows are kept:
+    # whether kept work served it
+    served = [not a["fresh"] for a in asks if a["rows"] and a["level"] < _MAX_LEVEL and a["own"]]
     if cap == 15_000:
         assert plan.elements <= cap and list(plan.work) == [0, 1]
         assert True in served and False in served
@@ -536,25 +558,13 @@ def test_a_kept_level_is_read_once_per_compute(monkeypatch):
     # a whole read of a kept level gives node sums for every piece it
     # holds, so a later ask at that level in the same compute takes its
     # pieces from them, unless new pieces joined it in between
-    asks, reads, state = [], [], {}
-    blocks, eval_pieces = integrate._Plan.blocks, integrate._eval_pieces
-
-    def blocks_spy(plan, level, pieces, asked=None):
-        out = blocks(plan, level, pieces, asked)
-        state["at"] = plan.computes, level, out[1]
-        if isinstance(out[0], list):
-            asks.append(state["at"])
-        return out
-
-    def eval_spy(blocks, n, p, level, scale):
-        if isinstance(blocks, list):
-            reads.append(state["at"])
-        return eval_pieces(blocks, n, p, level, scale)
-
-    monkeypatch.setattr(integrate._Plan, "blocks", blocks_spy)
-    monkeypatch.setattr(integrate, "_eval_pieces", eval_spy)
+    spied = _spy_on_asks(monkeypatch)
     pts, cache = LUX_SETS["h64x2"], LpCache(LUX_SETS["h64x2"], 1e-9)
     luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=1e-8, cache=cache)
+    # the asks that kept work served, and its reads, each (computes, level,
+    # pieces held)
+    asks = [(a["computes"], a["level"], a["held"]) for a in spied if not a["fresh"]]
+    reads = [(a["computes"], a["level"], n) for a in spied for n in a["reads"]]
     assert len(set(reads)) == len(reads) and set(reads) == set(asks)
     # some level-1 asks, in a later round, were served without a read
     assert len(reads) < len(asks) and any(level == 1 for _, level, _ in asks)
@@ -569,7 +579,7 @@ def _kept_node_sums(plan, p):
         place = plan.place[level]
         held = np.argsort(place)[np.count_nonzero(place < 0):]
         fresh = integrate._level_blocks(*(v[held] for v in plan.pieces), plan.stack, level)
-        out.append([integrate._eval_pieces(b, held.size, p, level, plan.stack[-1])[1]
+        out.append([integrate._eval_pieces(b, held.size, p, level)[1]
                     for b in (work, fresh)])
     return out
 
@@ -624,7 +634,7 @@ def test_merged_blocks_give_their_node_sums(monkeypatch):
             seen.update((i, merged[0][-1][i] is None, blocks[k][-1][i] is None) for i in (3, 4))
             merged = [_frozen(integrate._merge(merged[0], blocks[k])), *blocks[k + 1:]]
             for p in (1.0, 2.5, 40.0):
-                want, got = (integrate._eval_pieces(b, 5, p, level, 1.0)[1] for b in (blocks, merged))
+                want, got = (integrate._eval_pieces(b, 5, p, level)[1] for b in (blocks, merged))
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (level, k, p)
     # each set was merged empty onto full, full onto empty and full onto full
     assert {(i, x, y) for i in (3, 4) for x, y in [(True, False), (False, True), (False, False)]
@@ -645,28 +655,20 @@ def test_row_blocks_do_not_change_results(name, monkeypatch):
     # work counts bit for bit, on fresh grids and on a grid's plan, whose
     # blocks are read whole, also where a round asks a p-dependent subset
     # of its pieces
-    taken = set()
-    blocks, stack_apply = integrate._Plan.blocks, integrate._stack_apply
-
-    def blocks_spy(plan, level, pieces, asked=None):
-        out = blocks(plan, level, pieces, asked)
-        if not isinstance(out[2], slice):
-            taken.add(True)
-        return out
+    frozen, stack_apply = [], integrate._stack_apply
 
     def apply_spy(cells, p):
         # only a plan's own blocks are frozen, so read without overwriting
-        if not cells[0].flags.writeable:
-            taken.add(False)
+        frozen.append(not cells[0].flags.writeable)
         return stack_apply(cells, p)
 
-    monkeypatch.setattr(integrate._Plan, "blocks", blocks_spy)
+    asks = _spy_on_asks(monkeypatch)
     monkeypatch.setattr(integrate, "_stack_apply", apply_spy)
     pts = PLAN_SETS[name]
     want = [_single_and_shared(pts, tol) for tol in (1e-6, 1e-12)]
     monkeypatch.setattr(integrate, "_BLOCK_ELEMENTS", 1)
     assert [_single_and_shared(pts, tol) for tol in (1e-6, 1e-12)] == want
-    assert taken == {False, True}
+    assert any(frozen) and any(a["g"] is not None and not a["fresh"] for a in asks)
     # some rung bisects: it makes more pieces than the first pass
     assert any(diag["boxes"] > first for single, _, first in want for *_, diag in single)
 
@@ -687,7 +689,7 @@ def test_one_piece_blocks_give_the_default_node_sums(name, monkeypatch):
 
     def node_sums(level, p):
         blocks = integrate._level_blocks(*pieces, stack, level)
-        return integrate._eval_pieces(blocks, n, p, level, stack[-1])[1]
+        return integrate._eval_pieces(blocks, n, p, level)[1]
 
     ladder = [(level, p) for level in range(_MAX_LEVEL + 1) for p in (1.0, 20.0)]
     want = [node_sums(level, p) for level, p in ladder]
@@ -733,13 +735,28 @@ def test_threads_read_kept_work_into_their_own_scratch():
 
 
 def test_single_p_call_keeps_no_work():
-    # one compute asks each work of a piece at most once, so no asked count
-    # exceeds the pieces a work would hold, bisections included
+    # the plan keeps work from a grid's second compute on, so that a single
+    # compute, bisections included, keeps none
     for pts in PLAN_SETS.values():
         for p in (2.5, 150.0):
             grid = build_cell_grid(pts)
             lp_adaptive_integral(grid, p, 1e-12)
             assert grid.memo["plan"].work == {}, p
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_a_grid_with_no_piece(d):
+    # with no point every column integrates in closed form, so the plan
+    # holds no piece and no compute evaluates an element; a shared grid's
+    # later computes, which ask the plan for no piece, give a fresh grid's
+    # results bit for bit
+    shared = build_cell_grid(empty_pointset(d))
+    for p in (1.0, 2.5, 40.0):
+        want = _bits(lp_adaptive_integral(build_cell_grid(empty_pointset(d)), p, 1e-9))
+        assert want[3]["boxes"] == want[3]["elements"] == 0, p
+        for _ in range(2):
+            assert _bits(lp_adaptive_integral(shared, p, 1e-9)) == want, p
+    assert shared.memo["plan"].computes == 6 and shared.memo["plan"].pieces[0].size == 0
 
 
 @pytest.mark.parametrize("name", ["d3", "h2"])

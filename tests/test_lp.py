@@ -256,9 +256,9 @@ def test_luxemburg_ladder_reaches_top_level(monkeypatch):
     levels = set()
     eval_pieces = integrate._eval_pieces
 
-    def spy(blocks, n, p, level, scale):
+    def spy(blocks, n, p, level):
         levels.add(level)
-        return eval_pieces(blocks, n, p, level, scale)
+        return eval_pieces(blocks, n, p, level)
 
     monkeypatch.setattr(integrate, "_eval_pieces", spy)
     grid = build_cell_grid(generate_halton(64, 2))
@@ -359,16 +359,14 @@ def test_sup_in_an_empty_column_leaves_no_piece_to_evaluate(monkeypatch):
     # piece's value and bound underflow to 0 and no piece is refined
     pts = PointSet(np.array([[0.7, 0.1], [0.8, 0.5], [0.9, 0.9]]))
     asked = []
-    blocks = integrate._Plan.blocks
+    sums = integrate._Plan.sums
 
-    def spy(plan, level, pieces, ask=None):
-        # the pieces asked of the kept work where a round asks a subset
-        out = blocks(plan, level, pieces, ask)
-        if not isinstance(out[2], slice):
-            asked.append(int(ask.size))
-        return out
+    def spy(plan, level, pieces, p, g=None):
+        # each ask's level and count of pieces, None where it asks them all
+        asked.append((level, None if g is None else int(g.size)))
+        return sums(plan, level, pieces, p, g)
 
-    monkeypatch.setattr(integrate._Plan, "blocks", spy)
+    monkeypatch.setattr(integrate._Plan, "sums", spy)
     p = 1e4
     closed = 0.7 * (0.7 / (p + 1.0) ** 2) ** (1.0 / p)
     res = lp_discrepancy(pts, p)
@@ -382,8 +380,9 @@ def test_sup_in_an_empty_column_leaves_no_piece_to_evaluate(monkeypatch):
         assert (got.value, got.abs_error_estimate, got.diagnostics) == (
             want.value, want.abs_error_estimate, want.diagnostics)
     assert cache.grid.memo["plan"].work[0] is not None
-    # at p the kept level 0 is read whole and no level above it is asked
-    assert asked == []
+    # at p the kept level 0 is read whole and no level above it is asked,
+    # nor on the single-p call's grid
+    assert asked == [(0, None)] * 2
 
 
 def test_tolerance_below_double_rounding_is_floored():
