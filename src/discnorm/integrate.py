@@ -28,10 +28,10 @@ Two routes, used by the norm modules:
   transcendental passes, one multiply and one segmented sum per piece.
   Everything is scaled by sup |local discrepancy| so any large p stays in
   range.  A grid keeps its setup and its first pieces' masses and, from
-  its second compute on, their rows and, below the top level, the
-  p-independent work of each piece asked (``_Plan``).  Every evaluation
-  asks the plan for its pieces' sums, which it reads from that work, once
-  per compute, or from a fresh pass.
+  its second compute on, below the top level, the p-independent work of
+  each piece asked (``_Plan``).  Every evaluation asks the plan for its
+  pieces' sums, which it reads from that work, once per compute, or from
+  a fresh pass.
 """
 
 from __future__ import annotations
@@ -349,12 +349,6 @@ def _level_blocks(col, lo, hi, stack, level):
         yield from _row_blocks(rows, stack, level, g)
 
 
-def _ranges(start, stop):
-    """The indices start[i]:stop[i], for each i in turn."""
-    n = stop - start
-    return np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum())
-
-
 def _merge(a, b):
     """Block ``b``'s pieces after block ``a``'s, as one block."""
     (s, off, cells), (t, off_b, cells_b) = a, b
@@ -376,18 +370,16 @@ class _Plan:
     its column's m cells and 2^(d-1) product-law terms, the terms as work,
     not memory, as the law adds them one corner at a time.  Where the first
     pass, m per node, is within ``_PLAN_ELEMENTS`` (``keeps``), the plan
-    keeps, from the grid's second compute on, the ``_rows`` of all its
-    pieces (``rows``), from which every later block of its own pieces is
-    gathered, and per level below the top the p-independent work of
-    exactly the pieces asked of it (``work``, with each piece's place in it
-    or -1 in ``place``), as the ``_row_blocks`` of the nodes the level adds to
-    the one below: the ends and K7's 7 at level 0, which every compute asks
-    whole, and P15's 8 at level 1.  P31's 16 at the top level are not kept:
-    few pieces reach it, and it would be the largest work.  A piece asked
-    anew joins its level's work, its blocks merged onto the last one while
-    that stays within ``_BLOCK_ELEMENTS``, so that a level is read in few
-    blocks; its ``big``, ``lg`` and weights are frozen for ``_stack_apply``.
-    ``elements`` counts what is kept, the rows at 24 bytes an element, and
+    keeps, from the grid's second compute on, per level below the top the
+    p-independent work of exactly the pieces asked of it (``work``, with
+    each piece's place in it or -1 in ``place``), as the ``_row_blocks`` of
+    the nodes the level adds to the one below: the ends and K7's 7 at level
+    0, which every compute asks whole, and P15's 8 at level 1.  P31's 16 at
+    the top level are not kept: few pieces reach it, and it would be the
+    largest work.  A piece asked anew joins its level's work, its blocks
+    merged onto the last one while that stays within ``_BLOCK_ELEMENTS``,
+    so that a level is read in few blocks; its ``big``, ``lg`` and weights
+    are frozen for ``_stack_apply``.  ``elements`` counts what is kept, and
     an add that would pass the cap is refused and served a fresh pass.  A
     single-p call keeps nothing, nor does a bisected half join any work.
     Evaluations ask ``sums``, which applies these rules and reads a kept level once per compute.
@@ -416,7 +408,7 @@ class _Plan:
                       grid.sup_abs)
         self.keeps = 0 < nodes * m <= _PLAN_ELEMENTS
         self.mass = _masses(*self.pieces, corners)
-        self.elements, self.computes, self.rows = 0, 0, None
+        self.elements, self.computes = 0, 0
         self.work, self.place, self.read = {}, {}, {}
 
     def sums(self, level, pieces, p, g=None):
@@ -426,60 +418,43 @@ class _Plan:
         read whole, above level 0 once per compute and again once new pieces
         have joined it, else from a fresh pass."""
         mine = np.arange(pieces[0].size) if g is None else g
-        if (mine[-1:] >= self.pieces[0].size).any() or self.computes < 2 or not self.keeps:
-            blocks = _level_blocks(*(v if g is None else v[g] for v in pieces), self.stack, level)
-        else:
-            if self.rows is None:
-                self._keep_rows()
-            if level < _MAX_LEVEL and self._join(level, mine):
-                key = self.computes, self.work[level][-1][0].stop
-                memo = self.read if level else {}  # level 0's node sums, (P, 9), are not kept
-                if memo.get(level, (None,))[0] != key:
-                    memo[level] = key, _eval_pieces(self.work[level], key[1], p, level)
-                sums, nodes, used = memo[level][1]
-                at = slice(None) if g is None else self.place[level][g]
-                return sums[at], nodes[at], int(used[at].sum())
-            blocks = _row_blocks(self._gather(mine), self.stack, level)
+        if (self.keeps and self.computes >= 2 and level < _MAX_LEVEL
+                and not (mine[-1:] >= self.pieces[0].size).any() and self._join(level, mine)):
+            key = self.computes, self.work[level][-1][0].stop
+            memo = self.read if level else {}  # level 0's node sums, (P, 9), are not kept
+            if memo.get(level, (None,))[0] != key:
+                memo[level] = key, _eval_pieces(self.work[level], key[1], p, level)
+            sums, nodes, used = memo[level][1]
+            at = slice(None) if g is None else self.place[level][g]
+            return sums[at], nodes[at], int(used[at].sum())
+        blocks = _level_blocks(*(v if g is None else v[g] for v in pieces), self.stack, level)
         sums, nodes, used = _eval_pieces(blocks, mine.size, p, level)
         return sums, nodes, int(used.sum())
 
-    def _keep_rows(self):
-        """Keeps its pieces' ``_rows`` as one table, ``rows``, in a frame freeing each group's."""
-        rows, *offs, a, first, last = zip(*(r for _, r in _group_rows(*self.pieces, self.stack)))
-        # each group's offsets chained after the group before it
-        offs = [np.append(0, np.cumsum(np.concatenate([np.diff(v) for v in o]))) for o in offs]
-        self.rows = (tuple(map(np.concatenate, zip(*rows))), *offs,
-                     *map(np.concatenate, (a, first, last)))
-        self.elements = sum(v.nbytes for v in (*self.rows[0], *self.rows[1:])) // 24
-
-    def _gather(self, g):
-        """The kept ``rows`` of the plan's pieces g, as ``_rows`` gives them."""
-        if g.size == self.pieces[0].size:
-            return self.rows
-        (c, l, h), off, at, *runs = self.rows
-        r, u = _ranges(at[g], at[g + 1]), _ranges(off[at[g]], off[at[g + 1]])
-        return ((c[r], l[r], h[r]), np.append(0, np.cumsum(off[r + 1] - off[r])),
-                np.append(0, np.cumsum(at[g + 1] - at[g])), *(v[u] for v in runs))
-
     def _join(self, level, g):
         """Whether the plan's pieces g are in the work at ``level``, after
-        those not yet in it join it where the cap allows."""
+        those not yet in it join it where the cap allows.  The new pieces'
+        rows are made first, to size the add by their runs; a refused add
+        makes them again in its fresh pass."""
         place = self.place.setdefault(level, np.full(self.pieces[0].size, -1))
-        (_, off, at, *_), new = self.rows, g[place[g] < 0]
-        size = int((off[at[new + 1]] - off[at[new]]).sum()) * _NODES[_SPANS[level]].size
+        new = g[place[g] < 0]
+        if not new.size:
+            return True
+        groups = list(_group_rows(*(v[new] for v in self.pieces), self.stack))
+        size = sum(int(rows[1][-1]) for _, rows in groups) * _NODES[_SPANS[level]].size
         if self.elements + size > _PLAN_ELEMENTS:
             return False
-        if new.size:
-            work = self.work.setdefault(level, [])
-            base = work[-1][0].stop if work else 0
-            place[new] = np.arange(base, base + new.size)
-            for block in _row_blocks(self._gather(new), self.stack, level, base):
+        work = self.work.setdefault(level, [])
+        base = work[-1][0].stop if work else 0
+        place[new] = np.arange(base, base + new.size)
+        for start, rows in groups:
+            for block in _row_blocks(rows, self.stack, level, base + start):
                 if work and work[-1][-1][0].size + block[-1][0].size <= _BLOCK_ELEMENTS:
                     block = _merge(work.pop(), block)
                 for v in block[-1][:3]:
                     v.flags.writeable = False
                 work.append(block)
-            self.elements += size
+        self.elements += size
         return True
 
 

@@ -473,10 +473,10 @@ def _fresh_ladder(pts):
 
 def _spy_on_asks(monkeypatch):
     """Records each ask of a plan's sums, in order: the plan's computes, the
-    level, g, whether the asked pieces are the plan's own and its rows were
-    kept, the pieces the level's kept work holds after it, the kept work's
-    whole reads it made (the pieces each read) and its fresh passes; an ask
-    that made none was served by the level's kept work."""
+    level, g, whether the asked pieces are the plan's own and the plan keeps
+    work by then, the pieces the level's kept work holds after it, the kept
+    work's whole reads it made (the pieces each read) and its fresh passes;
+    an ask that made none was served by the level's kept work."""
     asks, sums, eval_pieces = [], integrate._Plan.sums, integrate._eval_pieces
 
     def sums_spy(plan, level, pieces, p, g=None):
@@ -485,7 +485,7 @@ def _spy_on_asks(monkeypatch):
         asks.append(ask)
         out = sums(plan, level, pieces, p, g)
         work = plan.work.get(level)
-        ask.update(rows=plan.rows is not None, held=work[-1][0].stop if work else 0)
+        ask.update(keeps=plan.keeps and plan.computes >= 2, held=work[-1][0].stop if work else 0)
         return out
 
     def eval_spy(blocks, n, p, level):
@@ -504,54 +504,29 @@ def _spy_on_asks(monkeypatch):
 def test_plan_stays_within_plan_elements(name, cap, monkeypatch):
     # a grid whose first pass is above the cap keeps no work: 14,580
     # elements on the d = 3 set, 1,404 on d2 and 9,504 on h2; 15,000 hold
-    # d3's first pass, its rows (1,818) and level 0 (9,342) but not all of
-    # level 1 (17,646), so that an add of the pieces a round asks there is
-    # refused and served a fresh pass.  The cap sizes only what a grid
-    # keeps, so every rung, shared or fresh, is bit for bit the one at the
-    # default cap
+    # d3's first pass and level 0 (9,342) but not all of level 1 (17,646),
+    # so that an add of the pieces a round asks there is refused and served
+    # a fresh pass.  The cap sizes only what a grid keeps, so every rung,
+    # shared or fresh, is bit for bit the one at the default cap
     pts = PLAN_SETS[name]
     want = _fresh_ladder(pts)
     monkeypatch.setattr(integrate, "_PLAN_ELEMENTS", cap)
     asks = _spy_on_asks(monkeypatch)
     plan = _ladder_matches_fresh_grids(pts).memo["plan"]
     assert _fresh_ladder(pts) == want
-    # each ask of the plan's own pieces below the top, once the rows are kept:
-    # whether kept work served it
-    served = [not a["fresh"] for a in asks if a["rows"] and a["level"] < _MAX_LEVEL and a["own"]]
+    # each ask of the plan's own pieces below the top, once the plan keeps
+    # work: whether kept work served it
+    served = [not a["fresh"] for a in asks if a["keeps"] and a["level"] < _MAX_LEVEL and a["own"]]
     if cap == 15_000:
         assert plan.elements <= cap and list(plan.work) == [0, 1]
         assert True in served and False in served
     else:
-        assert not plan.work and plan.rows is None
+        assert not plan.work
 
 
 LUX_SETS = {"u128x2": generate_uniform(128, 2, 0), "h64x2": generate_halton(64, 2)}
-
-
-@pytest.mark.parametrize("name", LUX_SETS)
-def test_a_luxemburg_norm_makes_its_pieces_rows_once(name, monkeypatch):
-    # the plan keeps the rows of all its pieces at the grid's second
-    # compute and gathers every later block of its own pieces from them,
-    # kept adds and top-level raises alike: past the first compute, _rows
-    # runs on the plan's pieces only to make that table, once per group
-    pts = LUX_SETS[name]
-    calls, rows = [], integrate._rows
-
-    def spy(col, lo, hi, stack):
-        plan = cache.grid.memo["plan"]
-        own = set(zip(*(v.tolist() for v in plan.pieces)))
-        calls.append((plan.computes, col.size,
-                      all(row in own for row in zip(col.tolist(), lo.tolist(), hi.tolist()))))
-        return rows(col, lo, hi, stack)
-
-    cache = LpCache(pts, 1e-9)
-    monkeypatch.setattr(integrate, "_rows", spy)
-    luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=1e-8, cache=cache)
-    plan = cache.grid.memo["plan"]
-    later = [call for call in calls if call[0] > 1]
-    assert plan.computes > 10 and plan.rows is not None
-    assert later == [(2, plan.pieces[0].size, True)], later
-    assert all(own for *_, own in calls)
+# the p that an LpCache at 1e-5 reads on uniform (32,3) seed 8
+PEAK_LADDER = (1.0, 2.5, 3.5, 5.0, 7.5, 9.0, 13.0, 20.0)
 
 
 def test_a_kept_level_is_read_once_per_compute(monkeypatch):
@@ -569,6 +544,44 @@ def test_a_kept_level_is_read_once_per_compute(monkeypatch):
     # some level-1 asks, in a later round, were served without a read
     assert len(reads) < len(asks) and any(level == 1 for _, level, _ in asks)
     assert cache.grid.memo["plan"].computes > 10
+
+
+def _kept_bytes(plan):
+    """The bytes of the ``big``, ``lg`` and weight arrays of the plan's kept blocks."""
+    return sum(v.nbytes for blocks in plan.work.values() for block in blocks for v in block[-1][:3])
+
+
+def _capped_d3_ladder():
+    grid = build_cell_grid(PLAN_SETS["d3"])
+    for tol in (1e-6, 1e-12):
+        for p in LADDER:
+            lp_adaptive_integral(grid, p, p * tol)
+    return grid
+
+
+def _lux_h64x2():
+    cache = LpCache(LUX_SETS["h64x2"], 1e-9)
+    luxemburg_norm(LUX_SETS["h64x2"], OrliczSpec(2.0), rel_tol=1e-8, cache=cache)
+    return cache.grid
+
+
+def _u32x3_ladder():
+    cache = LpCache(generate_uniform(32, 3, 8), rel_tol=1e-5)
+    for p in PEAK_LADDER:
+        cache.norm(p)
+    return cache.grid
+
+
+@pytest.mark.parametrize("run, cap", [(_u32x3_ladder, None), (_lux_h64x2, None),
+                                      (_capped_d3_ladder, 15_000)])
+def test_plan_elements_count_its_kept_bytes(run, cap, monkeypatch):
+    # a plan counts only its kept work against the cap: each element its
+    # big, lg and weight, 8 bytes each, and nothing for rows or node sums
+    if cap:
+        monkeypatch.setattr(integrate, "_PLAN_ELEMENTS", cap)
+    plan = run().memo["plan"]
+    assert plan.work and 24 * plan.elements == _kept_bytes(plan)
+    assert plan.elements <= integrate._PLAN_ELEMENTS
 
 
 def _kept_node_sums(plan, p):
@@ -796,20 +809,23 @@ def test_single_p_peak_memory():
 
 def test_plan_ladder_peak_memory():
     # a grid keeps its plan as the blocks a fresh pass makes, so the
-    # computes that make and read it hold no whole-pass copy besides it;
-    # after a warm-up, so that lazy imports are not counted
+    # computes that make and read it hold no whole-pass copy besides it,
+    # nor any rows; after a warm-up, so that lazy imports are not counted,
+    # and in a thread of its own, so that the kernel's scratch is counted
+    # whatever ran before
     pts = generate_uniform(32, 3, 8)
     lp_discrepancy(pts, 2.5, rel_tol=1e-5)
     tracemalloc.start()
     try:
         cache = LpCache(pts, rel_tol=1e-5)
-        for p in (1.0, 2.5, 3.5, 5.0, 7.5, 9.0, 13.0, 20.0):
-            cache.norm(p)
+        thread = threading.Thread(target=lambda: [cache.norm(p) for p in PEAK_LADDER])
+        thread.start()
+        thread.join()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert cache.grid.memo["plan"].work[0] is not None
-    assert peak <= 14e6, peak
+    assert peak <= 13e6, peak
 
 
 def test_luxemburg_plan_peak_memory():
