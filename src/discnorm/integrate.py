@@ -522,13 +522,20 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
     col, lo, hi = plan.pieces
     # a column with no point below it integrates (prod t / scale)^p, a
     # product of one-axis powers; in logs, as large p underflows them.  A
-    # NaN from -inf - -inf near p = 1e308 is a term below q1^-d, so 0
+    # NaN from -inf - -inf near p = 1e308 is a term below q1^-d, so 0.
+    # Each log's rounding is within a unit of the magnitudes of its terms
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logs = [q1 * np.log(h) + np.log(-np.expm1(q1 * np.log(low / h)))
-                for low, h in zip(plan.lo_axes, plan.hi_axes)]
-        log_closed = functools.reduce(np.add.outer, logs).reshape(-1)[~plan.occupied]
+        terms = [(q1 * np.log(h), np.log(-np.expm1(q1 * np.log(low / h))))
+                 for low, h in zip(plan.lo_axes, plan.hi_axes)]
+        log_closed, mag = (functools.reduce(np.add.outer, v).reshape(-1)[~plan.occupied] for v in (
+            [a + b for a, b in terms], [abs(a) + abs(b) for a, b in terms]))
         log_closed = log_closed - d * math.log(q1) - p * math.log(scale)
-    closed = math.fsum(np.exp(np.nan_to_num(log_closed, nan=-np.inf)))
+    closed_cols = np.exp(np.nan_to_num(log_closed, nan=-np.inf))
+    # four rounding units of each column's value and its log's rounding
+    on = closed_cols > 0
+    closed_floor = math.fsum(closed_cols[on] * (mag[on] + (4 + d * abs(math.log(q1))
+                                                           + p * abs(math.log(scale)))))
+    closed = math.fsum(closed_cols)
 
     sums, nodes, elements = plan.sums(0, plan.pieces, p)
     bnd = _sup_bound(nodes, plan.mass)
@@ -587,6 +594,6 @@ def lp_adaptive_integral(grid: CellGrid, p: float, rel_tol: float):
 
     diag.update(boxes=col.size, elements=elements)
     # a floor of four rounding units of the sums, as converged rules can
-    # agree below them
-    err_j = math.fsum(eff) + 4 * 2.0 ** -52 * (math.fsum(np.abs(val)) + closed)
+    # agree below them, plus the closed columns' floor
+    err_j = math.fsum(eff) + 2.0 ** -52 * (4 * math.fsum(np.abs(val)) + closed_floor)
     return math.fsum(np.append(val, closed)), scale, err_j, diag

@@ -772,6 +772,18 @@ def test_a_grid_with_no_piece(d):
     assert shared.memo["plan"].computes == 6 and shared.memo["plan"].pieces[0].size == 0
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_closed_columns_error_floor_covers_their_logs(d):
+    # every column of the empty set integrates in closed form, through logs
+    # whose rounding grows with the magnitudes of their terms; the error
+    # estimate covers the distance to (p+1)^-d / scale^p, taken in mpmath
+    for p in (1.0, 2.5, 40.0):
+        value, scale, err, _ = lp_adaptive_integral(build_cell_grid(empty_pointset(d)), p, 1e-9)
+        with mpmath.workdps(50):
+            want = (mpmath.mpf(p) + 1) ** -d / mpmath.mpf(scale) ** p
+            assert abs(mpmath.mpf(value) - want) <= err, p
+
+
 @pytest.mark.parametrize("name", ["d3", "h2"])
 def test_kept_blocks_are_frozen(name):
     # the plan freezes the arrays of every block it keeps, which the kernel
