@@ -28,8 +28,8 @@ Two routes, used by the norm modules:
   transcendental passes, one multiply and one segmented sum per piece.
   Everything is scaled by sup |local discrepancy| so any large p stays in
   range.  A grid keeps its setup and its first pieces' masses and, from
-  its second compute on, below the top level, the p-independent work of
-  each piece asked (``_Plan``).  Every evaluation asks the plan for its
+  the second p it answers, by either engine, below the top level, the
+  p-independent work of each piece asked (``_Plan``).  Every evaluation asks the plan for its
   pieces' sums, which it reads from that work, once per compute, or from
   a fresh pass.
 """
@@ -370,7 +370,9 @@ class _Plan:
     its column's m cells and 2^(d-1) product-law terms, the terms as work,
     not memory, as the law adds them one corner at a time.  Where the first
     pass, m per node, is within ``_PLAN_ELEMENTS`` (``keeps``), the plan
-    keeps, from the grid's second compute on, per level below the top the
+    keeps, from the grid's second compute on, counting the p that an
+    ``LpCache``'s moment sum answered on the grid before the plan was
+    made (``grid.memo``), per level below the top the
     p-independent work of exactly the pieces asked of it (``work``, with
     each piece's place in it or -1 in ``place``), as the ``_row_blocks`` of
     the nodes the level adds to the one below: the ends and K7's 7 at level
@@ -408,7 +410,8 @@ class _Plan:
                       grid.sup_abs)
         self.keeps = 0 < nodes * m <= _PLAN_ELEMENTS
         self.mass = _masses(*self.pieces, corners)
-        self.elements, self.computes = 0, 0
+        # the p its cache's moment sum answered count as computes of the grid
+        self.elements, self.computes = 0, grid.memo.get("moment_answers", 0)
         self.work, self.place, self.read = {}, {}, {}
 
     def sums(self, level, pieces, p, g=None):

@@ -6,8 +6,9 @@ expansion when its cancellation stays within the tolerance, and the
 rest runs the scaled adaptive integrator.  ``LpCache`` memoizes per
 point set so the Orlicz-side routines can request many p values cheaply:
 it keeps the grid, whose plan keeps the adaptive engine's p-independent
-work, and once a moment sum has cancelled past ``MOMENT_AMP_MAX`` it
-sends every larger even p straight to the adaptive engine.
+work from the second p the grid answers, and once a moment sum has
+cancelled past ``MOMENT_AMP_MAX`` it sends every larger even p straight
+to the adaptive engine.
 """
 
 from __future__ import annotations
@@ -91,11 +92,14 @@ class LpCache:
 
     Reusing one cache across many p queries (norm scans, Orlicz series)
     skips rebuilding the grid and recomputing norms at repeated p.  Each
-    new p is still one adaptive computation, but from the second on the
-    grid keeps the p-independent part of that work, so later p only do
-    the part that depends on p; their results are bit-identical to a
-    fresh cache's.  An even p above one whose moment sum cancelled past
-    ``MOMENT_AMP_MAX`` skips the moment sum.
+    new p is still one computation, but from the second p its grid
+    answers, by either engine, the grid keeps the p-independent part of
+    the adaptive work, so later p only do the part that depends on p;
+    their results are bit-identical to a fresh cache's.  So the cache
+    counts each p its moment sum answers on the grid (``grid.memo``); a
+    moment sum it discards, cancelled past ``MOMENT_AMP_MAX`` or too loose
+    for the tolerance, does not count.  An even p above one whose moment
+    sum cancelled past ``MOMENT_AMP_MAX`` skips the moment sum.
     """
 
     def __init__(self, points: PointSet, rel_tol: float = 1e-9):
@@ -137,6 +141,9 @@ class LpCache:
             if amp > MOMENT_AMP_MAX:
                 self._moment_p_max = pi - 2
             elif integral > 0.0 and rel_err <= rel_tol:
+                # a plan made later counts this p among its grid's computes
+                memo = self.grid.memo
+                memo["moment_answers"] = memo.get("moment_answers", 0) + 1
                 value = integral ** (1.0 / p)
                 return NormResult(value, value * rel_err, diagnostics={
                     "engine": "moment", "amplification": amp, "rel_tol": rel_err})

@@ -14,7 +14,7 @@ import pytest
 from discnorm import integrate
 from discnorm.cells import build_cell_grid
 from discnorm.integrate import _MAX_LEVEL, _NODES, _SPANS, lp_adaptive_integral
-from discnorm.lp import LpCache, lp_discrepancy
+from discnorm.lp import MOMENT_AMP_MAX, LpCache, lp_discrepancy
 from discnorm.orlicz import OrliczSpec, luxemburg_norm
 from discnorm.pointset import PointSet, empty_pointset, generate_halton, generate_uniform
 from oracles import _inner_stack, cell_stack_sums, patterson_ladder
@@ -755,6 +755,32 @@ def test_single_p_call_keeps_no_work():
             grid = build_cell_grid(pts)
             lp_adaptive_integral(grid, p, 1e-12)
             assert grid.memo["plan"].work == {}, p
+
+
+@pytest.mark.parametrize("name", LUX_SETS)
+def test_a_luxemburg_norm_keeps_from_its_second_p(name, monkeypatch):
+    # an alpha = 2 Luxemburg norm reads p = 2, 4 and 6 by the moment sum
+    # before any adaptive compute, so its grid has answered its second p
+    # when the plan is made, and its first adaptive compute already keeps
+    # level 0: no ask of the plan's own pieces there makes a fresh pass
+    asks = _spy_on_asks(monkeypatch)
+    pts = LUX_SETS[name]
+    cache = LpCache(pts, 1e-9)
+    luxemburg_norm(pts, OrliczSpec(2.0), rel_tol=1e-8, cache=cache)
+    own = [a for a in asks if a["level"] == 0 and a["own"]]
+    assert own and not any(a["fresh"] for a in own), [a["computes"] for a in own if a["fresh"]]
+    assert cache.grid.memo["moment_answers"] >= 2
+
+
+def test_a_discarded_moment_sum_does_not_count():
+    # the moment sum at p = 8 on uniform (128,2) cancels at amplification
+    # 2.05e8, past MOMENT_AMP_MAX, so the adaptive engine answers the
+    # grid's only p, and its plan keeps nothing
+    pts = generate_uniform(128, 2, 0)
+    assert integrate.lp_moment_integral(build_cell_grid(pts), 8)[1] > MOMENT_AMP_MAX
+    cache = LpCache(pts, 1e-9)
+    assert cache.norm(8.0).diagnostics["engine"] == "adaptive"
+    assert "moment_answers" not in cache.grid.memo and cache.grid.memo["plan"].work == {}
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
