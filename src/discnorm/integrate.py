@@ -25,13 +25,15 @@ Two routes, used by the norm modules:
   cut at its kinks, rows of the same pass made per group of pieces, each
   right after its piece, and run in cache-sized blocks of whole pieces.
   Each run and node has one p-independent weight, so a new p costs two
-  transcendental passes, one multiply and one segmented sum per piece.
+  transcendental passes, one multiply and one segmented sum per piece;
+  an element whose run straddles the zero of A - s t sums its two
+  powers in the same passes, from the log of their ratio.
   Everything is scaled by sup |local discrepancy| so any large p stays in
   range.  A grid keeps its setup and its first pieces' masses and, from
   the second p it answers, by either engine, below the top level, the
-  p-independent work of each piece asked (``_Plan``).  Every evaluation asks the plan for its
-  pieces' sums, which it reads from that work, once per compute, or from
-  a fresh pass.
+  p-independent work of each piece asked (``_Plan``).  Every evaluation
+  asks the plan for its pieces' sums, which it reads from that work, once
+  per compute, or from a fresh pass.
 """
 
 from __future__ import annotations
@@ -93,14 +95,17 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale, law, row):
     (R, S), as the tuple that ``_stack_apply`` reads.
 
     Per element: the log L of the endpoint value |v| of larger magnitude,
-    floored at 1e-300, log1p(-delta/|v|), and the weight law times
-    min(scale / q, DBL_MAX), the p-independent part of the closed form's
-    factor scale / (q (p+1)); the straddle elements, where the sign changes
-    inside the run, with the logs of their two endpoint magnitudes; and the
-    thin elements, whose length is below rounding of |v|, with their lengths
-    times the law and their midpoint values.  Those two sets are flat
-    indices into the (U, S) block, None when empty.  The floor reads as
-    L >= -690.8, so exp((p+1) L) underflows to 0 there, as p >= 1.
+    floored at 1e-300, the log of the ratio of the smaller magnitude to it,
+    and the weight law times min(scale / q, DBL_MAX), the p-independent part
+    of the closed form's factor scale / (q (p+1)); the straddle elements,
+    where the sign changes inside the run; and the thin elements, whose
+    length is below rounding of |v|, with their lengths times the law and
+    their midpoint values.  Those two sets are flat indices into the (U, S)
+    block, None when empty.  Off the straddle elements the ratio's log is
+    log1p(-delta/|v|).  On them r = -delta/|v| lies in [-2, -1], so it is
+    log1p(-2 - r), -2 - r exact, and their weight is negated, so that
+    ``_stack_apply`` sums their two powers in its one pass.  The floor
+    reads as L >= -690.8, so exp((p+1) L) underflows to 0 there, as p >= 1.
     """
     tlen = t_hi - t_lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
@@ -117,19 +122,20 @@ def _stack_prep(q, a_cnt, t_lo, t_hi, scale, law, row):
         vlo = np.add(vhi, ndelta)
         straddle = vhi > 0.0
         straddle &= vlo < 0.0
-        cross = None
-        if straddle.any():
-            idx = np.flatnonzero(straddle)
-            cross = (idx, np.log(vhi.reshape(-1)[idx]), np.log(-vlo.reshape(-1)[idx]))
-        # the endpoint value of larger magnitude off the straddle elements, in
-        # place of vlo so that no fourth block is held; -vlo is exactly
-        # delta - vhi under IEEE rounding
+        cross = (np.flatnonzero(straddle),) if straddle.any() else None
+        # the endpoint value of larger magnitude, in place of vlo so that no
+        # fourth block is held; -vlo is exactly delta - vhi under IEEE rounding
         big = np.negative(vlo, out=vlo)
         np.maximum(big, vhi, out=big)
         np.maximum(big, 1e-300, out=big)
         thin = np.greater_equal(ndelta, np.multiply(big, -1e-12, out=vhi))
         thin &= ~straddle
         lg = np.divide(ndelta, big, out=ndelta)
+        if cross is not None:
+            idx, flat_lg, flat_w = cross[0], lg.reshape(-1), weight.reshape(-1)
+            flat_lg[idx] = -2.0 - flat_lg[idx]
+            flat_w[idx] = -flat_w[idx]
+        # below the floor a straddle's -2 - r is below -1, and its powers are 0
         np.maximum(lg, -1.0, out=lg)
         np.log1p(lg, out=lg)
         np.log(big, out=big)
@@ -158,24 +164,23 @@ def _stack_apply(cells, p):
             pair = _SCRATCH.pair = np.empty(big.size), np.empty(big.size)
         out, ratio = (v[:big.size].reshape(big.shape) for v in pair)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        # the common case: the run sits entirely on one side of the zero
-        # crossing, so the power antiderivative nearly cancels between the
-        # endpoints and goes through log1p/expm1 for accuracy.  It runs on
-        # the whole block; the few straddle and thin elements are
+        # off the straddle elements the run sits entirely on one side of the
+        # zero crossing, so the power antiderivative nearly cancels between
+        # the endpoints and goes through log1p/expm1 for accuracy.  A
+        # straddle element adds its two powers, w |v|^(p+1) (expm1((p+1)
+        # lg) + 2) with its weight negated; the few thin elements are
         # overwritten afterwards.
         np.multiply(lg, q1, out=ratio)
         np.expm1(ratio, out=ratio)
+        if cross is not None:
+            np.add.at(ratio.reshape(-1), cross[0], 2.0)
         np.multiply(big, q1, out=out)
         np.exp(out, out=out)
         out *= weight
         out *= ratio
-        flat_out = out.reshape(-1)
-        if cross is not None:
-            idx, log_hi, log_lo = cross
-            flat_out[idx] = -weight.reshape(-1)[idx] * (np.exp(q1 * log_hi) + np.exp(q1 * log_lo))
         if flat is not None:
             idx, tlen, mid = flat
-            flat_out[idx] = tlen * np.power(mid, p) * -q1
+            out.reshape(-1)[idx] = tlen * np.power(mid, p) * -q1
     return out
 
 
@@ -371,19 +376,18 @@ class _Plan:
     not memory, as the law adds them one corner at a time.  Where the first
     pass, m per node, is within ``_PLAN_ELEMENTS`` (``keeps``), the plan
     keeps, from the grid's second compute on, counting the p that an
-    ``LpCache``'s moment sum answered on the grid before the plan was
-    made (``grid.memo``), per level below the top the
-    p-independent work of exactly the pieces asked of it (``work``, with
-    each piece's place in it or -1 in ``place``), as the ``_row_blocks`` of
-    the nodes the level adds to the one below: the ends and K7's 7 at level
-    0, which every compute asks whole, and P15's 8 at level 1.  P31's 16 at
-    the top level are not kept: few pieces reach it, and it would be the
-    largest work.  A piece asked anew joins its level's work, its blocks
+    ``LpCache``'s moment sum answered on the grid before the plan was made
+    (``grid.memo``), per level below the top the p-independent work of
+    exactly the pieces asked of it (``work``, with each piece's place in
+    it or -1 in ``place``), as the ``_row_blocks`` of the nodes the level
+    adds to the one below: the ends and K7's 7 at level 0, which every
+    compute asks whole, and P15's 8 at level 1.  P31's 16 at the top level
+    are not kept: few pieces reach it, and it would be the largest work.  A piece asked anew joins its level's work, its blocks
     merged onto the last one while that stays within ``_BLOCK_ELEMENTS``,
     so that a level is read in few blocks; its ``big``, ``lg`` and weights
     are frozen for ``_stack_apply``.  ``elements`` counts what is kept, and
     an add that would pass the cap is refused and served a fresh pass.  A
-    single-p call keeps nothing, nor does a bisected half join any work.
+    grid's only p keeps nothing, nor does a bisected half join any work.
     Evaluations ask ``sums``, which applies these rules and reads a kept level once per compute.
     """
 
